@@ -5,8 +5,9 @@ without replaying a week of traces.  Two estimators over the same span:
 
 ``span_estimate``
     Folds the lake's **materialized correlation summaries** (persisted
-    at correlator-eviction time, :mod:`repro.lake.summaries`) by pure
-    vector addition -- no correlation kernels run.  This is the fast
+    at correlator-eviction time, quiet blocks implicit between a key's
+    coverage marker and the lake's frontier, :mod:`repro.lake.summaries`)
+    by pure vector addition -- no correlation kernels run.  This is the fast
     path the ``benchmarks/test_lake_speedup.py`` gate measures, and it
     carries the fold's documented ``O(max_lag / span)`` boundary
     approximation.
@@ -37,7 +38,7 @@ from repro.core.correlation import CorrelationSeries, correlate_sparse
 from repro.core.timeseries import build_density_series
 from repro.errors import AnalysisError
 from repro.lake.lake import TraceLake
-from repro.lake.summaries import BlockSummary, fold_summaries
+from repro.lake.summaries import BlockSummary, covered_blocks, fold_summaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +54,7 @@ class SpanEstimate:
     end: float
     #: Window length in quanta the correlation was normalized over.
     n: int
-    #: Summary rows folded (0 for raw replays).
+    #: Blocks folded, written or implicitly quiet (0 for raw replays).
     blocks: int
     #: Peak-correlation lag converted to seconds (NaN when degenerate).
     delay: float
@@ -103,22 +104,25 @@ def span_estimate(
     rows: List[BlockSummary] = lake.summaries(
         client=client, root=root, src=src, dst=dst, start=start, end=end
     )
-    if not rows:
+    covered = covered_blocks(rows, lake.frontier, start, end)
+    if covered.size == 0:
         raise AnalysisError(
             f"no materialized summaries for ({client}, {root}) x "
             f"({src}, {dst}) in [{start}, {end})"
         )
-    series = fold_summaries(rows, max_lag=max_lag)
+    series = fold_summaries(
+        rows, max_lag=max_lag, frontier=lake.frontier, start=start, end=end
+    )
     delay, peak = _peak(series)
     return SpanEstimate(
         client=client,
         root=root,
         src=src,
         dst=dst,
-        start=min(r.t_min for r in rows),
-        end=max(r.t_max for r in rows),
+        start=int(covered[0]) * rows[0].quantum,
+        end=(int(covered[-1]) + rows[0].block_length) * rows[0].quantum,
         n=series.n,
-        blocks=len(rows),
+        blocks=int(covered.size),
         delay=delay,
         peak=peak,
         degenerate=series.degenerate,

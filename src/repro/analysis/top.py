@@ -15,7 +15,7 @@ the human-readable half of ``repro profile``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.ledger import (
     CORRELATION_KERNELS,
@@ -72,6 +72,7 @@ def render_top(
     ledgers: Sequence[RefreshLedger],
     ewma: Optional[Dict[str, dict]] = None,
     title: str = "repro top",
+    correlators: Optional[Tuple[int, int]] = None,
 ) -> str:
     """One screenful of cost accounting over recent ledgers.
 
@@ -86,6 +87,9 @@ def render_top(
         latest ledger's stamped values.
     title:
         Header label (the CLI passes the workload name).
+    correlators:
+        Optional ``(engine.correlator_count, engine.parked_count)``,
+        shown on the optimization line.
     """
     if not ledgers:
         return f"{title}: no refreshes recorded yet\n"
@@ -166,6 +170,11 @@ def render_top(
     lines.append(
         f"quiet skips {skips} ({skip_ratio:.1%} of pair work)"
         f" | correlator cache hits {hits}"
+        + (
+            f" | correlators {correlators[0]} live, {correlators[1]} parked"
+            if correlators is not None
+            else ""
+        )
     )
     return "\n".join(lines) + "\n"
 

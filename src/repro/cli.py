@@ -585,6 +585,7 @@ def cmd_top(args: argparse.Namespace) -> int:
                     engine.ledger.history(args.last),
                     engine.ledger.ewma_snapshot(),
                     title=title,
+                    correlators=(engine.correlator_count, engine.parked_count),
                 )
             )
             sys.stdout.flush()
@@ -598,6 +599,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         engine.ledger.history(args.last),
         engine.ledger.ewma_snapshot(),
         title=title,
+        correlators=(engine.correlator_count, engine.parked_count),
     )
     if live:
         sys.stdout.write("\x1b[2J\x1b[H")

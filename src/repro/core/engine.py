@@ -243,6 +243,9 @@ class E2EProfEngine(PipelineCore):
         self._refreshes = 0
         self._base_quantum: Optional[int] = None
         self._correlators: Dict[Tuple[RefKey, EdgeKey], IncrementalCorrelator] = {}
+        # Parked correlator keys; edge -> live and parked keys (core.stages).
+        self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
+        self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
         self._subscribers: List[Subscriber] = []
         self._metrics_subscribers: List[MetricsSubscriber] = []
         self._pathmap = Pathmap(
@@ -596,20 +599,25 @@ class E2EProfEngine(PipelineCore):
             wire_bytes_before,
         )
         if self.lake is not None:
-            self._maintain_lake()
+            self._maintain_lake(block_start)
         return result
 
-    def _maintain_lake(self) -> None:
+    def _maintain_lake(self, block_start: int) -> None:
         """Per-refresh trace-lake maintenance: force the capture sink's
         retention eviction (so spills track the refresh cadence, not just
-        the ingest stride), checkpoint pending summaries + the manifest,
-        and account the accumulated spill time as the ledger's optional
-        ``spill`` stage. Runs after publish: the stage lands in the
-        just-completed ledger in place (same contract as the post-fanout
-        publish sample)."""
+        the ingest stride), checkpoint pending summaries, their frontier
+        (the window floor: full-window correlators have evicted every
+        block before it) and the manifest, and account the spill time
+        since ingest as the ledger's optional ``spill`` stage. Runs after
+        publish: the stage lands in the just-completed ledger in place
+        (same contract as the post-fanout publish sample)."""
         lake = self.lake
         if self.capture_sink is not None and self.capture_sink.retention is not None:
             self.capture_sink.evict_expired()
+        if self._lake_summaries:
+            lake.advance_frontier(
+                block_start - (self._num_blocks - 1) * self._block_quanta
+            )
         lake.checkpoint()
         segments = lake.segments_written - self._lake_segments_synced
         self._lake_segments_synced = lake.segments_written
@@ -623,6 +631,8 @@ class E2EProfEngine(PipelineCore):
         ``(reference block, signal block, summed pair-product row)`` into
         a :class:`~repro.lake.BlockSummary`, grabbing the reference
         block's cached FFT spectrum when the dense kernel left one warm.
+        The first eviction also writes a coverage marker; from there to
+        the lake's frontier an eviction of two quiet blocks is implicit.
         """
         if not self._lake_summaries:
             return None
@@ -630,8 +640,20 @@ class E2EProfEngine(PipelineCore):
         client, root = ref_key
         src, dst = edge_key
         size = fft_length(2 * self._block_quanta - 1)
+        covered = False
 
         def hook(old_x, old_y, contribution):
+            nonlocal covered
+            if not covered:
+                covered = True
+                lake.record_summary(
+                    BlockSummary(
+                        client, root, src, dst, int(old_y.start),
+                        int(old_y.length), float(old_y.quantum), coverage="begin",
+                    )
+                )
+            if contribution is None and block_is_quiet(old_x) and block_is_quiet(old_y):
+                return
             spectrum = self._spectra.peek(old_x, size)
             lake.record_summary(
                 BlockSummary(
@@ -653,6 +675,19 @@ class E2EProfEngine(PipelineCore):
             )
 
         return hook
+
+    def _invalidate_correlators(self, edge):
+        """Dropped keys' implicit summary coverage ends at the frontier."""
+        dropped = super()._invalidate_correlators(edge)
+        if self._lake_summaries and self.lake.frontier is not None:
+            for ref_key, edge_key in dropped:
+                self.lake.record_summary(
+                    BlockSummary(
+                        *ref_key, *edge_key, self.lake.frontier,
+                        self._block_quanta, self.config.quantum, coverage="end",
+                    )
+                )
+        return dropped
 
     def _stage_ingest(
         self, now: float, block_start: int
@@ -694,9 +729,13 @@ class E2EProfEngine(PipelineCore):
                             )
                             self._refresh_capture_batches += 1
             ingest_span.set_attribute("blocks", len(fresh))
-        self.ledger.record_stage(
-            STAGE_INGEST, time.perf_counter() - ingest_started, len(fresh)
-        )
+        ingest_seconds = time.perf_counter() - ingest_started
+        if self.lake is not None:
+            # Auto-sweep spills inside this wall belong to the spill stage only.
+            spilled = self.lake.drain_spill_seconds()
+            ingest_seconds -= spilled
+            self.ledger.record_stage(STAGE_SPILL, spilled)
+        self.ledger.record_stage(STAGE_INGEST, ingest_seconds, len(fresh))
         return fresh, late_frames
 
     def _stage_correlate(
@@ -912,6 +951,7 @@ class E2EProfEngine(PipelineCore):
             blocks_ingested=blocks_ingested,
             wire_bytes=wire_bytes,
             correlators=self._correlator_total(),
+            parked_correlators=self.parked_count,
             cache_hits=self._refresh_cache_hits,
             cache_misses=self._refresh_cache_misses,
             correlations=result.stats.correlations,
@@ -970,6 +1010,13 @@ class E2EProfEngine(PipelineCore):
     @property
     def correlator_count(self) -> int:
         return self._correlator_total()
+
+    @property
+    def parked_count(self) -> int:
+        """Dormant correlators dropped until one of their edges wakes."""
+        if self._sharded is not None:
+            return self._sharded.parked_total()
+        return len(self._parked)
 
     def _apply_shard_loss(self, result: PathmapResult, now: float) -> None:
         """Degrade, never drop: a shard lost mid-refresh leaves its

@@ -108,6 +108,11 @@ class IncrementalCorrelator:
             series = corr.correlation()
     """
 
+    SKIPS_COUNTER = (  # hosts add their parked correlators' skips to it
+        "correlator_skips_total",
+        "Block-pair lag products skipped because one side was quiet",
+    )
+
     def __init__(
         self,
         max_lag: int,
@@ -175,10 +180,7 @@ class IncrementalCorrelator:
                 "correlator_window_blocks",
                 "Window depth (blocks) of the most recently updated correlator",
             )
-            self._m_skips = metrics.counter(
-                "correlator_skips_total",
-                "Block-pair lag products skipped because one side was quiet",
-            )
+            self._m_skips = metrics.counter(*self.SKIPS_COUNTER)
             self._m_cache_hits = metrics.counter(
                 "correlation_cache_hits_total",
                 "Correlation queries served from the dirty-flag result cache",
@@ -211,6 +213,20 @@ class IncrementalCorrelator:
         if self._block_quanta is None:
             return 0
         return (self.max_lag + self._block_quanta - 1) // self._block_quanta
+
+    @property
+    def dormant(self) -> bool:
+        """True once a full window is quiet on both sides with nothing
+        cached: the state is then a pure function of the window position,
+        so the host parks the correlator -- drops it and replays it from
+        block history when an edge wakes (:mod:`repro.core.stages`)."""
+        return (
+            self.optimized
+            and len(self._x_blocks) == self.num_blocks
+            and not self._pair_cache
+            and all(block_is_quiet(b) for _, b in self._x_blocks)
+            and all(block_is_quiet(b) for _, b in self._y_blocks)
+        )
 
     def _validate_block(self, block: Block) -> None:
         if block.quantum != self.quantum:
@@ -310,17 +326,6 @@ class IncrementalCorrelator:
         ):
             raise SeriesError("x and y blocks must cover the same window")
         self._validate_block(x_block)
-        if (
-            pair_vectors is None
-            and self.optimized
-            and len(self._x_blocks) == self.num_blocks
-            and not self._pair_cache
-            and block_is_quiet(y_block)
-            and block_is_quiet(x_block)
-            and block_is_quiet(self._x_blocks[0][1])
-            and block_is_quiet(self._y_blocks[0][1])
-        ):
-            return self._quiet_slide(x_block, y_block)
         preserved = self._result_preserved(x_block, y_block)
 
         block_id = self._next_block_id
@@ -385,49 +390,6 @@ class IncrementalCorrelator:
             self._m_depth.set(len(self._x_blocks))
             if skipped:
                 self._m_skips.inc(skipped)
-        return skipped
-
-    def _quiet_slide(self, x_block: Block, y_block: Block) -> int:
-        """O(1) append for the dormant case: full window, empty pair cache,
-        quiet incoming and quiet outgoing blocks.
-
-        Every pair slot would be skipped (the y side is quiet), the evicted
-        blocks contribute zero to the window sums, and there are no cached
-        pair vectors to sweep -- so the append reduces to rotating the block
-        deques. State after this call is identical to the general path.
-        """
-        # Same preservation rule as _result_preserved: the appended/evicted
-        # blocks are already known quiet, so only the cache validity and the
-        # boundary blocks remain to check.
-        if self._dirty or self._corr_cache is None:
-            self._dirty = True
-        else:
-            reach = min(self.block_reach, len(self._x_blocks))
-            if reach:
-                tail_quiet = all(
-                    block_is_quiet(b) for _, b in list(self._x_blocks)[-reach:]
-                )
-                head_quiet = all(
-                    block_is_quiet(b)
-                    for _, b in list(self._y_blocks)[1 : 1 + reach]
-                )
-                if not (tail_quiet and head_quiet):
-                    self._dirty = True
-        block_id = self._next_block_id
-        self._next_block_id += 1
-        skipped = min(self.block_reach, len(self._x_blocks)) + 1
-        self._x_blocks.append((block_id, x_block))
-        self._y_blocks.append((block_id, y_block))
-        _, old_x = self._x_blocks.popleft()
-        _, old_y = self._y_blocks.popleft()
-        if self._evict_hook is not None:
-            # Quiet pair: zero products, zero mass -- but its length still
-            # counts toward a summary fold's normalization span.
-            self._evict_hook(old_x, old_y, None)
-        if self._m_pairs is not None:
-            self._m_skips.inc(skipped)
-            self._m_depth.set(len(self._x_blocks))
-            self._m_evictions.inc()
         return skipped
 
     def _evict_oldest(self) -> None:

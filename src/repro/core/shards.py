@@ -307,6 +307,7 @@ class ShardPartial:
     skips: int = 0
     corr_cache_hits: int = 0
     correlators: int = 0
+    parked: int = 0
     classes: int = 0
     correlate_seconds: float = 0.0
     dfs_seconds: float = 0.0
@@ -352,6 +353,8 @@ class ShardWorkerState(PipelineCore):
             for edge, docs in spec["history"].items()
         }
         self._correlators: Dict[Tuple[RefKey, EdgeKey], object] = {}
+        self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
+        self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
         self._tally_lock = threading.Lock()
         self._refresh_cache_hits = 0
         self._refresh_cache_misses = 0
@@ -447,6 +450,7 @@ class ShardWorkerState(PipelineCore):
             skips=self._refresh_skips,
             corr_cache_hits=self._refresh_corr_cache_hits,
             correlators=len(self._correlators),
+            parked=len(self._parked),
             classes=len(pairs),
             correlate_seconds=correlate_seconds,
             dfs_seconds=dfs_seconds,
@@ -478,13 +482,11 @@ class ShardWorkerState(PipelineCore):
         owned (a reassigned class rebuilds lazily -- and bit-identically
         -- from mirrored history on its new owner)."""
         self.map = ShardMap(num_shards)
-        stale = [
+        self._drop_correlators(
             key
-            for key in self._correlators
+            for key in (*self._correlators, *self._parked)
             if self.map.owner(key[0]) != self.shard
-        ]
-        for key in stale:
-            del self._correlators[key]
+        )
 
     def rewindow(self, cutoff_quantum: int) -> None:
         self._blank_history(cutoff_quantum)
@@ -615,8 +617,8 @@ class ShardedAnalysis:
         self.lost_last_refresh: List[int] = []
         #: Shards respawned from history at the top of the latest refresh.
         self.respawned_last_refresh: List[int] = []
-        #: Last reported live-correlator count per shard.
-        self.correlator_counts: Dict[int, int] = {}
+        #: Last reported (live, parked) correlator counts per shard.
+        self.correlator_counts: Dict[int, Tuple[int, int]] = {}
         #: Workers respawned after a crash, all time.
         self.respawns = 0
         self._closed = False
@@ -746,7 +748,7 @@ class ShardedAnalysis:
                     f"shard {shard} worker failed:\n{reply[1]}"
                 )
             partial: ShardPartial = reply[1]
-            self.correlator_counts[shard] = partial.correlators
+            self.correlator_counts[shard] = (partial.correlators, partial.parked)
             partials.append(partial)
         for shard in lost:
             self.correlator_counts.pop(shard, None)
@@ -757,7 +759,11 @@ class ShardedAnalysis:
 
     def correlator_total(self) -> int:
         """Live correlators across the fleet (last reported)."""
-        return sum(self.correlator_counts.values())
+        return sum(live for live, _ in self.correlator_counts.values())
+
+    def parked_total(self) -> int:
+        """Parked correlators across the fleet (last reported)."""
+        return sum(parked for _, parked in self.correlator_counts.values())
 
     def partition(self, pairs: List[RefKey]) -> Dict[int, List[RefKey]]:
         return self.map.partition(pairs)

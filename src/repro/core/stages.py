@@ -33,10 +33,17 @@ Host contract (attributes every :class:`PipelineCore` host provides):
 / ``"force"``), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
 ``_pool`` (optional thread executor), ``_clients`` (set of client node
-ids), ``_blocks`` / ``_correlators`` (the window state),
+ids), ``_blocks`` / ``_correlators`` (the window state), ``_parked`` /
+``_edge_keys`` (parked keys; edge -> its live and parked keys),
 ``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
 ``_tally_lock`` plus the per-refresh ``_refresh_*`` tallies, and the
 ``_m_batch`` / ``_m_cache_hits`` / ``_m_cache_misses`` instruments.
+
+**Parking.** A correlator whose whole window is quiet on both sides
+holds nothing its block history does not: the host drops it, keeps its
+key in ``_parked``, and replays it from history the refresh either edge
+receives a non-quiet block. A refresh thus visits the correlators that
+can change, not every correlator ever created.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ from repro.tracing.records import NodeId
 
 EdgeKey = Tuple[NodeId, NodeId]
 RefKey = Tuple[NodeId, NodeId]
+CorrelatorKey = Tuple[RefKey, EdgeKey]
 
 
 class PipelineCore:
@@ -172,14 +180,18 @@ class PipelineCore:
                 self._invalidate_correlators(edge)
         return blanked
 
-    def _invalidate_correlators(self, edge: EdgeKey) -> None:
-        stale = [
-            key
-            for key in self._correlators
-            if key[0] == edge or key[1] == edge
-        ]
-        for key in stale:
-            del self._correlators[key]
+    def _invalidate_correlators(self, edge: EdgeKey) -> List[CorrelatorKey]:
+        """Forget every correlator, live or parked, touching ``edge``."""
+        return self._drop_correlators(self._edge_keys.get(edge, ()))
+
+    def _drop_correlators(self, keys) -> List[CorrelatorKey]:
+        dropped = list(keys)
+        for key in dropped:
+            self._correlators.pop(key, None)
+            self._parked.discard(key)
+            for edge in key:
+                self._edge_keys[edge].discard(key)
+        return dropped
 
     # -- correlate stage -------------------------------------------------------
 
@@ -196,11 +208,35 @@ class PipelineCore:
         for (ref_edge, edge), correlator in self._correlators.items():
             groups.setdefault(ref_edge, []).append((edge, correlator))
         if self._pool is not None and len(groups) > 1:
-            skipped = sum(self._pool.map(self._append_group, groups.items()))
+            results = list(self._pool.map(self._append_group, groups.items()))
         else:
-            skipped = sum(self._append_group(item) for item in groups.items())
-        self._refresh_skips = skipped
+            results = [self._append_group(item) for item in groups.items()]
+        # A parked correlator's append would have skipped every pair slot;
+        # count those without visiting it.
+        reach = -(-self.config.max_lag_quanta // self._block_quanta)
+        parked_skips = len(self._parked) * (min(reach, self._num_blocks) + 1)
+        parked_skips -= self._wake_parked()
+        for _, dormant in results:
+            for key in dormant:
+                del self._correlators[key]
+                self._parked.add(key)
+        self.metrics.counter(*IncrementalCorrelator.SKIPS_COUNTER).inc(parked_skips)
+        self._refresh_skips = sum(skipped for skipped, _ in results) + parked_skips
         self._m_batch.observe(time.perf_counter() - started)
+
+    def _wake_parked(self) -> int:
+        """Replay from history every parked correlator one of whose edges
+        just received a non-quiet block. Returns the pair products the
+        skipped appends would have computed: the diagonal of each woken
+        pair with traffic on both edges (every older block is quiet)."""
+        computed = 0
+        for edge, blocks in self._blocks.items() if self._parked else ():
+            if block_is_quiet(blocks[-1]):
+                continue
+            for key in self._parked.intersection(self._edge_keys.get(edge, ())):
+                self._create_correlator(*key)
+                computed += not any(block_is_quiet(self._blocks[e][-1]) for e in key)
+        return computed
 
     def _append_per_pair(self) -> None:
         """Legacy refresh: one kernel invocation per (reference, edge) pair.
@@ -390,14 +426,16 @@ class PipelineCore:
     def _append_group(
         self,
         group: Tuple[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]],
-    ) -> int:
+    ) -> Tuple[int, List[CorrelatorKey]]:
         """Append the newest blocks to every correlator of one reference
         group, batching all non-quiet edges into shared kernels. Returns
-        the number of pair products skipped as quiet."""
+        the pair products skipped as quiet and the keys left dormant."""
         ref_edge, members = group
         x_new = self._blocks[ref_edge][-1]
+        x_quiet = block_is_quiet(x_new)
         traced = self.tracer.enabled
         skipped = 0
+        dormant: List[CorrelatorKey] = []
         # Split the group: quiet newest edge blocks produce zero vectors
         # only (the plain optimized append skips every kernel for them);
         # the rest share one batch per pending x block. A member whose
@@ -458,12 +496,14 @@ class PipelineCore:
                         skipped += correlator.append(x_new, y_new)
                 else:
                     skipped += correlator.append(x_new, y_new)
+                if x_quiet and correlator.dormant:
+                    dormant.append((ref_edge, edge))
             self.ledger.record_kernel(
                 KERNEL_LEGACY,
                 rows=len(plain),
                 seconds=time.perf_counter() - plain_started,
             )
-        return skipped
+        return skipped, dormant
 
     # -- correlation provider (plugged into pathmap) ---------------------------
 
@@ -520,7 +560,11 @@ class PipelineCore:
                 self._batched_replay(correlator, ref_block, edge_block)
             else:
                 correlator.append(ref_block, edge_block)
-        self._correlators[(ref_key, edge_key)] = correlator
+        key = (ref_key, edge_key)
+        self._correlators[key] = correlator
+        self._parked.discard(key)
+        for edge in key:
+            self._edge_keys.setdefault(edge, set()).add(key)
         return correlator
 
     def _batched_replay(

@@ -262,6 +262,7 @@ class TraceLake:
             t_min=min(row.t_min for row in rows),
             t_max=max(row.t_max for row in rows),
             nbytes=len(payload.encode("utf-8")),
+            coverage=any(row.coverage for row in rows),
         )
         self._manifest.summaries.append(meta)
         self._manifest_dirty = True
@@ -269,6 +270,15 @@ class TraceLake:
         if self._m_rows is not None:
             self._m_rows.inc(len(rows))
         return meta
+
+    def advance_frontier(self, quantum: int) -> None:
+        """Declare summary coverage complete through ``quantum`` (every
+        earlier covered block without a row was quiet); persisted by the
+        next :meth:`checkpoint`."""
+        with self._lock:
+            if self.frontier is None or quantum > self.frontier:
+                self._manifest.frontier = int(quantum)
+                self._manifest_dirty = True
 
     def checkpoint(self) -> None:
         """Persist pending summaries and the manifest if anything changed.
@@ -321,6 +331,11 @@ class TraceLake:
     def summary_files(self) -> List[SummaryMeta]:
         with self._lock:
             return list(self._manifest.summaries)
+
+    @property
+    def frontier(self) -> Optional[int]:
+        """Quantum through which summary coverage is complete, if any."""
+        return self._manifest.frontier
 
     def query(
         self,
@@ -377,17 +392,21 @@ class TraceLake:
         start: float = float("-inf"),
         end: float = float("inf"),
     ) -> List[BlockSummary]:
-        """Materialized summary rows matching the filters, by block start.
+        """Materialized summary rows matching the filters, by block start
+        (ties in write order): those overlapping ``[start, end)`` plus
+        every coverage marker, which bears on all later spans.
 
-        Only summary files whose time range overlaps ``[start, end)`` are
-        read; pending (unflushed) rows are included so drift queries see
-        the latest evictions without an explicit flush.
+        Only files overlapping the span or holding markers are read and
+        only rows matching the key filters decoded; pending (unflushed)
+        rows are included, so no query needs an explicit flush.
         """
+        keys = (("client", client), ("root", root), ("src", src), ("dst", dst))
+        wanted = [(name, value) for name, value in keys if value is not None]
         with self._lock:
             metas = [
                 m
                 for m in self._manifest.summaries
-                if m.t_max >= start and m.t_min < end
+                if m.coverage or (m.t_max >= start and m.t_min < end)
             ]
             pending = list(self._pending_summaries)
         rows: List[BlockSummary] = []
@@ -406,17 +425,20 @@ class TraceLake:
                     f"{path}: summary file does not match manifest entry "
                     f"seq {meta.seq}"
                 )
-            rows.extend(BlockSummary.from_dict(entry) for entry in data)
+            for entry in data:
+                # A row lacking a key field falls through to from_dict,
+                # which rejects it; only mismatches skip the decode.
+                if isinstance(entry, dict) and any(
+                    str(entry.get(name, value)) != value for name, value in wanted
+                ):
+                    continue
+                rows.append(BlockSummary.from_dict(entry))
         rows.extend(pending)
         out = [
             row
             for row in rows
-            if (client is None or row.client == client)
-            and (root is None or row.root == root)
-            and (src is None or row.src == src)
-            and (dst is None or row.dst == dst)
-            and row.t_max > start
-            and row.t_min < end
+            if all(getattr(row, name) == value for name, value in wanted)
+            and (row.coverage or (row.t_max > start and row.t_min < end))
         ]
         out.sort(key=lambda r: (r.block_start, r.client, r.root, r.src, r.dst))
         return out

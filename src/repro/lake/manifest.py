@@ -21,7 +21,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Union
+from typing import List, Optional, Union
 
 from repro.errors import TraceError
 
@@ -110,6 +110,8 @@ class SummaryMeta:
     t_min: float
     t_max: float
     nbytes: int
+    #: The file holds coverage markers, which bear on every later span.
+    coverage: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -119,6 +121,7 @@ class SummaryMeta:
             "t_min": self.t_min,
             "t_max": self.t_max,
             "nbytes": self.nbytes,
+            "coverage": self.coverage,
         }
 
     @classmethod
@@ -131,6 +134,7 @@ class SummaryMeta:
                 t_min=float(data["t_min"]),
                 t_max=float(data["t_max"]),
                 nbytes=int(data["nbytes"]),
+                coverage=bool(data.get("coverage", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"lake manifest: malformed summary entry: {exc}") from exc
@@ -143,11 +147,13 @@ class SummaryMeta:
 
 @dataclass
 class LakeManifest:
-    """In-memory manifest: segment + summary catalogs and the seq counter."""
+    """In-memory manifest: segment + summary catalogs, the seq counter and
+    the summary frontier (quantum evicted through; None until checkpointed)."""
 
     next_seq: int = 0
     segments: List[SegmentMeta] = None  # type: ignore[assignment]
     summaries: List[SummaryMeta] = None  # type: ignore[assignment]
+    frontier: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.segments is None:
@@ -161,6 +167,7 @@ class LakeManifest:
             "next_seq": self.next_seq,
             "segments": [s.to_dict() for s in self.segments],
             "summaries": [s.to_dict() for s in self.summaries],
+            "frontier": self.frontier,
         }
 
     @classmethod
@@ -174,6 +181,9 @@ class LakeManifest:
             next_seq = int(data["next_seq"])
             raw_segments = data["segments"]
             raw_summaries = data["summaries"]
+            frontier = data.get("frontier")
+            if frontier is not None:
+                frontier = int(frontier)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"lake manifest: malformed document: {exc}") from exc
         if not isinstance(raw_segments, list) or not isinstance(raw_summaries, list):
@@ -188,7 +198,10 @@ class LakeManifest:
                 f"lake manifest: next_seq {next_seq} collides with cataloged "
                 f"sequence {max(seqs)}"
             )
-        return cls(next_seq=next_seq, segments=segments, summaries=summaries)
+        return cls(
+            next_seq=next_seq, segments=segments, summaries=summaries,
+            frontier=frontier,
+        )
 
 
 def load_manifest(root: PathLike) -> LakeManifest:

@@ -20,6 +20,13 @@ the whole-span masses -- an ``O(max_lag / span)`` relative effect, which
 is why summary folds are meant for spans much longer than ``T_u`` (the
 week-vs-Monday questions), not single-window forensics.
 
+**Quiet blocks are implicit.** An eviction of two quiet blocks writes
+nothing. A correlator's first eviction writes a massless *coverage
+marker* (``coverage="begin"``), the lake persists one evicted-through
+*frontier*, and a fold takes its span length from the block grid between
+the two (:func:`covered_blocks`); a correlator dropped with blocks still
+in its window writes an ``"end"`` marker at the frontier.
+
 Arrays are serialized as base64 of their little-endian bytes, so a
 summary round-trips bit-exactly through JSON.
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +71,9 @@ class BlockSummary:
     zero masses still count toward the fold's normalization).
     ``spectrum`` carries the block's cached ``rfft`` when the engine's
     :class:`~repro.core.correlation.SpectrumCache` was warm at eviction.
+    A row with ``coverage`` set is a marker, not a block: its key's
+    implicit coverage begins (``"begin"``) or ends (``"end"``) at
+    ``block_start``.
     """
 
     client: str
@@ -73,13 +83,14 @@ class BlockSummary:
     block_start: int  # absolute quantum index
     block_length: int  # quanta
     quantum: float
-    x_total: float
-    x_energy: float
-    y_total: float
-    y_energy: float
+    x_total: float = 0.0
+    x_energy: float = 0.0
+    y_total: float = 0.0
+    y_energy: float = 0.0
     lag_products: Optional[np.ndarray] = None
     spectrum: Optional[np.ndarray] = None
     spectrum_size: Optional[int] = None
+    coverage: Optional[str] = None
 
     @property
     def t_min(self) -> float:
@@ -107,6 +118,8 @@ class BlockSummary:
             "y_total": self.y_total,
             "y_energy": self.y_energy,
         }
+        if self.coverage is not None:
+            doc["coverage"] = self.coverage
         if self.lag_products is not None:
             doc["lag_products"] = _encode_array(self.lag_products, "<f8")
         if self.spectrum is not None:
@@ -142,40 +155,88 @@ class BlockSummary:
                 spectrum_size=(
                     int(data["spectrum_size"]) if "spectrum_size" in data else None
                 ),
+                coverage=data.get("coverage"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceError(f"lake summary: malformed row: {exc}") from exc
         if summary.block_length < 1 or summary.quantum <= 0:
             raise TraceError("lake summary: bad block geometry")
+        if summary.coverage not in (None, "begin", "end"):
+            raise TraceError(f"lake summary: bad coverage {summary.coverage!r}")
         return summary
+
+
+def covered_blocks(
+    rows: Sequence[BlockSummary],
+    frontier: Optional[int] = None,
+    start: float = float("-inf"),
+    end: float = float("inf"),
+) -> np.ndarray:
+    """Start quanta of the blocks a fold of one key's ``rows`` spans.
+
+    ``rows`` come ordered by block start, ties in write order (as from
+    :meth:`~repro.lake.lake.TraceLake.summaries`). A ``"begin"`` marker
+    opens an interval running to the next ``"end"`` marker or else to
+    ``frontier``; every grid block inside one is covered, written or
+    not, and a block row outside all of them (a pre-marker lake) covers
+    itself. Blocks overlapping ``[start, end)`` are kept, by the float
+    comparisons a per-row filter would make.
+    """
+    if not rows:
+        return np.empty(0, dtype=np.int64)
+    length, quantum = rows[0].block_length, rows[0].quantum
+    intervals: List[tuple] = []
+    opened = None
+    for row in rows:
+        if row.coverage == "begin" and opened is None:
+            opened = row.block_start
+        elif row.coverage == "end" and opened is not None:
+            intervals.append((opened, row.block_start))
+            opened = None
+    if opened is not None and frontier is not None:
+        intervals.append((opened, frontier))
+    loose = [
+        row.block_start
+        for row in rows
+        if row.coverage is None
+        and not any(lo <= row.block_start < hi for lo, hi in intervals)
+    ]
+    grids = [np.arange(lo, hi, length, dtype=np.int64) for lo, hi in intervals]
+    blocks = np.sort(np.concatenate([np.array(loose, dtype=np.int64), *grids]))
+    return blocks[((blocks + length) * quantum > start) & (blocks * quantum < end)]
 
 
 def fold_summaries(
     summaries: Iterable[BlockSummary],
     max_lag: Optional[int] = None,
+    frontier: Optional[int] = None,
+    start: float = float("-inf"),
+    end: float = float("inf"),
 ) -> CorrelationSeries:
-    """Fold many block summaries into one normalized correlation series.
+    """Fold one key's block summaries into a normalized correlation series.
 
-    All summaries must share one quantum; rows are summed, masses and
-    energies accumulate, and the span length is the total block length
-    (quiet summaries contribute length but zero mass -- dropping them
-    would silently inflate the span's mean rate).  See the module
-    docstring for the approximation semantics versus a from-scratch
-    correlation over the same span.
+    All summaries must share one quantum; rows overlapping
+    ``[start, end)`` are summed, masses and energies accumulate, and the
+    span length is that of :func:`covered_blocks` (quiet blocks give
+    length but no mass -- dropping them would silently inflate the
+    span's mean rate).  See the module docstring for the approximation
+    semantics versus a from-scratch correlation over the same span.
     """
-    rows = sorted(summaries, key=lambda s: (s.block_start, s.src, s.dst))
-    if not rows:
+    rows = sorted(summaries, key=lambda s: s.block_start)
+    covered = covered_blocks(rows, frontier, start, end)
+    if covered.size == 0:
         raise CorrelationError("cannot fold an empty summary set")
     quantum = rows[0].quantum
     lag_sum: Optional[np.ndarray] = None
-    n = 0
+    n = rows[0].block_length * int(covered.size)
     x_total = x_energy = y_total = y_energy = 0.0
     for row in rows:
         if row.quantum != quantum:
             raise CorrelationError(
                 f"summary quantum mismatch: {row.quantum} vs {quantum}"
             )
-        n += row.block_length
+        if row.coverage is not None or not (row.t_max > start and row.t_min < end):
+            continue
         x_total += row.x_total
         x_energy += row.x_energy
         y_total += row.y_total

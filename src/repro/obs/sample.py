@@ -50,7 +50,10 @@ class MetricsSample:
         Bytes of wire-format payload decoded this refresh (0 unless the
         engine runs with ``wire_fidelity=True``).
     correlators:
-        Live incremental correlators after this refresh.
+        Live (unparked) incremental correlators after this refresh.
+    parked_correlators:
+        Dormant correlators the engine has parked: dropped until one of
+        their edges carries traffic again, costing nothing per refresh.
     cache_hits:
         Correlations served by an existing (cached) incremental
         correlator this refresh.
@@ -66,7 +69,8 @@ class MetricsSample:
     correlator_skips:
         Pair products skipped this refresh because one side's block was
         quiet (the batched refresh's quiet-edge optimization; 0 when the
-        engine runs with ``batched=False``).
+        engine runs with ``batched=False``). Parked correlators are
+        counted arithmetically: each would have skipped every pair slot.
     correlation_cache_hits:
         Correlation queries answered from a correlator's dirty-flag
         result cache this refresh (unchanged window, same series object
@@ -105,6 +109,7 @@ class MetricsSample:
     autotune_recommendations: int = 0
     low_confidence_events: int = 0
     rewindow_clips: int = 0
+    parked_correlators: int = 0
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-able) of the sample."""

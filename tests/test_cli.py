@@ -161,6 +161,7 @@ class TestStats:
             assert family in metrics, family
         assert metrics["engine_refresh_seconds"][""]["count"] >= 1
         assert doc["latest_sample"]["blocks_ingested"] > 0
+        assert doc["latest_sample"]["parked_correlators"] == 0
 
     def test_demo_mode_both_to_file(self, tmp_path, capsys):
         out = tmp_path / "metrics.json"
@@ -335,6 +336,7 @@ class TestTopCli:
                      "sparse_batch", "rle", "legacy_pair"):
             assert name in out
         assert "quiet skips" in out
+        assert "live, 0 parked" in out
         assert "\x1b[2J" not in out  # non-tty stdout: no ANSI clears
 
     def test_too_short_duration_is_an_error(self, capsys):

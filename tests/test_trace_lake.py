@@ -528,6 +528,40 @@ class TestSummaries:
         assert series.n == 8
         assert not series.degenerate
 
+    def test_summaries_decodes_only_rows_matching_the_key_filters(self, tmp_path):
+        import json
+
+        lake = TraceLake(tmp_path / "lake")
+        lake.record_summary(self._summary(0, [1.0, 2.0, 3.0]))
+        lake.record_summary(self._summary(4, [4.0, 5.0, 6.0]))
+        lake.close()
+        path = tmp_path / "lake" / lake.summary_files()[0].path
+        rows = json.loads(path.read_text(encoding="utf-8"))
+        rows[1]["dst"] = "OTHER"
+        rows[1]["lag_products"] = "!!not base64!!"
+
+        def rewrite():
+            path.write_text(json.dumps(rows) + "\n", encoding="utf-8")
+
+        rewrite()
+        # The corrupt payload belongs to another key: never decoded.
+        (only,) = lake.summaries(client="C", root="WS", src="WS", dst="DB")
+        assert only.block_start == 0
+        # Same contract as before for rows that do match ...
+        with pytest.raises(TraceError):
+            lake.summaries(dst="OTHER")
+        with pytest.raises(TraceError):
+            lake.summaries()
+        # ... and for rows that cannot be matched at all.
+        del rows[1]["dst"]
+        rewrite()
+        with pytest.raises(TraceError):
+            lake.summaries(client="C", root="WS", src="WS", dst="DB")
+        rows[1] = "not a row"
+        rewrite()
+        with pytest.raises(TraceError):
+            lake.summaries(dst="DB")
+
     def test_engine_materializes_summaries_and_spill_stage(self, tmp_path):
         from repro.analysis.history import raw_span_estimate, span_estimate
 
