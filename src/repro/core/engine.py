@@ -70,6 +70,7 @@ from repro.simulation.des import PeriodicTask
 from repro.simulation.topology import Topology
 from repro.tracing.collector import TraceCollector
 from repro.tracing.records import NodeId
+from repro.tracing.tracer import Tracer
 from repro.tracing.transport import (
     QUALITY_DEGRADED,
     QUALITY_FRESH,
@@ -706,18 +707,14 @@ class E2EProfEngine(PipelineCore):
             else:
                 for node_id, tracer in self._topology.fabric.tracers.items():
                     with self.tracer.span("tracer.flush", node=node_id):
-                        for edge, block in tracer.flush_block(
-                            self.config, block_start, self._block_quanta
+                        for edge, block in self._flush_kept(
+                            node_id, tracer, block_start
                         ).items():
-                            src, dst = edge
-                            # Destination-side capture wins (Algorithm 1);
-                            # source-side only for edges into untraced clients.
-                            if node_id == dst or (dst in self._clients and node_id == src):
-                                if self.wire_fidelity:
-                                    payload = encode_block(block, metrics=wire_metrics)
-                                    self.wire_bytes_received += len(payload)
-                                    block = decode_block(payload, metrics=wire_metrics)
-                                fresh[edge] = block
+                            if self.wire_fidelity:
+                                payload = encode_block(block, metrics=wire_metrics)
+                                self.wire_bytes_received += len(payload)
+                                block = decode_block(payload, metrics=wire_metrics)
+                            fresh[edge] = block
                     if self.capture_sink is not None:
                         # Direct (no-transport) batch forwarding: the
                         # tracer's raw captures reach the archive as
@@ -1140,48 +1137,55 @@ class E2EProfEngine(PipelineCore):
             self.transport_channels[node_id] = channel
         return channel
 
+    def _flush_kept(
+        self, node_id: NodeId, tracer: Tracer, block_start: int
+    ) -> Dict[EdgeKey, RunLengthSeries]:
+        """One block per edge whose copy at this tracer the analysis
+        keeps: destination-side capture wins (Algorithm 1); source-side
+        only for edges into untraced clients."""
+        kept = {
+            (src, dst)
+            for src, dst in tracer.edges()
+            if node_id == dst or (dst in self._clients and node_id == src)
+        }
+        return tracer.flush_block(
+            self.config, block_start, self._block_quanta, edges=kept
+        )
+
     def _transport_ingest(
         self, fresh: Dict[EdgeKey, RunLengthSeries], block_start: int, now: float
     ) -> List[BlockFrame]:
         """Flush every tracer through its framed link + channel into the
         receiving endpoint; returns re-sequenced *late* frames (blocks
-        belonging to earlier rounds) for history patching."""
+        belonging to earlier rounds) for history patching.
+
+        The refresh's deliveries are collected in arrival order and
+        handed to the receiver once, so it decodes the round in one pass."""
         receiver = self._receiver
         assert receiver is not None and self._topology is not None
         with self.tracer.span("engine.transport") as span:
+            deliveries: List[bytes] = []
             for node_id, tracer in self._topology.fabric.tracers.items():
                 receiver.register_tracer(node_id, now)
                 link = self._link_for(node_id)
                 channel = self._channel_for(node_id)
                 with self.tracer.span("tracer.flush", node=node_id):
-                    blocks = tracer.flush_block(
-                        self.config, block_start, self._block_quanta
-                    )
-                selected = {
-                    (src, dst): block
-                    for (src, dst), block in blocks.items()
-                    if node_id == dst
-                    or (dst in self._clients and node_id == src)
-                }
-                for payload in link.encode_blocks(selected):
-                    for delivered in channel.send(payload):
-                        self.wire_bytes_received += len(delivered)
-                        receiver.receive(delivered, now)
+                    blocks = self._flush_kept(node_id, tracer, block_start)
+                for payload in link.encode_blocks(blocks):
+                    deliveries.extend(channel.send(payload))
                 if self.capture_sink is not None:
                     # Raw captures ride the same link/channel as packed
                     # timestamp frames (one frame per edge batch).
                     batches = tracer.drain_batches()
                     if batches:
                         for payload in link.encode_timestamp_batches(batches):
-                            for delivered in channel.send(payload):
-                                self.wire_bytes_received += len(delivered)
-                                receiver.receive(delivered, now)
+                            deliveries.extend(channel.send(payload))
             # Frames the channels held back (reordered / delayed) that
             # have come due this round.
             for channel in self.transport_channels.values():
-                for delivered in channel.advance():
-                    self.wire_bytes_received += len(delivered)
-                    receiver.receive(delivered, now)
+                deliveries.extend(channel.advance())
+            self.wire_bytes_received += sum(map(len, deliveries))
+            receiver.receive(deliveries, now)
             late: List[BlockFrame] = []
             for frame in receiver.poll():
                 if frame.block is None:

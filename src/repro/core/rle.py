@@ -80,7 +80,7 @@ class RunLengthSeries:
         if starts.size:
             if np.any(counts < 1):
                 raise SeriesError("run counts must be >= 1")
-            if np.any(values <= 0):
+            if not np.all(values > 0):  # also rejects NaN
                 raise SeriesError("run values must be strictly positive")
             ends = starts + counts
             if np.any(starts[1:] < ends[:-1]):
@@ -103,6 +103,34 @@ class RunLengthSeries:
         self._moments: object = None
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_validated(
+        cls,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        values: np.ndarray,
+        start: int,
+        length: int,
+        quantum: float,
+    ) -> "RunLengthSeries":
+        """Wrap arrays the caller has already checked against every
+        invariant ``__init__`` enforces (int64/int64/float64, 1-D, equal
+        length, sorted non-overlapping positive runs inside the window).
+
+        The batched encoders and the wire decoder validate a whole flush
+        round in one pass; re-checking each block would pay numpy's fixed
+        cost once per block again."""
+        self = cls.__new__(cls)
+        self.starts = starts
+        self.counts = counts
+        self.values = values
+        self.start = int(start)
+        self.length = int(length)
+        self.quantum = float(quantum)
+        self._sparse = None
+        self._moments = None
+        return self
 
     @classmethod
     def empty(cls, start: int, length: int, quantum: float) -> "RunLengthSeries":
@@ -226,9 +254,11 @@ class RunLengthSeries:
             if self.num_runs == 0:
                 cached = DensityTimeSeries.empty(self.start, self.length, self.quantum)
             else:
-                indices = np.concatenate(
-                    [np.arange(s, s + c, dtype=np.int64) for s, c in zip(self.starts, self.counts)]
-                )
+                # Position k of the expansion sits in the run whose
+                # offset (samples before it) is the largest <= k.
+                offsets = np.cumsum(self.counts) - self.counts
+                indices = np.arange(offsets[-1] + self.counts[-1], dtype=np.int64)
+                indices += np.repeat(self.starts - offsets, self.counts)
                 values = np.repeat(self.values, self.counts)
                 cached = DensityTimeSeries(
                     indices, values, self.start, self.length, self.quantum
@@ -243,14 +273,12 @@ class RunLengthSeries:
         """Return the sub-series over ``[start, start + length)``, splitting runs."""
         if length < 0:
             raise SeriesError(f"length must be non-negative, got {length}")
-        end = start + length
-        out: List[Run] = []
-        for run in self:
-            s = max(run.start, start)
-            e = min(run.end, end)
-            if e > s:
-                out.append(Run(s, e - s, run.value))
-        return RunLengthSeries.from_runs(out, start, length, self.quantum)
+        lo = np.maximum(self.starts, start)
+        hi = np.minimum(self.starts + self.counts, start + length)
+        keep = hi > lo
+        return RunLengthSeries(
+            lo[keep], (hi - lo)[keep], self.values[keep], start, length, self.quantum
+        )
 
     def shifted(self, offset: int) -> "RunLengthSeries":
         return RunLengthSeries(
@@ -311,6 +339,46 @@ def rle_encode(series: DensityTimeSeries, value_tolerance: float = 0.0) -> RunLe
     return RunLengthSeries(
         starts, counts, values, series.start, series.length, series.quantum
     )
+
+
+def rle_encode_rows(
+    dense: np.ndarray, start: int, quantum: float
+) -> List[RunLengthSeries]:
+    """Encode every row of a dense 2-D density grid in one pass.
+
+    Row ``r`` becomes the block ``rle_encode(DensityTimeSeries.from_dense(
+    dense[r], start, quantum))``, bit for bit; the run-break scan runs
+    once over the flattened grid and is split by row afterwards, so the
+    per-row cost is three array slices.
+    """
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != 2:
+        raise SeriesError("dense grid must be two-dimensional")
+    rows, length = dense.shape
+    flat = dense.ravel()
+    idx = np.flatnonzero(flat)
+    if idx.size == 0:
+        return [RunLengthSeries.empty(start, length, quantum) for _ in range(rows)]
+    val = flat[idx]
+    if not np.all(val > 0):  # also rejects NaN
+        raise SeriesError("density values must be non-negative")
+    # A run breaks where indices are non-contiguous, values differ, or the
+    # next sample opens a new row.
+    breaks = np.flatnonzero(
+        (np.diff(idx) != 1) | (val[1:] != val[:-1]) | (idx[1:] % length == 0)
+    ) + 1
+    bounds = np.concatenate([[0], breaks, [idx.size]])
+    heads = idx[bounds[:-1]]
+    starts = heads % length + start
+    counts = bounds[1:] - bounds[:-1]
+    values = val[bounds[:-1]]
+    cuts = np.searchsorted(heads, np.arange(rows + 1) * length).tolist()
+    return [
+        RunLengthSeries._from_validated(
+            starts[lo:hi], counts[lo:hi], values[lo:hi], start, length, quantum
+        )
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def rle_decode(series: RunLengthSeries) -> DensityTimeSeries:

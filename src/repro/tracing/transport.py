@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +51,8 @@ from repro.tracing.records import NodeId
 from repro.tracing.wire import (
     BlockFrame,
     TimestampFrame,
-    decode_frame,
-    encode_frame,
+    decode_frames,
+    encode_frames,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -321,25 +321,20 @@ class TransportLink:
     def encode_blocks(
         self, blocks: Dict[EdgeKey, RunLengthSeries], heartbeat: bool = True
     ) -> List[bytes]:
-        """Frame one flush round's blocks (plus the round's heartbeat)."""
-        payloads: List[bytes] = []
+        """Frame one flush round's blocks (plus the round's heartbeat);
+        the round's blocks go through the codec in one call."""
+        frames: List[BlockFrame] = []
         for (src, dst), block in blocks.items():
             seq = self._seqs.get((src, dst), 0)
             self._seqs[(src, dst)] = seq + 1
-            payloads.append(
-                encode_frame(
-                    BlockFrame(self.node, self.epoch, seq, src, dst, block)
-                )
-            )
+            frames.append(BlockFrame(self.node, self.epoch, seq, src, dst, block))
         if heartbeat:
-            payloads.append(
-                encode_frame(
-                    BlockFrame(self.node, self.epoch, self._heartbeat_seq, "", "")
-                )
+            frames.append(
+                BlockFrame(self.node, self.epoch, self._heartbeat_seq, "", "")
             )
             self._heartbeat_seq += 1
-        self.frames_sent += len(payloads)
-        return payloads
+        self.frames_sent += len(frames)
+        return encode_frames(frames)
 
     def encode_timestamp_batches(
         self, batches: Dict[EdgeKey, "np.ndarray"]
@@ -353,23 +348,21 @@ class TransportLink:
         observed at the destination exactly when this node *is* ``dst``.
         Empty batches are skipped (no frame, no sequence advance).
         """
-        payloads: List[bytes] = []
+        frames: List[TimestampFrame] = []
         for (src, dst), timestamps in batches.items():
             arr = np.asarray(timestamps, dtype=np.float64)
             if arr.size == 0:
                 continue
             seq = self._batch_seqs.get((src, dst), 0)
             self._batch_seqs[(src, dst)] = seq + 1
-            payloads.append(
-                encode_frame(
-                    TimestampFrame(
-                        self.node, self.epoch, seq, src, dst, arr,
-                        observed_at_destination=(self.node == dst),
-                    )
+            frames.append(
+                TimestampFrame(
+                    self.node, self.epoch, seq, src, dst, arr,
+                    observed_at_destination=(self.node == dst),
                 )
             )
-        self.frames_sent += len(payloads)
-        return payloads
+        self.frames_sent += len(frames)
+        return encode_frames(frames)
 
 
 # -- receiver side -----------------------------------------------------------------
@@ -591,10 +584,12 @@ class TransportReceiver:
         self._edge_owner: Dict[EdgeKey, NodeId] = {}
         # Timestamp-batch streams bypass the reorder buffers (batches
         # carry absolute times, so arrival order is irrelevant); per
-        # stream we keep only the current epoch and the seqs delivered
-        # in it, to drop duplicates and pre-restart frames.
+        # stream we keep only what dropping duplicates and pre-restart
+        # frames needs: [epoch, next_seq, ahead] -- every seq below
+        # next_seq was delivered in this epoch, plus the out-of-order
+        # seqs in ``ahead`` above it. In-order delivery keeps it O(1).
         self._ready_batches: List[TimestampFrame] = []
-        self._batch_streams: Dict[StreamKey, Tuple[int, set]] = {}
+        self._batch_streams: Dict[StreamKey, list] = {}
         self.frames_received = 0
         self.corrupt_blocks = 0
         self.heartbeats = 0
@@ -627,36 +622,41 @@ class TransportReceiver:
         """Make the watchdog expect ``node`` even before its first frame."""
         self.watchdog.register(node, now)
 
-    def receive(self, payload: bytes, now: float) -> None:
-        """Ingest one raw frame payload from some channel."""
-        self.frames_received += 1
+    def receive(self, payloads: Sequence[bytes], now: float) -> None:
+        """Ingest raw frame payloads, in arrival order, from any channels.
+
+        Envelopes are checked per frame and all block bodies decoded in
+        one pass (:func:`~repro.tracing.wire.decode_frames`); each
+        frame's effects -- corrupt count, watchdog, reorder push -- then
+        apply in arrival order, exactly as if delivered one by one.
+        """
+        self.frames_received += len(payloads)
         if self._m_received is not None:
-            self._m_received.inc()
-        try:
-            frame = decode_frame(payload)
-        except TraceError as exc:
-            self.corrupt_blocks += 1
-            if self._m_corrupt is not None:
-                self._m_corrupt.inc()
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug("dropped corrupt transport frame: %s", exc)
-            return
-        self.watchdog.heartbeat(frame.node, now, frame.epoch)
-        if isinstance(frame, TimestampFrame):
-            self._receive_batch(frame)
-            return
-        if frame.is_heartbeat:
-            self.heartbeats += 1
-            if self._m_heartbeats is not None:
-                self._m_heartbeats.inc()
-            return
-        self._edge_owner[frame.edge] = frame.node
-        key: StreamKey = (frame.node, frame.src, frame.dst)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            buffer = ReorderBuffer(key, lateness=self.config.lateness_blocks)
-            self._buffers[key] = buffer
-        self._ready.extend(buffer.push(frame))
+            self._m_received.inc(len(payloads))
+        for frame in decode_frames(payloads):
+            if isinstance(frame, TraceError):
+                self.corrupt_blocks += 1
+                if self._m_corrupt is not None:
+                    self._m_corrupt.inc()
+                if logger.isEnabledFor(logging.DEBUG):
+                    logger.debug("dropped corrupt transport frame: %s", frame)
+                continue
+            self.watchdog.heartbeat(frame.node, now, frame.epoch)
+            if isinstance(frame, TimestampFrame):
+                self._receive_batch(frame)
+                continue
+            if frame.is_heartbeat:
+                self.heartbeats += 1
+                if self._m_heartbeats is not None:
+                    self._m_heartbeats.inc()
+                continue
+            self._edge_owner[frame.edge] = frame.node
+            key: StreamKey = (frame.node, frame.src, frame.dst)
+            buffer = self._buffers.get(key)
+            if buffer is None:
+                buffer = ReorderBuffer(key, lateness=self.config.lateness_blocks)
+                self._buffers[key] = buffer
+            self._ready.extend(buffer.push(frame))
 
     def _receive_batch(self, frame: TimestampFrame) -> None:
         """File one timestamp-batch frame: dedup within the stream's
@@ -667,16 +667,23 @@ class TransportReceiver:
         key: StreamKey = (frame.node, frame.src, frame.dst)
         stream = self._batch_streams.get(key)
         if stream is None or frame.epoch > stream[0]:
-            stream = (frame.epoch, set())
+            stream = [frame.epoch, 0, set()]
             self._batch_streams[key] = stream
-        epoch, seen = stream
+        epoch, next_seq, ahead = stream
         if frame.epoch < epoch:
             self.timestamp_stale_epoch += 1
             return
-        if frame.seq in seen:
+        if frame.seq < next_seq or frame.seq in ahead:
             self.timestamp_duplicates += 1
             return
-        seen.add(frame.seq)
+        if frame.seq == next_seq:
+            next_seq += 1
+            while next_seq in ahead:
+                ahead.remove(next_seq)
+                next_seq += 1
+            stream[1] = next_seq
+        else:
+            ahead.add(frame.seq)
         self.timestamp_batches += 1
         if self._m_batches is not None:
             self._m_batches.inc()

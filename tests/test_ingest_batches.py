@@ -252,7 +252,7 @@ class TestTransportBatchStreams:
         receiver = TransportReceiver(refresh_interval=10.0)
         payloads = self._frames(link, [1.0, 2.0])
         for payload in payloads + payloads:  # duplicated delivery
-            receiver.receive(payload, now=0.0)
+            receiver.receive([payload], now=0.0)
         ready = receiver.poll_timestamp_batches()
         assert len(ready) == 1
         assert ready[0].timestamps.tolist() == [1.0, 2.0]
@@ -269,7 +269,7 @@ class TestTransportBatchStreams:
         link.restart()
         fresh = self._frames(link, [2.0])
         for payload in fresh + stale:
-            receiver.receive(payload, now=0.0)
+            receiver.receive([payload], now=0.0)
         ready = receiver.poll_timestamp_batches()
         assert [f.timestamps.tolist() for f in ready] == [[2.0]]
         assert receiver.totals()["timestamp_stale_epoch"] == 1

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rle import Run, RunLengthSeries, rle_decode, rle_encode
+from repro.core.rle import (
+    Run,
+    RunLengthSeries,
+    rle_decode,
+    rle_encode,
+    rle_encode_rows,
+)
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import SeriesError
 
@@ -115,6 +121,51 @@ class TestValidation:
         assert r.num_runs == 2
 
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(SeriesError):
+            RunLengthSeries([0], [2], [float("nan")], 0, 10, 1e-3)
+
+
+class TestEncodeRows:
+    """``rle_encode_rows`` is ``rle_encode`` per row, bit for bit."""
+
+    @given(
+        grid=st.lists(
+            st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0]), min_size=7, max_size=7),
+            min_size=0,
+            max_size=6,
+        ),
+        start=st.integers(-50, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_encode(self, grid, start):
+        dense = np.array(grid, dtype=np.float64).reshape(len(grid), 7)
+        blocks = rle_encode_rows(dense, start, 1e-3)
+        assert blocks == [rle_encode(sparse_from(row, start)) for row in dense]
+        for block in blocks:
+            # Validated by construction: the public constructor agrees.
+            RunLengthSeries(
+                block.starts, block.counts, block.values, block.start, block.length, 1e-3
+            )
+
+    def test_runs_never_span_rows(self):
+        # Row 0 ends and row 1 begins with the same value.
+        blocks = rle_encode_rows(np.array([[0.0, 2.0, 2.0], [2.0, 2.0, 0.0]]), 10, 1e-3)
+        assert [list(b) for b in blocks] == [[Run(11, 2, 2.0)], [Run(10, 2, 2.0)]]
+
+    def test_zero_length_rows(self):
+        blocks = rle_encode_rows(np.zeros((3, 0)), 5, 1e-3)
+        assert blocks == [RunLengthSeries.empty(5, 0, 1e-3)] * 3
+
+    def test_rejects_negative_nan_and_wrong_rank(self):
+        with pytest.raises(SeriesError):
+            rle_encode_rows(np.array([[1.0, -1.0]]), 0, 1e-3)
+        with pytest.raises(SeriesError):
+            rle_encode_rows(np.array([[1.0, np.nan]]), 0, 1e-3)
+        with pytest.raises(SeriesError):
+            rle_encode_rows(np.array([1.0, 2.0]), 0, 1e-3)
+
+
 class TestOperations:
     def test_restricted_splits_runs(self):
         s = sparse_from([1.0] * 6)
@@ -155,3 +206,23 @@ class TestOperations:
         dense = [0.0, 1.0, 1.0, 0.0, 3.0]
         r = rle_encode(sparse_from(dense))
         assert np.array_equal(r.to_dense(), dense)
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0]), max_size=60),
+        st.integers(-100, 100),
+    )
+    def test_to_sparse_expands_every_run(self, dense, start):
+        sparse = sparse_from(dense, start)
+        expanded = rle_encode(sparse).to_sparse()
+        assert expanded == sparse
+        assert expanded.indices.dtype == np.int64
+
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.0]), max_size=40),
+        st.integers(-10, 50),
+        st.integers(0, 50),
+    )
+    def test_restricted_matches_sparse_restriction(self, dense, start, length):
+        sparse = sparse_from(dense)
+        restricted = rle_encode(sparse).restricted(start, length)
+        assert restricted.to_sparse() == sparse.restricted(start, length)

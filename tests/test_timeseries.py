@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.timeseries import (
     DensityTimeSeries,
     aligned_windows,
+    build_density_rows,
     build_density_series,
     quantize_timestamps,
 )
@@ -228,6 +229,69 @@ class TestDensityFunction:
         for i in range(length):
             count = int(((idx >= i - half_lo) & (idx <= i + half_hi)).sum())
             assert dense[i] == pytest.approx(np.sqrt(count))
+
+
+class TestDensityRows:
+    """``build_density_rows`` is ``build_density_series`` per row, bit for bit."""
+
+    @staticmethod
+    def per_row(edges, tau, omega_quanta, start, length):
+        return np.array(
+            [
+                build_density_series(stamps, tau, omega_quanta, start, length).to_dense()
+                for stamps in edges
+            ]
+        ).reshape(len(edges), length)
+
+    @staticmethod
+    def batched(edges, tau, omega_quanta, start, length):
+        stamps = np.concatenate([np.asarray(e, dtype=np.float64) for e in edges])
+        rows = np.repeat(np.arange(len(edges)), [len(e) for e in edges])
+        return build_density_rows(stamps, rows, len(edges), tau, omega_quanta, start, length)
+
+    @given(
+        edges=st.lists(
+            # Includes empty edges and stamps on both sides of the window.
+            st.lists(st.floats(min_value=-0.2, max_value=1.2), max_size=60),
+            min_size=1,
+            max_size=6,
+        ),
+        omega_quanta=st.sampled_from([1, 5, 50]),
+        tau=st.sampled_from([1e-3, 4e-3]),
+        start=st.integers(0, 120),
+        length=st.integers(0, 150),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_edge_series(self, edges, omega_quanta, tau, start, length):
+        expected = self.per_row(edges, tau, omega_quanta, start, length)
+        got = self.batched(edges, tau, omega_quanta, start, length)
+        assert got.shape == (len(edges), length)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    def test_interleaved_rows_and_unsorted_stamps(self):
+        stamps = np.array([0.031, 0.002, 0.030, 0.0021, 0.090, 0.031])
+        rows = np.array([1, 0, 1, 0, 2, 0])
+        got = build_density_rows(stamps, rows, 4, 1e-3, 5, 0, 100)
+        for row in range(4):
+            expected = build_density_series(stamps[rows == row], 1e-3, 5, 0, 100)
+            assert np.array_equal(got[row], expected.to_dense())
+        assert not got[3].any()
+
+    def test_zero_length_window_and_no_rows(self):
+        stamps, rows = np.array([0.5]), np.array([0])
+        assert build_density_rows(stamps, rows, 1, 1e-3, 5, 10, 0).shape == (1, 0)
+        assert build_density_rows(stamps[:0], rows[:0], 0, 1e-3, 5, 10, 7).shape == (0, 7)
+
+    def test_all_stamps_outside_the_window(self):
+        stamps, rows = np.array([0.0, 9.0]), np.array([0, 1])
+        assert not build_density_rows(stamps, rows, 2, 1e-3, 50, 1000, 500).any()
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(SeriesError):
+            build_density_rows(np.array([0.1]), np.array([0]), 1, 1e-3, 0, 0, 10)
+        with pytest.raises(SeriesError):
+            build_density_rows(np.array([0.1]), np.array([0]), 1, 1e-3, 5, 0, -1)
 
 
 class TestAlignedWindows:

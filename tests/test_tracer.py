@@ -1,8 +1,11 @@
 """Tests for the per-node tracer (Section 3.6)."""
 
+import numpy as np
 import pytest
 
 from repro.config import PathmapConfig
+from repro.core.rle import rle_encode
+from repro.core.timeseries import build_density_series
 from repro.errors import TraceError
 from repro.tracing.tracer import Tracer
 
@@ -45,6 +48,48 @@ class TestObservation:
         tracer.reset()
         assert tracer.packet_count == 0
         assert tracer.edges() == []
+
+
+    def test_non_finite_timestamps_rejected(self):
+        """A NaN used to be stored: the RLE block counted the good packets
+        while the receiver dropped the whole timestamp frame as corrupt."""
+        tracer = Tracer("A")
+        tracer.enable_batch_streaming()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(TraceError):
+                tracer.observe_batch([0.1, bad, 0.2], "A", "B")
+            with pytest.raises(TraceError):
+                tracer.observe(bad, "A", "B")
+        assert tracer.packet_count == 0
+        assert tracer.timestamps("A", "B") == []
+        assert tracer.drain_batches() == {}
+        assert tracer.observe_batch([0.1, 0.2], "A", "B") == 2
+
+    def test_batch_does_not_alias_the_callers_buffer(self):
+        tracer = Tracer("A")
+        stamps = np.array([0.1, 0.2])
+        tracer.observe_batch(stamps, "A", "B")
+        stamps[:] = 9.0
+        assert tracer.timestamps("A", "B") == [0.1, 0.2]
+
+    def test_drain_keeps_capture_order_across_mixed_calls(self):
+        tracer = Tracer("A")
+        tracer.enable_batch_streaming()
+        tracer.observe(0.5, "A", "C")
+        tracer.observe(0.3, "A", "B")
+        tracer.observe_batch([0.9, 0.1], "A", "B")
+        tracer.observe(0.2, "A", "B")
+        tracer.observe_batch([0.4], "A", "C")
+        drained = tracer.drain_batches()
+        # Edges in first-capture order, stamps in capture order.
+        assert list(drained) == [("A", "C"), ("A", "B")]
+        assert drained[("A", "C")].tolist() == [0.5, 0.4]
+        assert drained[("A", "B")].tolist() == [0.3, 0.9, 0.1, 0.2]
+        assert tracer.drain_batches() == {}
+        tracer.observe(0.7, "A", "B")
+        assert {e: a.tolist() for e, a in tracer.drain_batches().items()} == {
+            ("A", "B"): [0.7]
+        }
 
 
 class TestStreaming:
@@ -94,3 +139,48 @@ class TestStreaming:
         tracer.flush_block(CFG, 0, 500)
         blocks = tracer.flush_block(CFG, 500, 500)
         assert blocks[("A", "B")].num_runs == 0
+
+    def test_every_flush_equals_the_per_edge_pipeline(self):
+        """One batched pass per flush == rle_encode(build_density_series)
+        per edge, bit for bit, across flushes that prune and carry the
+        sampling-window margin, for packets captured either way."""
+        rng = np.random.default_rng(7)
+        edges = [("A", "B"), ("C", "A"), ("A", "D"), ("E", "A")]
+        captured = {edge: [] for edge in edges}
+        tracer = Tracer("A", clock_skew=0.125)
+        for block in range(4):
+            lo, hi = 0.5 * block, 0.5 * (block + 1)
+            for edge in edges[: 2 + block % 3]:  # ("E", "A") stays silent at first
+                stamps = rng.uniform(lo, hi, int(rng.integers(0, 40)))
+                captured[edge].extend((stamps + 0.125).tolist())
+                if block % 2:
+                    for t in stamps:
+                        tracer.observe(t, *edge)
+                else:
+                    tracer.observe_batch(stamps, *edge)
+            start = 125 + 500 * block  # the skewed clock's quanta
+            blocks = tracer.flush_block(CFG, start, 500)
+            assert list(blocks) == tracer.edges()
+            for edge, got in blocks.items():
+                expected = rle_encode(
+                    build_density_series(
+                        captured[edge], CFG.quantum, CFG.sampling_quanta, start, 500
+                    )
+                )
+                assert got == expected, (block, edge)
+
+    def test_flush_only_the_edges_asked_for(self):
+        tracer = Tracer("A")
+        for edge in (("A", "B"), ("C", "A"), ("A", "D")):
+            tracer.observe_batch([0.1, 0.1005, 0.3], *edge)
+        everything = Tracer("A")
+        for edge in (("A", "B"), ("C", "A"), ("A", "D")):
+            everything.observe_batch([0.1, 0.1005, 0.3], *edge)
+        full = everything.flush_block(CFG, 0, 500)
+        some = tracer.flush_block(CFG, 0, 500, edges={("A", "D"), ("C", "A"), ("X", "Y")})
+        # Capture order, not the order asked in; unknown edges ignored.
+        assert list(some) == [("C", "A"), ("A", "D")]
+        assert some == {edge: full[edge] for edge in some}
+        assert tracer.flush_block(CFG, 500, 500, edges=set()) == {}
+        # Edges left out are still pruned like the rest.
+        assert tracer.timestamps("A", "B") == []

@@ -27,7 +27,7 @@ from repro.tracing.transport import (
     TransportReceiver,
     overall_quality,
 )
-from repro.tracing.wire import BlockFrame, decode_frame, encode_frame
+from repro.tracing.wire import BlockFrame, TimestampFrame, decode_frame, encode_frame
 
 QUANTUM = 1e-3
 BLOCK_QUANTA = 100
@@ -40,6 +40,10 @@ def make_block(start, seed=0):
     from repro.core.timeseries import DensityTimeSeries
 
     return rle_encode(DensityTimeSeries.from_dense(dense, start, QUANTUM))
+
+
+def ts_frame(epoch=0, seq=0):
+    return TimestampFrame("N", epoch, seq, "A", "N", np.array([float(seq), seq + 0.5]))
 
 
 def make_frame(node="N", epoch=0, seq=0, src="A", dst="N", start=None):
@@ -287,7 +291,7 @@ class TestTransportReceiver:
         recv = TransportReceiver(TransportConfig(), refresh_interval=10.0)
         payloads = link.encode_blocks({("A", "N"): make_block(0)})
         for p in payloads:
-            recv.receive(p, now=0.0)
+            recv.receive([p], now=0.0)
         frames = recv.poll()
         assert len(frames) == 1
         assert frames[0].edge == ("A", "N")
@@ -297,7 +301,7 @@ class TestTransportReceiver:
 
     def test_corrupt_payload_counted_not_raised(self):
         recv = TransportReceiver(TransportConfig(), refresh_interval=10.0)
-        recv.receive(b"garbage-not-a-frame", now=0.0)
+        recv.receive([b"garbage-not-a-frame"], now=0.0)
         assert recv.corrupt_blocks == 1
         assert recv.poll() == []
 
@@ -310,22 +314,100 @@ class TestTransportReceiver:
         )
         payload = bytearray(encode_frame(make_frame(seq=0)))
         payload[7] ^= 0xFF  # breaks the CRC
-        recv.receive(bytes(payload), now=0.0)
+        recv.receive([bytes(payload)], now=0.0)
         snap = snapshot(registry)
         assert snap["transport_corrupt_blocks_total"][""]["value"] == 1
 
     def test_totals_aggregate_across_streams(self):
         recv = TransportReceiver(TransportConfig(lateness_blocks=0), 10.0)
-        recv.receive(encode_frame(make_frame(src="A", seq=0)), 0.0)
-        recv.receive(encode_frame(make_frame(src="A", seq=2)), 0.0)
-        recv.receive(encode_frame(make_frame(src="B", seq=0)), 0.0)
-        recv.receive(encode_frame(make_frame(src="B", seq=0)), 0.0)
+        recv.receive([encode_frame(make_frame(src="A", seq=0))], 0.0)
+        recv.receive([encode_frame(make_frame(src="A", seq=2))], 0.0)
+        recv.receive([encode_frame(make_frame(src="B", seq=0))], 0.0)
+        recv.receive([encode_frame(make_frame(src="B", seq=0))], 0.0)
         totals = recv.totals()
         assert totals["gaps"] == 1
         assert totals["duplicates"] == 1
         assert totals["delivered"] == 3
         notices = recv.drain_gap_notices()
         assert len(notices) == 1 and notices[0].edge == ("A", "N")
+
+    def test_one_call_per_round_equals_frame_by_frame(self):
+        """Collected deliveries -- good, duplicated, reordered, corrupt,
+        heartbeat and timestamp frames -- have the same effect handed
+        over in one call as delivered one at a time."""
+        corrupt = bytearray(encode_frame(make_frame(src="B", seq=1)))
+        corrupt[-1] ^= 0x40
+        payloads = [
+            encode_frame(make_frame(src="A", seq=0)),
+            encode_frame(make_frame(src="A", seq=3)),
+            bytes(corrupt),
+            encode_frame(BlockFrame("N", 0, 0, "", "")),
+            encode_frame(ts_frame(seq=0)),
+            encode_frame(make_frame(src="A", seq=1)),
+            encode_frame(make_frame(src="A", seq=1)),
+            b"junk",
+            encode_frame(ts_frame(seq=0)),
+            encode_frame(make_frame(src="B", seq=0)),
+            encode_frame(make_frame(epoch=1, src="A", seq=0)),
+            encode_frame(make_frame(src="A", seq=2)),
+        ]
+
+        def outcome(receiver):
+            return (
+                receiver.poll(),
+                receiver.poll_timestamp_batches(),
+                receiver.drain_gap_notices(),
+                receiver.totals(),
+                receiver.statuses(1.0),
+                receiver.known_edges(),
+            )
+
+        together = TransportReceiver(TransportConfig(lateness_blocks=1), 10.0)
+        together.receive(payloads, now=1.0)
+        singly = TransportReceiver(TransportConfig(lateness_blocks=1), 10.0)
+        for payload in payloads:
+            singly.receive([payload], now=1.0)
+        assert outcome(together) == outcome(singly)
+        assert together.corrupt_blocks == 2
+        assert together.frames_received == len(payloads)
+
+    def test_timestamp_stream_dedup_out_of_order(self):
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        recv.receive([encode_frame(ts_frame(seq=s)) for s in (0, 2, 3, 1, 1, 5, 2, 0)], 0.0)
+        assert [f.seq for f in recv.poll_timestamp_batches()] == [0, 2, 3, 1, 5]
+        assert recv.timestamp_batches == 5
+        assert recv.timestamp_duplicates == 3
+        # seq 4 is still outstanding: it is new, and only once.
+        recv.receive([encode_frame(ts_frame(seq=4))] * 2, 0.0)
+        assert [f.seq for f in recv.poll_timestamp_batches()] == [4]
+        assert recv.timestamp_duplicates == 4
+
+    def test_timestamp_stream_epochs(self):
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        deliveries = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 0), (1, 1)]
+        recv.receive([encode_frame(ts_frame(epoch=e, seq=s)) for e, s in deliveries], 0.0)
+        accepted = [(f.epoch, f.seq) for f in recv.poll_timestamp_batches()]
+        assert accepted == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert recv.timestamp_stale_epoch == 1
+        assert recv.timestamp_duplicates == 1
+
+    def test_timestamp_stream_state_does_not_grow(self):
+        """A week of in-order delivery must not leave a week of seqs
+        behind: the receiver used to keep every seq ever seen."""
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        for seq in range(1000):
+            recv.receive([encode_frame(ts_frame(seq=seq))], 0.0)
+        assert recv.timestamp_batches == 1000
+        remembered = sum(
+            len(part)
+            for stream in recv._batch_streams.values()
+            for part in stream
+            if isinstance(part, (set, frozenset, list, dict))
+        )
+        assert remembered == 0
+        # ...and late duplicates from anywhere in that history still drop.
+        recv.receive([encode_frame(ts_frame(seq=s)) for s in (0, 500, 999)], 0.0)
+        assert recv.timestamp_duplicates == 3
 
 
 class TestEngineTransport:

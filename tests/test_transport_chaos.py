@@ -23,7 +23,8 @@ import pytest
 from repro.apps.rubis import build_rubis
 from repro.config import PathmapConfig, TransportConfig
 from repro.core.engine import E2EProfEngine
-from repro.tracing.transport import FaultyChannel
+from repro.tracing.collector import TraceCollector
+from repro.tracing.transport import FaultyChannel, TransportReceiver
 
 pytestmark = pytest.mark.slow
 
@@ -295,3 +296,52 @@ class TestDeterminism:
             return qualities, engine._receiver.totals()
 
         assert run() == run()
+
+
+class TestCollectedDeliveries:
+    @pytest.mark.parametrize("seed", [42, 47])
+    def test_one_receive_per_refresh_equals_frame_by_frame(self, seed, monkeypatch):
+        """The engine hands a refresh's deliveries to the receiver in one
+        call. Under every fault at once -- so corrupt, duplicated, late
+        and reordered frames all occur, block and timestamp frames alike
+        -- the published results equal those of a twin whose receiver is
+        fed the same deliveries one frame at a time, the way the engine
+        used to."""
+
+        def run(frame_by_frame):
+            if frame_by_frame:
+                collected = TransportReceiver.receive
+
+                def one_at_a_time(self, payloads, now):
+                    for payload in payloads:
+                        collected(self, [payload], now)
+
+                monkeypatch.setattr(TransportReceiver, "receive", one_at_a_time)
+            rubis = build_rubis(
+                dispatch="affinity", seed=seed, request_rate=10.0, config=CFG
+            )
+            sink = TraceCollector(client_nodes=rubis.topology.collector.clients)
+            engine = E2EProfEngine(
+                CFG,
+                transport=TRANSPORT,
+                capture_sink=sink,
+                channel_factory=lambda node: FaultyChannel(
+                    seed=sum(node.encode()) + 1, drop=0.15, duplicate=0.15,
+                    reorder=0.15, corrupt=0.10, delay=0.10,
+                ),
+            )
+            engine.attach(rubis.topology)
+            published = []
+            engine.subscribe(
+                lambda now, result: published.append(
+                    (now, paths_of(result), result.quality, result.degraded_edges())
+                )
+            )
+            rubis.run_until(85.0)
+            monkeypatch.undo()
+            totals = engine._receiver.totals()
+            assert totals["corrupt_blocks"] and totals["late_recovered"]
+            assert totals["timestamp_duplicates"] and totals["duplicates"]
+            return published, totals, sink.record_count(), engine.wire_bytes_received
+
+        assert run(frame_by_frame=False) == run(frame_by_frame=True)
