@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import PathmapConfig
-from repro.core.correlation import CorrelationSeries, SeriesLike, correlate_fft
+from repro.core.correlation import CorrelationSeries, correlate_fft
 from repro.core.pathmap import Pathmap, PathmapResult, TraceWindow
 
 
@@ -46,14 +46,12 @@ class ConvolutionAnalyzer(Pathmap):
         super().__init__(config, method="fft", correlation_provider=self._convolve)
         self._search_lag = max_lag
 
-    def _convolve(
-        self,
-        reference: SeriesLike,
-        signal: SeriesLike,
-        ref_key,
-        edge_key,
-    ) -> CorrelationSeries:
-        return correlate_fft(reference, signal, max_lag=self._search_lag)
+    def _convolve(self, window: TraceWindow, ref_key, edge_key) -> CorrelationSeries:
+        return correlate_fft(
+            window.edge_series(*ref_key),
+            window.edge_series(*edge_key),
+            max_lag=self._search_lag,
+        )
 
     def analyze(self, window: TraceWindow) -> PathmapResult:
         """Run the full offline analysis over one window."""

@@ -504,61 +504,127 @@ def correlate_sparse(
 # ---------------------------------------------------------------------------
 
 
-def rle_lag_products(
-    x: RunLengthSeries, y: RunLengthSeries, max_lag: int
+def rle_batch_lag_products(
+    x: RunLengthSeries, ys: "list[RunLengthSeries]", max_lag: int
 ) -> np.ndarray:
-    """Raw lag products over run pairs via the second-difference trick.
+    """Raw lag products of one ``x`` against ``F`` run-length series.
 
-    Each pair of runs ``(a, b)`` contributes ``a.value * b.value *
-    overlap(d)`` where ``overlap`` is a trapezoid on the lag axis; the
-    trapezoid is the double cumulative sum of four impulses, so each pair
-    costs O(1) scatter work regardless of run lengths (the paper's
-    "correlation of overlapping sequences ... computed in a single step").
+    The ``ys`` share one window. Each pair of runs ``(a, b)`` contributes
+    ``a.value * b.value * overlap(d)`` where ``overlap`` is a trapezoid on
+    the lag axis; the trapezoid is the double cumulative sum of four
+    impulses, so each pair costs O(1) scatter work regardless of run
+    lengths (the paper's "correlation of overlapping sequences ...
+    computed in a single step").
 
-    Works on absolute indices; the series need not share a window.
+    Returns an ``(F, max_lag + 1)`` array. The whole group is one pass:
+    the ``ys`` runs are concatenated with a per-row key offset so one
+    ``searchsorted`` pair locates every (x run, row) candidate range, the
+    four impulses of every run pair are scattered into a flattened
+    ``(row, lag)`` grid, and two row-wise cumulative sums integrate them.
+    Pairs are laid out (row, x run, y run), so each row's cells receive
+    their additions in the order a one-row call makes them and every row
+    is bitwise what ``rle_lag_products(x, ys[r], max_lag)`` returns.
+
+    Works on absolute indices; ``x`` need not share the ys' window.
     """
     if max_lag < 0:
         raise CorrelationError(f"max_lag must be non-negative, got {max_lag}")
-    if x.num_runs == 0 or y.num_runs == 0:
-        return np.zeros(max_lag + 1, dtype=np.float64)
+    num_rows = len(ys)
+    out = np.zeros((num_rows, max_lag + 1), dtype=np.float64)
+    if num_rows == 0:
+        return out
+    head = ys[0]
+    for y in ys[1:]:
+        if (
+            y.start != head.start
+            or y.length != head.length
+            or y.quantum != head.quantum
+        ):
+            raise CorrelationError(
+                "rle_batch_lag_products requires all ys to share one window"
+            )
+    row_runs = np.array([y.num_runs for y in ys], dtype=np.int64)
+    if x.num_runs == 0 or int(row_runs.sum()) == 0:
+        return out
+    live = [y for y in ys if y.num_runs]
+    cat_rel = np.concatenate([y.starts for y in live]) - head.start
+    cat_counts = np.concatenate([y.counts for y in live])
+    cat_values = np.concatenate([y.values for y in live])
+    # Per-row key offset; run ends reach ``span`` inclusive, hence the
+    # stride of span + 1. Keys ascend by construction.
+    span = int(head.length)
+    stride = span + 1
+    start_keys = np.repeat(np.arange(num_rows, dtype=np.int64) * stride, row_runs)
+    start_keys += cat_rel
+    end_keys = start_keys + cat_counts
 
     xs_, xc, xv = x.starts, x.counts, x.values
-    ys_, yc, yv = y.starts, y.counts, y.values
     x_ends = xs_ + xc
-    y_ends = ys_ + yc
-
+    nx = xs_.size
     # For x-run k, the candidate y-runs are those whose lag range
     # [y.start - x.end + 1, y.end - 1 - x.start] intersects [0, max_lag]:
     #   y.end > x.start          (lag range reaches >= 0)
     #   y.start <= x.end - 1 + max_lag
-    lo = np.searchsorted(y_ends, xs_, side="right")
-    hi = np.searchsorted(ys_, x_ends + max_lag, side="left")
+    # Queries are clipped into [0, span] so one never bleeds into a
+    # neighboring row's key range.
+    bases = np.arange(num_rows, dtype=np.int64)[:, None] * stride
+    q_lo = np.clip(xs_ - head.start, 0, span)
+    q_hi = np.clip(x_ends + max_lag - head.start, 0, span)
+    lo = np.searchsorted(end_keys, (bases + q_lo[None, :]).ravel(), side="right")
+    hi = np.searchsorted(start_keys, (bases + q_hi[None, :]).ravel(), side="left")
     counts = np.maximum(hi - lo, 0)
     total = int(counts.sum())
-    offset = int(xc.max() + yc.max())
-    size = max_lag + offset + 2
-    diff2 = np.zeros(size + 1, dtype=np.float64)
     if total == 0:
-        return np.zeros(max_lag + 1, dtype=np.float64)
+        return out
+    if total > _PAIR_CHUNK and num_rows > 1:
+        # Rows are independent: halve the group to bound the pairs
+        # materialized at once.
+        half = num_rows // 2
+        return np.concatenate(
+            [
+                rle_batch_lag_products(x, ys[:half], max_lag),
+                rle_batch_lag_products(x, ys[half:], max_lag),
+            ]
+        )
 
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    reps = np.repeat(np.arange(xs_.size), counts)
-    local = np.arange(total) - np.repeat(cum[:-1], counts)
-    cols = lo[reps] + local
-    w = xv[reps] * yv[cols]
+    # Leading zeros of the grid are bitwise-neutral under cumsum, so the
+    # group shares one (largest) offset.
+    offset = int(xc.max() + cat_counts.max())
+    top = max_lag + offset + 2  # clip: impulses beyond the slice cannot affect it
+    width = top + 1
+    cum = np.cumsum(counts)
+    reps = np.repeat(np.arange(counts.size), counts)
+    cols = lo[reps] + (np.arange(total) - np.repeat(cum - counts, counts))
+    row, xk = np.divmod(reps, nx)
+    w = xv[xk] * cat_values[cols]
     # First lag at which the pair overlaps: d0 = y.start - (x.end - 1).
-    d0 = ys_[cols] - (x_ends[reps] - 1) + offset
-    ca = xc[reps]
-    cb = yc[cols]
-    top = size  # clip: impulses beyond the slice cannot affect it
+    d0 = cat_rel[cols] + (head.start + offset + 1) - x_ends[xk]
+    ca = xc[xk]
+    cb = cat_counts[cols]
+    cell0 = row * width
+    # One bincount adds in input order: all +w at d0, then -w at d0 + ca,
+    # -w at d0 + cb, +w at d0 + ca + cb -- four in-order scatters.
+    cells = np.concatenate(
+        [
+            cell0 + np.minimum(d0, top),
+            cell0 + np.minimum(d0 + ca, top),
+            cell0 + np.minimum(d0 + cb, top),
+            cell0 + np.minimum(d0 + ca + cb, top),
+        ]
+    )
+    diff2 = np.bincount(
+        cells, weights=np.concatenate([w, -w, -w, w]), minlength=num_rows * width
+    ).reshape(num_rows, width)
+    ramp = np.cumsum(np.cumsum(diff2, axis=1), axis=1)
+    return ramp[:, offset : offset + max_lag + 1]
 
-    np.add.at(diff2, np.minimum(d0, top), w)
-    np.add.at(diff2, np.minimum(d0 + ca, top), -w)
-    np.add.at(diff2, np.minimum(d0 + cb, top), -w)
-    np.add.at(diff2, np.minimum(d0 + ca + cb, top), w)
 
-    ramp = np.cumsum(np.cumsum(diff2))
-    return ramp[offset : offset + max_lag + 1]
+def rle_lag_products(
+    x: RunLengthSeries, y: RunLengthSeries, max_lag: int
+) -> np.ndarray:
+    """Raw lag products of one run-length pair (a one-row
+    :func:`rle_batch_lag_products` call)."""
+    return rle_batch_lag_products(x, [y], max_lag)[0]
 
 
 def _rle_prefix_mass(series: RunLengthSeries, lengths: np.ndarray) -> np.ndarray:

@@ -247,6 +247,8 @@ class E2EProfEngine(PipelineCore):
         # Parked correlator keys; edge -> live and parked keys (core.stages).
         self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
         self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
+        # Per-refresh (edge, side) -> window boundary masses (core.stages).
+        self._boundary: Dict[Tuple[EdgeKey, bool], object] = {}
         self._subscribers: List[Subscriber] = []
         self._metrics_subscribers: List[MetricsSubscriber] = []
         self._pathmap = Pathmap(

@@ -68,6 +68,51 @@ def block_is_quiet(block: Block) -> bool:
     return block.nnz == 0
 
 
+def _concat_blocks(blocks: Sequence[Block], quantum: float) -> DensityTimeSeries:
+    """Adjacent, already-validated blocks as one sparse series."""
+    sparse = [b.to_sparse() if isinstance(b, RunLengthSeries) else b for b in blocks]
+    if not sparse:
+        return DensityTimeSeries.empty(0, 0, quantum)
+    return DensityTimeSeries._from_validated(
+        np.concatenate([s.indices for s in sparse]),
+        np.concatenate([s.values for s in sparse]),
+        sparse[0].start,
+        sum(s.length for s in sparse),
+        quantum,
+    )
+
+
+def boundary_mass(blocks: Sequence[Block], max_lag: int, newest: bool) -> np.ndarray:
+    """Mass of the last (``newest``) or first ``d`` quanta of a window.
+
+    One entry per ``d = 0..min(max_lag, n - 1)``, ``n`` being the quanta
+    ``blocks`` cover.
+
+    These are the boundary terms of ``_normalize``: ``x_prefix(d)`` is the
+    x total minus the tail mass, ``y_suffix(d)`` the y total minus the
+    head mass. Each is a pure function of one edge's blocks, so a host
+    running many correlators over one aligned block history computes it
+    once per (edge, side) and hands it to
+    :meth:`IncrementalCorrelator.correlation`.
+    """
+    d_max = min(max_lag, sum(block.length for block in blocks) - 1)
+    lags = np.arange(d_max + 1, dtype=np.int64)
+    # Just enough blocks from that end of the window to cover d_max quanta.
+    picked = []
+    covered = 0
+    for block in reversed(blocks) if newest else blocks:
+        picked.append(block)
+        covered += block.length
+        if covered >= d_max:
+            break
+    if newest:
+        picked.reverse()
+    edge = _concat_blocks(picked, picked[0].quantum)
+    if newest:
+        return edge.total() - _sparse_prefix_mass(edge, covered - lags)
+    return _sparse_prefix_mass(edge, lags)
+
+
 class IncrementalCorrelator:
     """Maintains ``corr(x, y)`` over a sliding window of blocks.
 
@@ -161,8 +206,6 @@ class IncrementalCorrelator:
         # False and correlation() re-serves _corr_cache as-is.
         self._dirty = True
         self._corr_cache: Optional[CorrelationSeries] = None
-        #: True when the last correlation() call was served from the cache.
-        self.last_served_from_cache = False
         if metrics is not None:
             self._m_pairs = metrics.counter(
                 "correlator_pair_products_total",
@@ -419,75 +462,63 @@ class IncrementalCorrelator:
 
     # -- queries ----------------------------------------------------------------
 
-    def _concat(self, blocks: Deque[Tuple[int, Block]]) -> DensityTimeSeries:
-        sparse = [
-            b.to_sparse() if isinstance(b, RunLengthSeries) else b
-            for _, b in blocks
-        ]
-        indices = np.concatenate([s.indices for s in sparse]) if sparse else np.empty(0, np.int64)
-        values = np.concatenate([s.values for s in sparse]) if sparse else np.empty(0, np.float64)
-        start = sparse[0].start if sparse else 0
-        length = sum(s.length for s in sparse)
-        return DensityTimeSeries(indices, values, start, length, self.quantum)
-
     def window_series(self) -> Tuple[DensityTimeSeries, DensityTimeSeries]:
         """The full x and y series over the current window (for testing)."""
-        return self._concat(self._x_blocks), self._concat(self._y_blocks)
-
-    def _edge_blocks(
-        self, blocks: Deque[Tuple[int, Block]], quanta_needed: int, newest: bool
-    ) -> DensityTimeSeries:
-        """Concatenate just enough blocks from one end of the window to
-        cover ``quanta_needed`` quanta (head for ``newest=False``)."""
-        picked = []
-        covered = 0
-        source = reversed(blocks) if newest else iter(blocks)
-        for _, block in source:
-            picked.append(block)
-            covered += block.length
-            if covered >= quanta_needed:
-                break
-        if newest:
-            picked.reverse()
-        sparse = [
-            b.to_sparse() if isinstance(b, RunLengthSeries) else b for b in picked
-        ]
-        indices = np.concatenate([s.indices for s in sparse])
-        values = np.concatenate([s.values for s in sparse])
-        return DensityTimeSeries(
-            indices, values, sparse[0].start, covered, self.quantum
+        return (
+            _concat_blocks([b for _, b in self._x_blocks], self.quantum),
+            _concat_blocks([b for _, b in self._y_blocks], self.quantum),
         )
 
-    def correlation(self) -> CorrelationSeries:
+    @property
+    def result_cached(self) -> bool:
+        """True when the next :meth:`correlation` call re-serves the
+        cached series (no boundary masses needed)."""
+        return self.optimized and not self._dirty and self._corr_cache is not None
+
+    def correlation(
+        self,
+        x_tail_mass: Optional[np.ndarray] = None,
+        y_head_mass: Optional[np.ndarray] = None,
+    ) -> CorrelationSeries:
         """Normalized correlation over the current window.
 
         Equal to ``correlate_sparse(x_window, y_window, max_lag)`` up to
         floating-point accumulation error. Cost is O(max_lag + head/tail
         block sizes), independent of the window length.
+
+        ``x_tail_mass`` / ``y_head_mass`` are the :func:`boundary_mass`
+        arrays of the x window's newest and the y window's oldest quanta;
+        a host that shares one block history across correlators passes
+        them in, a stand-alone correlator computes its own.
         """
         if not self._x_blocks:
             raise CorrelationError("no blocks appended yet")
         if self._m_served is not None:
             self._m_served.inc()
-        if self.optimized and not self._dirty and self._corr_cache is not None:
-            self.last_served_from_cache = True
+        if self.result_cached:
             if self._m_cache_hits is not None:
                 self._m_cache_hits.inc()
             return self._corr_cache
-        self.last_served_from_cache = False
         n = self.window_length
         d_max = min(self.max_lag, n - 1)
-        lags = np.arange(d_max + 1, dtype=np.int64)
-
+        if x_tail_mass is None:
+            x_tail_mass = boundary_mass(
+                [b for _, b in self._x_blocks], self.max_lag, newest=True
+            )
+        if y_head_mass is None:
+            y_head_mass = boundary_mass(
+                [b for _, b in self._y_blocks], self.max_lag, newest=False
+            )
+        if x_tail_mass.size != d_max + 1 or y_head_mass.size != d_max + 1:
+            raise CorrelationError(
+                f"boundary masses must cover lags 0..{d_max}, got "
+                f"{x_tail_mass.size} and {y_head_mass.size} entries"
+            )
         # x_prefix(d) = mass of the first n-d quanta of x
         #             = total_x - mass of the last d quanta (tail blocks).
-        x_tail = self._edge_blocks(self._x_blocks, d_max, newest=True)
-        tail_len = x_tail.length
-        x_last = x_tail.total() - _sparse_prefix_mass(x_tail, tail_len - lags)
-        x_prefix = self._x_total - x_last
+        x_prefix = self._x_total - x_tail_mass
         # y_suffix(d) = total_y - mass of the first d quanta (head blocks).
-        y_head = self._edge_blocks(self._y_blocks, d_max, newest=False)
-        y_suffix = self._y_total - _sparse_prefix_mass(y_head, lags)
+        y_suffix = self._y_total - y_head_mass
 
         mx = self._x_total / n
         my = self._y_total / n

@@ -199,11 +199,14 @@ class PathmapResult:
         return matches[0]
 
 
-#: Signature of a pluggable correlation provider: given the reference and
-#: edge signals plus their identifying keys, return a correlation series.
-#: The online engine plugs in a provider backed by incremental correlators.
+#: Signature of a pluggable correlation provider: given the window and
+#: the identifying keys of the reference ``(client, root)`` and edge
+#: ``(src, dst)`` signals, return a correlation series. A provider that
+#: needs the signals themselves fetches them with ``window.edge_series``;
+#: the online engine plugs in one backed by incremental correlators, which
+#: never does.
 CorrelationProvider = Callable[
-    [SeriesLike, SeriesLike, Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
+    [TraceWindow, Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
     "CorrelationSeries",
 ]
 
@@ -220,9 +223,9 @@ class Pathmap:
         ``"rle"`` or ``"fft"`` (see :mod:`repro.core.correlation`).
     correlation_provider:
         Optional override for how edge correlations are produced. Receives
-        ``(reference_series, edge_series, (client, root), (src, dst))`` and
-        returns a :class:`~repro.core.correlation.CorrelationSeries`. Used
-        by the online engine to substitute cached incremental correlators.
+        ``(window, (client, root), (src, dst))`` and returns a
+        :class:`~repro.core.correlation.CorrelationSeries`. Used by the
+        online engine to substitute cached incremental correlators.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving,
         per analysis pass, the DFS work counters
@@ -260,7 +263,8 @@ class Pathmap:
         # Holding a strong reference to the series makes the identity check
         # safe (the id cannot be recycled while the entry lives). Each key
         # is only ever touched by its own service class's DFS, so the memo
-        # needs no locking under parallel analyze().
+        # needs no locking under parallel analyze(). A host that discards
+        # a correlator calls forget() so the memo dies with it.
         self._spike_cache: Dict[
             Tuple[Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
             Tuple["CorrelationSeries", List[Spike]],
@@ -268,14 +272,22 @@ class Pathmap:
 
     def _default_provider(
         self,
-        reference: SeriesLike,
-        signal: SeriesLike,
+        window: TraceWindow,
         ref_key: Tuple[NodeId, NodeId],
         edge_key: Tuple[NodeId, NodeId],
     ) -> "CorrelationSeries":
         return cross_correlate(
-            reference, signal, max_lag=self.config.max_lag_quanta, method=self.method
+            window.edge_series(*ref_key),
+            window.edge_series(*edge_key),
+            max_lag=self.config.max_lag_quanta,
+            method=self.method,
         )
+
+    def forget(self, keys) -> None:
+        """Drop the spike memo of every ``(ref_key, edge_key)`` in ``keys``
+        (the host discarded those correlators and their cached series)."""
+        for key in keys:
+            self._spike_cache.pop(key, None)
 
     # -- Algorithm 1: ServiceRoot ------------------------------------------------
 
@@ -317,9 +329,8 @@ class Pathmap:
             with self._tracer.span(
                 "pathmap.class", service_class=f"{client}@{root}"
             ) as span:
-                reference = window.edge_series(client, root)
                 visited: Set[NodeId] = set()
-                self._compute_path(graph, reference, root, visited, window, local)
+                self._compute_path(graph, root, visited, window, local)
                 span.set_attribute("correlations", local.correlations)
                 span.set_attribute("spikes", local.spikes)
                 span.set_attribute("edges", local.edges_discovered)
@@ -377,7 +388,6 @@ class Pathmap:
     def _compute_path(
         self,
         graph: ServiceGraph,
-        reference: SeriesLike,
         node: NodeId,
         visited: Set[NodeId],
         window: TraceWindow,
@@ -389,26 +399,23 @@ class Pathmap:
         for dest in window.destinations_of(node):
             # Response edges back to client nodes are correlated too (they
             # expose the end-to-end latency) but never extend the recursion.
-            spikes = self._correlate_edge(
-                reference, window.edge_series(node, dest), ref_key, (node, dest), stats
-            )
+            spikes = self._correlate_edge(window, ref_key, (node, dest), stats)
             if not spikes:
                 continue
             graph.add_edge(node, dest, [s.delay for s in spikes], spikes)
             stats.edges_discovered += 1
             if dest not in visited and not window.is_client(dest):
-                self._compute_path(graph, reference, dest, visited, window, stats)
+                self._compute_path(graph, dest, visited, window, stats)
 
     def _correlate_edge(
         self,
-        reference: SeriesLike,
-        signal: SeriesLike,
+        window: TraceWindow,
         ref_key: Tuple[NodeId, NodeId],
         edge_key: Tuple[NodeId, NodeId],
         stats: PathmapStats,
     ) -> List[Spike]:
         cfg = self.config
-        corr = self._provider(reference, signal, ref_key, edge_key)
+        corr = self._provider(window, ref_key, edge_key)
         stats.correlations += 1
         if corr.n < cfg.min_overlap_samples:
             return []

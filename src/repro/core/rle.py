@@ -260,7 +260,9 @@ class RunLengthSeries:
                 indices = np.arange(offsets[-1] + self.counts[-1], dtype=np.int64)
                 indices += np.repeat(self.starts - offsets, self.counts)
                 values = np.repeat(self.values, self.counts)
-                cached = DensityTimeSeries(
+                # Positive non-overlapping runs inside the window expand
+                # to positive, strictly increasing samples inside it.
+                cached = DensityTimeSeries._from_validated(
                     indices, values, self.start, self.length, self.quantum
                 )
             self._sparse = cached

@@ -355,6 +355,7 @@ class ShardWorkerState(PipelineCore):
         self._correlators: Dict[Tuple[RefKey, EdgeKey], object] = {}
         self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
         self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
+        self._boundary: Dict[Tuple[EdgeKey, bool], np.ndarray] = {}
         self._tally_lock = threading.Lock()
         self._refresh_cache_hits = 0
         self._refresh_cache_misses = 0

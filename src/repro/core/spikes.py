@@ -106,26 +106,20 @@ def detect_spikes(
 def _local_maxima_above(values: np.ndarray, threshold: float) -> List[int]:
     """Indices that are local maxima (plateau-aware) and exceed threshold."""
     n = values.size
-    above = values > threshold
-    if not np.any(above):
+    if n == 0:
         return []
-    out: List[int] = []
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        # Expand a plateau of equal values.
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        left_ok = i == 0 or values[i - 1] < values[i]
-        right_ok = j == n - 1 or values[j + 1] < values[i]
-        if left_ok and right_ok:
-            # Report the centre of the plateau.
-            out.append((i + j) // 2)
-        i = j + 1
-    return out
+    # Decompose the series into plateaus (maximal runs of equal values);
+    # a plateau is a maximum when it stands above both neighbours, the
+    # series ends counting as lower ground.
+    breaks = np.flatnonzero(values[1:] != values[:-1]) + 1
+    first = np.concatenate(([0], breaks))
+    last = np.concatenate((breaks - 1, [n - 1]))
+    level = values[first]
+    peak = level > threshold
+    peak[1:] &= level[:-1] < level[1:]
+    peak[:-1] &= level[1:] < level[:-1]
+    # Report the centre of each plateau.
+    return ((first[peak] + last[peak]) // 2).tolist()
 
 
 def _apply_resolution_window(

@@ -35,6 +35,9 @@ Host contract (attributes every :class:`PipelineCore` host provides):
 ``_pool`` (optional thread executor), ``_clients`` (set of client node
 ids), ``_blocks`` / ``_correlators`` (the window state), ``_parked`` /
 ``_edge_keys`` (parked keys; edge -> its live and parked keys),
+``_boundary`` (this refresh's per-(edge, side) boundary masses),
+``_pathmap`` (the :class:`~repro.core.pathmap.Pathmap` whose spike memo
+dies with the correlators),
 ``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
 ``_tally_lock`` plus the per-refresh ``_refresh_*`` tallies, and the
 ``_m_batch`` / ``_m_cache_hits`` / ``_m_cache_misses`` instruments.
@@ -62,10 +65,16 @@ from repro.core.correlation import (
     fft_batch_lag_products,
     fft_dispatch_units,
     fft_length,
+    rle_batch_lag_products,
     rle_dispatch_units,
     sparse_dispatch_units,
 )
-from repro.core.incremental import IncrementalCorrelator, _pair_products, block_is_quiet
+from repro.core.incremental import (
+    IncrementalCorrelator,
+    _concat_blocks,
+    block_is_quiet,
+    boundary_mass,
+)
 from repro.core.pathmap import TraceWindow
 from repro.core.rle import RunLengthSeries
 from repro.core.timeseries import DensityTimeSeries
@@ -98,6 +107,7 @@ class PipelineCore:
         self, fresh: Dict[EdgeKey, RunLengthSeries], block_start: int
     ) -> None:
         empty = RunLengthSeries.empty(block_start, self._block_quanta, self.config.quantum)
+        self._boundary.clear()  # every window slides
         for edge in set(self._blocks) | set(fresh):
             deque_ = self._blocks.get(edge)
             if deque_ is None:
@@ -181,7 +191,10 @@ class PipelineCore:
         return blanked
 
     def _invalidate_correlators(self, edge: EdgeKey) -> List[CorrelatorKey]:
-        """Forget every correlator, live or parked, touching ``edge``."""
+        """``edge``'s history changed: forget its boundary masses and every
+        correlator, live or parked, touching it."""
+        self._boundary.pop((edge, True), None)
+        self._boundary.pop((edge, False), None)
         return self._drop_correlators(self._edge_keys.get(edge, ()))
 
     def _drop_correlators(self, keys) -> List[CorrelatorKey]:
@@ -191,6 +204,7 @@ class PipelineCore:
             self._parked.discard(key)
             for edge in key:
                 self._edge_keys[edge].discard(key)
+        self._pathmap.forget(dropped)
         return dropped
 
     # -- correlate stage -------------------------------------------------------
@@ -220,6 +234,7 @@ class PipelineCore:
             for key in dormant:
                 del self._correlators[key]
                 self._parked.add(key)
+            self._pathmap.forget(dormant)
         self.metrics.counter(*IncrementalCorrelator.SKIPS_COUNTER).inc(parked_skips)
         self._refresh_skips = sum(skipped for skipped, _ in results) + parked_skips
         self._m_batch.observe(time.perf_counter() - started)
@@ -380,8 +395,9 @@ class PipelineCore:
                 return full_fft
         if rle_rows:
             rle_started = time.perf_counter()
-            for i in rle_rows:
-                rows[i] = _pair_products(x_block, y_blocks[i], max_lag)
+            mat_rle = rle_batch_lag_products(
+                x_block, [y_blocks[i] for i in rle_rows], max_lag
+            )
             if record is not None:
                 # RunLengthSeries data: starts + counts (int64) + values
                 # (float64) = 24 bytes per run.
@@ -395,6 +411,10 @@ class PipelineCore:
                         + sum(y_blocks[i].num_runs for i in rle_rows)
                     ),
                 )
+            if len(rle_rows) == len(y_blocks):
+                return mat_rle
+            for r, i in enumerate(rle_rows):
+                rows[i] = mat_rle[r]
         if not batched_rows:
             return np.stack(rows)
         batch_started = time.perf_counter()
@@ -508,11 +528,7 @@ class PipelineCore:
     # -- correlation provider (plugged into pathmap) ---------------------------
 
     def _provide_correlation(
-        self,
-        reference: SeriesLike,
-        signal: SeriesLike,
-        ref_key: RefKey,
-        edge_key: EdgeKey,
+        self, window: TraceWindow, ref_key: RefKey, edge_key: EdgeKey
     ) -> CorrelationSeries:
         correlator = self._correlators.get((ref_key, edge_key))
         if correlator is None:
@@ -524,11 +540,27 @@ class PipelineCore:
             with self._tally_lock:
                 self._refresh_cache_hits += 1
             self._m_cache_hits.inc()
-        series = correlator.correlation()
-        if correlator.last_served_from_cache:
+        if correlator.result_cached:
             with self._tally_lock:
                 self._refresh_corr_cache_hits += 1
-        return series
+            return correlator.correlation()
+        return correlator.correlation(
+            self._boundary_mass(ref_key, newest=True),
+            self._boundary_mass(edge_key, newest=False),
+        )
+
+    def _boundary_mass(self, edge: EdgeKey, newest: bool) -> np.ndarray:
+        """This refresh's :func:`boundary_mass` of one edge's window, shared
+        by every correlator with the edge on that side (x tail: all of a
+        reference group; y head: every class correlating the edge). Two
+        DFS threads may race to fill an entry with bitwise-equal arrays."""
+        key = (edge, newest)
+        mass = self._boundary.get(key)
+        if mass is None:
+            mass = self._boundary[key] = boundary_mass(
+                self._blocks[edge], self.config.max_lag_quanta, newest
+            )
+        return mass
 
     def _summary_hook(self, ref_key: RefKey, edge_key: EdgeKey):
         """Optional eviction hook for new correlators. The engine
@@ -601,17 +633,7 @@ class PipelineCore:
         blocks = self._blocks.get(edge)
         if not blocks:
             raise AnalysisError(f"no blocks for edge {edge}")
-        # Single-pass concatenation (mirrors IncrementalCorrelator._concat):
-        # the pairwise concatenated() chain re-copied the growing prefix
-        # for every block, i.e. quadratic in the window depth.
-        sparse = [block.to_sparse() for block in blocks]
-        return DensityTimeSeries(
-            np.concatenate([s.indices for s in sparse]),
-            np.concatenate([s.values for s in sparse]),
-            sparse[0].start,
-            sum(s.length for s in sparse),
-            sparse[0].quantum,
-        )
+        return _concat_blocks(blocks, blocks[0].quantum)
 
     @property
     def correlator_count(self) -> int:

@@ -86,6 +86,32 @@ class DensityTimeSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_validated(
+        cls,
+        indices: np.ndarray,
+        values: np.ndarray,
+        start: int,
+        length: int,
+        quantum: float,
+    ) -> "DensityTimeSeries":
+        """Wrap arrays the caller already holds to every invariant
+        ``__init__`` enforces (int64/float64, 1-D, equal length, strictly
+        increasing indices inside the window, positive values).
+
+        Only for series derived inside the process from blocks that were
+        validated when they were built or decoded -- the expansion of a
+        :class:`~repro.core.rle.RunLengthSeries`, the concatenation of
+        adjacent blocks; anything fed from outside goes through
+        ``__init__``."""
+        self = cls.__new__(cls)
+        self.indices = indices
+        self.values = values
+        self.start = int(start)
+        self.length = int(length)
+        self.quantum = float(quantum)
+        return self
+
+    @classmethod
     def empty(cls, start: int, length: int, quantum: float) -> "DensityTimeSeries":
         """An all-zero series over ``[start, start + length)``."""
         return cls(np.empty(0, np.int64), np.empty(0, np.float64), start, length, quantum)

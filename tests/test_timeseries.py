@@ -69,6 +69,70 @@ class TestConstruction:
         assert s.total() == 0.0
 
 
+class TestTrustedConstructor:
+    """``_from_validated`` is for concatenations of blocks this process
+    already validated; everything else still goes through ``__init__``."""
+
+    BAD = [
+        ([3, 2], [1.0, 1.0]),  # unsorted
+        ([2, 2], [1.0, 1.0]),  # duplicate
+        ([10], [1.0]),  # outside the window
+        ([1], [0.0]),  # non-positive
+    ]
+
+    @pytest.mark.parametrize("indices, values", BAD)
+    def test_public_constructor_validates_what_the_trusted_one_skips(
+        self, indices, values
+    ):
+        indices = np.array(indices, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
+        with pytest.raises(SeriesError):
+            DensityTimeSeries(indices, values, 0, 10, 1e-3)
+        trusted = DensityTimeSeries._from_validated(indices, values, 0, 10, 1e-3)
+        assert trusted.indices is indices and trusted.values is values
+
+    def test_trusted_series_equal_validated_ones(self):
+        s = series_from([0.0, 2.0, 0.0, 1.0], start=4)
+        trusted = DensityTimeSeries._from_validated(
+            s.indices, s.values, s.start, s.length, s.quantum
+        )
+        assert trusted == s
+        assert (trusted.total(), trusted.energy()) == (s.total(), s.energy())
+
+    def test_only_block_expansion_and_block_concatenation_use_it(self):
+        """The wire decoder, the collector, the tracer, the capture
+        readers and every public helper build series from data that
+        crossed a process or API boundary: none of them may skip
+        validation."""
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        users = {
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if "DensityTimeSeries._from_validated(" in path.read_text(encoding="utf-8")
+        }
+        assert users == {"core/rle.py", "core/incremental.py"}
+
+    def test_outside_data_is_still_rejected(self):
+        from repro.core.rle import RunLengthSeries
+
+        # A run-length block -- the one thing to_sparse() trusts -- cannot
+        # be built with overlapping, empty or non-positive runs.
+        for starts, counts, values in (
+            ([0, 2], [3, 1], [1.0, 1.0]),
+            ([0], [0], [1.0]),
+            ([0], [1], [-1.0]),
+            ([9], [2], [1.0]),
+        ):
+            with pytest.raises(SeriesError):
+                RunLengthSeries(
+                    np.array(starts), np.array(counts), np.array(values), 0, 10, 1e-3
+                )
+
+
 class TestStatistics:
     def test_mean_includes_zeros(self):
         s = series_from([0.0, 4.0, 0.0, 0.0])
