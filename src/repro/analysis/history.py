@@ -38,7 +38,7 @@ from repro.core.correlation import CorrelationSeries, correlate_sparse
 from repro.core.timeseries import build_density_series
 from repro.errors import AnalysisError
 from repro.lake.lake import TraceLake
-from repro.lake.summaries import BlockSummary, covered_blocks, fold_summaries
+from repro.lake.summaries import BlockSummary, covered_blocks, fold_covered
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,9 +110,7 @@ def span_estimate(
             f"no materialized summaries for ({client}, {root}) x "
             f"({src}, {dst}) in [{start}, {end})"
         )
-    series = fold_summaries(
-        rows, max_lag=max_lag, frontier=lake.frontier, start=start, end=end
-    )
+    series = fold_covered(rows, covered, max_lag=max_lag, start=start, end=end)
     delay, peak = _peak(series)
     return SpanEstimate(
         client=client,

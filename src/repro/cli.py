@@ -809,7 +809,7 @@ def _open_lake(root: str):
 def cmd_lake_ls(args: argparse.Namespace) -> int:
     lake = _open_lake(args.root)
     segments = lake.segments()
-    summaries = lake.summary_files()
+    stats = lake.stats()
     if args.format == "json":
         doc = {
             "root": args.root,
@@ -827,12 +827,7 @@ def cmd_lake_ls(args: argparse.Namespace) -> int:
                 }
                 for m in segments
             ],
-            "summary_files": [
-                {"seq": m.seq, "path": m.path, "count": m.count,
-                 "t_min": m.t_min, "t_max": m.t_max, "bytes": m.nbytes}
-                for m in summaries
-            ],
-            "stats": lake.stats(),
+            "stats": stats,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
@@ -841,13 +836,11 @@ def cmd_lake_ls(args: argparse.Namespace) -> int:
         print(f"seg {m.seq:8d}  {m.src}->{m.dst} [{side}]  "
               f"[{m.t_min:.3f}, {m.t_max:.3f}]  "
               f"{m.count} records  {m.nbytes} bytes")
-    for m in summaries:
-        print(f"sum {m.seq:8d}  {m.count} rows  "
-              f"[{m.t_min:.3f}, {m.t_max:.3f}]  {m.nbytes} bytes")
     total_bytes = sum(m.nbytes for m in segments)
     total_records = sum(m.count for m in segments)
     print(f"{len(segments)} segments ({total_records} records, "
-          f"{total_bytes} bytes), {len(summaries)} summary files")
+          f"{total_bytes} bytes), {stats['summary_batches']} summary batches "
+          f"({stats['summary_rows']} rows, {stats['journal_bytes']} journal bytes)")
     return 0
 
 
@@ -1214,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lake_sub = lake.add_subparsers(dest="lake_command", required=True)
     lake_ls = lake_sub.add_parser(
-        "ls", help="list a lake's segments and summary files"
+        "ls", help="list a lake's segments and summary batches"
     )
     lake_ls.add_argument("root", help="trace-lake directory")
     lake_ls.add_argument("--format", default="table",

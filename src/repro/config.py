@@ -326,10 +326,11 @@ class LakeConfig:
 
     A lake turns the collector's retention eviction into a write-behind
     spill tier: evicted timestamp arrays land in time-indexed ``.rtb``
-    segments under ``root`` with an atomic JSON manifest, historical
-    window reads stitch segments back in through an mmap LRU, and (when
-    ``summaries`` is on) correlator evictions persist materialized
-    correlation summaries for ``repro history`` drift queries.
+    segments under ``root`` cataloged by an append-only journal (one
+    fsync'd record per checkpoint), historical window reads stitch
+    segments back in through an mmap LRU, and (when ``summaries`` is on)
+    correlator evictions persist materialized correlation summaries for
+    ``repro history`` drift queries.
     """
 
     #: Lake directory (created if missing). None disables the lake.

@@ -805,13 +805,6 @@ class SpectrumCache:
         self.misses += 1
         return spec
 
-    def peek(self, block: SeriesLike, size: int) -> Optional[np.ndarray]:
-        """The cached spectrum for ``(block, size)``, or None; never
-        computes and never moves the hit/miss counters (used by the lake
-        to persist warm spectra at block-eviction time)."""
-        entry = self._entries.get((id(block), int(size)))
-        return entry[1] if entry is not None else None
-
     def seed(self, block: SeriesLike, size: int, spectrum: np.ndarray) -> None:
         """Insert an externally computed spectrum for ``(block, size)``.
 

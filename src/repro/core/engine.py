@@ -366,7 +366,7 @@ class E2EProfEngine(PipelineCore):
         self._refresh_capture_batches = 0
         #: Optional trace lake (:class:`~repro.lake.TraceLake`). When set,
         #: the capture sink's evictions spill to it (write-behind), the
-        #: manifest is checkpointed once per refresh under the ledger's
+        #: journal is checkpointed once per refresh under the ledger's
         #: ``spill`` stage, and correlator evictions persist materialized
         #: per-(class, edge) correlation summaries for ``repro history``.
         self.lake = lake
@@ -610,7 +610,7 @@ class E2EProfEngine(PipelineCore):
         retention eviction (so spills track the refresh cadence, not just
         the ingest stride), checkpoint pending summaries, their frontier
         (the window floor: full-window correlators have evicted every
-        block before it) and the manifest, and account the spill time
+        block before it) and the catalog delta, and account the spill time
         since ingest as the ledger's optional ``spill`` stage. Runs after
         publish: the stage lands in the just-completed ledger in place
         (same contract as the post-fanout publish sample)."""
@@ -632,17 +632,16 @@ class E2EProfEngine(PipelineCore):
         Returns None unless a lake is attached and the correlators live
         in this process; otherwise a closure that turns each evicted
         ``(reference block, signal block, summed pair-product row)`` into
-        a :class:`~repro.lake.BlockSummary`, grabbing the reference
-        block's cached FFT spectrum when the dense kernel left one warm.
-        The first eviction also writes a coverage marker; from there to
-        the lake's frontier an eviction of two quiet blocks is implicit.
+        a :class:`~repro.lake.BlockSummary` buffered in the lake (memory
+        only; the refresh's checkpoint journals it).  The first eviction
+        also writes a coverage marker; from there to the lake's frontier
+        an eviction of two quiet blocks is implicit.
         """
         if not self._lake_summaries:
             return None
         lake = self.lake
         client, root = ref_key
         src, dst = edge_key
-        size = fft_length(2 * self._block_quanta - 1)
         covered = False
 
         def hook(old_x, old_y, contribution):
@@ -657,7 +656,6 @@ class E2EProfEngine(PipelineCore):
                 )
             if contribution is None and block_is_quiet(old_x) and block_is_quiet(old_y):
                 return
-            spectrum = self._spectra.peek(old_x, size)
             lake.record_summary(
                 BlockSummary(
                     client=client,
@@ -672,8 +670,6 @@ class E2EProfEngine(PipelineCore):
                     y_total=float(old_y.total()),
                     y_energy=float(old_y.energy()),
                     lag_products=contribution,
-                    spectrum=spectrum,
-                    spectrum_size=size if spectrum is not None else None,
                 )
             )
 

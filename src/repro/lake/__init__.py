@@ -3,26 +3,19 @@
 PR 5's bounded retention keeps collector memory flat by evicting chunks
 older than the horizon -- to nowhere.  The lake gives eviction a second
 tier: evicted timestamp arrays are written behind as time-indexed
-``.rtb`` segments under a lake root, cataloged by a crash-safe JSON
-manifest, and read back zero-copy through an LRU of open segment
+``.rtb`` segments under a lake root, cataloged by an append-only
+journal, and read back zero-copy through an LRU of open segment
 mappings.  On top of the raw tier, the engine materializes per-(client,
 front_end, edge) correlation summaries at block-eviction time so that
 week-scale drift questions fold a few hundred cached lag-product rows
 instead of re-correlating raw timestamps.
 
-See ``docs/TRACES.md`` (segment/manifest format) and
+See ``docs/TRACES.md`` (segment/journal format) and
 ``docs/PERFORMANCE.md`` (spill cost, fold-vs-recorrelate numbers).
 """
 
 from repro.lake.lake import TraceLake
-from repro.lake.manifest import (
-    MANIFEST_NAME,
-    LakeManifest,
-    SegmentMeta,
-    SummaryMeta,
-    load_manifest,
-    save_manifest,
-)
+from repro.lake.journal import JOURNAL_NAME, SegmentMeta, scan_journal
 from repro.lake.segments import (
     SegmentMappingLRU,
     read_segment,
@@ -33,16 +26,13 @@ from repro.lake.summaries import BlockSummary, fold_summaries
 
 __all__ = [
     "BlockSummary",
-    "LakeManifest",
-    "MANIFEST_NAME",
+    "JOURNAL_NAME",
     "SegmentMappingLRU",
     "SegmentMeta",
-    "SummaryMeta",
     "TraceLake",
     "fold_summaries",
-    "load_manifest",
     "read_segment",
-    "save_manifest",
+    "scan_journal",
     "segment_filename",
     "write_segment",
 ]

@@ -6,37 +6,41 @@ lake buffers them per ``(edge, side)`` stream and writes a time-indexed
 ``.rtb`` segment once a stream's buffer crosses ``segment_bytes`` --
 classic write-behind: the hot path pays an append, the serialization
 cost is batched.  :meth:`checkpoint` (called once per engine refresh)
-persists any pending summary rows and atomically replaces the manifest,
-so a crash loses at most the still-buffered tail -- never a cataloged
-segment.
+appends the pending summary rows and the catalog delta to the journal
+(:mod:`repro.lake.journal`) as one fsync'd record, so a crash loses at
+most the still-buffered tail -- never a cataloged segment.
 
 Reads are cache-aside: :meth:`query` answers from the mmap LRU over
 cataloged segments *plus* the not-yet-flushed buffers, so a spilled
 value is visible from the moment it leaves resident memory.  Segment
 files are immutable once cataloged; compaction writes replacement
-segments under fresh sequence numbers and swaps the catalog atomically,
-so concurrent readers keep valid mappings throughout.
+segments under fresh sequence numbers and swaps the catalog with one
+journal record, so concurrent readers keep valid mappings throughout.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import collections
 import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.lake.manifest import (
-    LakeManifest,
+from repro.lake.journal import (
+    INDEX_DTYPE,
+    JOURNAL_MAGIC,
+    JOURNAL_NAME,
+    JournalRecord,
     SegmentMeta,
-    SummaryMeta,
-    load_manifest,
-    save_manifest,
+    SummaryKey,
+    encode_record,
+    index_entries,
+    read_row,
+    scan_journal,
 )
 from repro.lake.segments import SegmentMappingLRU, segment_filename, write_segment
 from repro.lake.summaries import BlockSummary
@@ -51,11 +55,8 @@ StreamKey = Tuple[str, str, bool]
 #: Default per-stream buffer threshold before a segment is cut (bytes of
 #: float64 payload).  Small enough that an idle stream's tail reaches
 #: disk within a few refreshes under modest traffic, large enough that a
-#: busy stream amortizes the file + manifest cost over ~32k records.
+#: busy stream amortizes the file + catalog cost over ~32k records.
 DEFAULT_SEGMENT_BYTES = 256 * 1024
-
-#: Pending summary rows buffered before a summary file is cut.
-DEFAULT_SUMMARY_ROWS = 512
 
 
 class TraceLake:
@@ -64,7 +65,9 @@ class TraceLake:
     Parameters
     ----------
     root:
-        Lake directory; created if missing.  One lake per collector.
+        Lake directory; created if missing.  One lake per collector.  A
+        directory in the v1 format (``manifest.json``) or with a damaged
+        journal raises :class:`~repro.errors.TraceError`.
     segment_bytes:
         Per-stream write-behind buffer threshold.
     mapping_cache:
@@ -81,32 +84,48 @@ class TraceLake:
         root: "os.PathLike[str]",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         mapping_cache: int = 64,
-        summary_rows: int = DEFAULT_SUMMARY_ROWS,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if segment_bytes < 8:
             raise TraceError(f"segment_bytes must be >= 8, got {segment_bytes}")
-        if summary_rows < 1:
-            raise TraceError(f"summary_rows must be >= 1, got {summary_rows}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = int(segment_bytes)
-        self.summary_rows = int(summary_rows)
         self._lock = threading.RLock()
-        self._manifest = load_manifest(self.root)
-        self._manifest_dirty = False
         self._mappings = SegmentMappingLRU(self.root, capacity=mapping_cache)
         self._buffers: Dict[StreamKey, List[np.ndarray]] = {}
         self._buffer_bytes: Dict[StreamKey, int] = {}
+        # Catalog: the journaled state plus what the next record will add.
+        self._segments: List[SegmentMeta] = []
+        self._new_segments: List[SegmentMeta] = []
+        self._next_seq = 0
+        self._frontier: Optional[int] = None
+        self._frontier_dirty = False
         self._pending_summaries: List[BlockSummary] = []
-        # One persisted spectrum per (class, block): the same reference
-        # block pairs with many signal edges, but its rfft is identical
-        # across them.
-        self._spectra_seen: Set[Tuple[str, str, int]] = set()
+        # Journaled rows: per key, packed INDEX_DTYPE entries in write order.
+        self._index: Dict[SummaryKey, bytearray] = collections.defaultdict(bytearray)
+        self._summary_batches = 0
+        self._summary_rows = 0
+        self._journal_end = 0
+        for record in scan_journal(self.root):
+            if record.replace:
+                self._segments = []
+            self._segments.extend(record.segments)
+            self._next_seq = record.next_seq
+            self._frontier = record.frontier
+            self._index_rows(record)
+        seqs = [m.seq for m in self._segments]
+        if len(set(seqs)) != len(seqs) or (seqs and self._next_seq <= max(seqs)):
+            raise TraceError(f"{self.root}: lake journal catalogs a sequence twice")
+        # Bytes past the last whole record: a frame cut off by a crash (or,
+        # later, by a failed append), truncated away by the next append.
+        journal = self.root / JOURNAL_NAME
+        self._journal_torn = (
+            journal.exists() and journal.stat().st_size != self._journal_end
+        )
         self.segments_written = 0
         self.spilled_records = 0
         self.spilled_bytes = 0
-        self.summary_rows_written = 0
         self._spill_seconds = 0.0
         if metrics is not None:
             self._m_segments = metrics.counter(
@@ -196,11 +215,28 @@ class TraceLake:
             return None
         values = parts[0] if len(parts) == 1 else np.concatenate(parts)
         src, dst, side = key
-        seq = self._manifest.next_seq
-        self._manifest.next_seq += 1
+        meta = self._write_segment(src, dst, side, values)
+        self._segments.append(meta)
+        self._new_segments.append(meta)
+        self.segments_written += 1
+        self.spilled_records += meta.count
+        self.spilled_bytes += meta.nbytes
+        if self._m_segments is not None:
+            self._m_segments.inc()
+            self._m_records.inc(meta.count)
+            self._m_bytes.inc(meta.nbytes)
+        return meta
+
+    def _write_segment(
+        self, src: str, dst: str, side: bool, values: np.ndarray
+    ) -> SegmentMeta:
+        """Write ``values`` as the next-numbered segment file (lock held);
+        the caller catalogs the returned entry."""
+        seq = self._next_seq
+        self._next_seq += 1
         path = segment_filename(seq)
         info = write_segment(self.root / path, src, dst, side, values)
-        meta = SegmentMeta(
+        return SegmentMeta(
             seq=seq,
             path=path,
             src=src,
@@ -212,88 +248,72 @@ class TraceLake:
             crc=info.crc,
             nbytes=info.nbytes,
         )
-        self._manifest.segments.append(meta)
-        self._manifest_dirty = True
-        self.segments_written += 1
-        self.spilled_records += info.count
-        self.spilled_bytes += info.nbytes
-        if self._m_segments is not None:
-            self._m_segments.inc()
-            self._m_records.inc(info.count)
-            self._m_bytes.inc(info.nbytes)
-        return meta
 
     def record_summary(self, summary: BlockSummary) -> None:
-        """Buffer one materialized correlation summary row."""
+        """Buffer one materialized correlation summary row (memory only:
+        the next :meth:`checkpoint` journals it)."""
         with self._lock:
-            if summary.spectrum is not None:
-                spec_key = (summary.client, summary.root, summary.block_start)
-                if spec_key in self._spectra_seen:
-                    summary = dataclasses.replace(
-                        summary, spectrum=None, spectrum_size=None
-                    )
-                else:
-                    self._spectra_seen.add(spec_key)
             self._pending_summaries.append(summary)
-            if len(self._pending_summaries) >= self.summary_rows:
-                self._cut_summaries()
-
-    def _cut_summaries(self) -> Optional[SummaryMeta]:
-        """Persist the pending summary rows as one JSON file (lock held)."""
-        rows = self._pending_summaries
-        if not rows:
-            return None
-        self._pending_summaries = []
-        seq = self._manifest.next_seq
-        self._manifest.next_seq += 1
-        path = f"sum-{seq:08d}.json"
-        payload = json.dumps([row.to_dict() for row in rows]) + "\n"
-        full = self.root / path
-        tmp = full.with_name(full.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, full)
-        meta = SummaryMeta(
-            seq=seq,
-            path=path,
-            count=len(rows),
-            t_min=min(row.t_min for row in rows),
-            t_max=max(row.t_max for row in rows),
-            nbytes=len(payload.encode("utf-8")),
-            coverage=any(row.coverage for row in rows),
-        )
-        self._manifest.summaries.append(meta)
-        self._manifest_dirty = True
-        self.summary_rows_written += len(rows)
-        if self._m_rows is not None:
-            self._m_rows.inc(len(rows))
-        return meta
 
     def advance_frontier(self, quantum: int) -> None:
         """Declare summary coverage complete through ``quantum`` (every
         earlier covered block without a row was quiet); persisted by the
         next :meth:`checkpoint`."""
         with self._lock:
-            if self.frontier is None or quantum > self.frontier:
-                self._manifest.frontier = int(quantum)
-                self._manifest_dirty = True
+            if self._frontier is None or quantum > self._frontier:
+                self._frontier = int(quantum)
+                self._frontier_dirty = True
+
+    def _append(self, replace: bool = False) -> None:
+        """Journal everything pending as one record with one fsync (lock
+        held).  ``replace`` swaps the whole segment catalog in."""
+        rows = self._pending_summaries
+        segments = self._segments if replace else self._new_segments
+        if not (replace or rows or segments or self._frontier_dirty):
+            return
+        offset = self._journal_end or len(JOURNAL_MAGIC)
+        record, buffers = encode_record(
+            offset, rows, segments, self._next_seq, self._frontier, replace
+        )
+        if not self._journal_end:
+            buffers.insert(0, JOURNAL_MAGIC)
+        # Buffered, so a usual record is one write and a burst of lag rows
+        # (every correlator's first eviction) streams without a second copy.
+        with open(self.root / JOURNAL_NAME, "ab", buffering=1 << 20) as handle:
+            if self._journal_torn:
+                handle.truncate(self._journal_end)
+            # Until the fsync returns, part of the frame may be on disk.
+            self._journal_torn = True
+            handle.writelines(buffers)
+            handle.flush()
+            os.fsync(handle.fileno())
+            self._journal_torn = False
+        self._index_rows(record)
+        self._pending_summaries = []
+        self._new_segments = []
+        self._frontier_dirty = False
+        if self._m_rows is not None:
+            self._m_rows.inc(len(rows))
+
+    def _index_rows(self, record: JournalRecord) -> None:
+        """Account one journaled record's rows (at open and on append)."""
+        for key, entry in index_entries(record):
+            self._index[key] += entry
+        self._summary_batches += bool(len(record.table))
+        self._summary_rows += len(record.table)
+        self._journal_end = record.end
 
     def checkpoint(self) -> None:
-        """Persist pending summaries and the manifest if anything changed.
+        """Journal pending summaries and catalog changes, if there are any.
 
         The engine calls this once per refresh; segment buffers below the
         write-behind threshold stay buffered (that is the point), so a
-        crash loses only the uncommitted tail.
+        crash loses only the uncommitted tail.  When it returns,
+        everything recorded before it is on disk.
         """
         started = time.perf_counter()
         with self._lock:
-            if self._pending_summaries:
-                self._cut_summaries()
-            if self._manifest_dirty:
-                save_manifest(self.root, self._manifest)
-                self._manifest_dirty = False
+            self._append()
         self._spill_seconds += time.perf_counter() - started
 
     def flush(self) -> int:
@@ -304,15 +324,13 @@ class TraceLake:
             before = self.segments_written
             for key in sorted(self._buffers):
                 self._cut_segment(key)
-            self._cut_summaries()
-            if self._manifest_dirty:
-                save_manifest(self.root, self._manifest)
-                self._manifest_dirty = False
+            self._append()
             cut = self.segments_written - before
         self._spill_seconds += time.perf_counter() - started
         return cut
 
     def close(self) -> None:
+        """:meth:`flush`; the lake holds no file open between calls."""
         self.flush()
 
     def drain_spill_seconds(self) -> float:
@@ -326,16 +344,12 @@ class TraceLake:
     def segments(self) -> List[SegmentMeta]:
         """Catalog snapshot, in sequence order."""
         with self._lock:
-            return list(self._manifest.segments)
-
-    def summary_files(self) -> List[SummaryMeta]:
-        with self._lock:
-            return list(self._manifest.summaries)
+            return list(self._segments)
 
     @property
     def frontier(self) -> Optional[int]:
         """Quantum through which summary coverage is complete, if any."""
-        return self._manifest.frontier
+        return self._frontier
 
     def query(
         self,
@@ -357,7 +371,7 @@ class TraceLake:
         with self._lock:
             metas = [
                 m
-                for m in self._manifest.segments
+                for m in self._segments
                 if m.stream == key and m.t_max >= start and m.t_min < end
             ]
             buffered = list(self._buffers.get(key, ()))
@@ -379,7 +393,7 @@ class TraceLake:
     def streams(self) -> List[StreamKey]:
         """Every stream with spilled data (cataloged or buffered)."""
         with self._lock:
-            keys = {m.stream for m in self._manifest.segments}
+            keys = {m.stream for m in self._segments}
             keys.update(self._buffers)
         return sorted(keys)
 
@@ -396,52 +410,49 @@ class TraceLake:
         (ties in write order): those overlapping ``[start, end)`` plus
         every coverage marker, which bears on all later spans.
 
-        Only files overlapping the span or holding markers are read and
-        only rows matching the key filters decoded; pending (unflushed)
-        rows are included, so no query needs an explicit flush.
+        The index picks the wanted keys' overlapping rows and only those
+        are read from the journal (a damaged one raises
+        :class:`~repro.errors.TraceError`); pending rows are included, so
+        no query needs an explicit flush.
         """
-        keys = (("client", client), ("root", root), ("src", src), ("dst", dst))
-        wanted = [(name, value) for name, value in keys if value is not None]
-        with self._lock:
-            metas = [
-                m
-                for m in self._manifest.summaries
-                if m.coverage or (m.t_max >= start and m.t_min < end)
-            ]
-            pending = list(self._pending_summaries)
+        wanted = (client, root, src, dst)
+
+        def matches(key) -> bool:
+            return all(w is None or w == k for w, k in zip(wanted, key))
+
         rows: List[BlockSummary] = []
-        for meta in metas:
-            path = self.root / meta.path
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except FileNotFoundError as exc:
-                raise TraceError(
-                    f"{path}: summary file in manifest but missing on disk"
-                ) from exc
-            except ValueError as exc:
-                raise TraceError(f"{path}: summary file is not valid JSON: {exc}") from exc
-            if not isinstance(data, list) or len(data) != meta.count:
-                raise TraceError(
-                    f"{path}: summary file does not match manifest entry "
-                    f"seq {meta.seq}"
-                )
-            for entry in data:
-                # A row lacking a key field falls through to from_dict,
-                # which rejects it; only mismatches skip the decode.
-                if isinstance(entry, dict) and any(
-                    str(entry.get(name, value)) != value for name, value in wanted
-                ):
-                    continue
-                rows.append(BlockSummary.from_dict(entry))
-        rows.extend(pending)
-        out = [
-            row
-            for row in rows
-            if all(getattr(row, name) == value for name, value in wanted)
-            and (row.coverage or (row.t_max > start and row.t_min < end))
-        ]
-        out.sort(key=lambda r: (r.block_start, r.client, r.root, r.src, r.dst))
-        return out
+        with self._lock:
+            if None in wanted:
+                keys = [key for key in self._index if matches(key)]
+            else:
+                keys = [wanted] if wanted in self._index else []
+            if keys:
+                rows.extend(self._journaled(keys, start, end))
+            rows.extend(
+                row
+                for row in self._pending_summaries
+                if matches((row.client, row.root, row.src, row.dst))
+                and (row.coverage or (row.t_max > start and row.t_min < end))
+            )
+        rows.sort(key=lambda r: (r.block_start, r.client, r.root, r.src, r.dst))
+        return rows
+
+    def _journaled(
+        self, keys: List[SummaryKey], start: float, end: float
+    ) -> Iterator[BlockSummary]:
+        """The journaled rows of ``keys`` that the index places in the span
+        or marks as coverage markers, key by key in write order (lock held)."""
+        try:
+            with open(self.root / JOURNAL_NAME, "rb") as handle:
+                for key in keys:
+                    entries = np.frombuffer(bytes(self._index[key]), dtype=INDEX_DTYPE)
+                    keep = (entries["marker"] != 0) | (
+                        (entries["t_max"] > start) & (entries["t_min"] < end)
+                    )
+                    for offset in entries["offset"][keep].tolist():
+                        yield read_row(handle.fileno(), key, offset)
+        except OSError as exc:
+            raise TraceError(f"{self.root}: cannot read lake journal: {exc}") from exc
 
     # -- maintenance -----------------------------------------------------------
 
@@ -452,17 +463,17 @@ class TraceLake:
         order) are rewritten as fewer, larger segments while their
         combined payload stays under ``target_bytes`` (default
         ``4 * segment_bytes``).  Replacement segments get fresh sequence
-        numbers and the manifest is swapped atomically, so concurrent
-        readers see either the old or the new catalog; the old files are
+        numbers and one journal record replaces the catalog, so a reader
+        or a crash sees either the old or the new one; the old files are
         unlinked afterwards (their mappings stay valid for any query
         still holding them).  Orphaned segment files -- left by a crash
-        between segment write and manifest save -- are removed too.
+        between segment write and checkpoint -- are removed too.
         """
         if target_bytes is None:
             target_bytes = 4 * self.segment_bytes
         with self._lock:
             by_stream: Dict[StreamKey, List[SegmentMeta]] = {}
-            for meta in self._manifest.segments:
+            for meta in self._segments:
                 by_stream.setdefault(meta.stream, []).append(meta)
             groups: List[List[SegmentMeta]] = []
             for metas in by_stream.values():
@@ -488,38 +499,20 @@ class TraceLake:
                     continue
                 src, dst, side = group[0].stream
                 values = np.concatenate([self._mappings.get(m) for m in group])
-                seq = self._manifest.next_seq
-                self._manifest.next_seq += 1
-                path = segment_filename(seq)
-                info = write_segment(self.root / path, src, dst, side, values)
-                new_catalog.append(
-                    SegmentMeta(
-                        seq=seq,
-                        path=path,
-                        src=src,
-                        dst=dst,
-                        observed_at_destination=side,
-                        t_min=info.t_min,
-                        t_max=info.t_max,
-                        count=info.count,
-                        crc=info.crc,
-                        nbytes=info.nbytes,
-                    )
-                )
+                new_catalog.append(self._write_segment(src, dst, side, values))
                 replaced.extend(group)
                 merged += 1
             if merged:
                 new_catalog.sort(key=lambda m: m.seq)
-                self._manifest.segments = new_catalog
-                save_manifest(self.root, self._manifest)
-                self._manifest_dirty = False
+                self._segments = new_catalog
+                self._append(replace=True)
                 for meta in replaced:
                     self._mappings.invalidate(meta.path)
                     try:
                         (self.root / meta.path).unlink()
                     except OSError:
                         pass
-            cataloged = {m.path for m in self._manifest.segments}
+            cataloged = {m.path for m in self._segments}
             for orphan in self.root.glob("seg-*.rtb"):
                 if orphan.name not in cataloged:
                     try:
@@ -548,8 +541,7 @@ class TraceLake:
                 sum(a.size for a in parts) for parts in self._buffers.values()
             )
             pending_rows = len(self._pending_summaries)
-            segments = len(self._manifest.segments)
-            summary_files = len(self._manifest.summaries)
+            segments = len(self._segments)
         return {
             "enabled": True,
             "root": str(self.root),
@@ -558,9 +550,10 @@ class TraceLake:
             "spilled_records": self.spilled_records,
             "spilled_bytes": self.spilled_bytes,
             "buffered_records": buffered_records,
-            "summary_files": summary_files,
-            "summary_rows": self.summary_rows_written,
+            "summary_batches": self._summary_batches,
+            "summary_rows": self._summary_rows,
             "pending_summary_rows": pending_rows,
+            "journal_bytes": self._journal_end,
             "mapping_hits": self._mappings.hits,
             "mapping_misses": self._mappings.misses,
             "mapping_hit_rate": self._mappings.hit_rate,

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import TraceError
-from repro.lake.manifest import SegmentMeta
+from repro.lake.journal import SegmentMeta
 from repro.tracing.records import TimestampBatch
 from repro.tracing.storage import (
     BINARY_MAGIC,
@@ -39,13 +39,13 @@ from repro.tracing.storage import (
 
 
 def segment_filename(seq: int) -> str:
-    """Canonical segment filename for a manifest sequence number."""
+    """Canonical segment filename for a catalog sequence number."""
     return f"seg-{seq:08d}.rtb"
 
 
 @dataclass(frozen=True)
 class SegmentWriteInfo:
-    """What :func:`write_segment` committed (feeds the manifest entry)."""
+    """What :func:`write_segment` committed (feeds the catalog entry)."""
 
     count: int
     crc: int
@@ -61,7 +61,7 @@ def write_segment(
     observed_at_destination: bool,
     values: np.ndarray,
 ) -> SegmentWriteInfo:
-    """Write one spill segment; returns the manifest-entry fields.
+    """Write one spill segment; returns the catalog-entry fields.
 
     The payload is written whole to a temp file and renamed into place,
     so a crash can never leave a half-written file under the segment's
@@ -92,7 +92,7 @@ def write_segment(
 def read_segment(path: "os.PathLike[str]", meta: SegmentMeta) -> np.ndarray:
     """Zero-copy read of one segment, cross-checked against its catalog entry.
 
-    Any disagreement between the file and the manifest -- stream
+    Any disagreement between the file and the catalog -- stream
     identity, record count, or the body CRC recorded at spill time --
     raises :class:`~repro.errors.TraceError`: a swapped or regenerated
     segment must never be served under a stale catalog entry.
@@ -123,7 +123,7 @@ def read_segment(path: "os.PathLike[str]", meta: SegmentMeta) -> np.ndarray:
         or len(batch) != meta.count
     ):
         raise TraceError(
-            f"{path}: segment does not match manifest entry seq {meta.seq} "
+            f"{path}: segment does not match catalog entry seq {meta.seq} "
             f"({batch.src!r}->{batch.dst!r} side={int(batch.observed_at_destination)} "
             f"count={len(batch)} vs cataloged {meta.src!r}->{meta.dst!r} "
             f"side={int(meta.observed_at_destination)} count={meta.count})"

@@ -4,8 +4,7 @@ When the sliding-window correlator evicts its oldest block, the block's
 contribution to the window aggregate -- the sum of every cached
 lag-product vector involving it -- is about to be subtracted and lost.
 The engine instead hands that row (plus the block's marginal mass/energy
-statistics and, when the FFT kernel left one warm, the block's cached
-spectrum) to the lake as a :class:`BlockSummary`, keyed by the service
+statistics) to the lake as a :class:`BlockSummary`, keyed by the service
 class and edge it belongs to.
 
 Folding summaries answers drift questions over arbitrary past spans by
@@ -27,13 +26,12 @@ marker* (``coverage="begin"``), the lake persists one evicted-through
 the two (:func:`covered_blocks`); a correlator dropped with blocks still
 in its window writes an ``"end"`` marker at the frontier.
 
-Arrays are serialized as base64 of their little-endian bytes, so a
-summary round-trips bit-exactly through JSON.
+Rows persist in the lake's journal (:mod:`repro.lake.journal`) as raw
+little-endian columns, so a summary round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -42,24 +40,8 @@ import numpy as np
 from repro.core.correlation import CorrelationSeries, fold_correlation
 from repro.errors import CorrelationError, TraceError
 
-
-def _encode_array(values: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(values, dtype=dtype).tobytes()
-    ).decode("ascii")
-
-
-def _decode_array(text: str, dtype: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError) as exc:
-        raise TraceError(f"lake summary: bad base64 payload: {exc}") from exc
-    itemsize = np.dtype(dtype).itemsize
-    if len(raw) % itemsize:
-        raise TraceError(
-            f"lake summary: payload length {len(raw)} not a multiple of {itemsize}"
-        )
-    return np.frombuffer(raw, dtype=dtype).copy()
+#: Values of :attr:`BlockSummary.coverage`; the journal stores the index.
+COVERAGE = (None, "begin", "end")
 
 
 @dataclass(frozen=True)
@@ -69,8 +51,6 @@ class BlockSummary:
     ``lag_products`` is the block's summed pair-product row
     (``None`` for a quiet block: identically zero, but its length and
     zero masses still count toward the fold's normalization).
-    ``spectrum`` carries the block's cached ``rfft`` when the engine's
-    :class:`~repro.core.correlation.SpectrumCache` was warm at eviction.
     A row with ``coverage`` set is a marker, not a block: its key's
     implicit coverage begins (``"begin"``) or ends (``"end"``) at
     ``block_start``.
@@ -88,9 +68,13 @@ class BlockSummary:
     y_total: float = 0.0
     y_energy: float = 0.0
     lag_products: Optional[np.ndarray] = None
-    spectrum: Optional[np.ndarray] = None
-    spectrum_size: Optional[int] = None
     coverage: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.block_length < 1 or self.quantum <= 0:
+            raise TraceError("lake summary: bad block geometry")
+        if self.coverage not in COVERAGE:
+            raise TraceError(f"lake summary: bad coverage {self.coverage!r}")
 
     @property
     def t_min(self) -> float:
@@ -103,67 +87,6 @@ class BlockSummary:
     @property
     def quiet(self) -> bool:
         return self.lag_products is None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "client": self.client,
-            "root": self.root,
-            "src": self.src,
-            "dst": self.dst,
-            "block_start": self.block_start,
-            "block_length": self.block_length,
-            "quantum": self.quantum,
-            "x_total": self.x_total,
-            "x_energy": self.x_energy,
-            "y_total": self.y_total,
-            "y_energy": self.y_energy,
-        }
-        if self.coverage is not None:
-            doc["coverage"] = self.coverage
-        if self.lag_products is not None:
-            doc["lag_products"] = _encode_array(self.lag_products, "<f8")
-        if self.spectrum is not None:
-            doc["spectrum"] = _encode_array(self.spectrum, "<c16")
-            doc["spectrum_size"] = int(self.spectrum_size or 0)
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlockSummary":
-        try:
-            summary = cls(
-                client=str(data["client"]),
-                root=str(data["root"]),
-                src=str(data["src"]),
-                dst=str(data["dst"]),
-                block_start=int(data["block_start"]),
-                block_length=int(data["block_length"]),
-                quantum=float(data["quantum"]),
-                x_total=float(data["x_total"]),
-                x_energy=float(data["x_energy"]),
-                y_total=float(data["y_total"]),
-                y_energy=float(data["y_energy"]),
-                lag_products=(
-                    _decode_array(data["lag_products"], "<f8")
-                    if "lag_products" in data
-                    else None
-                ),
-                spectrum=(
-                    _decode_array(data["spectrum"], "<c16")
-                    if "spectrum" in data
-                    else None
-                ),
-                spectrum_size=(
-                    int(data["spectrum_size"]) if "spectrum_size" in data else None
-                ),
-                coverage=data.get("coverage"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"lake summary: malformed row: {exc}") from exc
-        if summary.block_length < 1 or summary.quantum <= 0:
-            raise TraceError("lake summary: bad block geometry")
-        if summary.coverage not in (None, "begin", "end"):
-            raise TraceError(f"lake summary: bad coverage {summary.coverage!r}")
-        return summary
 
 
 def covered_blocks(
@@ -224,6 +147,20 @@ def fold_summaries(
     """
     rows = sorted(summaries, key=lambda s: s.block_start)
     covered = covered_blocks(rows, frontier, start, end)
+    return fold_covered(rows, covered, max_lag, start, end)
+
+
+def fold_covered(
+    rows: Sequence[BlockSummary],
+    covered: np.ndarray,
+    max_lag: Optional[int] = None,
+    start: float = float("-inf"),
+    end: float = float("inf"),
+) -> CorrelationSeries:
+    """:func:`fold_summaries` over rows already ordered and covered.
+
+    ``covered`` is :func:`covered_blocks` of the same rows and span
+    (``span_estimate`` needs it for its own bounds, so computes it once)."""
     if covered.size == 0:
         raise CorrelationError("cannot fold an empty summary set")
     quantum = rows[0].quantum

@@ -38,7 +38,7 @@ STAGE_DFS = "dfs"
 STAGE_PUBLISH = "publish"
 
 #: Optional stage: trace-lake write-behind spill (segment cuts, summary
-#: persistence, manifest checkpoints). Not part of
+#: persistence, journal checkpoints). Not part of
 #: :data:`PIPELINE_STAGES` -- it only appears in ledgers of engines with
 #: a lake attached (``record_stage`` creates unknown stages on demand).
 STAGE_SPILL = "spill"

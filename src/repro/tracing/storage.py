@@ -222,8 +222,8 @@ def _decode_section_body(
 def encode_capture_section(batch: TimestampBatch) -> "tuple[bytes, int]":
     """One encoded ``.rtb`` section and its body CRC-32.
 
-    The trace lake writes single-section segment files and catalogs the
-    body CRC in its manifest, so corruption detected by the reader can be
+    The trace lake writes single-section segment files and records the
+    body CRC in its catalog, so corruption detected by the reader can be
     cross-checked against the catalog without re-reading the segment.
     """
     section = _encode_section(batch)

@@ -18,8 +18,6 @@ published bit:
   explicitly materialized quiet rows, bit for bit.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -232,19 +230,15 @@ class TestDormantCostNothing:
         )
         # Nothing on disk says "nothing happened": a row is a coverage
         # marker or carries mass.
-        rows = [
-            row
-            for path in sorted((tmp_path / "lake").glob("sum-*.json"))
-            for row in json.loads(path.read_text(encoding="utf-8"))
-        ]
-        assert any("coverage" in row for row in rows)
+        reopened = TraceLake(tmp_path / "lake")
+        rows = reopened.summaries()
+        assert len(rows) == engine.lake.stats()["summary_rows"]
+        assert any(row.coverage for row in rows)
         for row in rows:
-            assert "coverage" in row or "lag_products" in row or any(
-                row[field] for field in ("x_total", "x_energy", "y_total", "y_energy")
+            assert row.coverage or row.lag_products is not None or any(
+                (row.x_total, row.x_energy, row.y_total, row.y_energy)
             ), row
-        assert json.loads(
-            (tmp_path / "lake" / "manifest.json").read_text(encoding="utf-8")
-        )["frontier"] == engine.lake.frontier
+        assert reopened.frontier == engine.lake.frontier is not None
 
     def test_stages_partition_the_refresh_wall(self, tmp_path, monkeypatch):
         """Spill time accrued inside ingest (capture-sink auto-sweep) used
@@ -359,7 +353,7 @@ class TestImplicitFold:
         def check(kinds, first, gap, flush_every, spans, seed):
             rng = np.random.default_rng(seed)
             root = tmp_path_factory.mktemp("lake")
-            lake = TraceLake(root, summary_rows=5)
+            lake = TraceLake(root)
             # The correlator's first eviction is block `first`; with a gap
             # it is dropped once the frontier reaches block `drop` and its
             # successor's first eviction is block `resume`.
@@ -402,7 +396,7 @@ class TestImplicitFold:
             compare(lake)  # pending, unflushed rows included
             lake.close()
             compare(lake)
-            compare(TraceLake(root))  # reopened: frontier from the manifest
+            compare(TraceLake(root))  # reopened: frontier from the journal
 
         check()
 
@@ -418,21 +412,23 @@ class TestImplicitFold:
         for row in rows:
             lake.record_summary(row)
         lake.close()
-        manifest = json.loads((tmp_path / "old" / "manifest.json").read_text())
-        assert manifest["frontier"] is None
-        assert not any(entry["coverage"] for entry in manifest["summaries"])
         reopened = TraceLake(tmp_path / "old")
+        assert reopened.frontier is None
+        assert not any(row.coverage for row in reopened.summaries())
         same_estimate(span_estimate(reopened, *KEY, max_lag=MAX_LAG), rows)
         same_estimate(
             span_estimate(reopened, *KEY, start=0.008, end=0.030, max_lag=MAX_LAG),
             rows[1:5],
         )
 
-    def test_marker_round_trip_and_empty_coverage(self):
+    def test_marker_round_trip_and_empty_coverage(self, tmp_path):
         marker = mark("begin", 2)
-        assert BlockSummary.from_dict(marker.to_dict()) == marker
+        lake = TraceLake(tmp_path)
+        lake.record_summary(marker)
+        lake.close()
+        assert TraceLake(tmp_path).summaries() == [marker]
         with pytest.raises(TraceError):
-            BlockSummary.from_dict({**marker.to_dict(), "coverage": "middle"})
+            mark("middle", 2)
         # A marker with no frontier covers nothing yet.
         with pytest.raises(CorrelationError):
             fold_summaries([marker])

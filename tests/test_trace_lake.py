@@ -1,14 +1,15 @@
 """Tests for the tiered trace lake (`repro.lake`).
 
 The lake is the collector's second storage tier: eviction spills
-columnar chunks into time-indexed ``.rtb`` segments behind a crash-safe
-JSON manifest, reads stitch mmap'd segments with resident chunks, and
-correlator eviction materializes per-(class, edge) summaries.  The
-contracts hammered here:
+columnar chunks into time-indexed ``.rtb`` segments cataloged by an
+append-only journal, reads stitch mmap'd segments with resident chunks,
+and correlator eviction materializes per-(class, edge) summaries.  The
+contracts hammered here (the journal's crash and corruption lifecycle is
+in ``test_lake_journal.py``):
 
 * decode returns the exact payload or raises ``TraceError`` -- never a
   different exception -- for every truncation, byte flip, and
-  manifest/segment mismatch (mirroring ``test_ingest_codecs_fuzz.py``);
+  catalog/segment mismatch (mirroring ``test_ingest_codecs_fuzz.py``);
 * stitched reads are **bitwise identical** to an unbounded collector's
   (hypothesis property, the invariant the whole tier rests on);
 * spilling, compaction and querying are safe to interleave across
@@ -17,7 +18,7 @@ contracts hammered here:
   materializes summaries whose folds agree with raw replays.
 """
 
-import json
+import dataclasses
 import tempfile
 import threading
 
@@ -28,19 +29,18 @@ from repro.config import LakeConfig, PathmapConfig
 from repro.core.engine import E2EProfEngine
 from repro.errors import AnalysisError, ConfigError, TraceError
 from repro.lake import (
-    MANIFEST_NAME,
+    JOURNAL_NAME,
     BlockSummary,
-    LakeManifest,
     SegmentMappingLRU,
     SegmentMeta,
     TraceLake,
     fold_summaries,
-    load_manifest,
     read_segment,
-    save_manifest,
+    scan_journal,
     segment_filename,
     write_segment,
 )
+from repro.lake.journal import JOURNAL_MAGIC, encode_record
 from repro.obs.ledger import PIPELINE_STAGES, STAGE_SPILL
 from repro.simulation.distributions import Erlang
 from repro.simulation.nodes import StaticRouter
@@ -80,77 +80,86 @@ def series_key(series):
 
 
 # ---------------------------------------------------------------------------
-# Manifest
+# Journal: the catalog's on-disk form
 # ---------------------------------------------------------------------------
+
+
+def _meta(seq, count=4):
+    return SegmentMeta(
+        seq=seq, path=segment_filename(seq), src="A", dst="B",
+        observed_at_destination=True, t_min=0.0, t_max=3.0, count=count,
+        crc=0xC0FFEE, nbytes=99,
+    )
+
+
+def _write_journal(root, *records):
+    """A journal holding ``records`` = (segments, next_seq[, replace])."""
+    blob = JOURNAL_MAGIC
+    for segments, next_seq, *replace in records:
+        _, buffers = encode_record(len(blob), [], segments, next_seq, None, *replace)
+        blob += b"".join(buffers)
+    (root / JOURNAL_NAME).write_bytes(blob)
+    return blob
 
 
 class TestManifest:
     def test_missing_manifest_is_empty(self, tmp_path):
-        manifest = load_manifest(tmp_path)
-        assert manifest.segments == [] and manifest.summaries == []
+        assert list(scan_journal(tmp_path)) == []
+        lake = TraceLake(tmp_path)
+        assert lake.segments() == [] and lake.summaries() == []
+        assert lake.frontier is None
+        lake.close()
+        assert list(tmp_path.iterdir()) == []  # nothing to persist, no file
 
     def test_round_trip(self, tmp_path):
-        info = write_segment(
-            tmp_path / segment_filename(0), "A", "B", True, np.arange(4.0)
+        _write_journal(tmp_path, ([_meta(0), _meta(1)], 2), ([_meta(5)], 9))
+        first, second = scan_journal(tmp_path)
+        assert first.segments == [_meta(0), _meta(1)] and not first.replace
+        assert (second.segments, second.next_seq) == ([_meta(5)], 9)
+        assert second.offset == first.end
+        assert TraceLake(tmp_path).segments() == [_meta(0), _meta(1), _meta(5)]
+
+    def test_replace_record_swaps_the_catalog(self, tmp_path):
+        _write_journal(
+            tmp_path, ([_meta(0), _meta(1)], 2), ([_meta(2)], 3, True), ([_meta(3)], 4)
         )
-        meta = SegmentMeta(
-            seq=0,
-            path=segment_filename(0),
-            src="A",
-            dst="B",
-            observed_at_destination=True,
-            t_min=info.t_min,
-            t_max=info.t_max,
-            count=info.count,
-            crc=info.crc,
-            nbytes=info.nbytes,
-        )
-        manifest = LakeManifest(next_seq=1, segments=[meta], summaries=[])
-        save_manifest(tmp_path, manifest)
-        loaded = load_manifest(tmp_path)
-        assert loaded.next_seq == 1
-        assert loaded.segments == [meta]
+        assert TraceLake(tmp_path).segments() == [_meta(2), _meta(3)]
 
     def test_bad_json_rejected(self, tmp_path):
-        (tmp_path / MANIFEST_NAME).write_text("{not json", encoding="utf-8")
-        with pytest.raises(TraceError):
-            load_manifest(tmp_path)
+        """A v1 lake -- whatever its manifest holds -- is refused by name,
+        never opened as an empty lake."""
+        for text in ("{not json", '{"version": 1, "next_seq": 0, "segments": []}'):
+            (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+            with pytest.raises(TraceError, match="v1 trace lake"):
+                TraceLake(tmp_path)
 
     def test_wrong_version_rejected(self, tmp_path):
-        (tmp_path / MANIFEST_NAME).write_text(
-            json.dumps({"version": 99, "next_seq": 0, "segments": [],
-                        "summaries": []}),
-            encoding="utf-8",
-        )
-        with pytest.raises(TraceError):
-            load_manifest(tmp_path)
+        blob = _write_journal(tmp_path, ([_meta(0)], 1))
+        (tmp_path / JOURNAL_NAME).write_bytes(blob[:7] + b"\x63" + blob[8:])
+        with pytest.raises(TraceError, match="unsupported version"):
+            TraceLake(tmp_path)
 
     def test_manifest_byte_flips_never_escape_trace_error(self, tmp_path):
-        save_manifest(tmp_path, LakeManifest(next_seq=0, segments=[],
-                                             summaries=[]))
-        blob = bytearray((tmp_path / MANIFEST_NAME).read_bytes())
+        blob = _write_journal(tmp_path, ([_meta(0)], 1), ([_meta(1)], 2))
         for pos in range(len(blob)):
             flipped = bytearray(blob)
             flipped[pos] ^= 0xFF
-            (tmp_path / MANIFEST_NAME).write_bytes(bytes(flipped))
-            try:
-                load_manifest(tmp_path)
-            except TraceError:
-                pass  # the only exception the contract allows
+            (tmp_path / JOURNAL_NAME).write_bytes(bytes(flipped))
+            with pytest.raises(TraceError):
+                TraceLake(tmp_path)
 
     def test_duplicate_seq_rejected(self, tmp_path):
-        row = {
-            "seq": 0, "path": "seg-00000000.rtb", "src": "A", "dst": "B",
-            "observed_at_destination": True, "t_min": 0.0, "t_max": 1.0,
-            "count": 2, "crc": 0, "nbytes": 16,
-        }
-        (tmp_path / MANIFEST_NAME).write_text(
-            json.dumps({"version": 1, "next_seq": 5,
-                        "segments": [row, row], "summaries": []}),
-            encoding="utf-8",
-        )
+        _write_journal(tmp_path, ([_meta(0)], 1), ([_meta(0)], 2))
         with pytest.raises(TraceError):
-            load_manifest(tmp_path)
+            TraceLake(tmp_path)
+        _write_journal(tmp_path, ([_meta(3)], 3))  # next_seq collides
+        with pytest.raises(TraceError):
+            TraceLake(tmp_path)
+
+    def test_segment_path_may_not_escape_the_root(self, tmp_path):
+        _write_journal(tmp_path, ([dataclasses.replace(_meta(0), path="../x.rtb")], 1))
+        with pytest.raises(TraceError, match="escapes"):
+            TraceLake(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +220,6 @@ class TestSegmentFuzz:
                 read_segment(tmp_path / "f.rtb", meta)
 
     def test_meta_mismatch_raises(self, tmp_path):
-        import dataclasses
-
         path, meta, _ = _segment(tmp_path)
         for doctored in (
             dataclasses.replace(meta, count=meta.count + 1),
@@ -376,10 +383,34 @@ class TestTraceLake:
     def test_stats_shape(self, tmp_path):
         lake = TraceLake(tmp_path)
         stats = lake.stats()
-        for key in ("enabled", "segments", "spilled_records", "spilled_bytes",
-                    "buffered_records", "mapping_hit_rate", "summary_rows"):
+        for key in ("enabled", "segments", "segments_written", "spilled_records",
+                    "spilled_bytes", "buffered_records", "mapping_hit_rate",
+                    "summary_rows", "summary_batches", "journal_bytes"):
             assert key in stats
         assert stats["enabled"] is True
+
+    def test_stats_and_ls_count_batches_and_rows_from_the_index(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.cli import main
+
+        lake = TraceLake(tmp_path)
+        lake.spill("A", "B", True, np.arange(8.0))
+        for block in range(3):
+            lake.record_summary(BlockSummary("C", "WS", "WS", "DB", block, 1, 0.5))
+            lake.checkpoint()
+        lake.close()  # journals the segment: a fourth record, no rows
+        for view in (lake, TraceLake(tmp_path)):  # the writer and a reader agree
+            stats = view.stats()
+            assert (stats["summary_batches"], stats["summary_rows"]) == (3, 3)
+            assert stats["journal_bytes"] == (tmp_path / JOURNAL_NAME).stat().st_size
+        assert main(["lake", "ls", str(tmp_path)]) == 0
+        assert "1 segments (8 records" in capsys.readouterr().out
+        assert main(["lake", "ls", str(tmp_path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stats"]["summary_rows"] == 3 and len(doc["segments"]) == 1
 
 
 class TestLakeConfig:
@@ -507,14 +538,28 @@ class TestSummaries:
             x_total=0.0 if quiet else 4.0, x_energy=0.0 if quiet else 6.0,
             y_total=0.0 if quiet else 4.0, y_energy=0.0 if quiet else 6.0,
             lag_products=None if quiet else np.asarray(lag, dtype=np.float64),
-            spectrum=None, spectrum_size=None,
         )
 
-    def test_round_trip_dict(self):
-        summary = self._summary(0, [1.0, 2.0, 3.0])
-        clone = BlockSummary.from_dict(summary.to_dict())
-        assert clone.block_start == 0
-        assert np.array_equal(clone.lag_products, summary.lag_products)
+    def test_round_trip_journal(self, tmp_path):
+        written = [self._summary(0, [1.0, 2.0, 3.0]), self._summary(4, quiet=True)]
+        lake = TraceLake(tmp_path)
+        for row in written:
+            lake.record_summary(row)
+        lake.close()
+        for got, want in zip(TraceLake(tmp_path).summaries(), written):
+            assert np.array_equal(got.lag_products, want.lag_products)
+            assert got.lag_products is None or got.lag_products.dtype == np.float64
+            assert dataclasses.replace(got, lag_products=None) == dataclasses.replace(
+                want, lag_products=None
+            )
+
+    def test_bad_rows_are_refused_at_construction(self):
+        with pytest.raises(TraceError):
+            BlockSummary("C", "WS", "WS", "DB", 0, 0, 0.5)
+        with pytest.raises(TraceError):
+            BlockSummary("C", "WS", "WS", "DB", 0, 4, 0.0)
+        with pytest.raises(TraceError):
+            BlockSummary("C", "WS", "WS", "DB", 0, 4, 0.5, coverage="middle")
 
     def test_fold_requires_rows(self):
         from repro.errors import CorrelationError
@@ -529,38 +574,27 @@ class TestSummaries:
         assert not series.degenerate
 
     def test_summaries_decodes_only_rows_matching_the_key_filters(self, tmp_path):
-        import json
-
-        lake = TraceLake(tmp_path / "lake")
+        lake = TraceLake(tmp_path)
         lake.record_summary(self._summary(0, [1.0, 2.0, 3.0]))
-        lake.record_summary(self._summary(4, [4.0, 5.0, 6.0]))
+        lake.record_summary(
+            dataclasses.replace(self._summary(4, [4.0, 5.0, 6.0]), dst="OTHER")
+        )
         lake.close()
-        path = tmp_path / "lake" / lake.summary_files()[0].path
-        rows = json.loads(path.read_text(encoding="utf-8"))
-        rows[1]["dst"] = "OTHER"
-        rows[1]["lag_products"] = "!!not base64!!"
-
-        def rewrite():
-            path.write_text(json.dumps(rows) + "\n", encoding="utf-8")
-
-        rewrite()
-        # The corrupt payload belongs to another key: never decoded.
-        (only,) = lake.summaries(client="C", root="WS", src="WS", dst="DB")
+        path = tmp_path / JOURNAL_NAME
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01  # the last lag value of the OTHER row
+        path.write_bytes(bytes(blob))
+        reopened = TraceLake(tmp_path)  # heads are intact
+        # The damaged payload belongs to another key: never read.
+        (only,) = reopened.summaries(client="C", root="WS", src="WS", dst="DB")
         assert only.block_start == 0
-        # Same contract as before for rows that do match ...
-        with pytest.raises(TraceError):
-            lake.summaries(dst="OTHER")
-        with pytest.raises(TraceError):
-            lake.summaries()
-        # ... and for rows that cannot be matched at all.
-        del rows[1]["dst"]
-        rewrite()
-        with pytest.raises(TraceError):
-            lake.summaries(client="C", root="WS", src="WS", dst="DB")
-        rows[1] = "not a row"
-        rewrite()
-        with pytest.raises(TraceError):
-            lake.summaries(dst="DB")
+        (early,) = reopened.summaries(end=2.0)  # nor outside the span
+        assert early.block_start == 0
+        # The read that touches it says so -- it never folds silently.
+        with pytest.raises(TraceError, match="checksum"):
+            reopened.summaries(dst="OTHER")
+        with pytest.raises(TraceError, match="checksum"):
+            reopened.summaries()
 
     def test_engine_materializes_summaries_and_spill_stage(self, tmp_path):
         from repro.analysis.history import raw_span_estimate, span_estimate
