@@ -11,7 +11,6 @@ issuing requests after warmup, and compares:
   edge) pair, every refresh, quiet or not.
 * ``batched``  -- reference-grouped batch kernels plus quiet-edge
   skipping and the O(1) quiet window slide.
-* ``batched+4w`` -- the same with a 4-thread refresh pool.
 
 Asserts the headline claim: on a workload where at least half of the
 pair slots are quiet per block, the batched refresh's median latency is
@@ -39,9 +38,8 @@ REPEATS = 2
 
 def test_batched_refresh_twice_as_fast():
     modes = {
-        "serial": dict(batched=False, workers=1),
-        "batched": dict(batched=True, workers=1),
-        "batched+4w": dict(batched=True, workers=4),
+        "serial": dict(batched=False),
+        "batched": dict(batched=True),
     }
     results = {}
     for name, mode in modes.items():

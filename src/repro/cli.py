@@ -83,17 +83,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="spike threshold in std deviations (default 3)")
     parser.add_argument("--min-spike-height", type=float, default=0.0,
                         help="absolute spike floor (default 0: paper rule)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for per-class analysis "
-                             "(default 1 = serial; results are identical)")
-    parser.add_argument("--parallel", default="auto",
-                        choices=["auto", "serial", "threads", "processes"],
-                        help="refresh execution mode (default auto: threads "
-                             "when --workers > 1, serial otherwise; results "
-                             "are bit-identical in every mode)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="correlator shard processes for "
-                             "--parallel processes (default 0 = --workers)")
 
 
 def _config_from(args: argparse.Namespace) -> PathmapConfig:
@@ -108,9 +97,6 @@ def _config_from(args: argparse.Namespace) -> PathmapConfig:
         max_transaction_delay=args.max_delay,
         spike_sigma=args.spike_sigma,
         min_spike_height=args.min_spike_height,
-        workers=getattr(args, "workers", 1),
-        parallel=getattr(args, "parallel", "auto"),
-        shards=getattr(args, "shards", 0),
     )
 
 
@@ -147,7 +133,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         collector.window(config, end_time=end),
         config,
         method=args.method,
-        workers=config.workers,
     )
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
@@ -191,7 +176,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
             collector.window(config, end_time=end),
             config,
             method=args.method,
-            workers=config.workers,
         )
 
     before = analysis(args.before_end)
@@ -230,7 +214,6 @@ def cmd_render(args: argparse.Namespace) -> int:
         collector.window(config, end_time=end),
         config,
         method=args.method,
-        workers=config.workers,
     )
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
@@ -310,7 +293,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             quantum=args.quantum,
             sampling_window=args.sampling_window or 50 * args.quantum,
             max_transaction_delay=args.max_delay,
-            workers=getattr(args, "workers", 1),
         )
         from repro.core.engine import E2EProfEngine
 
@@ -445,7 +427,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             quantum=args.quantum,
             sampling_window=args.sampling_window or 50 * args.quantum,
             max_transaction_delay=args.max_delay,
-            workers=getattr(args, "workers", 1),
         )
         rubis = build_rubis(dispatch="affinity", seed=args.seed)
         engine = E2EProfEngine(config, wire_fidelity=True)
@@ -545,7 +526,6 @@ def _demo_engine(args: argparse.Namespace):
         quantum=args.quantum,
         sampling_window=args.sampling_window or 50 * args.quantum,
         max_transaction_delay=args.max_delay,
-        workers=getattr(args, "workers", 1),
         measured_dispatch=getattr(args, "measured_dispatch", False),
         fft_dispatch=getattr(args, "fft_dispatch", "auto"),
     )

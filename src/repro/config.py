@@ -79,23 +79,6 @@ class PathmapConfig:
     #: removes them without touching real spikes (typically > 0.3).
     #: 0.0 keeps the paper's exact rule.
     min_spike_height: float = 0.0
-    #: Worker threads for the refresh/analysis fan-out (paper Section 3.7:
-    #: the service graph of each client node can be computed in parallel).
-    #: 1 = fully serial; > 1 shards the per-class pathmap DFS and the
-    #: engine's reference-grouped correlator updates across a thread pool.
-    #: Results are identical to serial either way.
-    workers: int = 1
-    #: Refresh parallelism mode: ``"serial"`` (one thread), ``"threads"``
-    #: (a ``workers``-wide thread pool; GIL-bound outside the numpy
-    #: kernels), ``"processes"`` (consistent-hash sharded worker
-    #: *processes* reading blocks over shared memory -- see
-    #: :mod:`repro.core.shards`) or ``"auto"`` (the default:
-    #: ``threads`` when ``workers > 1``, else ``serial``). Every mode is
-    #: bit-identical to serial; only the wall-clock cost changes.
-    parallel: str = "auto"
-    #: Worker-process count for ``parallel="processes"``. 0 (the
-    #: default) falls back to ``workers``.
-    shards: int = 0
     #: Trace retention horizon in seconds for bounded-memory collectors
     #: (see :attr:`retention_horizon`). None picks the analysis-safe
     #: default ``3 * window + max_transaction_delay``; an explicit value
@@ -163,15 +146,6 @@ class PathmapConfig:
             raise ConfigError(
                 f"min_spike_height must be in [0, 1), got {self.min_spike_height}"
             )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.parallel not in ("auto", "serial", "threads", "processes"):
-            raise ConfigError(
-                "parallel must be one of auto/serial/threads/processes, "
-                f"got {self.parallel!r}"
-            )
-        if self.shards < 0:
-            raise ConfigError(f"shards must be >= 0, got {self.shards}")
         if self.fft_dispatch not in ("auto", "off", "force"):
             raise ConfigError(
                 "fft_dispatch must be one of auto/off/force, "
@@ -341,9 +315,7 @@ class LakeConfig:
     segment_bytes: int = 256 * 1024
     #: Open segment mappings kept by the read path's LRU.
     mapping_cache: int = 64
-    #: Persist materialized correlation summaries at correlator-eviction
-    #: time (serial/threads engines only; the raw spill tier is
-    #: mode-independent).
+    #: Persist materialized correlation summaries at correlator-eviction time.
     summaries: bool = True
 
     def __post_init__(self) -> None:

@@ -254,8 +254,8 @@ def choose_sparse_kernel(
 
     A pure function of the unit estimates (and, when both are given, the
     measured per-unit costs from the refresh ledger's EWMAs), so every
-    caller -- grouped appends, history replays, thread workers and shard
-    worker processes -- makes the identical choice for identical blocks.
+    caller -- grouped appends and history replays -- makes the identical
+    choice for identical blocks.
     Both kernels produce bitwise-identical lag products, so the choice
     never changes analysis output, only where the time goes.
     """
@@ -276,8 +276,8 @@ def choose_batch_kernel(
 
     Extends :func:`choose_sparse_kernel` with the dense-regime FFT batch
     kernel.  Like the two-way rule it is a pure function of its inputs,
-    so every host (serial engine, thread workers, shard processes) routes
-    identical blocks to the identical kernel.  The measured FFT frontier
+    so identical blocks always route to the identical kernel.  The
+    measured FFT frontier
     is used only when all three per-unit EWMAs are warm; until then the
     modeled constants (:data:`MODELED_RLE_COST_RATIO`,
     :data:`MODELED_FFT_COST_RATIO`) decide.  Ties go to the direct
@@ -767,10 +767,7 @@ class SpectrumCache:
     while its spectrum is alive.  Spectra are always computed by a single
     1-D ``rfft`` -- a pure function of (block contents, size) -- so a hit
     returns the bitwise-identical array a recompute would produce and
-    caching can never change analysis output.  Under the thread-pooled
-    engine two workers may race to fill the same entry; the loser's
-    write replaces the winner's with a bitwise-equal array, so the race
-    is benign.
+    caching can never change analysis output.
 
     ``evict_before`` drops entries whose block slid out of the retained
     window; the engine calls it once per refresh, bounding resident
@@ -804,20 +801,6 @@ class SpectrumCache:
         self._entries[key] = (block, spec)
         self.misses += 1
         return spec
-
-    def seed(self, block: SeriesLike, size: int, spectrum: np.ndarray) -> None:
-        """Insert an externally computed spectrum for ``(block, size)``.
-
-        The shard dispatch path ships the parent's per-block ``rfft``
-        results to every worker so process shards stop recomputing them.
-        The seeded array must be what :meth:`spectrum` would compute --
-        ``np.fft.rfft(block.to_dense(), size)`` -- which the shipper
-        guarantees by computing it with exactly that expression; a wrong
-        seed would change analysis output, so this is not a public
-        tuning knob.  Counters are untouched: a later lookup records the
-        hit it is.
-        """
-        self._entries[(id(block), int(size))] = (block, spectrum)
 
     def evict_before(self, start: int) -> int:
         """Drop entries whose block starts before quantum ``start``."""

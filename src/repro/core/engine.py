@@ -22,9 +22,7 @@ settings), which is negligible against ``dW``.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
-import threading
 import time
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -34,17 +32,16 @@ from repro.core.confidence import (
     ConfidenceReport,
     window_confidence,
 )
-from repro.core.correlation import SpectrumCache, fft_length
+from repro.core.correlation import SpectrumCache
 from repro.core.incremental import IncrementalCorrelator, block_is_quiet
 from repro.lake.summaries import BlockSummary
-from repro.core.pathmap import Pathmap, PathmapResult, PathmapStats, class_pairs
+from repro.core.pathmap import Pathmap, PathmapResult
 from repro.core.rle import RunLengthSeries
 from repro.core.stages import HostWindow, PipelineCore
 from repro.errors import AnalysisError
 from repro.obs.events import (
     EVENT_DEGRADED_REFRESH,
     EVENT_LOW_CONFIDENCE,
-    EVENT_SHARD_LOST,
     EVENT_SUBSCRIBER_ERROR,
     EVENT_TRACER_STALE,
     EVENT_TRANSPORT_GAP,
@@ -103,20 +100,8 @@ class E2EProfEngine(PipelineCore):
 
     The refresh is an explicit four-stage pipeline -- **ingest ->
     correlate -> DFS -> publish**, the exact stage names of the refresh
-    ledger -- and the middle stages run in one of three execution modes
-    (``parallel``), every one of which produces bit-identical results:
-
-    ``"serial"``
-        Everything on the calling thread.
-    ``"threads"``
-        Correlator append groups and the per-class DFS fan out over a
-        ``workers``-wide thread pool (GIL-bound outside the numpy
-        kernels).
-    ``"processes"``
-        Service classes are partitioned across ``shards`` worker
-        *processes* by a consistent-hash shard map; fresh blocks ship
-        zero-copy via shared memory and per-shard partial pathmaps merge
-        deterministically (:mod:`repro.core.shards`).
+    ledger -- run on the calling thread. The correlate and DFS stages'
+    state and kernels live in :class:`~repro.core.stages.PipelineCore`.
     """
 
     def __init__(
@@ -130,7 +115,6 @@ class E2EProfEngine(PipelineCore):
         flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
         transport: Optional[TransportConfig] = None,
         channel_factory: Optional[Callable[[NodeId], FaultyChannel]] = None,
-        workers: Optional[int] = None,
         batched: bool = True,
         capture_sink: Optional[TraceCollector] = None,
         lake: Optional["TraceLake"] = None,
@@ -138,45 +122,9 @@ class E2EProfEngine(PipelineCore):
         ledger: bool = True,
         measured_dispatch: Optional[bool] = None,
         fft_dispatch: Optional[str] = None,
-        parallel: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         self.config = config
         self._clients: Set[NodeId] = set(clients or ())
-        #: Worker threads for refresh work (correlator append groups + the
-        #: per-class pathmap DFS). Defaults to ``config.workers``; results
-        #: are bit-identical to serial at any setting.
-        self.workers = int(workers) if workers is not None else config.workers
-        if self.workers < 1:
-            raise AnalysisError(f"workers must be >= 1, got {self.workers}")
-        #: Execution mode of the correlate/DFS stages (see class
-        #: docstring). ``"auto"`` resolves to threads when ``workers > 1``
-        #: and serial otherwise, preserving the pre-``parallel`` behavior.
-        self.parallel = parallel if parallel is not None else config.parallel
-        if self.parallel == "auto":
-            self.parallel = "threads" if self.workers > 1 else "serial"
-        if self.parallel not in ("serial", "threads", "processes"):
-            raise AnalysisError(
-                "parallel must be one of serial/threads/processes, "
-                f"got {self.parallel!r}"
-            )
-        #: Worker process count for ``parallel="processes"``. Defaults to
-        #: ``config.shards``, falling back to ``workers``.
-        self.shards = int(shards) if shards is not None else (config.shards or self.workers)
-        if self.shards < 1:
-            raise AnalysisError(f"shards must be >= 1, got {self.shards}")
-        # Thread fan-out inside this process: only the threads mode
-        # shards refresh work across the pool.
-        self._thread_workers = self.workers if self.parallel == "threads" else 1
-        # Parent-side shard fleet (processes mode; created at attach).
-        self._sharded = None
-        # (shard, owned class pairs) dropped from the latest refresh
-        # because the shard's worker died mid-refresh.
-        self._lost_shards: List[Tuple[int, List[RefKey]]] = []
-        # The latest refresh's class pairs, in canonical analysis order,
-        # and their per-shard partition (processes mode bookkeeping).
-        self._dispatch_pair_order: List[RefKey] = []
-        self._dispatch_pairs: Dict[int, List[RefKey]] = {}
         #: When True (default), correlator updates use reference-grouped
         #: :func:`~repro.core.correlation.batch_lag_products` kernels with
         #: quiet-edge skipping and correlation memoization. False restores
@@ -213,10 +161,6 @@ class E2EProfEngine(PipelineCore):
         # Cross-refresh cache of block FFT spectra (the overlap-add
         # increment: only the newest dW block needs a fresh transform).
         self._spectra = SpectrumCache()
-        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        # Guards the plain-int per-refresh tallies below when provider
-        # callbacks run on pool threads (workers > 1).
-        self._tally_lock = threading.Lock()
         #: When True, every streamed block is round-tripped through the
         #: binary wire format (tracing.wire) before analysis -- proving
         #: the bytes actually sent over the network carry everything the
@@ -372,11 +316,6 @@ class E2EProfEngine(PipelineCore):
         self.lake = lake
         if lake is not None and capture_sink is not None and capture_sink.lake is None:
             capture_sink.lake = lake
-        # Summaries ride the in-process correlators' eviction hooks;
-        # processes-mode correlators live in shard workers without lake
-        # access, so summary capture is serial/threads-only (the raw
-        # spill path is mode-independent).
-        self._lake_summaries = lake is not None and self.parallel != "processes"
         self._lake_segments_synced = 0 if lake is None else lake.segments_written
         #: Fault-tolerant transport (None = legacy direct pull). When set,
         #: every block travels tracer -> TransportLink -> channel ->
@@ -493,18 +432,6 @@ class E2EProfEngine(PipelineCore):
         # Anchor block boundaries one sampling window behind the wall
         # clock so flushed blocks are complete (see module docstring).
         self._base_quantum = int(round(begin / tau)) - self.config.sampling_quanta
-        if self._thread_workers > 1 and self._pool is None:
-            # One pool for the engine's whole attached lifetime: spawning
-            # threads per refresh would dwarf the work they shard.
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self._thread_workers, thread_name_prefix="e2eprof-refresh"
-            )
-        if self.parallel == "processes" and self._sharded is None:
-            # The fleet manager spawns/respawns workers lazily at the top
-            # of each refresh's correlate stage (ensure_workers).
-            from repro.core.shards import ShardedAnalysis
-
-            self._sharded = ShardedAnalysis(self, self.shards)
         self._task = PeriodicTask(
             topology.sim,
             self.config.refresh_interval,
@@ -517,34 +444,14 @@ class E2EProfEngine(PipelineCore):
             self._task.cancel()
             self._task = None
         self._topology = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
 
     def close(self) -> None:
         """Release every runtime resource the engine holds: the refresh
-        task, the thread pool, the shard worker processes and all
-        shared-memory segments. Idempotent; safe to call whether or not
-        the engine was ever attached (``detach`` already is both, this
-        alias just names the teardown contract explicitly)."""
+        task, and the lake's buffered writes (flushed). Idempotent; safe
+        to call whether or not the engine was ever attached."""
         self.detach()
         if self.lake is not None:
             self.lake.flush()
-
-    def reshard(self, shards: int) -> None:
-        """Rebalance the process fleet to ``shards`` workers at the next
-        refresh boundary (``parallel="processes"`` only; a no-op count
-        change otherwise). Consistent hashing moves only ~1/N of the
-        service classes per step, and moved classes rebuild their
-        correlators bit-identically from mirrored block history."""
-        if shards < 1:
-            raise AnalysisError(f"shards must be >= 1, got {shards}")
-        self.shards = int(shards)
-        if self._sharded is not None:
-            self._sharded.reshard(self.shards)
 
     # -- refresh ------------------------------------------------------------------------
 
@@ -586,12 +493,11 @@ class E2EProfEngine(PipelineCore):
         self._refresh_corr_cache_hits = 0
         self._refresh_capture_batches = 0
         self._refresh_low_confidence = 0
-        self._lost_shards = []
         self.ledger.begin_refresh()
         wire_bytes_before = self.wire_bytes_received
         fresh, late_frames = self._stage_ingest(now, block_start)
-        self._stage_correlate(fresh, late_frames, block_start, now)
-        result, pathmap_seconds = self._stage_dfs(now)
+        self._stage_correlate(fresh, late_frames, block_start)
+        result, pathmap_seconds = self._stage_dfs()
         result = self._stage_publish(
             result,
             now,
@@ -617,10 +523,9 @@ class E2EProfEngine(PipelineCore):
         lake = self.lake
         if self.capture_sink is not None and self.capture_sink.retention is not None:
             self.capture_sink.evict_expired()
-        if self._lake_summaries:
-            lake.advance_frontier(
-                block_start - (self._num_blocks - 1) * self._block_quanta
-            )
+        lake.advance_frontier(
+            block_start - (self._num_blocks - 1) * self._block_quanta
+        )
         lake.checkpoint()
         segments = lake.segments_written - self._lake_segments_synced
         self._lake_segments_synced = lake.segments_written
@@ -629,17 +534,16 @@ class E2EProfEngine(PipelineCore):
     def _summary_hook(self, ref_key, edge_key):
         """Correlator eviction hook persisting materialized summaries.
 
-        Returns None unless a lake is attached and the correlators live
-        in this process; otherwise a closure that turns each evicted
-        ``(reference block, signal block, summed pair-product row)`` into
-        a :class:`~repro.lake.BlockSummary` buffered in the lake (memory
-        only; the refresh's checkpoint journals it).  The first eviction
-        also writes a coverage marker; from there to the lake's frontier
-        an eviction of two quiet blocks is implicit.
+        Returns None without a lake; otherwise a closure that turns each
+        evicted ``(reference block, signal block, summed pair-product
+        row)`` into a :class:`~repro.lake.BlockSummary` buffered in the
+        lake (memory only; the refresh's checkpoint journals it).  The
+        first eviction also writes a coverage marker; from there to the
+        lake's frontier an eviction of two quiet blocks is implicit.
         """
-        if not self._lake_summaries:
-            return None
         lake = self.lake
+        if lake is None:
+            return None
         client, root = ref_key
         src, dst = edge_key
         covered = False
@@ -678,7 +582,7 @@ class E2EProfEngine(PipelineCore):
     def _invalidate_correlators(self, edge):
         """Dropped keys' implicit summary coverage ends at the frontier."""
         dropped = super()._invalidate_correlators(edge)
-        if self._lake_summaries and self.lake.frontier is not None:
+        if self.lake is not None and self.lake.frontier is not None:
             for ref_key, edge_key in dropped:
                 self.lake.record_summary(
                     BlockSummary(
@@ -738,150 +642,32 @@ class E2EProfEngine(PipelineCore):
         fresh: Dict[EdgeKey, RunLengthSeries],
         late_frames: List[BlockFrame],
         block_start: int,
-        now: float,
     ) -> None:
         """**Stage 2 -- correlate**: store/patch block history and bring
-        every incremental correlator up to date.
-
-        Serial and thread modes append in-process (the thread pool fans
-        out per reference group). Processes mode first heals the fleet
-        -- dead shards respawn from the *pre-store* mirrored history, so
-        they ingest this refresh like everyone else -- then stores
-        locally (the parent's mirror feeds confidence/quality grading
-        and future respawns) and ships the refresh to every worker,
-        which appends and analyzes concurrently; their timings land in
-        this stage's ledger sample when collected."""
+        every incremental correlator up to date."""
         correlate_started = time.perf_counter()
-        if self._sharded is not None:
-            self._sharded.ensure_workers()
         self._refreshes += 1
         self._store_blocks(fresh, block_start)
         if late_frames:
             self._patch_late_blocks(late_frames, block_start)
-        if self._sharded is not None:
-            from repro.core.shards import block_tuple
-
-            pairs = class_pairs(HostWindow(self))
-            self._dispatch_pair_order = pairs
-            self._dispatch_pairs = self._sharded.partition(pairs)
-            late_payload = [
-                (frame.edge, block_tuple(frame.block))
-                for frame in late_frames
-                if frame.block is not None
-            ]
-            spectra = None
-            if self.fft_dispatch != "off":
-                # Compute each fresh block's rfft once in the parent and
-                # ship it with the blocks: workers seed their caches
-                # instead of re-transforming per shard. spectrum() is a
-                # pure function of (block, size), so seeded entries are
-                # bitwise what the worker would have computed.
-                size = fft_length(2 * self._block_quanta - 1)
-                spectra = {
-                    edge: (size, self._spectra.spectrum(block, size))
-                    for edge, block in fresh.items()
-                    if not block_is_quiet(block)
-                }
-            with self.tracer.span(
-                "engine.shards.dispatch", shards=self._sharded.num_shards
-            ):
-                self._sharded.dispatch(
-                    fresh,
-                    late_payload,
-                    block_start,
-                    now,
-                    self._dispatch_pairs,
-                    clients=self._clients,
-                    refreshes=self._refreshes,
-                    spectra=spectra,
-                )
-        else:
-            with self.tracer.span(
-                "engine.correlators", correlators=len(self._correlators)
-            ):
-                self._append_to_correlators()
+        with self.tracer.span(
+            "engine.correlators", correlators=len(self._correlators)
+        ):
+            self._append_to_correlators()
         self.ledger.record_stage(
             STAGE_CORRELATE, time.perf_counter() - correlate_started, len(self._blocks)
         )
 
-    def _stage_dfs(self, now: float) -> Tuple[PathmapResult, float]:
-        """**Stage 3 -- DFS**: recompute every service class's graph.
-
-        Serial/thread modes run the pathmap DFS in-process. Processes
-        mode collects each shard's partial pathmap and merges the
-        disjoint per-class results deterministically."""
+    def _stage_dfs(self) -> Tuple[PathmapResult, float]:
+        """**Stage 3 -- DFS**: recompute every service class's graph."""
         pathmap_started = time.perf_counter()
         with self.tracer.span("engine.pathmap"):
-            if self._sharded is not None:
-                result = self._merge_shard_partials(now)
-            else:
-                window = HostWindow(self)
-                result = self._pathmap.analyze(
-                    window, workers=self._thread_workers, executor=self._pool
-                )
+            result = self._pathmap.analyze(HostWindow(self))
         pathmap_seconds = time.perf_counter() - pathmap_started
         self.ledger.record_stage(
             STAGE_DFS, pathmap_seconds, result.stats.correlations
         )
         return result, pathmap_seconds
-
-    def _merge_shard_partials(self, now: float) -> PathmapResult:
-        """Collect every shard worker's partial and merge: graphs are a
-        disjoint union re-ordered to the canonical pair order, stats and
-        tallies are sums, worker counter deltas fold into the parent
-        registry, and worker kernel/shard timings replay into the
-        parent's ledger. Shards lost mid-refresh are recorded for the
-        publish stage's degraded-quality annotation."""
-        merge_started = time.perf_counter()
-        partials, lost = self._sharded.collect()
-        stats = PathmapStats()
-        by_pair: Dict[RefKey, "object"] = {}
-        worker_correlate = 0.0
-        for partial in partials:
-            by_pair.update(partial.graphs)
-            stats.correlations += partial.correlations
-            stats.spikes += partial.spikes
-            stats.edges_discovered += partial.edges_discovered
-            stats.graphs += partial.graph_count
-            stats.nodes_visited += partial.nodes_visited
-            self._refresh_cache_hits += partial.cache_hits
-            self._refresh_cache_misses += partial.cache_misses
-            self._refresh_skips += partial.skips
-            self._refresh_corr_cache_hits += partial.corr_cache_hits
-            worker_correlate = max(worker_correlate, partial.correlate_seconds)
-            for kernel in sorted(partial.kernels):
-                rows, seconds, units, nbytes = partial.kernels[kernel]
-                self.ledger.record_kernel(
-                    kernel,
-                    rows=rows,
-                    seconds=seconds,
-                    work_units=units,
-                    bytes_touched=nbytes,
-                )
-            self.ledger.record_shard(
-                partial.shard,
-                partial.correlate_seconds,
-                partial.dfs_seconds,
-                classes=partial.classes,
-                correlators=partial.correlators,
-            )
-            # Worker counters (pathmap_*, correlator_*, engine cache
-            # hit/miss...) fold in as deltas, so enabled-registry runs
-            # read integer-identical totals to a serial run.
-            for name, labels, help_, delta in partial.counters:
-                self.metrics.counter(name, help_, labels=dict(labels)).inc(delta)
-        # Workers correlate concurrently with each other; the refresh's
-        # wall-clock correlate cost extends by the slowest shard.
-        self.ledger.record_stage(STAGE_CORRELATE, worker_correlate)
-        graphs: Dict[RefKey, "object"] = {}
-        for pair in self._dispatch_pair_order:
-            if pair in by_pair:
-                graphs[pair] = by_pair[pair]
-        stats.elapsed_seconds = time.perf_counter() - merge_started
-        self._lost_shards = [
-            (shard, self._dispatch_pairs.get(shard, [])) for shard in lost
-        ]
-        return PathmapResult(graphs, stats)
 
     def _stage_publish(
         self,
@@ -894,13 +680,11 @@ class E2EProfEngine(PipelineCore):
         wire_bytes_before: int,
     ) -> PathmapResult:
         """**Stage 4 -- publish**: annotate the result (quality,
-        shard-loss degradation, confidence, recommendations, ledger),
-        observe the engine metrics, and fan out to every subscriber."""
+        confidence, recommendations, ledger), observe the engine metrics,
+        and fan out to every subscriber."""
         annotate_started = time.perf_counter()
         if self._receiver is not None:
             self._apply_quality(result, now, block_start)
-        if self._lost_shards:
-            self._apply_shard_loss(result, now)
         self._apply_confidence(result, now)
         if self.adaptive:
             self._update_recommendations(result)
@@ -928,7 +712,7 @@ class E2EProfEngine(PipelineCore):
         self._m_blocks.inc(blocks_ingested)
         wire_bytes = self.wire_bytes_received - wire_bytes_before
         self._m_wire_bytes.inc(wire_bytes)
-        self._m_correlators.set(self._correlator_total())
+        self._m_correlators.set(len(self._correlators))
         self._m_edges.set(len(self._blocks))
         fanout_started = time.perf_counter()
         with self.tracer.span(
@@ -945,8 +729,8 @@ class E2EProfEngine(PipelineCore):
             fanout_seconds=fanout_seconds,
             blocks_ingested=blocks_ingested,
             wire_bytes=wire_bytes,
-            correlators=self._correlator_total(),
-            parked_correlators=self.parked_count,
+            correlators=len(self._correlators),
+            parked_correlators=len(self._parked),
             cache_hits=self._refresh_cache_hits,
             cache_misses=self._refresh_cache_misses,
             correlations=result.stats.correlations,
@@ -989,80 +773,11 @@ class E2EProfEngine(PipelineCore):
                 self._refreshes,
                 now,
                 blocks_ingested,
-                self._correlator_total(),
+                len(self._correlators),
                 result.stats.spikes,
                 self.last_refresh_seconds * 1e3,
             )
         return result
-
-    def _correlator_total(self) -> int:
-        """Live correlators across the analysis, whichever process holds
-        them (the fleet's last reported counts in processes mode)."""
-        if self._sharded is not None:
-            return self._sharded.correlator_total()
-        return len(self._correlators)
-
-    @property
-    def correlator_count(self) -> int:
-        return self._correlator_total()
-
-    @property
-    def parked_count(self) -> int:
-        """Dormant correlators dropped until one of their edges wakes."""
-        if self._sharded is not None:
-            return self._sharded.parked_total()
-        return len(self._parked)
-
-    def _apply_shard_loss(self, result: PathmapResult, now: float) -> None:
-        """Degrade, never drop: a shard lost mid-refresh leaves its
-        service classes out of this result, so their reference edges --
-        and every edge their previous graphs had discovered -- are
-        marked :data:`QUALITY_DEGRADED` through the same DataQuality
-        machinery transport faults use, and a ``shard_lost`` event is
-        published per lost shard. The fleet respawns the shard from
-        mirrored history at the next refresh."""
-        previous = self.latest_result
-        dark_edges: Set[EdgeKey] = set()
-        for _, pairs in self._lost_shards:
-            for pair in pairs:
-                dark_edges.add(pair)
-                if previous is not None:
-                    graph = previous.graphs.get(pair)
-                    if graph is not None:
-                        dark_edges.update(edge.key for edge in graph.edges)
-        if self._receiver is not None:
-            # Start from this refresh's transport verdicts (already
-            # annotated) and only ever worsen them.
-            edge_quality = dict(self.latest_edge_quality)
-        else:
-            edge_quality = {edge: FRESH_QUALITY for edge in self._blocks}
-        for edge in sorted(dark_edges):
-            current = edge_quality.get(edge)
-            if current is None or current.ok:
-                edge_quality[edge] = DataQuality(QUALITY_DEGRADED, 1.0)
-        score = overall_quality(edge_quality.values())
-        result.annotate_quality(edge_quality, score)
-        self.quality_score = score
-        self.latest_edge_quality = edge_quality
-        self._m_quality.set(score)
-        for shard, pairs in self._lost_shards:
-            self.events.publish(
-                EVENT_SHARD_LOST,
-                now,
-                shard=shard,
-                classes=len(pairs),
-                degraded_edges=len(dark_edges),
-            )
-        if self._receiver is None and score < 1.0:
-            # With transport on, _apply_quality owns the degraded-refresh
-            # event; without it, shard loss is the only degradation source.
-            self.events.publish(
-                EVENT_DEGRADED_REFRESH,
-                now,
-                quality=score,
-                degraded_edges=sum(1 for q in edge_quality.values() if not q.ok),
-                stale_tracers=0,
-            )
 
     def _notify(self, callback: Callable, now: float, args: Tuple) -> None:
         """Call one subscriber, isolated: a raising callback is logged,
@@ -1370,8 +1085,7 @@ class E2EProfEngine(PipelineCore):
 
     def _apply_confidence(self, result: PathmapResult, now: float) -> None:
         """Grade every service class's reference signal against the
-        steady-state assumption and annotate the result. Runs serially
-        after the DFS, so ``workers`` never affects the verdicts."""
+        steady-state assumption and annotate the result."""
         reports: Dict[RefKey, ConfidenceReport] = {}
         for class_key in self._class_reference_edges():
             reports[class_key] = window_confidence(
@@ -1449,10 +1163,6 @@ class E2EProfEngine(PipelineCore):
             raise AnalysisError("engine was never attached")
         cutoff_quantum = int(round(cutoff / self.config.quantum))
         blanked = self._blank_history(cutoff_quantum)
-        if self._sharded is not None:
-            # Mirror the blanking into every shard worker's history (an
-            # ordered control message, applied before the next refresh).
-            self._sharded.rewindow(cutoff_quantum)
         if blanked:
             self.rewindows += 1
             self._m_rewindows.inc()
@@ -1501,8 +1211,3 @@ class E2EProfEngine(PipelineCore):
                 if not quality.ok
             },
         }
-
-
-#: Backwards-compatible alias: the engine's TraceWindow view now
-#: lives in :mod:`repro.core.stages` and serves shard workers too.
-_EngineWindow = HostWindow

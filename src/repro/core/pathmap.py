@@ -22,7 +22,6 @@ application cooperation, source code, or instrumentation is required.
 from __future__ import annotations
 
 import abc
-import concurrent.futures
 import dataclasses
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
@@ -78,11 +77,6 @@ def class_pairs(window: TraceWindow) -> List[Tuple[NodeId, NodeId]]:
     """Every ``(client, front_end)`` service class, in analysis order.
 
     The order is canonical (sorted, deterministic).
-
-    This is the unit both of the DFS loop and of consistent-hash
-    sharding: the engine partitions exactly this list across shard
-    worker processes, so the disjoint per-shard unions reconstruct the
-    serial pass bit-for-bit.
     """
     return [
         (client, root)
@@ -261,10 +255,9 @@ class Pathmap:
         # the incremental correlator's dirty-flag cache does exactly that
         # for quiet edges -- the previous detect_spikes result is reused.
         # Holding a strong reference to the series makes the identity check
-        # safe (the id cannot be recycled while the entry lives). Each key
-        # is only ever touched by its own service class's DFS, so the memo
-        # needs no locking under parallel analyze(). A host that discards
-        # a correlator calls forget() so the memo dies with it.
+        # safe (the id cannot be recycled while the entry lives). A host
+        # that discards a correlator calls forget() so the memo dies with
+        # it.
         self._spike_cache: Dict[
             Tuple[Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
             Tuple["CorrelationSeries", List[Spike]],
@@ -291,38 +284,19 @@ class Pathmap:
 
     # -- Algorithm 1: ServiceRoot ------------------------------------------------
 
-    def analyze(
-        self,
-        window: TraceWindow,
-        workers: int = 1,
-        executor: Optional[concurrent.futures.Executor] = None,
-        pairs: Optional[List[Tuple[NodeId, NodeId]]] = None,
-    ) -> PathmapResult:
-        """Compute the service graphs of every service class in ``window``.
+    def analyze(self, window: TraceWindow) -> PathmapResult:
+        """Compute the service graphs of every service class in ``window``
+        (:func:`class_pairs` order), one class at a time.
 
-        ``workers > 1`` parallelizes the inner loop of ServiceRoot across
-        a thread pool -- the paper's Section 3.7 scalability note ("The
-        pathmap algorithm can easily be made more scalable by parallely
-        computing the service graph of each client node"). The numpy
-        correlation kernels release the GIL, so threads give real
-        speedup; results are identical to the serial order. Passing a
-        persistent ``executor`` (the online engine keeps one across its
-        whole attach/detach lifetime) avoids re-spawning a pool on every
-        refresh.
-
-        ``pairs`` restricts the pass to an explicit subset of
-        ``(client, root)`` service classes -- how a shard worker process
-        computes only its owned partition. Defaults to every class in
-        the window (:func:`class_pairs`), so a partitioned union over
-        disjoint subsets merges to exactly the full result.
-        """
+        Classes are independent -- the paper's Section 3.7 notes the
+        algorithm "can easily be made more scalable by parallely computing
+        the service graph of each client node" -- but neither a thread
+        pool nor worker processes beat this loop on the measured
+        workloads (docs/PERFORMANCE.md, "Parallel refresh")."""
         started = time.perf_counter()
         stats = PathmapStats()
-        if pairs is None:
-            pairs = class_pairs(window)
-
-        def analyze_pair(pair: Tuple[NodeId, NodeId]) -> Tuple[Tuple[NodeId, NodeId], ServiceGraph, PathmapStats]:
-            client, root = pair
+        graphs: Dict[Tuple[NodeId, NodeId], ServiceGraph] = {}
+        for client, root in class_pairs(window):
             pair_started = time.perf_counter()
             graph = ServiceGraph(client, root)
             local = PathmapStats()
@@ -335,30 +309,17 @@ class Pathmap:
                 span.set_attribute("spikes", local.spikes)
                 span.set_attribute("edges", local.edges_discovered)
                 span.set_attribute("nodes_visited", local.nodes_visited)
-            local.graphs = 1
             if self._metrics is not None:
                 self._metrics.histogram(
                     "pathmap_class_seconds",
                     "Wall-clock seconds to compute one service class's graph",
                     labels={"class": f"{client}@{root}"},
                 ).observe(time.perf_counter() - pair_started)
-            return pair, graph, local
-
-        graphs: Dict[Tuple[NodeId, NodeId], ServiceGraph] = {}
-        if workers > 1 and len(pairs) > 1:
-            if executor is not None:
-                outcomes = list(executor.map(analyze_pair, pairs))
-            else:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(pool.map(analyze_pair, pairs))
-        else:
-            outcomes = [analyze_pair(pair) for pair in pairs]
-        for pair, graph, local in outcomes:
-            graphs[pair] = graph
+            graphs[(client, root)] = graph
             stats.correlations += local.correlations
             stats.spikes += local.spikes
             stats.edges_discovered += local.edges_discovered
-            stats.graphs += local.graphs
+            stats.graphs += 1
             stats.nodes_visited += local.nodes_visited
         stats.elapsed_seconds = time.perf_counter() - started
         if self._metrics is not None:
@@ -439,11 +400,8 @@ def compute_service_graphs(
     window: TraceWindow,
     config: PathmapConfig,
     method: str = "auto",
-    workers: int = 1,
     metrics: Optional["MetricsRegistry"] = None,
     tracer: Optional["SpanTracer"] = None,
 ) -> PathmapResult:
     """Convenience wrapper: one-shot pathmap analysis of a window."""
-    return Pathmap(config, method=method, metrics=metrics, tracer=tracer).analyze(
-        window, workers=workers
-    )
+    return Pathmap(config, method=method, metrics=metrics, tracer=tracer).analyze(window)

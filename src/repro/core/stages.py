@@ -1,4 +1,4 @@
-"""Shared pipeline-stage machinery for analysis hosts.
+"""The correlate-stage machinery of the online engine.
 
 The online engine's refresh is four explicit stages -- **ingest ->
 correlate -> DFS -> publish**, the exact stage names the refresh ledger
@@ -7,23 +7,12 @@ stages operate on one bundle of state: the aligned per-edge block
 history, the incremental correlator cache keyed ``(reference, edge)``,
 and the kernels that append fresh blocks into those correlators.
 
-That bundle lives here, as :class:`PipelineCore` -- a mixin hosted by
-two different owners:
+That bundle lives here, as :class:`PipelineCore`, a mixin of
+:class:`repro.core.engine.E2EProfEngine`. A correlator's contents depend
+only on the block history and the append order, so a correlator rebuilt
+from history is bit-identical to one maintained across refreshes.
 
-* :class:`repro.core.engine.E2EProfEngine` itself (serial and thread
-  modes run everything in-process), and
-* :class:`repro.core.shards.ShardWorkerState`, the per-process state of
-  one consistent-hash shard under ``parallel="processes"`` -- every
-  worker mirrors the full block history (blocks arrive zero-copy via
-  shared memory) but maintains correlators only for its owned service
-  classes.
-
-Both hosts run byte-for-byte the same append/replay/dispatch code, which
-is what makes the sharded refresh bit-identical to the serial one: a
-correlator's contents depend only on the block history and the append
-order, never on which process performed the appends.
-
-Host contract (attributes every :class:`PipelineCore` host provides):
+Host contract (attributes the engine provides):
 
 ``config`` (:class:`~repro.config.PathmapConfig`), ``metrics``
 (:class:`~repro.obs.registry.MetricsRegistry`), ``tracer``
@@ -32,15 +21,16 @@ Host contract (attributes every :class:`PipelineCore` host provides):
 ``measured_dispatch`` (bools), ``fft_dispatch`` (``"auto"`` / ``"off"``
 / ``"force"``), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
-``_pool`` (optional thread executor), ``_clients`` (set of client node
-ids), ``_blocks`` / ``_correlators`` (the window state), ``_parked`` /
+``_clients`` (set of client node ids), ``_blocks`` / ``_correlators``
+(the window state), ``_parked`` /
 ``_edge_keys`` (parked keys; edge -> its live and parked keys),
 ``_boundary`` (this refresh's per-(edge, side) boundary masses),
 ``_pathmap`` (the :class:`~repro.core.pathmap.Pathmap` whose spike memo
 dies with the correlators),
 ``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
-``_tally_lock`` plus the per-refresh ``_refresh_*`` tallies, and the
-``_m_batch`` / ``_m_cache_hits`` / ``_m_cache_misses`` instruments.
+the per-refresh ``_refresh_*`` tallies, the ``_summary_hook`` factory of
+correlator eviction hooks, and the ``_m_batch`` / ``_m_cache_hits`` /
+``_m_cache_misses`` instruments.
 
 **Parking.** A correlator whose whole window is quiet on both sides
 holds nothing its block history does not: the host drops it, keeps its
@@ -93,7 +83,7 @@ CorrelatorKey = Tuple[RefKey, EdgeKey]
 
 
 class PipelineCore:
-    """Block-history + correlator machinery shared by analysis hosts.
+    """Block-history + correlator machinery of the online engine.
 
     See the module docstring for the host attribute contract. Every
     method is deterministic given the host's window state; none of them
@@ -221,10 +211,10 @@ class PipelineCore:
         groups: Dict[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]] = {}
         for (ref_edge, edge), correlator in self._correlators.items():
             groups.setdefault(ref_edge, []).append((edge, correlator))
-        if self._pool is not None and len(groups) > 1:
-            results = list(self._pool.map(self._append_group, groups.items()))
-        else:
-            results = [self._append_group(item) for item in groups.items()]
+        results = [
+            self._append_group(ref_edge, members)
+            for ref_edge, members in groups.items()
+        ]
         # A parked correlator's append would have skipped every pair slot;
         # count those without visiting it.
         reach = -(-self.config.max_lag_quanta // self._block_quanta)
@@ -304,9 +294,9 @@ class PipelineCore:
         surge) even the RLE kernel's run-pair count blows up, and the
         batched FFT kernel -- whose ``size * log2(size)`` cost is fixed
         by the window, independent of density -- takes over. All three
-        estimates are pure functions of the blocks, so grouped appends,
-        history replays and parallel shards all make the identical choice
-        and stay bit-for-bit reproducible.
+        estimates are pure functions of the blocks, so grouped appends
+        and history replays make the identical choice and stay
+        bit-for-bit reproducible.
 
         With ``measured_dispatch`` on (and the kernel EWMAs warmed), the
         comparison weighs each side's dispatch units by the ledger's
@@ -445,12 +435,12 @@ class PipelineCore:
 
     def _append_group(
         self,
-        group: Tuple[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]],
+        ref_edge: RefKey,
+        members: List[Tuple[EdgeKey, IncrementalCorrelator]],
     ) -> Tuple[int, List[CorrelatorKey]]:
         """Append the newest blocks to every correlator of one reference
         group, batching all non-quiet edges into shared kernels. Returns
         the pair products skipped as quiet and the keys left dormant."""
-        ref_edge, members = group
         x_new = self._blocks[ref_edge][-1]
         x_quiet = block_is_quiet(x_new)
         traced = self.tracer.enabled
@@ -532,17 +522,14 @@ class PipelineCore:
     ) -> CorrelationSeries:
         correlator = self._correlators.get((ref_key, edge_key))
         if correlator is None:
-            with self._tally_lock:
-                self._refresh_cache_misses += 1
+            self._refresh_cache_misses += 1
             self._m_cache_misses.inc()
             correlator = self._create_correlator(ref_key, edge_key)
         else:
-            with self._tally_lock:
-                self._refresh_cache_hits += 1
+            self._refresh_cache_hits += 1
             self._m_cache_hits.inc()
         if correlator.result_cached:
-            with self._tally_lock:
-                self._refresh_corr_cache_hits += 1
+            self._refresh_corr_cache_hits += 1
             return correlator.correlation()
         return correlator.correlation(
             self._boundary_mass(ref_key, newest=True),
@@ -552,8 +539,7 @@ class PipelineCore:
     def _boundary_mass(self, edge: EdgeKey, newest: bool) -> np.ndarray:
         """This refresh's :func:`boundary_mass` of one edge's window, shared
         by every correlator with the edge on that side (x tail: all of a
-        reference group; y head: every class correlating the edge). Two
-        DFS threads may race to fill an entry with bitwise-equal arrays."""
+        reference group; y head: every class correlating the edge)."""
         key = (edge, newest)
         mass = self._boundary.get(key)
         if mass is None:
@@ -561,12 +547,6 @@ class PipelineCore:
                 self._blocks[edge], self.config.max_lag_quanta, newest
             )
         return mass
-
-    def _summary_hook(self, ref_key: RefKey, edge_key: EdgeKey):
-        """Optional eviction hook for new correlators. The engine
-        overrides this to materialize trace-lake summaries; the shared
-        core (and shard workers) have no lake, so the default is None."""
-        return None
 
     def _create_correlator(self, ref_key: RefKey, edge_key: EdgeKey) -> IncrementalCorrelator:
         ref_blocks = self._blocks.get(ref_key)
@@ -637,17 +617,18 @@ class PipelineCore:
 
     @property
     def correlator_count(self) -> int:
+        """Live incremental correlators."""
         return len(self._correlators)
+
+    @property
+    def parked_count(self) -> int:
+        """Dormant correlators dropped until one of their edges wakes."""
+        return len(self._parked)
 
 
 class HostWindow(TraceWindow):
-    """TraceWindow view over a :class:`PipelineCore` host's block history.
-
-    Works identically over the engine and over a shard worker's mirrored
-    state -- both expose ``_active_edges`` / ``_clients`` /
-    ``_edge_series`` -- so parent and workers derive the same class
-    pairs from the same window.
-    """
+    """TraceWindow view over a :class:`PipelineCore` host's block history
+    (its ``_active_edges`` / ``_clients`` / ``_edge_series``)."""
 
     def __init__(self, host: PipelineCore) -> None:
         self._host = host

@@ -27,10 +27,9 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
-#: Pipeline stage names, in execution order. These formalize the stage
-#: boundaries the ROADMAP sharding item needs: block pull from tracers,
+#: Pipeline stage names, in execution order: block pull from tracers,
 #: correlator store/patch/append, pathmap DFS, and result fan-out.
 STAGE_INGEST = "ingest"
 STAGE_CORRELATE = "correlate"
@@ -156,47 +155,6 @@ class KernelSample:
 
 
 @dataclasses.dataclass
-class ShardSample:
-    """Per-shard stage timings of one process-sharded refresh.
-
-    Attributes
-    ----------
-    correlate_seconds:
-        Wall-clock time the shard's worker spent storing/patching blocks
-        and appending to its owned correlators this refresh.
-    dfs_seconds:
-        Wall-clock time the worker spent in the pathmap DFS over its
-        owned service classes.
-    classes:
-        Service classes (``(client, root)`` pairs) the shard owned.
-    correlators:
-        Live incremental correlators held by the shard after the refresh.
-    """
-
-    correlate_seconds: float = 0.0
-    dfs_seconds: float = 0.0
-    classes: int = 0
-    correlators: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "correlate_seconds": self.correlate_seconds,
-            "correlators": self.correlators,
-            "dfs_seconds": self.dfs_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ShardSample":
-        return cls(
-            correlate_seconds=float(doc.get("correlate_seconds", 0.0)),
-            dfs_seconds=float(doc.get("dfs_seconds", 0.0)),
-            classes=int(doc.get("classes", 0)),
-            correlators=int(doc.get("correlators", 0)),
-        )
-
-
-@dataclasses.dataclass
 class RefreshLedger:
     """The full cost accounting of one engine refresh.
 
@@ -219,9 +177,6 @@ class RefreshLedger:
     kernels:
         Kernel name -> :class:`KernelSample`, always containing all three
         :data:`CORRELATION_KERNELS` (zero rows when a kernel was idle).
-    shards:
-        Shard id (as a string) -> :class:`ShardSample` per-worker stage
-        timings; empty unless the refresh ran ``parallel="processes"``.
     skips:
         Pair products skipped this refresh because a block was quiet.
     cache_hits:
@@ -234,7 +189,6 @@ class RefreshLedger:
     refresh_seconds: float = 0.0
     stages: Dict[str, StageSample] = dataclasses.field(default_factory=dict)
     kernels: Dict[str, KernelSample] = dataclasses.field(default_factory=dict)
-    shards: Dict[str, ShardSample] = dataclasses.field(default_factory=dict)
     skips: int = 0
     cache_hits: int = 0
 
@@ -245,10 +199,6 @@ class RefreshLedger:
     def kernel(self, name: str) -> KernelSample:
         """The named kernel's sample (a zero sample when absent)."""
         return self.kernels.get(name) or KernelSample()
-
-    def shard(self, shard_id: int) -> ShardSample:
-        """The named shard's sample (a zero sample when absent)."""
-        return self.shards.get(str(shard_id)) or ShardSample()
 
     def stage_seconds(self, name: str) -> float:
         return self.stage(name).seconds
@@ -263,10 +213,6 @@ class RefreshLedger:
             },
             "refresh_seconds": self.refresh_seconds,
             "sequence": self.sequence,
-            "shards": {
-                name: self.shards[name].to_dict()
-                for name in sorted(self.shards)
-            },
             "skips": self.skips,
             "stages": {
                 name: self.stages[name].to_dict()
@@ -277,7 +223,9 @@ class RefreshLedger:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RefreshLedger":
-        """Rebuild a ledger from :meth:`to_dict` output (JSON round-trip)."""
+        """Rebuild a ledger from :meth:`to_dict` output (JSON round-trip).
+        Unknown keys, such as the per-shard ``"shards"`` section of older
+        documents, are ignored."""
         return cls(
             time=float(doc.get("time", 0.0)),
             sequence=int(doc.get("sequence", 0)),
@@ -289,10 +237,6 @@ class RefreshLedger:
             kernels={
                 str(name): KernelSample.from_dict(sample)
                 for name, sample in doc.get("kernels", {}).items()
-            },
-            shards={
-                str(name): ShardSample.from_dict(sample)
-                for name, sample in doc.get("shards", {}).items()
             },
             skips=int(doc.get("skips", 0)),
             cache_hits=int(doc.get("cache_hits", 0)),
@@ -328,10 +272,11 @@ class LedgerRecorder:
     """Builds one :class:`RefreshLedger` per refresh and keeps the EWMAs.
 
     The engine owns one recorder for its lifetime. Per refresh the flow is
-    ``begin_refresh`` -> ``record_stage`` / ``record_kernel`` (kernel
-    records may arrive from pool threads; they take a lock) ->
+    ``begin_refresh`` -> ``record_stage`` / ``record_kernel`` ->
     ``complete``, which stamps the ledger, folds kernel measurements into
-    the persistent EWMAs and appends to a bounded history.
+    the persistent EWMAs and appends to a bounded history. Kernel records
+    and history reads take a lock, so callers may share one recorder
+    across their own threads.
 
     ``enabled=False`` turns every call into a cheap no-op (``complete``
     still returns a stage/kernel-complete zero ledger so downstream
@@ -360,7 +305,6 @@ class LedgerRecorder:
                         for name in PIPELINE_STAGES}
         # rows, seconds, work_units, bytes_touched
         self._kernels = {name: [0, 0.0, 0.0, 0] for name in CORRELATION_KERNELS}
-        self._shards: Dict[str, ShardSample] = {}
 
     # -- per-refresh recording -------------------------------------------------
 
@@ -392,7 +336,7 @@ class LedgerRecorder:
         work_units: float = 0.0,
         bytes_touched: int = 0,
     ) -> None:
-        """Add one kernel invocation's cost. Safe from pool threads."""
+        """Add one kernel invocation's cost. Thread-safe."""
         if not self.enabled:
             return
         with self._lock:
@@ -403,37 +347,6 @@ class LedgerRecorder:
             tally[1] += seconds
             tally[2] += work_units
             tally[3] += bytes_touched
-
-    def record_shard(
-        self,
-        shard: int,
-        correlate_seconds: float,
-        dfs_seconds: float,
-        classes: int = 0,
-        correlators: int = 0,
-    ) -> None:
-        """Record one shard worker's stage timings for this refresh."""
-        if not self.enabled:
-            return
-        self._shards[str(int(shard))] = ShardSample(
-            correlate_seconds=float(correlate_seconds),
-            dfs_seconds=float(dfs_seconds),
-            classes=int(classes),
-            correlators=int(correlators),
-        )
-
-    def kernel_tallies(self) -> Dict[str, Tuple[int, float, float, int]]:
-        """Copy of the current refresh's per-kernel tallies as
-        ``{kernel: (rows, seconds, work_units, bytes_touched)}``.
-
-        Shard workers use this to ship their kernel accounting back to
-        the parent recorder (replayed there via :meth:`record_kernel`).
-        """
-        with self._lock:
-            return {
-                name: (tally[0], tally[1], tally[2], tally[3])
-                for name, tally in self._kernels.items()
-            }
 
     def complete(
         self,
@@ -467,19 +380,16 @@ class LedgerRecorder:
                     ns_per_row_ewma=row_ewma.value,
                 )
             stages = self._stages
-            shards = self._shards
         else:
             kernels = {name: KernelSample() for name in CORRELATION_KERNELS}
             stages = {name: StageSample(unit=_STAGE_UNITS[name])
                       for name in PIPELINE_STAGES}
-            shards = {}
         ledger = RefreshLedger(
             time=float(time_),
             sequence=int(sequence),
             refresh_seconds=float(refresh_seconds),
             stages=stages,
             kernels=kernels,
-            shards=shards,
             skips=int(skips),
             cache_hits=int(cache_hits),
         )

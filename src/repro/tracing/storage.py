@@ -263,8 +263,7 @@ def read_capture_binary(
     The views hold the mapping alive via refcounting: the mapping -- and
     its pages -- are released only once the last batch referencing it is
     garbage-collected, so replay can hand batches to ``capture_sink``
-    and shard shared-memory shipment without ever materializing the
-    payload on the heap.
+    without ever materializing the payload on the heap.
     """
     if mmap:
         with open(path, "rb") as handle:

@@ -49,7 +49,7 @@ from repro.core.timeseries import DensityTimeSeries
 from repro.errors import AnalysisError, ConfigError, CorrelationError
 from repro.obs.ledger import KERNEL_FFT_BATCH
 
-from tests.test_engine_parallel import CFG, run_engine
+from tests.test_engine_determinism import CFG
 
 QUANTUM = 1e-3
 
@@ -449,22 +449,6 @@ class TestEngineFftDispatch:
             led.kernel(KERNEL_FFT_BATCH).rows == 0
             for led in engine.ledger.history()
         )
-
-    def test_auto_is_bit_identical_across_parallel_modes(self):
-        kwargs = dict(end_time=12.0, fft_dispatch="auto")
-        serial, s_samples = run_dense_engine(workers=1, **kwargs)
-        threads, t_samples = run_dense_engine(parallel="threads", workers=3,
-                                              **kwargs)
-        procs, p_samples = run_dense_engine(parallel="processes", shards=2,
-                                            **kwargs)
-        base = self.graphs_of(serial)
-        assert self.graphs_of(threads) == base
-        assert self.graphs_of(procs) == base
-        for other in (t_samples, p_samples):
-            assert len(other) == len(s_samples)
-            for s, o in zip(s_samples, other):
-                assert s.correlations == o.correlations
-                assert s.spikes == o.spikes
 
     def test_spectra_cache_warms_and_stays_bounded(self):
         engine, _ = run_dense_engine(fft_dispatch="force", end_time=16.0)

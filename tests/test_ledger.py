@@ -183,6 +183,16 @@ class TestRoundTrip:
         ledger = self._ledger()
         doc = json.loads(json.dumps(ledger.to_dict()))
         assert RefreshLedger.from_dict(doc).to_dict() == ledger.to_dict()
+        # Documents from engines that ran process shards (flight dumps,
+        # ``repro profile --json``) carry a per-shard section; it loads
+        # and is dropped.
+        doc["shards"] = {
+            "0": {"classes": 3, "correlate_seconds": 0.01,
+                  "correlators": 40, "dfs_seconds": 0.02},
+        }
+        old = RefreshLedger.from_dict(doc)
+        assert old == ledger
+        assert "shards" not in old.to_dict()
 
     def test_to_dict_keys_deterministically_ordered(self):
         doc = self._ledger().to_dict()

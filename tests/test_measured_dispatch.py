@@ -101,16 +101,6 @@ class TestBitIdentity:
                               config=MEASURED_CFG)
         assert_identical_graphs(modeled, measured)
 
-    def test_parallel_measured_matches_serial_modeled(self):
-        parallel_cfg = PathmapConfig(
-            window=6.0, refresh_interval=2.0, quantum=1e-3,
-            sampling_window=1e-3, max_transaction_delay=1.0,
-            min_spike_height=0.10, measured_dispatch=True, workers=4,
-        )
-        serial = run_engine(seed=7, config=CFG)
-        parallel = run_engine(seed=7, config=parallel_cfg)
-        assert_identical_graphs(serial, parallel)
-
 
 class TestForcedDispatchFlip:
     def test_cheap_sparse_ewma_routes_everything_to_sparse(self):

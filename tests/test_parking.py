@@ -13,7 +13,7 @@ published bit:
   history under late blocks and ``rewindow``;
 * an engine whose correlators never park publishes the same graphs, skip
   tallies and summary folds, refresh for refresh;
-* serial, threads and processes stay bit-identical through park/unpark;
+* two runs stay bit-identical through park/unpark, faults and rewindow;
 * a fold over implicit quiet blocks equals ``fold_summaries`` over the
   explicitly materialized quiet rows, bit for bit.
 """
@@ -34,8 +34,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.tracing.collector import TraceCollector
 from repro.tracing.transport import FaultyChannel
 
-from tests.test_engine_parallel import CFG
-from tests.test_engine_processes import assert_equivalent
+from tests.test_engine_determinism import CFG, assert_equivalent
 
 #: ``T_u > W``: a lag reaches past the whole window (``reach >= m``), the
 #: case where the per-append skip count is capped by the window depth.
@@ -178,26 +177,15 @@ class TestParkUnparkLifecycle:
             )
             assert np.array_equal(got.series.values, want.series.values)
 
-    def test_serial_threads_processes_bit_identical(self):
-        runs = {
-            mode: run_lifecycle(
-                faults=True, rewindow_at=25.0,
-                metrics=MetricsRegistry(enabled=True), **kwargs
-            )
-            for mode, kwargs in (
-                ("serial", {"workers": 1}),
-                ("threads", {"parallel": "threads", "workers": 3}),
-                ("processes", {"parallel": "processes", "shards": 2}),
-            )
-        }
-        serial, s_samples, _ = runs["serial"]
-        assert max(s.parked_correlators for s in s_samples) > 0
-        for mode in ("threads", "processes"):
-            other, o_samples, _ = runs[mode]
-            assert_equivalent(serial, other, s_samples, o_samples)
-            assert [s.parked_correlators for s in o_samples] == [
-                s.parked_correlators for s in s_samples
-            ]
+    def test_lifecycle_runs_are_bit_identical(self):
+        first, f_samples, _ = run_lifecycle(
+            faults=True, rewindow_at=25.0, metrics=MetricsRegistry(enabled=True)
+        )
+        second, s_samples, _ = run_lifecycle(
+            faults=True, rewindow_at=25.0, metrics=MetricsRegistry(enabled=True)
+        )
+        assert max(s.parked_correlators for s in f_samples) > 0
+        assert_equivalent(first, second, f_samples, s_samples)
 
     def test_invalidation_forgets_parked_keys(self):
         engine, samples, _ = run_lifecycle()

@@ -184,31 +184,6 @@ class TestRobustness:
         with pytest.raises(AnalysisError):
             result.graph_for("nope")
 
-    def test_parallel_analysis_identical_to_serial(self, arrivals):
-        """Section 3.7: parallelizing ServiceRoot's inner loop must not
-        change results."""
-        rng = np.random.default_rng(5)
-        arrivals2 = poisson_arrivals(rng, rate=60.0, duration=4.0)
-        arrivals3 = poisson_arrivals(rng, rate=60.0, duration=4.0)
-        edges = {
-            ("C1", "A"): list(arrivals),
-            ("C2", "A"): list(arrivals2),
-            ("C3", "A"): list(arrivals3),
-            ("A", "B1"): shifted(arrivals, 0.020),
-            ("A", "B2"): shifted(arrivals2, 0.025),
-            ("A", "B3"): shifted(arrivals3, 0.030),
-        }
-        window = SyntheticWindow(edges, {"C1", "C2", "C3"}, CFG)
-        serial = compute_service_graphs(window, CFG, workers=1)
-        parallel = compute_service_graphs(window, CFG, workers=4)
-        assert set(serial.graphs) == set(parallel.graphs)
-        for key, graph in serial.graphs.items():
-            other = parallel.graphs[key]
-            assert graph.edge_set() == other.edge_set()
-            for edge in graph.edges:
-                assert other.edge(edge.src, edge.dst).delays == edge.delays
-        assert parallel.stats.correlations == serial.stats.correlations
-
     def test_all_methods_agree_on_structure(self, arrivals):
         edges = {
             ("C", "A"): list(arrivals),

@@ -1,11 +1,10 @@
-"""Benchmark the online refresh across engine execution modes.
+"""Benchmark the online refresh: batched kernels vs per-pair appends.
 
 Drives N engine refreshes over the synthetic many-class topology
-(:mod:`repro.apps.manyclass`) in three modes -- ``serial`` (legacy
-per-pair appends), ``batched`` (reference-grouped kernels + quiet-edge
-skipping), and ``batched+workers`` (the thread-pooled refresh) -- and
-reports p50/p95 refresh latencies, correlator counts and skip ratios as
-JSON. Run from the repository root:
+(:mod:`repro.apps.manyclass`) in two modes -- ``serial`` (legacy
+per-pair appends) and ``batched`` (reference-grouped kernels +
+quiet-edge skipping) -- and reports p50/p95 refresh latencies,
+correlator counts and skip ratios as JSON. Run from the repository root:
 
     PYTHONPATH=src python tools/bench_refresh.py            # full workload
     PYTHONPATH=src python tools/bench_refresh.py --quick    # CI-sized
@@ -65,7 +64,6 @@ WARMUP_REFRESHES = 6
 
 def run_mode(
     batched: bool,
-    workers: int,
     classes: int,
     quiet_fraction: float,
     seed: int,
@@ -86,7 +84,6 @@ def run_mode(
     engine = E2EProfEngine(
         deployment.config,
         batched=batched,
-        workers=workers,
         fft_dispatch=fft_dispatch,
     )
     samples = []
@@ -137,13 +134,11 @@ def run_benchmark(
     quiet_fraction: float,
     seed: int,
     end_time: float,
-    workers: int,
     repeats: int,
 ) -> dict:
     modes = {
-        "serial": dict(batched=False, workers=1),
-        "batched": dict(batched=True, workers=1),
-        f"batched+{workers}w": dict(batched=True, workers=workers),
+        "serial": dict(batched=False),
+        "batched": dict(batched=True),
     }
     results = {}
     for name, mode in modes.items():
@@ -204,7 +199,6 @@ def run_dense_benchmark(
         results[name] = best_of(
             repeats,
             batched=True,
-            workers=1,
             classes=classes,
             quiet_fraction=0.0,
             seed=seed,
@@ -244,9 +238,8 @@ def run_dense_benchmark(
 
 def environment_stamp() -> dict:
     """Hardware/library context the numbers depend on, stamped into the
-    JSON so committed results are self-explaining (a 1-core container
-    shows worker parity, not speedup; numpy's pocketfft version sets the
-    FFT kernel's constant factors)."""
+    JSON so committed results are self-explaining (numpy's pocketfft
+    version sets the FFT kernel's constant factors)."""
     return {
         "cores": os.cpu_count(),
         "numpy": np.__version__,
@@ -264,7 +257,6 @@ def main(argv=None) -> int:
     parser.add_argument("--classes", type=int, default=None)
     parser.add_argument("--quiet-fraction", type=float, default=None)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--output",
@@ -294,7 +286,6 @@ def main(argv=None) -> int:
         quiet_fraction=quiet_fraction,
         seed=args.seed,
         end_time=end_time,
-        workers=args.workers,
         repeats=repeats,
     )
     if not args.skip_dense:
@@ -306,8 +297,8 @@ def main(argv=None) -> int:
             repeats=repeats,
         )
     doc["environment"] = environment_stamp()
-    # Merge into an existing results file (other tools own sections of
-    # the same JSON -- bench_shards.py writes the "shards" key).
+    # Merge into an existing results file, keeping sections this run
+    # did not produce (e.g. "dense" under --skip-dense).
     merged = {}
     if args.output.exists():
         try:
