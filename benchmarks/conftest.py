@@ -10,6 +10,7 @@ paper benchmarks, not the workload generation.
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
@@ -28,6 +29,21 @@ BENCH_CONFIG = PathmapConfig(
     max_transaction_delay=2.0,
     min_spike_height=0.10,
 )
+
+
+@pytest.fixture
+def benchmark():
+    """Time one call of ``fn(*args, **kwargs)`` and return its result;
+    the seconds it took are left on ``benchmark.seconds``. Stands in for
+    pytest-benchmark's fixture, so the paper benches need only pytest."""
+
+    def timed(fn, *args, **kwargs):
+        started = time.perf_counter()
+        result = fn(*args, **kwargs)
+        timed.seconds = time.perf_counter() - started
+        return result
+
+    return timed
 
 
 def write_result(name: str, text: str) -> pathlib.Path:

@@ -257,7 +257,7 @@ class TransportConfig:
 
     Thresholds are expressed in refresh intervals (``dW`` multiples)
     because the transport clocks itself off the engine's flush cadence:
-    one block per edge per refresh, one heartbeat per tracer per refresh.
+    one round frame per tracer per refresh (a quiet round is the heartbeat).
     """
 
     #: Reorder tolerance: how many blocks newer than a hole may arrive

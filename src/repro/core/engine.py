@@ -1,8 +1,9 @@
 """The online E2EProf engine (paper Sections 3.3-3.6).
 
-This is the analyzer node: every refresh interval ``dW`` it pulls one
-RLE-encoded block per edge from the per-node tracers (the streamed wire
-format of Section 3.6), feeds the blocks into cached
+This is the analyzer node: every refresh interval ``dW`` it pulls the
+RLE-encoded block of every edge that spoke from the per-node tracers (the
+streamed wire format of Section 3.6; a quiet edge's silence is implicit),
+feeds the blocks into cached
 :class:`~repro.core.incremental.IncrementalCorrelator` instances -- one
 per (service class, edge) pair -- and re-runs the pathmap DFS using those
 cached correlations. Only the newest ``dW`` of trace is ever correlated,
@@ -82,7 +83,7 @@ from repro.tracing.transport import (
     TransportReceiver,
     overall_quality,
 )
-from repro.tracing.wire import BlockFrame, decode_block, encode_block
+from repro.tracing.wire import RoundFrame, decode_block, encode_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lake import TraceLake
@@ -278,7 +279,7 @@ class E2EProfEngine(PipelineCore):
         }
         self._m_refreshes = m.counter("engine_refreshes_total", "Engine refreshes run")
         self._m_blocks = m.counter(
-            "engine_blocks_ingested_total", "Streamed RLE blocks pulled from tracers"
+            "engine_blocks_ingested_total", "Non-empty RLE blocks pulled from tracers"
         )
         self._m_wire_bytes = m.counter(
             "engine_wire_bytes_total", "Wire-format bytes received (wire_fidelity mode)"
@@ -318,9 +319,10 @@ class E2EProfEngine(PipelineCore):
             capture_sink.lake = lake
         self._lake_segments_synced = 0 if lake is None else lake.segments_written
         #: Fault-tolerant transport (None = legacy direct pull). When set,
-        #: every block travels tracer -> TransportLink -> channel ->
-        #: TransportReceiver, gaining epoch/sequence framing, reordering
-        #: tolerance, liveness watching and per-edge DataQuality.
+        #: every tracer's flush round travels as one round frame, tracer
+        #: -> TransportLink -> channel -> TransportReceiver, gaining
+        #: epoch/sequence framing, reordering tolerance, liveness watching
+        #: and per-edge DataQuality.
         self.transport = transport
         self._channel_factory = channel_factory
         self._receiver: Optional[TransportReceiver] = None
@@ -329,7 +331,7 @@ class E2EProfEngine(PipelineCore):
         #: chaos tests reach in here to toggle fault rates mid-run.
         self.transport_channels: Dict[NodeId, FaultyChannel] = {}
         # Block starts known missing per edge (declared gaps + current-
-        # round absences), pruned as the window slides past them.
+        # round absences of its tracer), pruned as the window slides.
         self._gap_blocks: Dict[EdgeKey, Set[int]] = {}
         self._tracer_states: Dict[NodeId, str] = {}
         self._transport_totals: Dict[str, int] = {}
@@ -459,7 +461,7 @@ class E2EProfEngine(PipelineCore):
         self.refresh(now)
 
     def refresh(self, now: float) -> PathmapResult:
-        """Pull one block per edge, update correlators, recompute graphs.
+        """Pull every loud edge's block, update correlators, recompute graphs.
 
         The whole refresh runs under an ``engine.refresh`` root span
         (ingest -> correlator updates -> pathmap DFS -> fan-out children
@@ -594,14 +596,14 @@ class E2EProfEngine(PipelineCore):
 
     def _stage_ingest(
         self, now: float, block_start: int
-    ) -> Tuple[Dict[EdgeKey, RunLengthSeries], List[BlockFrame]]:
-        """**Stage 1 -- ingest**: pull one block per edge from every
-        tracer (directly, or through the fault-tolerant transport) and
-        drain capture batches. Returns the fresh blocks plus any
-        re-sequenced late frames for history patching."""
+    ) -> Tuple[Dict[EdgeKey, RunLengthSeries], List[RoundFrame]]:
+        """**Stage 1 -- ingest**: pull the block of every edge that spoke
+        from every tracer (directly, or through the fault-tolerant
+        transport) and drain capture batches. Returns the fresh loud
+        blocks plus any re-sequenced late rounds for history patching."""
         wire_metrics = self.metrics if self.metrics.enabled else None
         fresh: Dict[EdgeKey, RunLengthSeries] = {}
-        late_frames: List[BlockFrame] = []
+        late_frames: List[RoundFrame] = []
         ingest_started = time.perf_counter()
         with self.tracer.span("engine.ingest") as ingest_span:
             if self._receiver is not None:
@@ -640,7 +642,7 @@ class E2EProfEngine(PipelineCore):
     def _stage_correlate(
         self,
         fresh: Dict[EdgeKey, RunLengthSeries],
-        late_frames: List[BlockFrame],
+        late_frames: List[RoundFrame],
         block_start: int,
     ) -> None:
         """**Stage 2 -- correlate**: store/patch block history and bring
@@ -853,7 +855,7 @@ class E2EProfEngine(PipelineCore):
     def _flush_kept(
         self, node_id: NodeId, tracer: Tracer, block_start: int
     ) -> Dict[EdgeKey, RunLengthSeries]:
-        """One block per edge whose copy at this tracer the analysis
+        """One block per loud edge whose copy at this tracer the analysis
         keeps: destination-side capture wins (Algorithm 1); source-side
         only for edges into untraced clients."""
         kept = {
@@ -867,25 +869,31 @@ class E2EProfEngine(PipelineCore):
 
     def _transport_ingest(
         self, fresh: Dict[EdgeKey, RunLengthSeries], block_start: int, now: float
-    ) -> List[BlockFrame]:
+    ) -> List[RoundFrame]:
         """Flush every tracer through its framed link + channel into the
-        receiving endpoint; returns re-sequenced *late* frames (blocks
-        belonging to earlier rounds) for history patching.
+        receiving endpoint -- one round frame per tracer, carrying only
+        its loud blocks; returns re-sequenced *late* rounds (rounds of
+        earlier refreshes) for history patching.
 
         The refresh's deliveries are collected in arrival order and
         handed to the receiver once, so it decodes the round in one pass."""
         receiver = self._receiver
         assert receiver is not None and self._topology is not None
+        tau = self.config.quantum
+        tracers = self._topology.fabric.tracers
         with self.tracer.span("engine.transport") as span:
             deliveries: List[bytes] = []
-            for node_id, tracer in self._topology.fabric.tracers.items():
+            for node_id, tracer in tracers.items():
                 receiver.register_tracer(node_id, now)
                 link = self._link_for(node_id)
                 channel = self._channel_for(node_id)
                 with self.tracer.span("tracer.flush", node=node_id):
                     blocks = self._flush_kept(node_id, tracer, block_start)
-                for payload in link.encode_blocks(blocks):
-                    deliveries.extend(channel.send(payload))
+                deliveries.extend(
+                    channel.send(
+                        link.encode_blocks(blocks, block_start, self._block_quanta, tau)
+                    )
+                )
                 if self.capture_sink is not None:
                     # Raw captures ride the same link/channel as packed
                     # timestamp frames (one frame per edge batch).
@@ -899,12 +907,12 @@ class E2EProfEngine(PipelineCore):
                 deliveries.extend(channel.advance())
             self.wire_bytes_received += sum(map(len, deliveries))
             receiver.receive(deliveries, now)
-            late: List[BlockFrame] = []
+            late: List[RoundFrame] = []
+            heard = set()
             for frame in receiver.poll():
-                if frame.block is None:
-                    continue
-                if frame.block.start == block_start:
-                    fresh[frame.edge] = frame.block
+                if frame.start == block_start:
+                    fresh.update(frame.blocks)
+                    heard.add(frame.node)
                 else:
                     late.append(frame)
             if self.capture_sink is not None:
@@ -919,13 +927,11 @@ class E2EProfEngine(PipelineCore):
                         observed_at_destination=ts_frame.observed_at_destination,
                     )
                     self._refresh_capture_batches += 1
-            # Declared gaps: blocks the reorder buffers gave up waiting for.
+            # Declared gaps: rounds the reorder buffers gave up waiting
+            # for, one notice per edge the tracer owns.
             gap_edges: Dict[EdgeKey, int] = {}
             for notice in receiver.drain_gap_notices():
-                if notice.block_start is not None:
-                    self._gap_blocks.setdefault(notice.edge, set()).add(
-                        notice.block_start
-                    )
+                self._gap_blocks.setdefault(notice.edge, set()).add(notice.block_start)
                 gap_edges[notice.edge] = gap_edges.get(notice.edge, 0) + 1
             for edge, count in sorted(gap_edges.items()):
                 self.events.publish(
@@ -935,54 +941,46 @@ class E2EProfEngine(PipelineCore):
                     edge=f"{edge[0]}->{edge[1]}",
                     blocks=count,
                 )
-            # Current-round absence: streams that were active moments ago
-            # but produced nothing this round are provisionally gapped
-            # (a late arrival patches the mark away again).
-            for edge in receiver.known_edges():
-                if edge in fresh:
+            # Current-round absence: a tracer whose stream carried a round
+            # within the last two but whose round for this block has not
+            # been delivered provisionally gaps every edge it owns (a late
+            # arrival patches the marks away again).
+            recent = block_start - 2 * self._block_quanta
+            for node_id in tracers:
+                if node_id in heard:
                     continue
-                if self._stream_recently_active(edge, block_start):
-                    self._gap_blocks.setdefault(edge, set()).add(block_start)
+                newest = receiver.newest_round_start(node_id)
+                if newest is not None and newest >= recent:
+                    for edge in receiver.owned_edges(node_id):
+                        self._gap_blocks.setdefault(edge, set()).add(block_start)
             span.set_attribute("fresh", len(fresh))
             span.set_attribute("late", len(late))
             span.set_attribute("gaps", sum(gap_edges.values()))
             return late
 
-    def _stream_recently_active(self, edge: EdgeKey, block_start: int) -> bool:
-        """True when the edge's stream delivered a block within the last
-        two rounds -- i.e. silence this round means loss, not idleness."""
+    def _patch_late_blocks(
+        self, late: List[RoundFrame], block_start: int
+    ) -> int:
+        """Splice re-sequenced late rounds back into window history.
+
+        Blocks carry their own window position, so a loud block that
+        arrives a round (or several) behind schedule replaces the silence
+        that was stored in its place; correlators touching the edge are
+        invalidated and rebuilt lazily from the corrected history. A late
+        round is complete, so it also clears the gap marks of the quiet
+        edges it vouches for -- every edge its tracer owns.
+        """
         receiver = self._receiver
         assert receiver is not None
-        node = receiver.edge_owner(edge)
-        if node is None:
-            return False
-        buffer = receiver._buffers.get((node, edge[0], edge[1]))
-        if buffer is None or buffer._anchor is None or not buffer._block_quanta:
-            return False
-        newest_start = buffer._anchor + buffer.max_seen * buffer._block_quanta
-        return newest_start >= block_start - 2 * self._block_quanta
-
-    def _patch_late_blocks(
-        self, late: List[BlockFrame], block_start: int
-    ) -> int:
-        """Splice re-sequenced late blocks back into window history.
-
-        Blocks carry their own window position, so a block that arrives
-        a round (or several) behind schedule replaces the silence that
-        was stored in its place; correlators touching the edge are
-        invalidated and rebuilt lazily from the corrected history.
-        """
         patched = 0
         for frame in late:
-            block = frame.block
-            assert block is not None
-            edge = frame.edge
-            if not self._splice_block(edge, block, block_start):
-                continue
-            patched += 1
-            gaps = self._gap_blocks.get(edge)
-            if gaps:
-                gaps.discard(block.start)
+            for edge, block in frame.blocks.items():
+                if self._splice_block(edge, block, block_start):
+                    patched += 1
+            for edge in receiver.owned_edges(frame.node):
+                gaps = self._gap_blocks.get(edge)
+                if gaps:
+                    gaps.discard(frame.start)
         if patched:
             self._m_t_late.inc(patched)
         return patched
@@ -1171,7 +1169,7 @@ class E2EProfEngine(PipelineCore):
     def restart_tracer(self, node_id: NodeId) -> None:
         """Simulate a tracer crash/restart: captured state is lost, the
         transport epoch bumps (so pre-restart blocks are never
-        resurrected) and all per-edge sequence streams reset."""
+        resurrected) and its round and batch sequences reset."""
         if self._topology is not None:
             tracer = self._topology.fabric.tracer(node_id)
             if tracer is not None:

@@ -29,7 +29,7 @@ from repro.tracing.transport import (
     overall_quality,
 )
 from repro.tracing.wire import (
-    BlockFrame,
+    RoundFrame,
     TimestampFrame,
     decode_block,
     decode_frame,

@@ -11,7 +11,8 @@ service node, receives ``observe()`` callbacks for every packet the node
 sends or receives (timestamped by the node's local clock, which may be
 skewed), and can flush the accumulated window into per-edge
 :class:`~repro.core.rle.RunLengthSeries` blocks exactly as the kernel
-module would stream them.
+module would stream them -- one block per edge that spoke, none for the
+quiet ones.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class Tracer:
             "tracer_packets_observed_total", "Packets captured by per-node tracers"
         )
         self._m_flushes = metrics.counter(
-            "tracer_blocks_flushed_total", "RLE blocks flushed by per-node tracers"
+            "tracer_blocks_flushed_total",
+            "Non-empty RLE blocks flushed by per-node tracers",
         )
 
     # -- capture ---------------------------------------------------------------
@@ -276,37 +278,51 @@ class Tracer:
         block_quanta: int,
         edges: Optional[Collection[EdgeKey]] = None,
     ) -> Dict[EdgeKey, RunLengthSeries]:
-        """Compute and return the RLE series of every edge for one block.
+        """Compute and return the RLE block of every edge that spoke in
+        one window.
 
         Mirrors the kernel module's periodic stream: each refresh interval,
-        one RLE block per active edge is emitted to the analyzer. The
-        tracer keeps raw timestamps only as far back as the analysis can
-        need them (older entries are dropped).
+        one RLE block per edge with traffic in the window is emitted to
+        the analyzer. A quiet edge emits nothing -- its silence is implicit
+        on the wire -- so the blocks returned are exactly the non-empty
+        ones, in capture order. The tracer keeps raw timestamps only as
+        far back as the analysis can need them (older entries are dropped).
 
         ``edges`` (optional) restricts the blocks built and returned to
         the captured edges it contains -- the analyzer keeps one side's
-        copy of each edge and need not pay for the other. Density and
-        run-length encoding run once over all emitted edges
-        (:func:`build_density_rows`, :func:`rle_encode_rows`).
+        copy of each edge and need not pay for the other. Density rows are
+        built only for edges with kept timestamps, in one pass
+        (:func:`build_density_rows`, :func:`rle_encode_rows`); a tracer
+        with nothing kept does no array work at all.
         """
         tau = config.quantum
         stamps, rows = self._fold()
-        emitted = [e for e in self._rows if edges is None or e in edges]
-        # Captured row -> grid row, -1 for edges not emitted.
-        slot = np.full(len(self._rows), -1, dtype=np.int64)
-        slot[[self._rows[e] for e in emitted]] = np.arange(len(emitted))
-        grid_rows = slot[rows]
-        wanted = grid_rows >= 0
-        grid = build_density_rows(
-            stamps[wanted],
-            grid_rows[wanted],
-            len(emitted),
-            quantum=tau,
-            sampling_quanta=config.sampling_quanta,
-            window_start=window_start_quantum,
-            window_length=block_quanta,
-        )
-        blocks = dict(zip(emitted, rle_encode_rows(grid, window_start_quantum, tau)))
+        if not stamps.size:
+            return {}
+        captured = list(self._rows)
+        held = np.flatnonzero(np.bincount(rows, minlength=len(captured))).tolist()
+        emitted = [r for r in held if edges is None or captured[r] in edges]
+        blocks: Dict[EdgeKey, RunLengthSeries] = {}
+        if emitted:
+            # Captured row -> grid row, -1 for edges not emitted.
+            slot = np.full(len(captured), -1, dtype=np.int64)
+            slot[emitted] = np.arange(len(emitted))
+            grid_rows = slot[rows]
+            wanted = grid_rows >= 0
+            grid = build_density_rows(
+                stamps[wanted],
+                grid_rows[wanted],
+                len(emitted),
+                quantum=tau,
+                sampling_quanta=config.sampling_quanta,
+                window_start=window_start_quantum,
+                window_length=block_quanta,
+            )
+            for row, block in zip(
+                emitted, rle_encode_rows(grid, window_start_quantum, tau)
+            ):
+                if block.num_runs:
+                    blocks[captured[row]] = block
         self._drop_before((window_start_quantum + block_quanta) * tau - config.sampling_window)
         if self._m_flushes is not None:
             self._m_flushes.inc(len(blocks))

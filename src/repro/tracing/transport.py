@@ -8,27 +8,30 @@ tracer -> analyzer path the machinery to degrade gracefully instead of
 silently mis-computing service paths:
 
 * :class:`TransportLink` -- the sender side of one tracer's stream. It
-  wraps each flushed block in a :class:`~repro.tracing.wire.BlockFrame`
-  carrying the tracer's **epoch** (bumped on restart) and a per-edge
-  **sequence number**, and emits one heartbeat frame per flush round so
-  the receiver can tell "quiet" from "dead".
+  wraps each flush round in one :class:`~repro.tracing.wire.RoundFrame`
+  carrying the tracer's **epoch** (bumped on restart), a per-tracer
+  round **sequence number**, the round's block window and only the
+  blocks that have runs. A quiet tracer still sends its (empty) round,
+  which is its heartbeat, so the receiver can tell "quiet" from "dead".
 * :class:`FaultyChannel` -- a seeded, deterministic fault injector
   (drop / duplicate / reorder / corrupt / delay / total outage) standing
   in for the lossy link. Tests and benchmarks drive every failure mode
   through it; a default-constructed channel is a perfect pass-through.
 * :class:`ReorderBuffer` -- the receiver-side re-sequencer for one
-  ``(node, src, dst)`` stream: buffers out-of-order frames up to a
-  configurable lateness tolerance, detects and declares gaps, drops
-  duplicates and pre-restart (stale-epoch) frames, and hands frames that
-  arrive after their gap was declared back as *late recoveries*.
+  tracer's round stream: buffers out-of-order rounds up to a
+  configurable lateness tolerance, detects and declares lost rounds,
+  drops duplicates and pre-restart (stale-epoch) rounds, and hands
+  rounds that arrive after their gap was declared back as *late
+  recoveries*.
 * :class:`LivenessWatchdog` -- per-tracer heartbeat ageing: a tracer that
   has not been heard from within the staleness threshold is flagged
   ``lagging``, then ``dead``.
 * :class:`TransportReceiver` -- the analyzer-side endpoint tying the
   above together: decodes frames (corrupt ones are counted, never
-  raised), routes them to per-stream reorder buffers, tracks liveness,
-  and surfaces ordered frames plus :class:`GapNotice` records to the
-  engine.
+  raised), routes them to per-tracer reorder buffers, tracks liveness
+  and which tracer owns which edge, and surfaces ordered rounds plus
+  :class:`GapNotice` records to the engine (a lost round is a gap on
+  every edge its tracer owns).
 * :class:`DataQuality` -- the per-edge verdict the engine derives from
   transport health (``fresh`` / ``degraded`` / ``stale`` plus the gap
   ratio), which :class:`~repro.core.pathmap.PathmapResult` carries so
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +52,10 @@ from repro.core.rle import RunLengthSeries
 from repro.errors import TraceError
 from repro.tracing.records import NodeId
 from repro.tracing.wire import (
-    BlockFrame,
+    RoundFrame,
     TimestampFrame,
     decode_frames,
+    encode_frame,
     encode_frames,
 )
 
@@ -106,12 +110,25 @@ FRESH_QUALITY = DataQuality(QUALITY_FRESH, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
-class GapNotice:
-    """One block declared lost on a stream (sequence skipped for good).
+class LostRound:
+    """One round a :class:`ReorderBuffer` gave up waiting for.
 
-    ``block_start`` is the absolute quantum index the lost block covered
-    (derived from the stream's seq -> start anchor), or None when no
-    anchor frame has been seen yet.
+    Round ``seq`` of ``epoch`` covered the block at ``block_start``; the
+    receiver turns it into one :class:`GapNotice` per edge its tracer owns.
+    """
+
+    epoch: int
+    seq: int
+    block_start: int
+
+
+@dataclasses.dataclass(frozen=True)
+class GapNotice:
+    """One edge's block declared lost with its tracer's round.
+
+    Round ``seq`` was skipped for good; ``block_start`` is the absolute
+    quantum index the lost round covered (derived from the stream's seq ->
+    start anchor).
     """
 
     node: NodeId
@@ -119,7 +136,7 @@ class GapNotice:
     dst: NodeId
     epoch: int
     seq: int
-    block_start: Optional[int] = None
+    block_start: int
 
     @property
     def edge(self) -> EdgeKey:
@@ -293,10 +310,9 @@ class FaultyChannel:
 class TransportLink:
     """Sender-side stream state for one tracer.
 
-    Assigns the per-tracer epoch and per-edge sequence numbers, frames
-    flushed blocks, and emits one heartbeat per flush round. Sequence
-    numbers advance exactly once per flush round per edge stream, so the
-    receiver can map ``seq`` linearly onto block start positions.
+    Assigns the per-tracer epoch and round sequence numbers and frames
+    each flush round. The round sequence advances exactly once per flush,
+    so the receiver can map ``seq`` linearly onto block start positions.
     """
 
     def __init__(self, node: NodeId, epoch: int = 0) -> None:
@@ -304,37 +320,34 @@ class TransportLink:
         self.epoch = epoch
         self.restarts = 0
         self.frames_sent = 0
-        self._seqs: Dict[EdgeKey, int] = {}
-        # Timestamp-batch streams sequence independently of block streams
-        # (they are not re-sequenced -- batches carry absolute times).
+        self._round_seq = 0
+        # Timestamp-batch streams sequence per edge, independently of the
+        # rounds (they are not re-sequenced -- batches carry absolute times).
         self._batch_seqs: Dict[EdgeKey, int] = {}
-        self._heartbeat_seq = 0
 
     def restart(self) -> None:
         """Bump the epoch (tracer restart): all streams reset to seq 0."""
         self.epoch += 1
         self.restarts += 1
-        self._seqs.clear()
+        self._round_seq = 0
         self._batch_seqs.clear()
-        self._heartbeat_seq = 0
 
     def encode_blocks(
-        self, blocks: Dict[EdgeKey, RunLengthSeries], heartbeat: bool = True
-    ) -> List[bytes]:
-        """Frame one flush round's blocks (plus the round's heartbeat);
-        the round's blocks go through the codec in one call."""
-        frames: List[BlockFrame] = []
-        for (src, dst), block in blocks.items():
-            seq = self._seqs.get((src, dst), 0)
-            self._seqs[(src, dst)] = seq + 1
-            frames.append(BlockFrame(self.node, self.epoch, seq, src, dst, block))
-        if heartbeat:
-            frames.append(
-                BlockFrame(self.node, self.epoch, self._heartbeat_seq, "", "")
-            )
-            self._heartbeat_seq += 1
-        self.frames_sent += len(frames)
-        return encode_frames(frames)
+        self,
+        blocks: Dict[EdgeKey, RunLengthSeries],
+        start: int,
+        length: int,
+        quantum: float,
+    ) -> bytes:
+        """Frame one flush round: the window ``[start, start + length)``
+        at ``quantum`` and the blocks that spoke in it (``blocks`` holds
+        no empty block). A quiet round is the tracer's heartbeat."""
+        frame = RoundFrame(
+            self.node, self.epoch, self._round_seq, start, length, quantum, blocks
+        )
+        self._round_seq += 1
+        self.frames_sent += 1
+        return encode_frame(frame)
 
     def encode_timestamp_batches(
         self, batches: Dict[EdgeKey, "np.ndarray"]
@@ -343,7 +356,7 @@ class TransportLink:
 
         One packed :class:`~repro.tracing.wire.TimestampFrame` per
         non-empty edge batch, sequenced on a per-edge stream separate
-        from the block streams. The observing side is derived from the
+        from the round stream. The observing side is derived from the
         link's node: a batch for ``src -> dst`` captured here was
         observed at the destination exactly when this node *is* ``dst``.
         Empty batches are skipped (no frame, no sequence advance).
@@ -369,31 +382,31 @@ class TransportLink:
 
 
 class ReorderBuffer:
-    """Re-sequencer for one ``(node, src, dst)`` block stream.
+    """Re-sequencer for one tracer's round stream.
 
-    Frames are delivered in sequence order. A hole older than
-    ``lateness`` blocks (measured against the newest sequence seen) is
-    declared lost -- a :class:`GapNotice` is recorded and the stream
-    skips ahead. A frame arriving *after* its gap was declared is still
-    delivered (a *late recovery*; blocks carry their own window position,
-    so the engine can patch history), but within an epoch no sequence is
-    ever delivered twice, and once a newer epoch has been seen, frames
-    from older epochs are dropped for good.
+    Rounds are delivered in sequence order. A hole older than
+    ``lateness`` rounds (measured against the newest sequence seen) is
+    declared lost -- one :class:`LostRound`, counted in ``gaps`` -- and
+    the stream skips ahead. A round arriving *after* its gap was declared
+    is still delivered whole (a *late recovery*; rounds carry their own
+    window position, so the engine can patch history), but within an
+    epoch no sequence is ever delivered twice, and once a newer epoch has
+    been seen, rounds from older epochs are dropped for good.
     """
 
-    def __init__(self, key: StreamKey, lateness: int = 2) -> None:
+    def __init__(self, node: NodeId, lateness: int = 2) -> None:
         if lateness < 0:
             raise TraceError(f"lateness must be >= 0, got {lateness}")
-        self.key = key
+        self.node = node
         self.lateness = lateness
         self.epoch: Optional[int] = None
         self.next_seq = 0
         self.max_seen = -1
-        self._pending: Dict[int, BlockFrame] = {}
+        self._pending: Dict[int, RoundFrame] = {}
         self._lost: set = set()
         self._anchor: Optional[int] = None  # block start of seq 0
-        self._block_quanta: Optional[int] = None
-        self.gap_notices: List[GapNotice] = []
+        self._block_quanta = 0
+        self.lost_rounds: List[LostRound] = []
         self.duplicates = 0
         self.reordered = 0
         self.gaps = 0
@@ -401,15 +414,15 @@ class ReorderBuffer:
         self.stale_epoch_drops = 0
         self.delivered = 0
 
-    def push(self, frame: BlockFrame) -> List[BlockFrame]:
-        """Ingest one frame; returns the frames now deliverable in order."""
+    def push(self, frame: RoundFrame) -> List[RoundFrame]:
+        """Ingest one round; returns the rounds now deliverable in order."""
         if self.epoch is None:
             self.epoch = frame.epoch
         if frame.epoch < self.epoch:
-            # Pre-restart block: never resurrected.
+            # Pre-restart round: never resurrected.
             self.stale_epoch_drops += 1
             return []
-        out: List[BlockFrame] = []
+        out: List[RoundFrame] = []
         if frame.epoch > self.epoch:
             # Tracer restarted: drain what the old epoch buffered (in
             # order, declaring unfilled holes), then reset the stream.
@@ -419,13 +432,12 @@ class ReorderBuffer:
             self.max_seen = -1
             self._lost.clear()
             self._anchor = None
-            self._block_quanta = None
-        if frame.block is not None and self._anchor is None:
-            self._block_quanta = frame.block.length
-            self._anchor = frame.block.start - frame.seq * frame.block.length
+        if self._anchor is None:
+            self._block_quanta = frame.length
+            self._anchor = frame.start - frame.seq * frame.length
         if frame.seq < self.next_seq:
             if frame.seq in self._lost:
-                # The gap this frame would have filled was already
+                # The gap this round would have filled was already
                 # declared; hand it over anyway so history can be patched.
                 self._lost.discard(frame.seq)
                 self.late_recovered += 1
@@ -451,28 +463,35 @@ class ReorderBuffer:
             out.extend(self._pop_consecutive())
         return out
 
-    def flush(self) -> List[BlockFrame]:
+    def flush(self) -> List[RoundFrame]:
         """Deliver everything still buffered, declaring unfilled holes."""
         return self._drain_pending()
 
-    def drain_gap_notices(self) -> List[GapNotice]:
-        notices, self.gap_notices = self.gap_notices, []
-        return notices
+    def drain_lost_rounds(self) -> List[LostRound]:
+        lost, self.lost_rounds = self.lost_rounds, []
+        return lost
 
     def outstanding(self) -> int:
-        """Frames buffered waiting for a hole to fill."""
+        """Rounds buffered waiting for a hole to fill."""
         return len(self._pending)
 
-    def _pop_consecutive(self) -> List[BlockFrame]:
-        out: List[BlockFrame] = []
+    def newest_start(self) -> Optional[int]:
+        """Block start of the newest round seen in the current epoch
+        (buffered or delivered), or None before the first."""
+        if self._anchor is None or self.max_seen < 0:
+            return None
+        return self._anchor + self.max_seen * self._block_quanta
+
+    def _pop_consecutive(self) -> List[RoundFrame]:
+        out: List[RoundFrame] = []
         while self.next_seq in self._pending:
             out.append(self._pending.pop(self.next_seq))
             self.next_seq += 1
             self.delivered += 1
         return out
 
-    def _drain_pending(self) -> List[BlockFrame]:
-        out: List[BlockFrame] = []
+    def _drain_pending(self) -> List[RoundFrame]:
+        out: List[RoundFrame] = []
         for seq in sorted(self._pending):
             for missing in range(self.next_seq, seq):
                 self._declare_gap(missing)
@@ -484,14 +503,8 @@ class ReorderBuffer:
     def _declare_gap(self, seq: int) -> None:
         self._lost.add(seq)
         self.gaps += 1
-        node, src, dst = self.key
-        start = (
-            self._anchor + seq * self._block_quanta
-            if self._anchor is not None and self._block_quanta
-            else None
-        )
-        self.gap_notices.append(
-            GapNotice(node, src, dst, self.epoch or 0, seq, start)
+        self.lost_rounds.append(
+            LostRound(self.epoch or 0, seq, self._anchor + seq * self._block_quanta)
         )
 
 
@@ -560,12 +573,13 @@ class LivenessWatchdog:
 
 
 class TransportReceiver:
-    """Analyzer-side ingest endpoint for framed block streams.
+    """Analyzer-side ingest endpoint for framed round streams.
 
     Decodes incoming payloads (corrupt frames are counted and dropped,
-    never raised), re-sequences each ``(node, edge)`` stream through a
-    :class:`ReorderBuffer`, feeds heartbeats to the liveness watchdog,
-    and accumulates ordered frames until the engine ``poll``\\ s.
+    never raised), re-sequences each tracer's rounds through a
+    :class:`ReorderBuffer`, feeds every frame to the liveness watchdog,
+    records which tracer owns each edge that spoke, and accumulates
+    ordered rounds until the engine ``poll``\\ s.
     """
 
     def __init__(
@@ -579,9 +593,15 @@ class TransportReceiver:
             stale_after=self.config.stale_after_refreshes * refresh_interval,
             dead_after=self.config.dead_after_refreshes * refresh_interval,
         )
-        self._buffers: Dict[StreamKey, ReorderBuffer] = {}
-        self._ready: List[BlockFrame] = []
+        self._buffers: Dict[NodeId, ReorderBuffer] = {}
+        self._ready: List[RoundFrame] = []
+        # Every edge that ever spoke, and the tracer whose rounds vouch
+        # for it (quiet when absent from one of them).
         self._edge_owner: Dict[EdgeKey, NodeId] = {}
+        # One notice per owned edge of every round declared lost; ``gaps``
+        # counts them all, drained or not.
+        self._gap_notices: List[GapNotice] = []
+        self.gaps = 0
         # Timestamp-batch streams bypass the reorder buffers (batches
         # carry absolute times, so arrival order is irrelevant); per
         # stream we keep only what dropping duplicates and pre-restart
@@ -606,7 +626,8 @@ class TransportReceiver:
                 "Transport frames dropped as corrupt (CRC/decode failure)",
             )
             self._m_heartbeats = metrics.counter(
-                "transport_heartbeats_total", "Heartbeat frames received"
+                "transport_heartbeats_total",
+                "Round frames received (every round, quiet or loud, is a heartbeat)",
             )
             self._m_batches = metrics.counter(
                 "transport_timestamp_batches_total",
@@ -627,8 +648,9 @@ class TransportReceiver:
 
         Envelopes are checked per frame and all block bodies decoded in
         one pass (:func:`~repro.tracing.wire.decode_frames`); each
-        frame's effects -- corrupt count, watchdog, reorder push -- then
-        apply in arrival order, exactly as if delivered one by one.
+        frame's effects -- corrupt count, watchdog, edge ownership,
+        reorder push -- then apply in arrival order, exactly as if
+        delivered one by one.
         """
         self.frames_received += len(payloads)
         if self._m_received is not None:
@@ -645,18 +667,29 @@ class TransportReceiver:
             if isinstance(frame, TimestampFrame):
                 self._receive_batch(frame)
                 continue
-            if frame.is_heartbeat:
-                self.heartbeats += 1
-                if self._m_heartbeats is not None:
-                    self._m_heartbeats.inc()
-                continue
-            self._edge_owner[frame.edge] = frame.node
-            key: StreamKey = (frame.node, frame.src, frame.dst)
-            buffer = self._buffers.get(key)
+            self.heartbeats += 1
+            if self._m_heartbeats is not None:
+                self._m_heartbeats.inc()
+            node = frame.node
+            buffer = self._buffers.get(node)
             if buffer is None:
-                buffer = ReorderBuffer(key, lateness=self.config.lateness_blocks)
-                self._buffers[key] = buffer
+                buffer = ReorderBuffer(node, self.config.lateness_blocks)
+                self._buffers[node] = buffer
+            for edge in frame.blocks:
+                self._edge_owner[edge] = node
             self._ready.extend(buffer.push(frame))
+            if buffer.lost_rounds:
+                self._declare_lost(node, buffer.drain_lost_rounds())
+
+    def _declare_lost(self, node: NodeId, rounds: List[LostRound]) -> None:
+        """A lost round is a gap on every edge its tracer owns now."""
+        owned = sorted(self.owned_edges(node))
+        self.gaps += len(rounds) * len(owned)
+        for lost in rounds:
+            for src, dst in owned:
+                self._gap_notices.append(
+                    GapNotice(node, src, dst, lost.epoch, lost.seq, lost.block_start)
+                )
 
     def _receive_batch(self, frame: TimestampFrame) -> None:
         """File one timestamp-batch frame: dedup within the stream's
@@ -689,8 +722,8 @@ class TransportReceiver:
             self._m_batches.inc()
         self._ready_batches.append(frame)
 
-    def poll(self) -> List[BlockFrame]:
-        """Ordered frames accumulated since the last poll."""
+    def poll(self) -> List[RoundFrame]:
+        """Ordered rounds accumulated since the last poll."""
         ready, self._ready = self._ready, []
         return ready
 
@@ -700,24 +733,35 @@ class TransportReceiver:
         return ready
 
     def drain_gap_notices(self) -> List[GapNotice]:
-        """All gap declarations since the last drain, across streams."""
-        notices: List[GapNotice] = []
-        for buffer in self._buffers.values():
-            notices.extend(buffer.drain_gap_notices())
+        """All gap declarations since the last drain, across tracers: one
+        per owned edge of every round declared lost."""
+        notices, self._gap_notices = self._gap_notices, []
         return notices
 
     def edge_owner(self, edge: EdgeKey) -> Optional[NodeId]:
-        """The tracer observed feeding an edge's stream, if known."""
+        """The tracer whose rounds carry an edge, if it ever spoke."""
         return self._edge_owner.get(edge)
 
-    def known_edges(self) -> List[EdgeKey]:
-        return sorted(self._edge_owner)
+    def owned_edges(self, node: NodeId) -> FrozenSet[EdgeKey]:
+        """Every edge ``node``'s rounds have carried: the edges one of its
+        rounds vouches for, loud or quiet. A scan over every edge that
+        spoke, which only the gap paths need."""
+        return frozenset(e for e, owner in self._edge_owner.items() if owner == node)
+
+    def newest_round_start(self, node: NodeId) -> Optional[int]:
+        """Block start of the newest round seen from ``node`` in its
+        current epoch (buffered or delivered), or None before the first."""
+        buffer = self._buffers.get(node)
+        return None if buffer is None else buffer.newest_start()
 
     def statuses(self, now: float) -> Dict[NodeId, TracerStatus]:
         return self.watchdog.statuses(now)
 
     def totals(self) -> dict:
-        """Aggregate stream counters across all reorder buffers."""
+        """Aggregate stream counters across all reorder buffers. Round
+        counters (``delivered``, ``duplicates``, ``reordered``,
+        ``late_recovered``, ``stale_epoch_drops``, ``outstanding``) count
+        rounds; ``gaps`` counts the edge blocks lost with them."""
         totals = {
             "frames_received": self.frames_received,
             "corrupt_blocks": self.corrupt_blocks,
@@ -728,7 +772,7 @@ class TransportReceiver:
             "delivered": 0,
             "duplicates": 0,
             "reordered": 0,
-            "gaps": 0,
+            "gaps": self.gaps,
             "late_recovered": 0,
             "stale_epoch_drops": 0,
             "outstanding": 0,
@@ -737,7 +781,6 @@ class TransportReceiver:
             totals["delivered"] += buffer.delivered
             totals["duplicates"] += buffer.duplicates
             totals["reordered"] += buffer.reordered
-            totals["gaps"] += buffer.gaps
             totals["late_recovered"] += buffer.late_recovered
             totals["stale_epoch_drops"] += buffer.stale_epoch_drops
             totals["outstanding"] += buffer.outstanding()

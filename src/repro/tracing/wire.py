@@ -36,25 +36,37 @@ Transport framing
 
 A raw block says *what* was measured but not *who* measured it or *where
 it belongs in the stream*. For the fault-tolerant transport layer
-(:mod:`repro.tracing.transport`) each block travels inside a
-:class:`BlockFrame` that adds the sending tracer's identity, a
-**per-tracer epoch** (bumped on tracer restart, so pre-restart blocks can
-never be resurrected), a **per-stream sequence number** (so the receiver
-can detect drops, duplicates and reordering) and a CRC-32 over the frame
-body (so corruption on a lossy link is detected instead of silently
-decoded). Layout (little-endian)::
+(:mod:`repro.tracing.transport`) each tracer sends one
+:class:`RoundFrame` per flush round. It carries the tracer's identity, a
+**per-tracer epoch** (bumped on tracer restart, so pre-restart rounds can
+never be resurrected), a **per-tracer round sequence number** (so the
+receiver can detect drops, duplicates and reordering), the round's block
+window, and then only the blocks that have runs -- silence costs nothing
+on the wire, and a quiet tracer's round is its heartbeat. A CRC-32 over
+the frame body detects corruption on a lossy link instead of silently
+decoding it. Layout (little-endian)::
 
     magic     2 bytes  b"RF"
-    version   1 byte
+    version   1 byte   (FRAME_VERSION = 2)
     crc32     4 bytes  uint32, CRC-32 of every byte after this field
-    flags     1 byte   (bit 0: heartbeat -- no block payload;
-                        bit 1: packed timestamp batch payload)
+    flags     1 byte   (0: round frame; 0x02: packed timestamp batch)
     epoch     varint
     seq       varint
     node      varint length + utf-8 (observing tracer id)
-    src       varint length + utf-8 (edge source; empty for heartbeats)
-    dst       varint length + utf-8 (edge destination; empty for heartbeats)
-    block     remaining bytes: one encode_block() payload (data frames only)
+    quantum   8 bytes  float64 (seconds)
+    start     8 bytes  int64   (absolute quantum index of the round's window)
+    length    8 bytes  int64   (window length in quanta)
+    blocks    varint   (number of loud blocks that follow)
+    per block:
+      src     varint length + utf-8
+      dst     varint length + utf-8
+      runs    varint   (>= 1, and at most size / 6: a run is >= 6 bytes)
+      size    varint   (bytes of the run body)
+      body    the block's runs, in the run layout above
+
+The run body is byte for byte what :func:`encode_block` writes after its
+header. Frames are never persisted, so there is one frame version: a
+version-1 frame is rejected as ``unsupported frame version 1``.
 
 Packed timestamp frames
 -----------------------
@@ -63,14 +75,13 @@ The high-throughput ingest path ships raw capture timestamps in bulk:
 one :class:`TimestampFrame` carries N float64 timestamps for one edge as
 a packed little-endian array (``np.frombuffer`` on decode -- no
 per-record parsing). It shares the CRC-framed envelope above; after the
-``dst`` string the payload continues::
+``node`` string the body continues::
 
+    src       varint length + utf-8
+    dst       varint length + utf-8
     side      1 byte   (1: observed at destination, 0: at source)
     count     varint   (number of timestamps)
     payload   count * 8 bytes, little-endian float64
-
-The per-record :class:`~repro.tracing.records.CaptureRecord` path stays
-available for compatibility; batch frames are strictly additive.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,14 +103,14 @@ MAGIC = b"RL"
 VERSION = 1
 
 FRAME_MAGIC = b"RF"
-FRAME_VERSION = 1
-#: Frame flag bit: heartbeat frame (liveness only, no block payload).
-FRAME_FLAG_HEARTBEAT = 0x01
-#: Frame flag bit: packed float64 timestamp-batch payload (no RLE block).
+FRAME_VERSION = 2
+#: Frame flags value of a packed float64 timestamp-batch frame (a round
+#: frame's flags are 0).
 FRAME_FLAG_TIMESTAMPS = 0x02
 
 _HEADER = struct.Struct("<2sBdqqI")
 _FRAME_PREFIX = struct.Struct("<2sBI")  # magic, version, crc32
+_GEOMETRY = struct.Struct("<dqq")  # a round's quantum, start, length
 
 
 def _encode_varint(value: int, out: bytearray) -> None:
@@ -139,22 +150,18 @@ _NO_INTS = np.empty(0, np.int64)
 _NO_FLOATS = np.empty(0, np.float64)
 
 
-def encode_blocks(blocks: Sequence[RunLengthSeries]) -> List[bytes]:
-    """Serialize a flush round of RLE blocks, one payload per block.
+def _encode_runs(blocks: Sequence[RunLengthSeries]) -> Tuple[bytes, List[int]]:
+    """The run bodies of a flush round's blocks, back to back, and the
+    offset at which each block's body ends.
 
-    The runs of every block are encoded together: gaps, counts and values
-    are concatenated, the varints are laid out as one masked byte matrix
-    (or, when every varint of the round fits one byte, as one packed
-    record array), and each block's body is sliced back out. Python work
-    is per block, never per run.
+    Gaps, counts and values of every block are concatenated, the varints
+    are laid out as one masked byte matrix (or, when every varint of the
+    round fits one byte, as one packed record array). Python work is per
+    block, never per run.
     """
-    headers = [
-        _HEADER.pack(MAGIC, VERSION, b.quantum, b.start, b.length, b.num_runs)
-        for b in blocks
-    ]
     total = sum(b.num_runs for b in blocks)
     if total == 0:
-        return headers
+        return b"", [0] * len(blocks)
     runs = np.array([b.num_runs for b in blocks], dtype=np.int64)
     starts = np.concatenate([b.starts for b in blocks])
     counts = np.concatenate([b.counts for b in blocks])
@@ -199,10 +206,19 @@ def encode_blocks(blocks: Sequence[RunLengthSeries]) -> List[bytes]:
         run_ends = np.cumsum(lengths.sum(axis=1).astype(np.int64) + 4)
     # Body of block k ends where its last run ends; an empty block ends
     # where the block before it did.
-    body_ends = np.concatenate([[0], run_ends])[np.cumsum(runs)].tolist()
+    return body, np.concatenate([[0], run_ends])[np.cumsum(runs)].tolist()
+
+
+def encode_blocks(blocks: Sequence[RunLengthSeries]) -> List[bytes]:
+    """Serialize a flush round of RLE blocks, one payload per block.
+
+    Each payload is the block's header, then its slice of the round's run
+    bodies (:func:`_encode_runs`)."""
+    body, body_ends = _encode_runs(blocks)
     out: List[bytes] = []
     lo = 0
-    for header, hi in zip(headers, body_ends):
+    for b, hi in zip(blocks, body_ends):
+        header = _HEADER.pack(MAGIC, VERSION, b.quantum, b.start, b.length, b.num_runs)
         out.append(header + body[lo:hi])
         lo = hi
     return out
@@ -231,13 +247,18 @@ def _parse_block_header(data: bytes) -> Tuple[float, int, int, int]:
         raise TraceError(f"bad wire magic {magic!r}")
     if version != VERSION:
         raise TraceError(f"unsupported wire version {version}")
+    _check_geometry(quantum, start, length)
+    return quantum, start, length, num_runs
+
+
+def _check_geometry(quantum: float, start: int, length: int) -> None:
+    """Reject a block window no :class:`RunLengthSeries` can have."""
     if not quantum > 0.0:  # also rejects NaN from corrupted header bytes
         raise TraceError(f"corrupt wire block: bad quantum {quantum!r}")
     if length < 0:
         raise TraceError(f"corrupt wire block: negative length {length}")
     if start + length > _INT64_MAX:
         raise TraceError("corrupt wire block: window end overflows int64")
-    return quantum, start, length, num_runs
 
 
 def _split_narrow_runs(
@@ -369,42 +390,26 @@ def _place_runs(
     return starts.view(np.int64) + window_starts[owner], sound
 
 
-def decode_blocks(
-    payloads: Sequence[bytes],
+def _decode_runs(
+    bodies: Sequence[bytes], headers: Sequence[Tuple[float, int, int, int]]
 ) -> List[Union[RunLengthSeries, TraceError]]:
-    """Exact inverse of :func:`encode_blocks` (float32 value precision).
+    """Decode run bodies, one per ``(quantum, start, length, runs)``
+    header, into blocks -- or the :class:`TraceError` rejecting each.
 
-    Returns one entry per payload: the decoded block, or the
-    :class:`~repro.errors.TraceError` that rejects it (truncated varint or
-    run value, varint overflow, trailing bytes, a header field out of
-    range, any violated :class:`RunLengthSeries` invariant) -- returned,
-    not raised, so one hostile payload never poisons its neighbours.
     Bodies are concatenated and decoded in one pass; Python work is per
-    payload, never per run.
+    body, never per run.
     """
-    out: List[Union[RunLengthSeries, TraceError]] = []
-    slots: List[int] = []
-    headers: List[Tuple[float, int, int, int]] = []
-    for data in payloads:
-        try:
-            headers.append(_parse_block_header(data))
-            slots.append(len(out))
-            out.append(None)  # type: ignore[arg-type]  # filled in below
-        except TraceError as exc:
-            out.append(exc)
-    if not slots:
-        return out
+    if not headers:
+        return []
     runs = np.array([h[3] for h in headers], dtype=np.int64)
-    sizes = np.array([len(payloads[s]) - _HEADER.size for s in slots], dtype=np.int64)
+    sizes = np.array([len(body) for body in bodies], dtype=np.int64)
     if not sizes.any():
         # Headers only: a block is empty, or short of every run it claims.
         framed = sound = runs == 0
         starts = counts = _NO_INTS
         values = _NO_FLOATS
     else:
-        body = np.frombuffer(
-            b"".join([memoryview(payloads[s])[_HEADER.size :] for s in slots]), np.uint8
-        )
+        body = np.frombuffer(b"".join(bodies), np.uint8)
         if np.array_equal(sizes, _NARROW_RUN.itemsize * runs):
             gaps, counts, values, framed = _split_narrow_runs(body, runs)
         else:
@@ -427,25 +432,59 @@ def decode_blocks(
         if not placed.all():
             keep = np.repeat(placed, runs[framed])
             starts, counts, values = starts[keep], counts[keep], values[keep]
+    out: List[Union[RunLengthSeries, TraceError]] = []
     lo = 0
-    for k, slot in enumerate(slots):
-        quantum, start, length, num_runs = headers[k]
+    for k, (quantum, start, length, num_runs) in enumerate(headers):
         if sound[k]:
             hi = lo + num_runs
-            out[slot] = RunLengthSeries._from_validated(
-                starts[lo:hi], counts[lo:hi], values[lo:hi], start, length, quantum
+            out.append(
+                RunLengthSeries._from_validated(
+                    starts[lo:hi], counts[lo:hi], values[lo:hi], start, length, quantum
+                )
             )
             lo = hi
         elif framed[k]:
-            out[slot] = TraceError(
-                "corrupt wire block: runs break the series invariants (count < 1, "
-                f"value not positive, or outside the window [{start}, {start + length}))"
+            out.append(
+                TraceError(
+                    "corrupt wire block: runs break the series invariants (count < 1, "
+                    f"value not positive, or outside the window [{start}, {start + length}))"
+                )
             )
         else:
-            out[slot] = TraceError(
-                f"corrupt wire block: {sizes[k]} body bytes are not exactly "
-                f"{num_runs} runs (truncated, trailing bytes or varint overflow)"
+            out.append(
+                TraceError(
+                    f"corrupt wire block: {sizes[k]} body bytes are not exactly "
+                    f"{num_runs} runs (truncated, trailing bytes or varint overflow)"
+                )
             )
+    return out
+
+
+def decode_blocks(
+    payloads: Sequence[bytes],
+) -> List[Union[RunLengthSeries, TraceError]]:
+    """Exact inverse of :func:`encode_blocks` (float32 value precision).
+
+    Returns one entry per payload: the decoded block, or the
+    :class:`~repro.errors.TraceError` that rejects it (truncated varint or
+    run value, varint overflow, trailing bytes, a header field out of
+    range, any violated :class:`RunLengthSeries` invariant) -- returned,
+    not raised, so one hostile payload never poisons its neighbours.
+    Bodies are decoded in one pass (:func:`_decode_runs`).
+    """
+    out: List[Union[RunLengthSeries, TraceError]] = []
+    slots: List[int] = []
+    headers: List[Tuple[float, int, int, int]] = []
+    for data in payloads:
+        try:
+            headers.append(_parse_block_header(data))
+            slots.append(len(out))
+            out.append(None)  # type: ignore[arg-type]  # filled in below
+        except TraceError as exc:
+            out.append(exc)
+    bodies = [memoryview(payloads[s])[_HEADER.size :] for s in slots]
+    for slot, block in zip(slots, _decode_runs(bodies, headers)):
+        out[slot] = block
     return out
 
 
@@ -492,51 +531,52 @@ def _wire_metrics(
 
 
 @dataclasses.dataclass(frozen=True)
-class BlockFrame:
-    """One transport frame: a wire block plus stream bookkeeping.
+class RoundFrame:
+    """One tracer's flush round: stream bookkeeping plus the loud blocks.
+
+    Every block of a round shares one window, so the geometry travels
+    once per frame; only blocks with runs travel at all. An edge absent
+    from a received round was quiet, and a round with no blocks -- the
+    quiet tracer's whole frame -- is its heartbeat.
 
     Attributes
     ----------
     node:
-        Id of the tracer that produced the frame.
+        Id of the tracer that produced the round.
     epoch:
         Per-tracer restart epoch; bumped whenever the tracer restarts so
-        the receiver can reject blocks that predate the restart.
+        the receiver can reject rounds that predate the restart.
     seq:
-        Sequence number within the ``(node, src, dst)`` stream for this
-        epoch; one block per flush round, starting at 0.
-    src, dst:
-        The edge the block measures (empty strings for heartbeats).
-    block:
-        The RLE payload, or None for a heartbeat frame.
+        Round sequence number within the tracer's stream for this epoch;
+        one round per flush, starting at 0.
+    start, length, quantum:
+        The round's block window: absolute quantum index, length in
+        quanta, quantum in seconds.
+    blocks:
+        ``(src, dst) -> block`` for every edge that spoke this round;
+        each block has at least one run and the round's window.
     """
 
     node: str
     epoch: int
     seq: int
-    src: str
-    dst: str
-    block: Optional[RunLengthSeries] = None
-
-    @property
-    def is_heartbeat(self) -> bool:
-        return self.block is None
-
-    @property
-    def edge(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
+    start: int
+    length: int
+    quantum: float
+    blocks: Mapping[Tuple[str, str], RunLengthSeries] = dataclasses.field(
+        default_factory=dict
+    )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TimestampFrame:
     """One transport frame carrying a packed timestamp batch.
 
-    The columnar sibling of :class:`BlockFrame`: the same envelope
-    (node identity, restart epoch, per-stream sequence number, CRC-32)
-    around N raw float64 capture timestamps for one edge instead of an
-    RLE block. ``observed_at_destination`` records which endpoint
-    captured the batch, so the receiving collector files it on the
-    correct side.
+    The same envelope as :class:`RoundFrame` (node identity, restart
+    epoch, sequence number, CRC-32) around N raw float64 capture
+    timestamps for one edge, sequenced per ``(node, src, dst)`` stream.
+    ``observed_at_destination`` records which endpoint captured the
+    batch, so the receiving collector files it on the correct side.
     """
 
     node: str
@@ -579,7 +619,7 @@ class TimestampFrame:
 
 
 #: Either transport frame kind, as returned by :func:`decode_frame`.
-AnyFrame = Union[BlockFrame, TimestampFrame]
+AnyFrame = Union[RoundFrame, TimestampFrame]
 
 
 def _encode_string(text: str, out: bytearray) -> None:
@@ -599,34 +639,58 @@ def _decode_string(data: bytes, pos: int) -> Tuple[str, int]:
     return text, pos + length
 
 
+def _check_round(frame: RoundFrame) -> None:
+    """Refuse to encode a round the decoder would not give back."""
+    for (src, dst), block in frame.blocks.items():
+        if not block.num_runs:
+            raise TraceError(f"round frame carries a quiet block for {src}->{dst}")
+        if (block.start, block.length, block.quantum) != (
+            frame.start, frame.length, frame.quantum,
+        ):
+            raise TraceError(
+                f"block {src}->{dst} covers [{block.start}, {block.end}) at "
+                f"quantum {block.quantum}, not the round's window"
+            )
+
+
 def encode_frames(frames: Sequence[AnyFrame]) -> List[bytes]:
     """Serialize a flush round of frames.
 
-    Every block payload among them comes from one :func:`encode_blocks`
-    call."""
-    blocks = iter(
-        encode_blocks(
-            [f.block for f in frames if isinstance(f, BlockFrame) and f.block is not None]
-        )
+    The run bodies of every block of every round among them come from one
+    :func:`_encode_runs` call."""
+    rounds = [f for f in frames if isinstance(f, RoundFrame)]
+    for frame in rounds:
+        _check_round(frame)
+    runs, run_ends = _encode_runs(
+        [block for frame in rounds for block in frame.blocks.values()]
     )
+    lo = 0
+    ends = iter(run_ends)
     out: List[bytes] = []
     for frame in frames:
         body = bytearray()
-        if isinstance(frame, TimestampFrame):
-            body.append(FRAME_FLAG_TIMESTAMPS)
-        else:
-            body.append(FRAME_FLAG_HEARTBEAT if frame.is_heartbeat else 0)
+        timestamps = isinstance(frame, TimestampFrame)
+        body.append(FRAME_FLAG_TIMESTAMPS if timestamps else 0)
         _encode_varint(frame.epoch, body)
         _encode_varint(frame.seq, body)
         _encode_string(frame.node, body)
-        _encode_string(frame.src, body)
-        _encode_string(frame.dst, body)
-        if isinstance(frame, TimestampFrame):
+        if timestamps:
+            _encode_string(frame.src, body)
+            _encode_string(frame.dst, body)
             body.append(1 if frame.observed_at_destination else 0)
             _encode_varint(int(frame.timestamps.size), body)
             body += np.ascontiguousarray(frame.timestamps, dtype="<f8").tobytes()
-        elif frame.block is not None:
-            body += next(blocks)
+        else:
+            body += _GEOMETRY.pack(frame.quantum, frame.start, frame.length)
+            _encode_varint(len(frame.blocks), body)
+            for (src, dst), block in frame.blocks.items():
+                hi = next(ends)
+                _encode_string(src, body)
+                _encode_string(dst, body)
+                _encode_varint(block.num_runs, body)
+                _encode_varint(hi - lo, body)
+                body += runs[lo:hi]
+                lo = hi
         out.append(
             _FRAME_PREFIX.pack(FRAME_MAGIC, FRAME_VERSION, zlib.crc32(body)) + body
         )
@@ -634,15 +698,16 @@ def encode_frames(frames: Sequence[AnyFrame]) -> List[bytes]:
 
 
 def encode_frame(frame: AnyFrame) -> bytes:
-    """Serialize one :class:`BlockFrame` or :class:`TimestampFrame`."""
+    """Serialize one :class:`RoundFrame` or :class:`TimestampFrame`."""
     (payload,) = encode_frames([frame])
     return payload
 
 
-def _decode_envelope(data: bytes) -> Union[AnyFrame, tuple]:
-    """CRC-check and parse one frame up to its payload. Heartbeat and
-    timestamp frames come back complete; a data frame comes back as its
-    :class:`BlockFrame` fields with the undecoded block payload last."""
+def _decode_envelope(data: bytes) -> Union[TimestampFrame, tuple]:
+    """CRC-check and parse one frame up to its run bodies. A timestamp
+    frame comes back complete; a round comes back as its
+    :class:`RoundFrame` fields with ``[(edge, runs, body), ...]`` in
+    place of the blocks."""
     if len(data) < _FRAME_PREFIX.size + 1:
         raise TraceError("transport frame shorter than header")
     magic, version, crc = _FRAME_PREFIX.unpack_from(data, 0)
@@ -654,13 +719,14 @@ def _decode_envelope(data: bytes) -> Union[AnyFrame, tuple]:
     if zlib.crc32(body) != crc:
         raise TraceError("transport frame failed CRC-32 check")
     flags = body[0]
-    pos = 1
-    epoch, pos = _decode_varint(body, pos)
+    if flags not in (0, FRAME_FLAG_TIMESTAMPS):
+        raise TraceError(f"corrupt transport frame: unknown flags {flags:#04x}")
+    epoch, pos = _decode_varint(body, 1)
     seq, pos = _decode_varint(body, pos)
     node, pos = _decode_string(body, pos)
-    src, pos = _decode_string(body, pos)
-    dst, pos = _decode_string(body, pos)
-    if flags & FRAME_FLAG_TIMESTAMPS:
+    if flags == FRAME_FLAG_TIMESTAMPS:
+        src, pos = _decode_string(body, pos)
+        dst, pos = _decode_string(body, pos)
         at_destination, timestamps, pos = _decode_timestamp_payload(body, pos)
         if pos != len(body):
             raise TraceError(f"{len(body) - pos} trailing bytes in timestamp frame")
@@ -668,42 +734,72 @@ def _decode_envelope(data: bytes) -> Union[AnyFrame, tuple]:
             node, epoch, seq, src, dst, timestamps,
             observed_at_destination=at_destination,
         )
-    if flags & FRAME_FLAG_HEARTBEAT:
-        if pos != len(body):
-            raise TraceError(f"{len(body) - pos} trailing bytes in heartbeat frame")
-        return BlockFrame(node, epoch, seq, src, dst, None)
-    return node, epoch, seq, src, dst, body[pos:]
+    if pos + _GEOMETRY.size > len(body):
+        raise TraceError("truncated round frame: missing block window")
+    quantum, start, length = _GEOMETRY.unpack_from(body, pos)
+    _check_geometry(quantum, start, length)
+    count, pos = _decode_varint(body, pos + _GEOMETRY.size)
+    view = memoryview(body)
+    blocks = []
+    seen = set()
+    for _ in range(count):
+        src, pos = _decode_string(body, pos)
+        dst, pos = _decode_string(body, pos)
+        runs, pos = _decode_varint(body, pos)
+        size, pos = _decode_varint(body, pos)
+        if (src, dst) in seen:
+            raise TraceError(f"round frame carries {src}->{dst} twice")
+        if not runs:
+            raise TraceError(f"round frame carries a quiet block for {src}->{dst}")
+        if runs * _NARROW_RUN.itemsize > size:
+            # Every run takes at least the narrow layout's bytes; this also
+            # keeps run counts inside what the int64 run arrays can hold.
+            raise TraceError(f"round frame claims {runs} runs for {src}->{dst} in {size} bytes")
+        if pos + size > len(body):
+            raise TraceError("truncated block body in round frame")
+        seen.add((src, dst))
+        blocks.append(((src, dst), runs, view[pos : pos + size]))
+        pos += size
+    if pos != len(body):
+        raise TraceError(f"{len(body) - pos} trailing bytes in round frame")
+    return node, epoch, seq, start, length, quantum, blocks
 
 
 def decode_frames(payloads: Sequence[bytes]) -> List[Union[AnyFrame, TraceError]]:
     """Exact inverse of :func:`encode_frames`, one entry per payload.
 
-    Truncation, a failed CRC-32, or any corruption in the embedded
-    payload yields the :class:`~repro.errors.TraceError` in that frame's
-    place -- the transport receiver counts such frames
-    (``transport_corrupt_blocks_total``) and drops them instead of
-    letting the refresh loop die. Envelopes are parsed per frame; the
-    block payloads of all data frames are decoded by one
-    :func:`decode_blocks` call. Entries are :class:`TimestampFrame` for
-    packed-batch frames, :class:`BlockFrame` otherwise.
+    Truncation, a failed CRC-32, a frame version other than
+    :data:`FRAME_VERSION`, or any corruption in an embedded block yields
+    the :class:`~repro.errors.TraceError` in that frame's place -- the
+    transport receiver counts such frames
+    (``transport_corrupt_blocks_total``) and drops them instead of letting
+    the refresh loop die. Envelopes are parsed per frame; the run bodies
+    of every round's blocks are decoded by one :func:`_decode_runs` call.
     """
     out: List[Union[AnyFrame, TraceError]] = []
-    slots: List[int] = []
+    rounds: List[Tuple[int, tuple]] = []
     bodies: List[bytes] = []
+    headers: List[Tuple[float, int, int, int]] = []
     for data in payloads:
         try:
             parsed = _decode_envelope(data)
         except TraceError as exc:
             parsed = exc
         if isinstance(parsed, tuple):
-            slots.append(len(out))
-            bodies.append(parsed[-1])
-        out.append(parsed)
-    for slot, block in zip(slots, decode_blocks(bodies)):
+            rounds.append((len(out), parsed))
+            _, _, _, start, length, quantum, blocks = parsed
+            for _, runs, body in blocks:
+                bodies.append(body)
+                headers.append((quantum, start, length, runs))
+        out.append(parsed)  # type: ignore[arg-type]  # rounds filled in below
+    decoded = iter(_decode_runs(bodies, headers))
+    for slot, (node, epoch, seq, start, length, quantum, blocks) in rounds:
+        loud = {edge: next(decoded) for edge, _, _ in blocks}
+        error = next((b for b in loud.values() if isinstance(b, TraceError)), None)
         out[slot] = (
-            block
-            if isinstance(block, TraceError)
-            else BlockFrame(*out[slot][:-1], block)
+            error
+            if error is not None
+            else RoundFrame(node, epoch, seq, start, length, quantum, loud)
         )
     return out
 

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import PathmapConfig
 from repro.core.rle import rle_encode
 from repro.core.timeseries import build_density_series
 from repro.errors import TraceError
+from repro.tracing import tracer as tracer_module
 from repro.tracing.tracer import Tracer
+from tests.tracer_reference import flush_block_reference
 
 CFG = PathmapConfig(
     window=1.0, refresh_interval=0.5, quantum=1e-3, sampling_window=5e-3,
@@ -134,11 +137,13 @@ class TestStreaming:
         assert combined == whole
 
     def test_flush_empty_edge(self):
+        """A quiet edge flushes nothing: its silence is implicit."""
         tracer = Tracer("A")
         tracer.observe(0.1, "A", "B")
         tracer.flush_block(CFG, 0, 500)
         blocks = tracer.flush_block(CFG, 500, 500)
-        assert blocks[("A", "B")].num_runs == 0
+        assert ("A", "B") not in blocks
+        assert blocks == {}
 
     def test_every_flush_equals_the_per_edge_pipeline(self):
         """One batched pass per flush == rle_encode(build_density_series)
@@ -160,14 +165,18 @@ class TestStreaming:
                     tracer.observe_batch(stamps, *edge)
             start = 125 + 500 * block  # the skewed clock's quanta
             blocks = tracer.flush_block(CFG, start, 500)
-            assert list(blocks) == tracer.edges()
-            for edge, got in blocks.items():
-                expected = rle_encode(
+            expected = {
+                edge: rle_encode(
                     build_density_series(
                         captured[edge], CFG.quantum, CFG.sampling_quanta, start, 500
                     )
                 )
-                assert got == expected, (block, edge)
+                for edge in tracer.edges()
+            }
+            loud = [edge for edge in tracer.edges() if expected[edge].num_runs]
+            assert list(blocks) == loud
+            for edge, got in blocks.items():
+                assert got == expected[edge], (block, edge)
 
     def test_flush_only_the_edges_asked_for(self):
         tracer = Tracer("A")
@@ -184,3 +193,85 @@ class TestStreaming:
         assert tracer.flush_block(CFG, 500, 500, edges=set()) == {}
         # Edges left out are still pruned like the rest.
         assert tracer.timestamps("A", "B") == []
+
+
+EDGES = [("A", "B"), ("C", "A"), ("A", "D"), ("E", "A"), ("A", "F")]
+
+
+@st.composite
+def flush_rounds(draw):
+    """Rounds of captures for a tracer at A: per round, per edge, either
+    silence or a burst -- some stamps drawn into the sampling-window
+    margin either side of the block boundary -- and the edges kept."""
+    skew = draw(st.sampled_from([0.0, 0.125, -0.0375, 0.0004]))
+    rounds = []
+    for k in range(draw(st.integers(1, 5))):
+        lo = 0.5 * k
+        captures = []
+        for edge in EDGES:
+            kind = draw(st.sampled_from(["quiet", "quiet", "burst", "margin"]))
+            if kind == "quiet":
+                continue
+            if kind == "margin":
+                # Within omega of the block's end, or just past it.
+                offsets = st.floats(0.5 - 2 * CFG.sampling_window, 0.5 + CFG.sampling_window)
+            else:
+                offsets = st.floats(0.0, 0.5)
+            stamps = draw(st.lists(offsets, min_size=1, max_size=6))
+            captures.append((edge, [lo + t for t in stamps], draw(st.booleans())))
+        kept = draw(st.one_of(st.none(), st.sets(st.sampled_from(EDGES))))
+        rounds.append((captures, kept))
+    return skew, rounds
+
+
+class TestQuietFlush:
+    @given(plan=flush_rounds())
+    @settings(max_examples=150, deadline=None)
+    def test_flush_is_the_reference_without_its_empty_blocks(self, plan):
+        """Over quiet and loud edges, clock skew and stamps in the
+        sampling-window margin, every flush returns exactly the reference
+        flush's non-empty blocks -- bitwise, in the same order -- and keeps
+        the same timestamps for the next one."""
+        skew, rounds = plan
+        tracer, reference = Tracer("A", clock_skew=skew), Tracer("A", clock_skew=skew)
+        for k, (captures, kept) in enumerate(rounds):
+            for edge, stamps, one_by_one in captures:
+                for t in (stamps if one_by_one else [stamps]):
+                    for twin in (tracer, reference):
+                        if one_by_one:
+                            twin.observe(t, *edge)
+                        else:
+                            twin.observe_batch(t, *edge)
+            start = int(round(skew / CFG.quantum)) + 500 * k
+            got = tracer.flush_block(CFG, start, 500, edges=kept)
+            everything = flush_block_reference(reference, CFG, start, 500, edges=kept)
+            expected = {e: b for e, b in everything.items() if b.num_runs}
+            assert list(got) == list(expected)
+            for edge, block in got.items():
+                want = expected[edge]
+                assert (block.start, block.length, block.quantum) == (
+                    want.start, want.length, want.quantum,
+                )
+                for field in ("starts", "counts", "values"):
+                    a, b = getattr(block, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert tracer._kept_stamps.tobytes() == reference._kept_stamps.tobytes()
+
+    def test_nothing_kept_builds_no_density_rows(self, monkeypatch):
+        calls = []
+        original = tracer_module.build_density_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tracer_module, "build_density_rows", counting)
+        tracer = Tracer("A")
+        assert tracer.flush_block(CFG, 0, 500) == {}  # never captured
+        tracer.observe(0.1, "A", "B")
+        assert list(tracer.flush_block(CFG, 0, 500)) == [("A", "B")]
+        assert len(calls) == 1
+        # 0.1 s is older than the next block's margin: nothing is kept.
+        assert tracer.flush_block(CFG, 500, 500) == {}
+        assert tracer.flush_block(CFG, 1000, 500) == {}
+        assert len(calls) == 1

@@ -27,7 +27,7 @@ from repro.tracing.transport import (
     TransportReceiver,
     overall_quality,
 )
-from repro.tracing.wire import BlockFrame, TimestampFrame, decode_frame, encode_frame
+from repro.tracing.wire import RoundFrame, TimestampFrame, decode_frame, encode_frame
 
 QUANTUM = 1e-3
 BLOCK_QUANTA = 100
@@ -46,10 +46,22 @@ def ts_frame(epoch=0, seq=0):
     return TimestampFrame("N", epoch, seq, "A", "N", np.array([float(seq), seq + 0.5]))
 
 
-def make_frame(node="N", epoch=0, seq=0, src="A", dst="N", start=None):
+def make_round(node="N", epoch=0, seq=0, edges=(("A", "N"),), start=None):
+    """Round ``seq`` of ``node``'s stream, loud on exactly ``edges``."""
     if start is None:
         start = seq * BLOCK_QUANTA
-    return BlockFrame(node, epoch, seq, src, dst, make_block(start, seed=seq))
+    return RoundFrame(
+        node, epoch, seq, start, BLOCK_QUANTA, QUANTUM,
+        {edge: make_block(start, seed=seq) for edge in edges},
+    )
+
+
+def make_frame(node="N", epoch=0, seq=0, src="A", dst="N", start=None):
+    return make_round(node, epoch, seq, [(src, dst)], start)
+
+
+def buffer(lateness):
+    return ReorderBuffer("N", lateness=lateness)
 
 
 class TestDataQuality:
@@ -152,41 +164,56 @@ class TestFaultyChannel:
 
 
 class TestTransportLink:
-    def test_sequences_advance_per_edge(self):
+    def test_sequences_advance_per_round(self):
         link = TransportLink("N")
         blocks = {("A", "N"): make_block(0), ("B", "N"): make_block(0)}
-        first = [decode_frame(p) for p in link.encode_blocks(blocks)]
-        second = [decode_frame(p) for p in link.encode_blocks(blocks)]
-        seqs = {f.edge: f.seq for f in first if not f.is_heartbeat}
-        assert seqs == {("A", "N"): 0, ("B", "N"): 0}
-        seqs = {f.edge: f.seq for f in second if not f.is_heartbeat}
-        assert seqs == {("A", "N"): 1, ("B", "N"): 1}
+        first = decode_frame(link.encode_blocks(blocks, 0, BLOCK_QUANTA, QUANTUM))
+        second = decode_frame(
+            link.encode_blocks({}, BLOCK_QUANTA, BLOCK_QUANTA, QUANTUM)
+        )
+        # One sequence per tracer, not per edge: both edges rode round 0.
+        assert (first.seq, second.seq) == (0, 1)
+        assert list(first.blocks) == list(blocks)
+        assert second.blocks == {}
+        assert (second.start, second.length, second.quantum) == (
+            BLOCK_QUANTA, BLOCK_QUANTA, QUANTUM,
+        )
+        assert link.frames_sent == 2
 
     def test_heartbeat_appended_each_round(self):
+        """A quiet round is the heartbeat: one frame, no blocks."""
         link = TransportLink("N")
-        frames = [decode_frame(p) for p in link.encode_blocks({})]
-        assert len(frames) == 1
-        assert frames[0].is_heartbeat
-        assert frames[0].node == "N"
+        frame = decode_frame(link.encode_blocks({}, 0, BLOCK_QUANTA, QUANTUM))
+        assert frame.blocks == {}
+        assert frame.node == "N"
+        assert link.frames_sent == 1
 
     def test_restart_bumps_epoch_and_resets_seqs(self):
         link = TransportLink("N")
-        link.encode_blocks({("A", "N"): make_block(0)})
+        link.encode_blocks({("A", "N"): make_block(0)}, 0, BLOCK_QUANTA, QUANTUM)
         link.restart()
         assert link.epoch == 1
         assert link.restarts == 1
-        frames = [
-            decode_frame(p)
-            for p in link.encode_blocks({("A", "N"): make_block(100)})
-        ]
-        data = [f for f in frames if not f.is_heartbeat][0]
-        assert data.epoch == 1
-        assert data.seq == 0
+        frame = decode_frame(
+            link.encode_blocks(
+                {("A", "N"): make_block(100)}, 100, BLOCK_QUANTA, QUANTUM
+            )
+        )
+        assert frame.epoch == 1
+        assert frame.seq == 0
+
+    def test_quiet_block_refused(self):
+        link = TransportLink("N")
+        with pytest.raises(TraceError):
+            link.encode_blocks(
+                {("A", "N"): RunLengthSeries.empty(0, BLOCK_QUANTA, QUANTUM)},
+                0, BLOCK_QUANTA, QUANTUM,
+            )
 
 
 class TestReorderBuffer:
     def test_in_order_delivery(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=2)
+        buf = buffer(lateness=2)
         for seq in range(5):
             out = buf.push(make_frame(seq=seq))
             assert [f.seq for f in out] == [seq]
@@ -194,31 +221,31 @@ class TestReorderBuffer:
         assert buf.gaps == 0
 
     def test_reordered_pair_resequenced(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=2)
+        buf = buffer(lateness=2)
         assert buf.push(make_frame(seq=1)) == []
         out = buf.push(make_frame(seq=0))
         assert [f.seq for f in out] == [0, 1]
         assert buf.reordered == 1
 
     def test_duplicates_never_redelivered(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=2)
+        buf = buffer(lateness=2)
         buf.push(make_frame(seq=0))
         assert buf.push(make_frame(seq=0)) == []
         assert buf.duplicates == 1
 
     def test_gap_declared_past_lateness(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=1)
+        buf = buffer(lateness=1)
         buf.push(make_frame(seq=0))
         assert buf.push(make_frame(seq=2)) == []  # within lateness: wait
         out = buf.push(make_frame(seq=3))  # hole now too old
         assert [f.seq for f in out] == [2, 3]
-        notices = buf.drain_gap_notices()
-        assert [n.seq for n in notices] == [1]
+        lost = buf.drain_lost_rounds()
+        assert [r.seq for r in lost] == [1]
         # block_start derived from the seq -> start anchor.
-        assert notices[0].block_start == BLOCK_QUANTA
+        assert lost[0].block_start == BLOCK_QUANTA
 
     def test_late_recovery_after_gap(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=0)
+        buf = buffer(lateness=0)
         buf.push(make_frame(seq=0))
         buf.push(make_frame(seq=2))  # declares gap at 1 immediately
         assert buf.gaps == 1
@@ -230,28 +257,34 @@ class TestReorderBuffer:
         assert buf.duplicates == 1
 
     def test_stale_epoch_dropped_for_good(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=2)
+        buf = buffer(lateness=2)
         buf.push(make_frame(epoch=1, seq=0))
         assert buf.push(make_frame(epoch=0, seq=5)) == []
         assert buf.stale_epoch_drops == 1
 
     def test_epoch_switch_drains_old_then_resets(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=3)
+        buf = buffer(lateness=3)
         buf.push(make_frame(epoch=0, seq=0))
         buf.push(make_frame(epoch=0, seq=2))  # buffered, waiting for 1
         out = buf.push(make_frame(epoch=1, seq=0))
         # Old epoch's pending seq 2 drains first (declaring the hole at
         # 1), then the new epoch's seq 0.
         assert [(f.epoch, f.seq) for f in out] == [(0, 2), (1, 0)]
-        assert [n.seq for n in buf.drain_gap_notices()] == [1]
+        assert [r.seq for r in buf.drain_lost_rounds()] == [1]
         assert buf.epoch == 1
 
     def test_flush_drains_pending(self):
-        buf = ReorderBuffer(("N", "A", "N"), lateness=5)
+        buf = buffer(lateness=5)
         buf.push(make_frame(seq=2))
         out = buf.flush()
         assert [f.seq for f in out] == [2]
         assert buf.gaps == 2  # seqs 0 and 1 declared lost
+
+    def test_newest_start_tracks_buffered_rounds(self):
+        buf = buffer(lateness=5)
+        assert buf.newest_start() is None
+        buf.push(make_frame(seq=3))  # buffered behind the hole at 0..2
+        assert buf.newest_start() == 3 * BLOCK_QUANTA
 
 
 class TestLivenessWatchdog:
@@ -289,15 +322,16 @@ class TestTransportReceiver:
     def test_roundtrip_through_link(self):
         link = TransportLink("N")
         recv = TransportReceiver(TransportConfig(), refresh_interval=10.0)
-        payloads = link.encode_blocks({("A", "N"): make_block(0)})
-        for p in payloads:
-            recv.receive([p], now=0.0)
+        payload = link.encode_blocks(
+            {("A", "N"): make_block(0)}, 0, BLOCK_QUANTA, QUANTUM
+        )
+        recv.receive([payload], now=0.0)
         frames = recv.poll()
         assert len(frames) == 1
-        assert frames[0].edge == ("A", "N")
+        assert list(frames[0].blocks) == [("A", "N")]
         assert recv.heartbeats == 1
         assert recv.edge_owner(("A", "N")) == "N"
-        assert recv.known_edges() == [("A", "N")]
+        assert recv.owned_edges("N") == {("A", "N")}
 
     def test_corrupt_payload_counted_not_raised(self):
         recv = TransportReceiver(TransportConfig(), refresh_interval=10.0)
@@ -320,10 +354,10 @@ class TestTransportReceiver:
 
     def test_totals_aggregate_across_streams(self):
         recv = TransportReceiver(TransportConfig(lateness_blocks=0), 10.0)
-        recv.receive([encode_frame(make_frame(src="A", seq=0))], 0.0)
-        recv.receive([encode_frame(make_frame(src="A", seq=2))], 0.0)
-        recv.receive([encode_frame(make_frame(src="B", seq=0))], 0.0)
-        recv.receive([encode_frame(make_frame(src="B", seq=0))], 0.0)
+        recv.receive([encode_frame(make_frame(node="N", src="A", dst="N", seq=0))], 0.0)
+        recv.receive([encode_frame(make_frame(node="N", src="A", dst="N", seq=2))], 0.0)
+        recv.receive([encode_frame(make_frame(node="M", src="B", dst="M", seq=0))], 0.0)
+        recv.receive([encode_frame(make_frame(node="M", src="B", dst="M", seq=0))], 0.0)
         totals = recv.totals()
         assert totals["gaps"] == 1
         assert totals["duplicates"] == 1
@@ -333,23 +367,23 @@ class TestTransportReceiver:
 
     def test_one_call_per_round_equals_frame_by_frame(self):
         """Collected deliveries -- good, duplicated, reordered, corrupt,
-        heartbeat and timestamp frames -- have the same effect handed
+        quiet and timestamp frames -- have the same effect handed
         over in one call as delivered one at a time."""
-        corrupt = bytearray(encode_frame(make_frame(src="B", seq=1)))
+        corrupt = bytearray(encode_frame(make_frame(node="M", src="B", dst="M", seq=1)))
         corrupt[-1] ^= 0x40
         payloads = [
-            encode_frame(make_frame(src="A", seq=0)),
-            encode_frame(make_frame(src="A", seq=3)),
+            encode_frame(make_frame(seq=0)),
+            encode_frame(make_frame(seq=3)),
             bytes(corrupt),
-            encode_frame(BlockFrame("N", 0, 0, "", "")),
+            encode_frame(make_round(node="M", seq=0, edges=())),
             encode_frame(ts_frame(seq=0)),
-            encode_frame(make_frame(src="A", seq=1)),
-            encode_frame(make_frame(src="A", seq=1)),
+            encode_frame(make_frame(seq=1)),
+            encode_frame(make_frame(seq=1)),
             b"junk",
             encode_frame(ts_frame(seq=0)),
-            encode_frame(make_frame(src="B", seq=0)),
-            encode_frame(make_frame(epoch=1, src="A", seq=0)),
-            encode_frame(make_frame(src="A", seq=2)),
+            encode_frame(make_frame(node="M", src="B", dst="M", seq=1)),
+            encode_frame(make_frame(epoch=1, seq=0)),
+            encode_frame(make_frame(seq=2)),
         ]
 
         def outcome(receiver):
@@ -359,7 +393,8 @@ class TestTransportReceiver:
                 receiver.drain_gap_notices(),
                 receiver.totals(),
                 receiver.statuses(1.0),
-                receiver.known_edges(),
+                receiver.owned_edges("N"),
+                receiver.owned_edges("M"),
             )
 
         together = TransportReceiver(TransportConfig(lateness_blocks=1), 10.0)
@@ -370,6 +405,16 @@ class TestTransportReceiver:
         assert outcome(together) == outcome(singly)
         assert together.corrupt_blocks == 2
         assert together.frames_received == len(payloads)
+
+    def test_v1_frame_counted_corrupt_not_raised(self):
+        """Frames are never persisted, so a pre-round (version 1) frame
+        is simply unsupported: counted as corrupt, never raised."""
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        heartbeat_v1 = bytes.fromhex("524601d7f0c24b010281010244420000")
+        recv.receive([heartbeat_v1], now=0.0)
+        assert recv.corrupt_blocks == 1
+        assert recv.heartbeats == 0
+        assert recv.poll() == []
 
     def test_timestamp_stream_dedup_out_of_order(self):
         recv = TransportReceiver(TransportConfig(), 10.0)
@@ -518,7 +563,9 @@ class TestEngineTransport:
             return FaultyChannel(seed=5, drop=0.3)
 
         rubis, engine = self._engine(factory=factory)
-        rubis.run_until(65.0)
+        # One round frame per tracer per refresh: the drops of rounds 3
+        # and 4 are declared once round 6 passes the lateness of 2.
+        rubis.run_until(75.0)
         kinds = [
             event["kind"]
             for frame in engine.flight.dump()["frames"]
@@ -526,3 +573,110 @@ class TestEngineTransport:
         ]
         assert "transport_gap" in kinds
         assert "degraded_refresh" in kinds
+
+
+class ScriptedChannel(FaultyChannel):
+    """Perfect channel that drops or holds back chosen sends, by index.
+
+    Without a capture sink every send is one round frame, so send ``k``
+    is the tracer's round ``k``; a held round arrives with the next
+    refresh's deliveries, after that refresh's own round."""
+
+    def __init__(self, drop=(), hold=()):
+        super().__init__()
+        self.sent = []
+        self._drop, self._hold = set(drop), set(hold)
+
+    def send(self, payload):
+        index = len(self.sent)
+        self.sent.append(payload)
+        if index in self._drop:
+            return []
+        if index in self._hold:
+            self._held.append((self._round + 2, payload))
+            return []
+        return [payload]
+
+
+class TestQuietRounds:
+    """Per-tracer round semantics through the engine, on a many-class
+    deployment whose last two classes stop at t = 5 s: their front-end
+    and app-server tracers go quiet while the other classes stay loud."""
+
+    def _engine(self, **scripts):
+        from repro.apps.manyclass import build_many_class
+        from repro.core.engine import E2EProfEngine
+
+        deployment = build_many_class(classes=4, quiet_fraction=0.5, seed=3)
+        channels = {}
+
+        def factory(node):
+            channels[node] = ScriptedChannel(**scripts.get(node, {}))
+            return channels[node]
+
+        engine = E2EProfEngine(
+            deployment.config, transport=TransportConfig(), channel_factory=factory
+        )
+        engine.attach(deployment.topology)
+        return deployment, engine, channels
+
+    @staticmethod
+    def block_start(engine, refresh):
+        return engine._base_quantum + refresh * engine._block_quanta
+
+    def test_quiet_tracer_sends_round_headers_and_stays_fresh(self):
+        deployment, engine, channels = self._engine()
+        deployment.run_until(21.0)  # ten refreshes, t = 2..20
+        rounds = [decode_frame(p) for p in channels["FE3"].sent]
+        assert [r.seq for r in rounds] == list(range(10))
+        # Loud while the class ran, then only round headers.
+        assert rounds[0].blocks
+        assert all(not r.blocks for r in rounds[4:])
+        assert all(decode_frame(p).blocks for p in channels["FE0"].sent[1:])
+        # The quiet tracer is live and its (silent) edges are fresh.
+        assert engine._receiver.statuses(20.0)["FE3"].state == TRACER_LIVE
+        owned = engine._receiver.owned_edges("FE3")
+        assert ("C3", "FE3") in owned
+        for edge in owned:
+            assert engine.latest_edge_quality[edge] == FRESH_QUALITY
+        assert engine.quality_score == 1.0
+
+    def test_dropped_round_gaps_every_owned_edge_at_its_block_start(self):
+        deployment, engine, _ = self._engine(FE0={"drop": [3]})
+        deployment.run_until(8.5)  # refresh 3 is the first without FE0's round
+        owned = engine._receiver.owned_edges("FE0")
+        assert len(owned) >= 2
+        start = self.block_start(engine, 3)
+        assert engine._gap_blocks == {edge: {start} for edge in owned}
+        for edge in owned:
+            assert engine.latest_edge_quality[edge].state == QUALITY_DEGRADED
+        deployment.run_until(14.5)  # rounds 4-6 pass the lateness of 2
+        assert engine._receiver.totals()["gaps"] == len(owned)
+        assert engine._receiver.totals()["late_recovered"] == 0
+
+    def test_late_round_clears_the_marks_of_quiet_edges(self):
+        deployment, engine, _ = self._engine(FE3={"hold": [6]})
+        deployment.run_until(14.5)  # refresh 6: FE3 quiet, its round held
+        owned = engine._receiver.owned_edges("FE3")
+        start = self.block_start(engine, 6)
+        assert owned and {e for e, s in engine._gap_blocks.items() if start in s} == owned
+        assert engine.quality_score < 1.0
+        deployment.run_until(16.5)  # the held round arrives, whole and quiet
+        assert not any(start in marks for marks in engine._gap_blocks.values())
+        assert engine.quality_score == 1.0
+        assert engine._receiver.totals()["gaps"] == 0
+
+    def test_duplicate_round_delivered_once(self):
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        payload = encode_frame(make_round(seq=0, edges=[("A", "N"), ("B", "N")]))
+        recv.receive([payload, payload], now=0.0)
+        assert [(f.node, f.seq) for f in recv.poll()] == [("N", 0)]
+        assert recv.totals()["duplicates"] == 1
+        assert recv.heartbeats == 2  # both copies still prove liveness
+
+    def test_stale_epoch_round_dropped(self):
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        recv.receive([encode_frame(make_frame(epoch=1, seq=0))], now=0.0)
+        recv.receive([encode_frame(make_frame(epoch=0, seq=1))], now=0.0)
+        assert [(f.epoch, f.seq) for f in recv.poll()] == [(1, 0)]
+        assert recv.totals()["stale_epoch_drops"] == 1

@@ -9,6 +9,9 @@ Two invariants drive the design:
 * **Epoch monotonicity**: delivered epochs never decrease, and once a
   newer epoch has been observed, no frame from an older epoch is ever
   delivered again (pre-restart blocks cannot be resurrected).
+* **Per-tracer gaps**: a lost round is a gap on every edge its tracer
+  owns, at exactly the block start the round would have carried, and a
+  round that arrives after its gap was declared is handed back whole.
 """
 
 import pytest
@@ -16,16 +19,30 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from repro.tracing.transport import ReorderBuffer
-from repro.tracing.wire import BlockFrame
+import numpy as np
 
-STREAM = ("N", "A", "N")
+from repro.config import TransportConfig
+from repro.core.rle import RunLengthSeries
+from repro.tracing.transport import ReorderBuffer, TransportReceiver
+from repro.tracing.wire import RoundFrame, encode_frames
+
+STREAM = "N"
+BLOCK_QUANTA = 100
+#: Block start of round 0 (any anchor works; this one is not a multiple).
+ANCHOR = -250
 
 
-def frame(seq, epoch=0):
-    # Heartbeat-shaped frames (block=None) are fine for buffer-order
-    # properties: the buffer keys purely on (epoch, seq).
-    return BlockFrame("N", epoch, seq, "A", "N", None)
+def frame(seq, epoch=0, edges=()):
+    # Quiet rounds are fine for buffer-order properties: the buffer keys
+    # purely on (epoch, seq).
+    start = ANCHOR + seq * BLOCK_QUANTA
+    blocks = {
+        edge: RunLengthSeries(
+            np.array([start]), np.array([1]), np.array([1.0]), start, BLOCK_QUANTA, 1e-3
+        )
+        for edge in edges
+    }
+    return RoundFrame("N", epoch, seq, start, BLOCK_QUANTA, 1e-3, blocks)
 
 
 @st.composite
@@ -138,3 +155,48 @@ class TestEpochs:
         assert buf.push(frame(7, epoch=2)) == []
         assert buf.push(frame(1, epoch=0)) == []
         assert buf.stale_epoch_drops == 2
+
+
+class TestRoundGaps:
+    @st.composite
+    def lossy_streams(draw):
+        """Rounds 0..n-1 of one tracer, some lost, over 0-4 owned edges."""
+        n = draw(st.integers(2, 30))
+        lost = draw(st.sets(st.integers(0, n - 1)))
+        edges = draw(st.sets(st.sampled_from(["A", "B", "C", "D"])))
+        lateness = draw(st.integers(0, 4))
+        return n, lost, {(src, "N") for src in edges}, lateness
+
+    @given(stream=lossy_streams())
+    def test_lost_round_gaps_every_owned_edge_at_its_start(self, stream):
+        n, lost, owned, lateness = stream
+        receiver = TransportReceiver(TransportConfig(lateness_blocks=lateness), 10.0)
+        # The last round lies past every hole by more than the lateness,
+        # so it exposes them all, trailing losses included.
+        arrived = [seq for seq in range(n) if seq not in lost] + [n + lateness + 1]
+        receiver.receive(
+            encode_frames([frame(seq, edges=sorted(owned)) for seq in arrived]), now=0.0
+        )
+        declared = sorted(set(range(arrived[-1])) - set(arrived))
+        notices = receiver.drain_gap_notices()
+        assert sorted((g.seq, g.edge, g.block_start) for g in notices) == [
+            (seq, edge, ANCHOR + seq * BLOCK_QUANTA)
+            for seq in declared
+            for edge in sorted(owned)
+        ]
+        assert receiver.totals()["gaps"] == len(declared) * len(owned)
+
+    @given(stream=lossy_streams())
+    def test_late_round_handed_back_whole_and_once(self, stream):
+        n, lost, owned, lateness = stream
+        buf = ReorderBuffer(STREAM, lateness=lateness)
+        arrived = [seq for seq in range(n) if seq not in lost]
+        for seq in arrived:
+            buf.push(frame(seq, edges=sorted(owned)))
+        buf.flush()
+        declared = [s for s in sorted(lost) if arrived and s < arrived[-1]]
+        for seq in declared:
+            late = frame(seq, edges=sorted(owned))
+            assert buf.push(late) == [late]
+            assert buf.push(late) == []
+        assert buf.late_recovered == len(declared)

@@ -6,15 +6,20 @@
   reference loop (``tests/wire_reference.py``) produces, and
   ``decode_blocks`` accepts exactly the payloads the reference accepts,
   with equal results, one verdict per payload.
-* **Golden vectors**: ``tests/data/wire_golden.json`` holds frames and
-  blocks as the scalar codec wrote them at the commit that retired it.
-  They are the wire format's contract: a diff there is a format change.
+* **Round frames**: the same differential for whole version-2 round
+  frames against the scalar round codec, quiet and loud rounds alike.
+* **Golden vectors**: ``tests/data/wire_golden.json`` holds blocks as the
+  scalar codec wrote them at the commit that retired it, version-2 frames
+  as the scalar round codec writes them, and the retired version-1 frames,
+  each of which must now be rejected. They are the wire format's
+  contract: a diff there is a format change.
 """
 
 import json
 import pathlib
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -22,13 +27,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from repro.config import TransportConfig
 from repro.core.rle import RunLengthSeries
 from repro.errors import TraceError
+from repro.tracing.transport import TransportReceiver
 from repro.tracing.wire import (
+    _FRAME_PREFIX,
     _HEADER,
+    FRAME_FLAG_TIMESTAMPS,
+    FRAME_MAGIC,
+    FRAME_VERSION,
     MAGIC,
     VERSION,
-    BlockFrame,
+    RoundFrame,
     TimestampFrame,
     decode_block,
     decode_blocks,
@@ -39,7 +50,12 @@ from repro.tracing.wire import (
     encode_frame,
     encode_frames,
 )
-from tests.wire_reference import decode_block_reference, encode_block_reference
+from tests.wire_reference import (
+    decode_block_reference,
+    decode_round_reference,
+    encode_block_reference,
+    encode_round_reference,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "wire_golden.json").read_text()
@@ -242,8 +258,9 @@ class TestHostilePayloads:
         assert decode_block(payload).starts.tolist() == [3]
 
     def test_corrupt_frame_among_good_ones(self):
+        good = decode_block_reference(GOOD)
         frames = [
-            BlockFrame("N", 0, seq, "A", "N", decode_block_reference(GOOD))
+            RoundFrame("N", 0, seq, 0, 1000, 1e-3, {("A", "N"): good})
             for seq in range(3)
         ]
         payloads = encode_frames(frames)
@@ -252,6 +269,170 @@ class TestHostilePayloads:
         first, verdict, last = decode_frames(payloads)
         assert (first, last) == (frames[0], frames[2])
         assert isinstance(verdict, TraceError)
+
+
+# -- round frames ----------------------------------------------------------------
+
+
+@st.composite
+def wire_round(draw):
+    """A round frame: one window, 0-5 loud blocks in it on distinct edges."""
+    start = draw(st.integers(-(10**6), 10**6))
+    quantum = draw(st.sampled_from([1e-3, 5e-4, 0.25]))
+    max_gap, max_count = KINDS[draw(st.sampled_from(["narrow", "narrow", "wide", "huge"]))]
+    edges = draw(
+        st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)), max_size=5, unique=True)
+    )
+    runs_per_edge = [
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, max_gap),
+                    st.integers(1, max_count),
+                    st.integers(1, 4096).map(lambda k: k / 8.0),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        for _ in edges
+    ]
+    ends = [sum(g + c for g, c, _ in runs) for runs in runs_per_edge]
+    length = max(ends, default=0) + draw(st.integers(0, 50))
+    blocks = {}
+    for edge, runs in zip(edges, runs_per_edge):
+        gaps, counts, values = (np.array(col) for col in zip(*runs))
+        run_ends = np.cumsum(gaps + counts)
+        blocks[edge] = RunLengthSeries(
+            start + run_ends - counts, counts, values.astype(np.float64),
+            start, length, quantum,
+        )
+    return RoundFrame(
+        draw(st.text(max_size=4)),
+        draw(st.integers(0, 2**40)),
+        draw(st.integers(0, 2**40)),
+        start, length, quantum, blocks,
+    )
+
+
+def round_verdict(payload: bytes):
+    """The scalar round decoder's frame, or None where it rejects it."""
+    try:
+        frame = decode_round_reference(payload)
+    except (TraceError, OverflowError):
+        return None
+    return frame if frame.start + frame.length <= INT64_MAX else None
+
+
+def with_crc(body: bytes, version: int = FRAME_VERSION) -> bytes:
+    """A frame around ``body`` whose CRC is honest, so only the body is wrong."""
+    return struct.pack("<2sBI", FRAME_MAGIC, version, zlib.crc32(body)) + body
+
+
+def round_body(blocks: bytes, count: int, start=0, length=1000, quantum=1e-3) -> bytes:
+    return b"\x00\x00\x00\x01N" + struct.pack("<dqq", quantum, start, length) + bytes([count]) + blocks
+
+
+ONE_RUN = run_bytes(b"\x01", b"\x01", 1.0)
+
+#: Round frames with an honest CRC that the decoder must still reject.
+HOSTILE_ROUNDS = {
+    "quiet block on the wire": with_crc(round_body(b"\x01A\x01N\x00\x00", 1)),
+    "edge carried twice": with_crc(
+        round_body(2 * (b"\x01A\x01N\x01\x06" + ONE_RUN), 2)
+    ),
+    "block body overruns the frame": with_crc(round_body(b"\x01A\x01N\x01\x09" + ONE_RUN, 1)),
+    "runs short of their count": with_crc(round_body(b"\x01A\x01N\x02\x06" + ONE_RUN, 1)),
+    # runs = 2**63: past int64.
+    "runs worth 2**63": with_crc(
+        round_body(b"\x01A\x01N" + b"\x80" * 9 + b"\x01" + b"\x06" + ONE_RUN, 1)
+    ),
+    # runs = (2**64 + 8) / 6: six bytes a run wraps int64 to the 8-byte body.
+    "runs times six wraps to the body size": with_crc(
+        round_body(
+            b"\x01A\x01N" + bytes.fromhex("acd5aad5aad5aad52a") + b"\x08" + ONE_RUN + b"\x00\x00",
+            1,
+        )
+    ),
+    "run past the window": with_crc(
+        round_body(b"\x01A\x01N\x01\x06" + run_bytes(b"\x01", b"\x7f", 1.0), 1, length=50)
+    ),
+    "trailing bytes": with_crc(round_body(b"", 0) + b"\x00"),
+    "bad quantum": with_crc(round_body(b"", 0, quantum=0.0)),
+    "unknown flags": with_crc(b"\x01" + round_body(b"", 0)[1:]),
+    "version 1": with_crc(round_body(b"", 0), version=1),
+}
+
+
+class TestRoundDifferential:
+    @given(frames=st.lists(wire_round(), min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_encode_matches_reference_byte_for_byte(self, frames):
+        assert encode_frames(frames) == [encode_round_reference(f) for f in frames]
+
+    @given(data=st.data(), frames=st.lists(wire_round(), min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_decode_matches_reference_per_payload(self, data, frames):
+        """Damage lands on the whole frame (the CRC catches it) or on the
+        body alone under an honest CRC, so the body decoder is fuzzed too."""
+        payloads = []
+        for frame in frames:
+            payload = encode_round_reference(frame)
+            if data.draw(st.booleans()):
+                payload = with_crc(data.draw(damaged(payload[_FRAME_PREFIX.size:])))
+            else:
+                payload = data.draw(damaged(payload))
+            payloads.append(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = decode_frames(payloads)
+        assert len(decoded) == len(payloads)
+        for payload, got in zip(payloads, decoded):
+            expected = round_verdict(payload)
+            if isinstance(got, TimestampFrame):
+                # A flipped flags byte can make a body parse as a timestamp
+                # batch, which the round-only reference does not read.
+                assert payload[_FRAME_PREFIX.size] == FRAME_FLAG_TIMESTAMPS, payload.hex()
+            elif expected is None:
+                assert isinstance(got, TraceError), payload.hex()
+            else:
+                assert got == expected, payload.hex()
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_ROUNDS))
+    def test_hostile_round_rejected_alone_without_warnings(self, name):
+        """Alone, a round's blocks take the packed decode path whenever
+        their sizes look narrow, so this is not the neighbour test's path."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (verdict,) = decode_frames([HOSTILE_ROUNDS[name]])
+            assert isinstance(verdict, TraceError)
+            with pytest.raises(TraceError):
+                decode_frame(HOSTILE_ROUNDS[name])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_ROUNDS))
+    def test_hostile_round_never_poisons_its_neighbours(self, name):
+        good = RoundFrame("N", 0, 0, 0, 1000, 1e-3, {("A", "N"): decode_block_reference(GOOD)})
+        quiet = RoundFrame("M", 0, 0, 0, 1000, 1e-3)
+        payload = HOSTILE_ROUNDS[name]
+        assert round_verdict(payload) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, verdict, last = decode_frames(
+                [encode_frame(good), payload, encode_frame(quiet)]
+            )
+        assert (first, last) == (good, quiet)
+        assert isinstance(verdict, TraceError)
+
+    def test_quiet_block_unencodable(self):
+        frame = RoundFrame("N", 0, 0, 0, 10, 1e-3, {("A", "N"): RunLengthSeries.empty(0, 10, 1e-3)})
+        with pytest.raises(TraceError):
+            encode_frame(frame)
+
+    def test_block_outside_the_round_window_unencodable(self):
+        block = decode_block_reference(GOOD)  # window [0, 1000)
+        frame = RoundFrame("N", 0, 0, 1000, 1000, 1e-3, {("A", "N"): block})
+        with pytest.raises(TraceError):
+            encode_frame(frame)
 
 
 # -- golden vectors --------------------------------------------------------------
@@ -263,8 +444,16 @@ def frame_from(spec):
             spec["node"], spec["epoch"], spec["seq"], spec["src"], spec["dst"],
             np.array(spec["timestamps"]), spec["observed_at_destination"],
         )
-    block = series_from(GOLDEN["blocks"][spec["block"]]["series"]) if spec["block"] else None
-    return BlockFrame(spec["node"], spec["epoch"], spec["seq"], spec["src"], spec["dst"], block)
+    blocks = {
+        (b["src"], b["dst"]): series_from(
+            GOLDEN["blocks"][b["block"]]["series"] if "block" in b else b["series"]
+        )
+        for b in spec["blocks"]
+    }
+    return RoundFrame(
+        spec["node"], spec["epoch"], spec["seq"],
+        spec["start"], spec["length"], spec["quantum"], blocks,
+    )
 
 
 class TestGoldenVectors:
@@ -294,11 +483,37 @@ class TestGoldenVectors:
     def test_frame_bytes(self, name):
         entry = GOLDEN["frames"][name]
         payload = bytes.fromhex(entry["hex"])
-        assert encode_frame(frame_from(entry["frame"])) == payload
+        frame = frame_from(entry["frame"])
+        assert encode_frame(frame) == payload
         assert encode_frame(decode_frame(payload)) == payload
+        if isinstance(frame, RoundFrame):
+            assert encode_round_reference(frame) == payload
+            assert decode_round_reference(payload) == decode_frame(payload)
 
     def test_all_frames_in_one_round(self):
         entries = [GOLDEN["frames"][name] for name in sorted(GOLDEN["frames"])]
         payloads = [bytes.fromhex(e["hex"]) for e in entries]
         assert encode_frames([frame_from(e["frame"]) for e in entries]) == payloads
         assert encode_frames(decode_frames(payloads)) == payloads
+
+    def test_timestamp_frame_body_unchanged(self):
+        """Only the version byte of a timestamp frame moved: the CRC and
+        the body are the version-1 bytes."""
+        v2 = bytes.fromhex(GOLDEN["frames"]["timestamps"]["hex"])
+        v1 = bytes.fromhex(GOLDEN["v1_frames"]["timestamps"]["hex"])
+        assert (v2[2], v1[2]) == (2, 1)
+        assert v2[:2] + v2[3:] == v1[:2] + v1[3:]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["v1_frames"]))
+    def test_v1_frame_rejected(self, name):
+        """Frames are never persisted, so there is no version fork: every
+        version-1 frame is refused, and the receiver counts it as corrupt
+        instead of raising."""
+        payload = bytes.fromhex(GOLDEN["v1_frames"][name]["hex"])
+        (verdict,) = decode_frames([payload])
+        assert isinstance(verdict, TraceError)
+        assert str(verdict) == "unsupported frame version 1"
+        receiver = TransportReceiver(TransportConfig(), 10.0)
+        receiver.receive([payload], now=0.0)
+        assert receiver.corrupt_blocks == 1
+        assert receiver.poll() == [] and receiver.poll_timestamp_batches() == []

@@ -22,7 +22,7 @@ from repro.errors import E2EProfError, TraceError
 from repro.tracing.wire import (
     FRAME_MAGIC,
     FRAME_VERSION,
-    BlockFrame,
+    RoundFrame,
     decode_block,
     decode_frame,
     encode_block,
@@ -33,20 +33,18 @@ QUANTUM = 1e-3
 
 #: Float32-exact density values, so decode reproduces the series exactly
 #: (the wire carries float32) and re-encoding is byte-identical.
+densities = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=1024).map(lambda k: k / 8.0),
+)
+
 wire_blocks = st.builds(
     lambda dense, start: rle_encode(
         DensityTimeSeries.from_dense(
             np.asarray(dense, dtype=np.float64), start, QUANTUM
         )
     ),
-    dense=st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.integers(min_value=0, max_value=1024).map(lambda k: k / 8.0),
-        ),
-        min_size=0,
-        max_size=80,
-    ),
+    dense=st.lists(densities, min_size=0, max_size=80),
     start=st.integers(-10_000, 10_000),
 )
 
@@ -139,18 +137,26 @@ class TestCorruption:
 #: the varint-length string codec holds for any node/edge naming scheme.
 frame_names = st.text(min_size=0, max_size=12)
 
-wire_frames = st.builds(
-    lambda node, epoch, seq, src, dst, block, heartbeat: BlockFrame(
-        node, epoch, seq, src, dst, None if heartbeat else block
-    ),
-    node=frame_names,
-    epoch=st.integers(0, 2**40),
-    seq=st.integers(0, 2**40),
-    src=frame_names,
-    dst=frame_names,
-    block=wire_blocks,
-    heartbeat=st.booleans(),
-)
+@st.composite
+def wire_frames(draw):
+    """A round frame: one window, and the loud blocks of 0-4 edges in it
+    (an edge whose drawn density is all zero stays quiet, off the wire)."""
+    start = draw(st.integers(-10_000, 10_000))
+    length = draw(st.integers(0, 80))
+    blocks = {}
+    for edge in draw(st.lists(st.tuples(frame_names, frame_names), max_size=4, unique=True)):
+        dense = draw(st.lists(densities, min_size=length, max_size=length))
+        block = rle_encode(
+            DensityTimeSeries.from_dense(np.asarray(dense, dtype=np.float64), start, QUANTUM)
+        )
+        if block.num_runs:
+            blocks[edge] = block
+    return RoundFrame(
+        draw(frame_names),
+        draw(st.integers(0, 2**40)),
+        draw(st.integers(0, 2**40)),
+        start, length, QUANTUM, blocks,
+    )
 
 
 def _frame_with_body(body: bytes) -> bytes:
@@ -160,32 +166,33 @@ def _frame_with_body(body: bytes) -> bytes:
 
 
 class TestFrameRoundTrip:
-    @given(frame=wire_frames)
+    @given(frame=wire_frames())
     def test_roundtrip_reproduces_frame(self, frame):
         decoded = decode_frame(encode_frame(frame))
         assert decoded.node == frame.node
         assert decoded.epoch == frame.epoch
         assert decoded.seq == frame.seq
-        assert decoded.edge == frame.edge
-        assert decoded.is_heartbeat == frame.is_heartbeat
-        if not frame.is_heartbeat:
-            assert decoded.block == frame.block
+        assert (decoded.start, decoded.length, decoded.quantum) == (
+            frame.start, frame.length, frame.quantum,
+        )
+        assert list(decoded.blocks) == list(frame.blocks)
+        assert decoded.blocks == frame.blocks
 
-    @given(frame=wire_frames)
+    @given(frame=wire_frames())
     def test_reencode_is_byte_identical(self, frame):
         payload = encode_frame(frame)
         assert encode_frame(decode_frame(payload)) == payload
 
 
 class TestFrameCorruption:
-    @given(frame=wire_frames, data=st.data())
+    @given(frame=wire_frames(), data=st.data())
     def test_any_truncation_raises_trace_error(self, frame, data):
         payload = encode_frame(frame)
         cut = data.draw(st.integers(0, len(payload) - 1))
         with pytest.raises(TraceError):
             decode_frame(payload[:cut])
 
-    @given(frame=wire_frames, data=st.data())
+    @given(frame=wire_frames(), data=st.data())
     def test_any_single_byte_flip_raises_trace_error(self, frame, data):
         """The CRC-32 over the body makes *every* single-byte corruption a
         deterministic TraceError -- unlike the bare block codec, a flipped
@@ -197,41 +204,52 @@ class TestFrameCorruption:
             decode_frame(bytes(payload))
 
     def test_every_single_byte_flip_of_one_frame(self):
-        """Exhaustive single-byte-flip sweep on a representative frame."""
-        block = rle_encode(
+        """Exhaustive single-byte-flip sweep on representative rounds: a
+        loud one (two blocks) and a quiet one (the heartbeat)."""
+        loud = rle_encode(
             DensityTimeSeries.from_dense(
                 [0.0, 2.0, 2.0, 0.0, 0.0, 1.5, 0.0, 3.0], 100, QUANTUM
             )
         )
-        payload = bytearray(encode_frame(BlockFrame("WS", 3, 7, "C1", "WS", block)))
-        for pos in range(len(payload)):
-            mutated = bytearray(payload)
-            mutated[pos] ^= 0x55
-            with pytest.raises(TraceError):
-                decode_frame(bytes(mutated))
+        other = rle_encode(
+            DensityTimeSeries.from_dense([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5], 100, QUANTUM)
+        )
+        rounds = [
+            RoundFrame("WS", 3, 7, 100, 8, QUANTUM, {("C1", "WS"): loud, ("TS1", "WS"): other}),
+            RoundFrame("WS", 3, 8, 108, 8, QUANTUM),
+        ]
+        for frame in rounds:
+            payload = bytearray(encode_frame(frame))
+            for pos in range(len(payload)):
+                for flip in (0x01, 0x55, 0xFF):
+                    mutated = bytearray(payload)
+                    mutated[pos] ^= flip
+                    with pytest.raises(TraceError):
+                        decode_frame(bytes(mutated))
 
     def test_varint_overflow_with_valid_crc(self):
         """A hand-crafted frame whose epoch varint exceeds 64 bits passes
         the CRC (it was computed over the bad body) but must still fail
         with TraceError, not a hang or an integer blow-up."""
-        body = bytes([0x01]) + b"\xff" * 10 + bytes([0x01])
+        body = bytes([0x00]) + b"\xff" * 10 + bytes([0x01])
         with pytest.raises(TraceError):
             decode_frame(_frame_with_body(body))
 
     def test_string_length_overrun_with_valid_crc(self):
         """A node-name length claiming more bytes than the body holds."""
-        body = bytearray([0x01])  # heartbeat flags
+        body = bytearray([0x00])  # round-frame flags
         body += bytes([0x00, 0x00])  # epoch 0, seq 0
         body += bytes([0x7F])  # node length 127 with no bytes behind it
         with pytest.raises(TraceError):
             decode_frame(_frame_with_body(bytes(body)))
 
     def test_heartbeat_with_trailing_bytes_rejected(self):
-        payload = encode_frame(BlockFrame("N", 0, 0, "", "", None))
+        """A quiet round (the heartbeat) followed by stray bytes."""
+        payload = encode_frame(RoundFrame("N", 0, 0, 0, 10, QUANTUM))
         body = payload[7:] + b"\x00"
         with pytest.raises(TraceError):
             decode_frame(_frame_with_body(body))
 
     def test_negative_epoch_unencodable(self):
         with pytest.raises(TraceError):
-            encode_frame(BlockFrame("N", -1, 0, "", "", None))
+            encode_frame(RoundFrame("N", -1, 0, 0, 10, QUANTUM))

@@ -1,23 +1,39 @@
-"""The scalar RLE block codec, kept as the reference oracle.
+"""The scalar wire codecs, kept as reference oracles.
 
-This is the per-run Python loop ``repro.tracing.wire`` used before the
-batched codec replaced it (one ``_encode_varint`` / ``_decode_varint``
-call per varint, one :class:`~repro.core.rle.Run` per run). It defines
-the wire format run by run; ``tests/test_wire_batched.py`` holds the
-batched codec to it byte for byte, and ``tests/data/wire_golden.json``
-holds both to bytes this loop produced at the commit that retired it.
+The block codec is the per-run Python loop ``repro.tracing.wire`` used
+before the batched codec replaced it (one ``_encode_varint`` /
+``_decode_varint`` call per varint, one :class:`~repro.core.rle.Run` per
+run). It defines the wire format run by run; ``tests/test_wire_batched.py``
+holds the batched codec to it byte for byte, and
+``tests/data/wire_golden.json`` holds both to bytes this loop produced at
+the commit that retired it.
+
+The round-frame codec is the same field-by-field reading of the version-2
+frame layout (one frame, one block, one run at a time), so the batched
+frame codec has an oracle too.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import List
 
 import numpy as np
 
 from repro.core.rle import RunLengthSeries
 from repro.errors import SeriesError, TraceError
-from repro.tracing.wire import _HEADER, MAGIC, VERSION, _decode_varint, _encode_varint
+from repro.tracing.wire import (
+    _HEADER,
+    MAGIC,
+    VERSION,
+    RoundFrame,
+    _decode_varint,
+    _encode_varint,
+)
+
+_ROUND_PREFIX = struct.Struct("<2sBI")
+_ROUND_GEOMETRY = struct.Struct("<dqq")
 
 
 def encode_block_reference(series: RunLengthSeries) -> bytes:
@@ -78,3 +94,80 @@ def decode_block_reference(data: bytes) -> RunLengthSeries:
         )
     except SeriesError as exc:
         raise TraceError(f"corrupt wire block: {exc}") from exc
+
+
+def _put_string(text: str, out: bytearray) -> None:
+    raw = text.encode("utf-8")
+    _encode_varint(len(raw), out)
+    out += raw
+
+
+def _get_string(data: bytes, pos: int):
+    length, pos = _decode_varint(data, pos)
+    if pos + length > len(data):
+        raise TraceError("truncated string")
+    try:
+        return data[pos : pos + length].decode("utf-8"), pos + length
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"bad utf-8: {exc}") from exc
+
+
+def encode_round_reference(frame: RoundFrame) -> bytes:
+    body = bytearray([0])
+    _encode_varint(frame.epoch, body)
+    _encode_varint(frame.seq, body)
+    _put_string(frame.node, body)
+    body += _ROUND_GEOMETRY.pack(frame.quantum, frame.start, frame.length)
+    _encode_varint(len(frame.blocks), body)
+    for (src, dst), block in frame.blocks.items():
+        runs = encode_block_reference(block)[_HEADER.size :]
+        _put_string(src, body)
+        _put_string(dst, body)
+        _encode_varint(block.num_runs, body)
+        _encode_varint(len(runs), body)
+        body += runs
+    return _ROUND_PREFIX.pack(b"RF", 2, zlib.crc32(body)) + bytes(body)
+
+
+def decode_round_reference(data: bytes) -> RoundFrame:
+    if len(data) < _ROUND_PREFIX.size + 1:
+        raise TraceError("frame shorter than header")
+    magic, version, crc = _ROUND_PREFIX.unpack_from(data, 0)
+    if magic != b"RF":
+        raise TraceError(f"bad frame magic {magic!r}")
+    if version != 2:
+        raise TraceError(f"unsupported frame version {version}")
+    body = data[_ROUND_PREFIX.size :]
+    if zlib.crc32(body) != crc:
+        raise TraceError("CRC-32 mismatch")
+    if body[0] != 0:
+        raise TraceError(f"not a round frame: flags {body[0]}")
+    epoch, pos = _decode_varint(body, 1)
+    seq, pos = _decode_varint(body, pos)
+    node, pos = _get_string(body, pos)
+    if pos + _ROUND_GEOMETRY.size > len(body):
+        raise TraceError("truncated block window")
+    quantum, start, length = _ROUND_GEOMETRY.unpack_from(body, pos)
+    count, pos = _decode_varint(body, pos + _ROUND_GEOMETRY.size)
+    blocks = {}
+    for _ in range(count):
+        src, pos = _get_string(body, pos)
+        dst, pos = _get_string(body, pos)
+        runs, pos = _decode_varint(body, pos)
+        size, pos = _decode_varint(body, pos)
+        if (src, dst) in blocks:
+            raise TraceError("edge carried twice")
+        if runs == 0:
+            raise TraceError("quiet block on the wire")
+        if runs > 0xFFFFFFFF:
+            raise TraceError("more runs than a block header can count")
+        if pos + size > len(body):
+            raise TraceError("truncated block body")
+        header = _HEADER.pack(MAGIC, VERSION, quantum, start, length, runs)
+        blocks[(src, dst)] = decode_block_reference(header + body[pos : pos + size])
+        pos += size
+    if pos != len(body):
+        raise TraceError("trailing bytes in round frame")
+    if not quantum > 0.0 or length < 0:
+        raise TraceError("bad block window")
+    return RoundFrame(node, epoch, seq, start, length, quantum, blocks)

@@ -115,6 +115,7 @@ def run_mode(
         "max_seconds": latencies[-1],
         "mean_seconds": statistics.fmean(latencies),
         "correlators": last.correlators,
+        "parked_correlators": last.parked_correlators,
         "skips_per_refresh": skips / len(measured),
         "correlation_cache_hits": sum(s.correlation_cache_hits for s in measured),
         "wall_seconds": wall,
