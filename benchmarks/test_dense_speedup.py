@@ -50,7 +50,6 @@ def test_fft_kernel_halves_dense_refresh_latency():
     for name, mode in modes.items():
         results[name] = best_of(
             REPEATS,
-            batched=True,
             classes=CLASSES,
             quiet_fraction=0.0,
             seed=SEED,

@@ -8,7 +8,7 @@ independent three-tier stacks (client -> front end -> app server) sharing
 one database, where a configurable fraction of the classes stops issuing
 requests after a warmup period. Their correlators stay live in the engine
 -- real deployments cannot know a class is gone for good -- so every
-refresh must still walk them, which is exactly the work the batched
+refresh must still walk them, which is exactly the work the
 refresh's quiet-edge skipping eliminates (see ``docs/PERFORMANCE.md`` and
 ``tools/bench_refresh.py``).
 """

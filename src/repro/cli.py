@@ -254,7 +254,7 @@ def _counter_value(snap: dict, name: str) -> float:
 def _optimization_ratios(snap: dict) -> dict:
     """Cumulative quiet-skip and correlation-cache ratios for ``stats``.
 
-    ``skip_ratio`` is the fraction of block-pair lag products the batched
+    ``skip_ratio`` is the fraction of block-pair lag products the
     refresh avoided computing; ``correlation_cache_hit_ratio`` is the
     fraction of correlation queries served from the dirty-flag cache.
     """
@@ -526,7 +526,6 @@ def _demo_engine(args: argparse.Namespace):
         quantum=args.quantum,
         sampling_window=args.sampling_window or 50 * args.quantum,
         max_transaction_delay=args.max_delay,
-        measured_dispatch=getattr(args, "measured_dispatch", False),
         fft_dispatch=getattr(args, "fft_dispatch", "auto"),
     )
     rubis = build_rubis(dispatch="affinity", seed=args.seed)
@@ -608,7 +607,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "app": "rubis",
             "duration": args.duration,
             "fft_dispatch": engine.fft_dispatch,
-            "measured_dispatch": engine.measured_dispatch,
             "refresh_interval": config.refresh_interval,
             "seed": args.seed,
             "window": config.window,
@@ -1105,14 +1103,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="demo-mode simulation seed")
     top.add_argument("--duration", type=float, default=185.0,
                      help="demo-mode simulated seconds (default 185)")
-    top.add_argument("--measured-dispatch", action="store_true",
-                     help="drive kernel dispatch from measured ns/unit "
-                          "EWMAs instead of the modeled cost constant")
     top.add_argument("--fft-dispatch", default="auto",
                      choices=("auto", "off", "force"),
                      help="FFT batch kernel routing: auto (cost model "
                           "decides), off (direct kernels only), force "
-                          "(every batched row through the FFT kernel)")
+                          "(every loud row through the FFT kernel)")
     _add_config_arguments(top)
     top.set_defaults(func=cmd_top)
 
@@ -1132,14 +1127,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demo-mode simulation seed")
     profile.add_argument("--duration", type=float, default=185.0,
                          help="demo-mode simulated seconds (default 185)")
-    profile.add_argument("--measured-dispatch", action="store_true",
-                         help="drive kernel dispatch from measured ns/unit "
-                              "EWMAs instead of the modeled cost constant")
     profile.add_argument("--fft-dispatch", default="auto",
                          choices=("auto", "off", "force"),
                          help="FFT batch kernel routing: auto (cost model "
                               "decides), off (direct kernels only), force "
-                              "(every batched row through the FFT kernel)")
+                              "(every loud row through the FFT kernel)")
     _add_config_arguments(profile)
     profile.set_defaults(func=cmd_profile)
 

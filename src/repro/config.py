@@ -85,20 +85,13 @@ class PathmapConfig:
     #: must cover at least one window plus the transaction delay bound,
     #: or the retained trace could not serve a full analysis window.
     retention: float | None = None
-    #: Drive the sparse-vs-RLE kernel dispatch from the refresh ledger's
-    #: *measured* per-kernel cost EWMAs instead of the modeled cost
-    #: constant. Output is bit-identical either way (both kernels produce
-    #: the same lag products); only which kernel runs may differ. Falls
-    #: back to the modeled rule until both kernel EWMAs have warmed up.
-    measured_dispatch: bool = False
     #: Dense-regime FFT batch kernel routing. ``"auto"`` (the default)
     #: lets the density dispatch send rows whose direct-kernel cost
-    #: exceeds the FFT transform cost to the batched FFT kernel (modeled
-    #: frontier by default; measured ns/unit frontier once
-    #: ``measured_dispatch`` EWMAs warm). ``"off"`` never uses the FFT
-    #: kernel (every row keeps the bit-exact direct kernels -- also the
-    #: A/B baseline for benchmarks). ``"force"`` routes every batchable
-    #: row through the FFT kernel regardless of density (equivalence
+    #: exceeds the modeled FFT transform cost to the batched FFT kernel
+    #: (``choose_batch_kernel``). ``"off"`` never uses the FFT kernel
+    #: (every row keeps the bit-exact direct kernels -- also the A/B
+    #: baseline for benchmarks). ``"force"`` routes every loud row
+    #: through the FFT kernel regardless of density (equivalence
     #: testing). FFT lag products agree with the direct kernels to float
     #: tolerance, not bitwise; see docs/PERFORMANCE.md.
     fft_dispatch: str = "auto"

@@ -214,8 +214,6 @@ _PAIR_CHUNK = 1 << 20
 #: Modeled cost ratio of the density dispatch rule: one RLE run pair is
 #: assumed ~4x the cost of one expected sparse sample pair, so a row goes
 #: to the sparse batch kernel when ``sparse_units <= 4 * rle_units``.
-#: The refresh ledger's measured per-unit EWMAs replace this constant
-#: when ``PathmapConfig.measured_dispatch`` is on.
 MODELED_RLE_COST_RATIO = 4.0
 
 
@@ -238,61 +236,37 @@ def rle_dispatch_units(x_runs: int, y_runs: int) -> float:
 #: Modeled cost ratio of the FFT frontier: one FFT dispatch unit
 #: (roughly one butterfly of the row's transforms, ``size * log2(size)``
 #: units per row) is assumed to cost about the same as one expected
-#: sparse sample pair.  Calibrated against this container's measured
-#: ns/unit EWMAs; the refresh ledger replaces it under
-#: ``PathmapConfig.measured_dispatch`` once the FFT EWMA warms up.
+#: sparse sample pair.  Calibrated against measured per-kernel ns/unit
+#: EWMAs of the refresh ledger (``LedgerRecorder.ns_per_unit``).
 MODELED_FFT_COST_RATIO = 1.0
-
-
-def choose_sparse_kernel(
-    sparse_units: float,
-    rle_units: float,
-    ns_sparse: "float | None" = None,
-    ns_rle: "float | None" = None,
-) -> bool:
-    """The density dispatch rule: sparse batch (True) or RLE (False).
-
-    A pure function of the unit estimates (and, when both are given, the
-    measured per-unit costs from the refresh ledger's EWMAs), so every
-    caller -- grouped appends and history replays -- makes the identical
-    choice for identical blocks.
-    Both kernels produce bitwise-identical lag products, so the choice
-    never changes analysis output, only where the time goes.
-    """
-    if ns_sparse is not None and ns_rle is not None:
-        return sparse_units * ns_sparse <= rle_units * ns_rle
-    return sparse_units <= MODELED_RLE_COST_RATIO * rle_units
 
 
 def choose_batch_kernel(
     sparse_units: float,
     rle_units: float,
     fft_units: "float | None" = None,
-    ns_sparse: "float | None" = None,
-    ns_rle: "float | None" = None,
-    ns_fft: "float | None" = None,
 ) -> str:
-    """Three-way density dispatch: ``"sparse"``, ``"rle"`` or ``"fft"``.
+    """The density dispatch rule: ``"sparse"``, ``"rle"`` or ``"fft"``.
 
-    Extends :func:`choose_sparse_kernel` with the dense-regime FFT batch
-    kernel.  Like the two-way rule it is a pure function of its inputs,
-    so identical blocks always route to the identical kernel.  The
-    measured FFT frontier
-    is used only when all three per-unit EWMAs are warm; until then the
-    modeled constants (:data:`MODELED_RLE_COST_RATIO`,
-    :data:`MODELED_FFT_COST_RATIO`) decide.  Ties go to the direct
-    kernels: their lag products are bit-exact, the FFT kernel's agree
-    only to float tolerance (see ``docs/PERFORMANCE.md``).
+    A row goes to the sparse batch kernel when its estimated sample-pair
+    count is at most :data:`MODELED_RLE_COST_RATIO` times its run-pair
+    count, else to RLE; given an FFT estimate, to the dense-regime FFT
+    batch kernel when ``MODELED_FFT_COST_RATIO * fft_units`` undercuts
+    the winning direct estimate. A pure function of the unit estimates,
+    so every caller -- grouped appends and history replays -- makes the
+    identical choice for identical blocks. The sparse and RLE kernels
+    produce bitwise-identical lag products, so their choice never
+    changes analysis output; ties go to the direct kernels, because the
+    FFT kernel's products agree only to float tolerance (see
+    ``docs/PERFORMANCE.md``).
     """
-    sparse_wins = choose_sparse_kernel(sparse_units, rle_units, ns_sparse, ns_rle)
-    direct = "sparse" if sparse_wins else "rle"
-    if fft_units is None:
-        return direct
-    if ns_sparse is not None and ns_rle is not None and ns_fft is not None:
-        direct_cost = sparse_units * ns_sparse if sparse_wins else rle_units * ns_rle
-        return "fft" if fft_units * ns_fft < direct_cost else direct
-    direct_cost = min(sparse_units, MODELED_RLE_COST_RATIO * rle_units)
-    return "fft" if MODELED_FFT_COST_RATIO * fft_units < direct_cost else direct
+    rle_cost = MODELED_RLE_COST_RATIO * rle_units
+    direct = "sparse" if sparse_units <= rle_cost else "rle"
+    if fft_units is not None and MODELED_FFT_COST_RATIO * fft_units < min(
+        sparse_units, rle_cost
+    ):
+        return "fft"
+    return direct
 
 
 def sparse_lag_products(

@@ -116,21 +116,14 @@ class E2EProfEngine(PipelineCore):
         flight_capacity: int = DEFAULT_FLIGHT_CAPACITY,
         transport: Optional[TransportConfig] = None,
         channel_factory: Optional[Callable[[NodeId], FaultyChannel]] = None,
-        batched: bool = True,
         capture_sink: Optional[TraceCollector] = None,
         lake: Optional["TraceLake"] = None,
         adaptive: bool = False,
         ledger: bool = True,
-        measured_dispatch: Optional[bool] = None,
         fft_dispatch: Optional[str] = None,
     ) -> None:
         self.config = config
         self._clients: Set[NodeId] = set(clients or ())
-        #: When True (default), correlator updates use reference-grouped
-        #: :func:`~repro.core.correlation.batch_lag_products` kernels with
-        #: quiet-edge skipping and correlation memoization. False restores
-        #: the legacy one-kernel-per-pair refresh (the benchmark baseline).
-        self.batched = bool(batched)
         #: Always-on refresh cost ledger (:mod:`repro.obs.ledger`): one
         #: :class:`RefreshLedger` per refresh with per-stage wall times
         #: and per-kernel measured costs, attached to every result.
@@ -139,15 +132,6 @@ class E2EProfEngine(PipelineCore):
         self.ledger = LedgerRecorder(enabled=ledger)
         #: The most recent refresh's ledger (None before the first).
         self.latest_ledger: Optional[RefreshLedger] = None
-        #: When True, sparse-vs-RLE kernel dispatch compares predicted
-        #: kernel times from the ledger's measured per-unit cost EWMAs
-        #: instead of the modeled constant. Output is bit-identical
-        #: either way. Defaults to ``config.measured_dispatch``.
-        self.measured_dispatch = (
-            bool(measured_dispatch)
-            if measured_dispatch is not None
-            else config.measured_dispatch
-        )
         #: Dense-regime FFT batch kernel routing (``"auto"`` / ``"off"``
         #: / ``"force"``; see :attr:`PathmapConfig.fft_dispatch`).
         #: Defaults to ``config.fft_dispatch``.

@@ -16,11 +16,11 @@ The result is *exactly* equal (to floating-point accumulation error) to
 running :func:`repro.core.correlation.correlate_sparse` over the full
 concatenated window, which is the invariant the test suite checks.
 
-Two steady-state optimizations (on by default, ``optimized=False`` for
-the legacy behavior) keep quiet edges nearly free: pair products against
-an empty block are skipped outright (their contribution is identically
-zero), and :meth:`IncrementalCorrelator.correlation` caches its result
-behind a dirty flag so an unchanged correlator re-serves the same
+Two steady-state optimizations keep quiet edges nearly free (paper
+Section 3.5): pair products against an empty block are skipped outright
+(their contribution is identically zero), and
+:meth:`IncrementalCorrelator.correlation` caches its result behind a
+dirty flag so an unchanged correlator re-serves the same
 ``CorrelationSeries`` object. ``append`` also accepts externally computed
 ``pair_vectors`` so the engine can feed many correlators that share one
 reference edge from a single :func:`~repro.core.correlation.batch_lag_products`
@@ -135,15 +135,10 @@ class IncrementalCorrelator:
         ``correlator_evictions_total`` and the ``correlator_window_blocks``
         gauge. Many correlators may share one registry; the counters
         aggregate across them.
-    optimized:
-        When True (the default), pair products against a quiet (empty)
-        block are skipped -- their contribution is identically zero -- and
-        :meth:`correlation` memoizes its result behind a dirty flag so an
-        unchanged correlator returns the *same* ``CorrelationSeries``
-        object until an append actually changes the answer. Set False for
-        the legacy always-compute behavior (used as the benchmark
-        baseline). Both modes produce numerically identical results;
-        callers must not mutate a returned series in place.
+
+    :meth:`correlation` re-serves the *same* ``CorrelationSeries`` object
+    until an append changes the answer: callers must not mutate a
+    returned series in place.
 
     Usage::
 
@@ -164,7 +159,6 @@ class IncrementalCorrelator:
         num_blocks: int,
         quantum: float,
         metrics: Optional["MetricsRegistry"] = None,
-        optimized: bool = True,
         evict_hook: Optional[
             "collections.abc.Callable[[Block, Block, Optional[np.ndarray]], None]"
         ] = None,
@@ -194,7 +188,6 @@ class IncrementalCorrelator:
         self._x_energy = 0.0
         self._y_total = 0.0
         self._y_energy = 0.0
-        self.optimized = bool(optimized)
         # Eviction callback: called as hook(old_x, old_y, contribution)
         # whenever a block pair leaves the window, where contribution is
         # the summed lag-product vector being subtracted (None when the
@@ -264,8 +257,7 @@ class IncrementalCorrelator:
         so the host parks the correlator -- drops it and replays it from
         block history when an edge wakes (:mod:`repro.core.stages`)."""
         return (
-            self.optimized
-            and len(self._x_blocks) == self.num_blocks
+            len(self._x_blocks) == self.num_blocks
             and not self._pair_cache
             and all(block_is_quiet(b) for _, b in self._x_blocks)
             and all(block_is_quiet(b) for _, b in self._y_blocks)
@@ -320,7 +312,7 @@ class IncrementalCorrelator:
         quanta of y are quiet too (checked conservatively at block
         granularity).
         """
-        if not self.optimized or self._dirty or self._corr_cache is None:
+        if self._dirty or self._corr_cache is None:
             return False
         if len(self._x_blocks) != self.num_blocks:
             return False
@@ -387,13 +379,13 @@ class IncrementalCorrelator:
                 f"pair_vectors must have {len(pending) + 1} entries "
                 f"(pending pairs + diagonal), got {len(pair_vectors)}"
             )
-        y_quiet = self.optimized and block_is_quiet(y_block)
+        y_quiet = block_is_quiet(y_block)
         computed = 0
         skipped = 0
         for slot, (p_id, p_block) in enumerate(pending):
             if pair_vectors is not None:
                 vec = pair_vectors[slot]
-            elif y_quiet or (self.optimized and block_is_quiet(p_block)):
+            elif y_quiet or block_is_quiet(p_block):
                 vec = None
             else:
                 vec = _pair_products(p_block, y_block, self.max_lag)
@@ -406,7 +398,7 @@ class IncrementalCorrelator:
         # The diagonal pair (x_new, y_new).
         if pair_vectors is not None:
             vec = pair_vectors[-1]
-        elif y_quiet or (self.optimized and block_is_quiet(x_block)):
+        elif y_quiet or block_is_quiet(x_block):
             vec = None
         else:
             vec = _pair_products(x_block, y_block, self.max_lag)
@@ -473,7 +465,7 @@ class IncrementalCorrelator:
     def result_cached(self) -> bool:
         """True when the next :meth:`correlation` call re-serves the
         cached series (no boundary masses needed)."""
-        return self.optimized and not self._dirty and self._corr_cache is not None
+        return not self._dirty and self._corr_cache is not None
 
     def correlation(
         self,
@@ -535,7 +527,6 @@ class IncrementalCorrelator:
             sy,
             self.quantum,
         )
-        if self.optimized:
-            self._corr_cache = result
-            self._dirty = False
+        self._corr_cache = result
+        self._dirty = False
         return result

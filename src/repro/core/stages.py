@@ -17,9 +17,8 @@ Host contract (attributes the engine provides):
 ``config`` (:class:`~repro.config.PathmapConfig`), ``metrics``
 (:class:`~repro.obs.registry.MetricsRegistry`), ``tracer``
 (:class:`~repro.obs.spans.SpanTracer`), ``ledger``
-(:class:`~repro.obs.ledger.LedgerRecorder`), ``batched`` /
-``measured_dispatch`` (bools), ``fft_dispatch`` (``"auto"`` / ``"off"``
-/ ``"force"``), ``_spectra`` (a
+(:class:`~repro.obs.ledger.LedgerRecorder`), ``fft_dispatch``
+(``"auto"`` / ``"off"`` / ``"force"``), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
 ``_clients`` (set of client node ids), ``_blocks`` / ``_correlators``
 (the window state), ``_parked`` /
@@ -200,14 +199,10 @@ class PipelineCore:
     # -- correlate stage -------------------------------------------------------
 
     def _append_to_correlators(self) -> None:
-        if not self.batched:
-            self._append_per_pair()
-            return
         started = time.perf_counter()
-        # Reference-grouped batch path: correlators sharing one reference
-        # edge hold identical x-side windows (they replay the same block
-        # history), so all their new pair products can come from one
-        # batch_lag_products call per pending x block.
+        # Correlators sharing one reference edge hold identical x-side
+        # windows (they replay the same block history), so all their new
+        # pair products come from one kernel call per pending x block.
         groups: Dict[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]] = {}
         for (ref_edge, edge), correlator in self._correlators.items():
             groups.setdefault(ref_edge, []).append((edge, correlator))
@@ -243,39 +238,6 @@ class PipelineCore:
                 computed += not any(block_is_quiet(self._blocks[e][-1]) for e in key)
         return computed
 
-    def _append_per_pair(self) -> None:
-        """Legacy refresh: one kernel invocation per (reference, edge) pair.
-
-        The whole loop is ledgered as one ``legacy_pair`` kernel sample
-        (rows = correlator appends) -- per-append timing would cost more
-        than the appends themselves on quiet windows.
-        """
-        kernel_started = time.perf_counter()
-        try:
-            if self.tracer.enabled:
-                # Traced path: one span per correlator update, labelled by the
-                # (reference, edge) pair it maintains.
-                for (ref_edge, edge), correlator in self._correlators.items():
-                    with self.tracer.span(
-                        "correlator.append",
-                        ref=f"{ref_edge[0]}->{ref_edge[1]}",
-                        edge=f"{edge[0]}->{edge[1]}",
-                    ):
-                        correlator.append(self._blocks[ref_edge][-1], self._blocks[edge][-1])
-                return
-            # Untraced hot path: kept span-free so the disabled-tracing
-            # overhead stays at one attribute check per refresh, not per edge.
-            for (ref_edge, edge), correlator in self._correlators.items():
-                ref_block = self._blocks[ref_edge][-1]
-                edge_block = self._blocks[edge][-1]
-                correlator.append(ref_block, edge_block)
-        finally:
-            self.ledger.record_kernel(
-                KERNEL_LEGACY,
-                rows=len(self._correlators),
-                seconds=time.perf_counter() - kernel_started,
-            )
-
     def _group_vectors(
         self,
         x_block: RunLengthSeries,
@@ -283,7 +245,7 @@ class PipelineCore:
         ys_sparse: List[SeriesLike],
         max_lag: int,
     ) -> Optional[np.ndarray]:
-        """Pair-product rows of one pending x block against every batched
+        """Pair-product rows of one pending x block against every loud
         group member, dispatched by a density cost model.
 
         The sparse batch kernel touches every (x sample, y sample) pair
@@ -296,15 +258,10 @@ class PipelineCore:
         by the window, independent of density -- takes over. All three
         estimates are pure functions of the blocks, so grouped appends
         and history replays make the identical choice and stay
-        bit-for-bit reproducible.
-
-        With ``measured_dispatch`` on (and the kernel EWMAs warmed), the
-        comparison weighs each side's dispatch units by the ledger's
-        *measured* ns/unit instead of the modeled constants. The sparse
-        and RLE kernels produce bitwise-identical lag products, so their
-        choice never changes the output; FFT rows agree to the documented
-        float tolerance (``fft_dispatch="off"`` keeps everything
-        bit-exact).
+        bit-for-bit reproducible. The sparse and RLE kernels produce
+        bitwise-identical lag products, so their choice never changes the
+        output; FFT rows agree to the documented float tolerance
+        (``fft_dispatch="off"`` keeps everything bit-exact).
 
         Kernel timing is recorded per dispatch group (a handful of
         ``perf_counter`` calls per pending x block), never per row.
@@ -313,16 +270,11 @@ class PipelineCore:
             return None
         xs = x_block.to_sparse()
         rows: List[Optional[np.ndarray]] = [None] * len(y_blocks)
-        batched_rows: List[int] = []
+        sparse_rows: List[int] = []
         rle_rows: List[int] = []
         fft_rows: List[int] = []
         sparse_units_total = 0.0
         rle_units_total = 0.0
-        ns_sparse = ns_rle = ns_fft = None
-        if self.measured_dispatch:
-            ns_sparse = self.ledger.ns_per_unit(KERNEL_SPARSE_BATCH)
-            ns_rle = self.ledger.ns_per_unit(KERNEL_RLE)
-            ns_fft = self.ledger.ns_per_unit(KERNEL_FFT_BATCH)
         fft_mode = self.fft_dispatch
         fft_size = 0
         fft_units_row: Optional[float] = None
@@ -340,13 +292,11 @@ class PipelineCore:
                 xs.indices.size, ys.indices.size, span, max_lag
             )
             rle_units = rle_dispatch_units(x_block.num_runs, y_block.num_runs)
-            kernel = choose_batch_kernel(
-                sparse_units, rle_units, fft_units_row, ns_sparse, ns_rle, ns_fft
-            )
+            kernel = choose_batch_kernel(sparse_units, rle_units, fft_units_row)
             if kernel == "fft":
                 fft_rows.append(i)
             elif kernel == "sparse":
-                batched_rows.append(i)
+                sparse_rows.append(i)
                 sparse_units_total += sparse_units
             else:
                 rle_rows.append(i)
@@ -405,17 +355,17 @@ class PipelineCore:
                 return mat_rle
             for r, i in enumerate(rle_rows):
                 rows[i] = mat_rle[r]
-        if not batched_rows:
+        if not sparse_rows:
             return np.stack(rows)
         batch_started = time.perf_counter()
-        if len(batched_rows) == len(y_blocks):
+        if len(sparse_rows) == len(y_blocks):
             mat = batch_lag_products(xs, ys_sparse, max_lag)
             out: Optional[np.ndarray] = mat
         else:
             mat = batch_lag_products(
-                xs, [ys_sparse[i] for i in batched_rows], max_lag
+                xs, [ys_sparse[i] for i in sparse_rows], max_lag
             )
-            for r, i in enumerate(batched_rows):
+            for r, i in enumerate(sparse_rows):
                 rows[i] = mat[r]
             out = None
         if record is not None:
@@ -423,12 +373,12 @@ class PipelineCore:
             # = 16 bytes per nonzero.
             record(
                 KERNEL_SPARSE_BATCH,
-                rows=len(batched_rows),
+                rows=len(sparse_rows),
                 seconds=time.perf_counter() - batch_started,
                 work_units=sparse_units_total,
                 bytes_touched=16 * (
                     xs.indices.size
-                    + sum(ys_sparse[i].indices.size for i in batched_rows)
+                    + sum(ys_sparse[i].indices.size for i in sparse_rows)
                 ),
             )
         return out if out is not None else np.stack(rows)
@@ -447,11 +397,11 @@ class PipelineCore:
         skipped = 0
         dormant: List[CorrelatorKey] = []
         # Split the group: quiet newest edge blocks produce zero vectors
-        # only (the plain optimized append skips every kernel for them);
-        # the rest share one batch per pending x block. A member whose
-        # window disagrees with the group's (cannot happen through the
-        # normal refresh cycle, but cheap to guard) also takes the plain
-        # path, which computes its own kernels.
+        # only (the plain append skips every kernel for them); the rest
+        # share one batch per pending x block. A member whose window
+        # disagrees with the group's (cannot happen through the normal
+        # refresh cycle, but cheap to guard) also takes the plain path,
+        # which computes its own kernels.
         batch: List[Tuple[EdgeKey, IncrementalCorrelator, RunLengthSeries]] = []
         plain: List[Tuple[EdgeKey, IncrementalCorrelator, RunLengthSeries]] = []
         canonical: Optional[List[SeriesLike]] = None
@@ -492,8 +442,8 @@ class PipelineCore:
                 else:
                     skipped += correlator.append(x_new, y_new, pair_vectors=vectors)
         if plain:
-            # Quiet / mismatched members take the per-pair append path
-            # (which computes its own kernels); ledger them as one
+            # Quiet / mismatched members take the plain per-pair append
+            # (which computes its own kernels, if any); ledger them as one
             # legacy_pair sample per group.
             plain_started = time.perf_counter()
             for edge, correlator, y_new in plain:
@@ -560,18 +510,14 @@ class PipelineCore:
             num_blocks=self._num_blocks,
             quantum=self.config.quantum,
             metrics=self.metrics,
-            optimized=self.batched,
             evict_hook=self._summary_hook(ref_key, edge_key),
         )
         for ref_block, edge_block in zip(ref_blocks, edge_blocks):
-            if self.batched:
-                # Replay through the same batch kernel the grouped append
-                # uses, so a correlator rebuilt from history (new service
-                # class, transport late-block invalidation) is bit-identical
-                # to one maintained incrementally across refreshes.
-                self._batched_replay(correlator, ref_block, edge_block)
-            else:
-                correlator.append(ref_block, edge_block)
+            # Replay through the same batch kernel the grouped append
+            # uses, so a correlator rebuilt from history (new service
+            # class, transport late-block invalidation) is bit-identical
+            # to one maintained incrementally across refreshes.
+            self._batched_replay(correlator, ref_block, edge_block)
         key = (ref_key, edge_key)
         self._correlators[key] = correlator
         self._parked.discard(key)

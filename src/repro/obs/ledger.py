@@ -5,16 +5,16 @@ flat and predictable online. The ledger is how the reproduction *keeps
 proving that while it runs*: every engine refresh produces one
 :class:`RefreshLedger` -- wall time and work volume for each explicit
 pipeline stage (ingest -> correlate -> dfs -> publish) and, per
-correlation kernel (sparse batch / RLE pair / legacy per-pair append),
+correlation kernel (sparse batch / RLE / FFT batch / per-pair append),
 rows processed, estimated bytes touched, and measured ns/row.
 
 Unlike the metrics registry (off by default) the ledger is **always on**:
 it adds a handful of ``perf_counter`` calls per refresh, not per row, so
 the overhead-guard benchmark pins it at well under 5% of refresh cost.
-Its continuous EWMAs of measured kernel cost feed back into the density
-dispatch model (``PathmapConfig.measured_dispatch``), replacing the
-modeled sparse-vs-RLE cost constant with observed hardware behavior --
-the ROADMAP's "measured, not modeled, costs" item.
+Its continuous EWMAs of measured kernel cost (ns/row, ns per dispatch
+unit) are an observability view, read by ``repro top``; kernel dispatch
+itself stays a pure function of block data (the modeled constants of
+:func:`repro.core.correlation.choose_batch_kernel`).
 
 Ledgers are attached to every :class:`~repro.core.pathmap.PathmapResult`
 (``result.ledger``), recorded into flight-recorder frames, exported as
@@ -47,9 +47,11 @@ PIPELINE_STAGES = (STAGE_INGEST, STAGE_CORRELATE, STAGE_DFS, STAGE_PUBLISH)
 
 #: Correlation kernel names: the grouped sparse batch kernel, the
 #: run-length pair-product kernel, the dense-regime batched FFT kernel
-#: (cached spectra + one 2-D inverse transform per group), and the
-#: legacy per-pair correlator append path (non-batched engines, and
-#: quiet/mismatched group members).
+#: (cached spectra + one 2-D inverse transform per group), and
+#: ``legacy_pair``: the plain per-pair appends of group members whose
+#: newest block is quiet (they skip every kernel) or whose window
+#: disagrees with the group's. The name predates the removal of the
+#: per-pair refresh and is pinned by the end-to-end benchmark contract.
 KERNEL_SPARSE_BATCH = "sparse_batch"
 KERNEL_RLE = "rle"
 KERNEL_FFT_BATCH = "fft_batch"
@@ -106,12 +108,12 @@ class KernelSample:
     ----------
     rows:
         Rows the kernel processed this refresh (correlation pairs for the
-        sparse/RLE kernels; correlator appends for the legacy path).
+        sparse/RLE kernels; correlator appends for ``legacy_pair``).
     seconds:
         Wall-clock time in the kernel this refresh.
     work_units:
         Dispatch cost units attributed to the kernel this refresh (the
-        quantities the density dispatch model compares; 0 for legacy).
+        quantities the density dispatch model compares; 0 for ``legacy_pair``).
     bytes_touched:
         Estimated bytes of series data read by the kernel this refresh
         (16 B/nonzero for sparse series, 24 B/run for RLE series).
@@ -175,7 +177,7 @@ class RefreshLedger:
         filled in-place once fan-out completes (the flight-recorder frame
         and history copies see the final value).
     kernels:
-        Kernel name -> :class:`KernelSample`, always containing all three
+        Kernel name -> :class:`KernelSample`, always containing all four
         :data:`CORRELATION_KERNELS` (zero rows when a kernel was idle).
     skips:
         Pair products skipped this refresh because a block was quiet.
@@ -408,8 +410,8 @@ class LedgerRecorder:
     def ns_per_unit(self, kernel: str) -> Optional[float]:
         """EWMA of measured ns per dispatch cost unit (None until warmed).
 
-        This is what ``measured_dispatch`` compares: predicted kernel
-        time = dispatch units x measured ns/unit.
+        Predicted kernel time = dispatch units x measured ns/unit; an
+        observability view next to the modeled dispatch constants.
         """
         ewma = self._unit_ewma.get(kernel)
         return ewma.value if ewma is not None else None

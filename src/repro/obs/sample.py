@@ -68,9 +68,9 @@ class MetricsSample:
         Nodes the pathmap DFS recursed into this refresh.
     correlator_skips:
         Pair products skipped this refresh because one side's block was
-        quiet (the batched refresh's quiet-edge optimization; 0 when the
-        engine runs with ``batched=False``). Parked correlators are
-        counted arithmetically: each would have skipped every pair slot.
+        quiet (the refresh's quiet-edge optimization). Parked correlators
+        are counted arithmetically: each would have skipped every pair
+        slot.
     correlation_cache_hits:
         Correlation queries answered from a correlator's dirty-flag
         result cache this refresh (unchanged window, same series object

@@ -385,11 +385,17 @@ class TestProfileCli:
         text = capsys.readouterr().out
         doc = json.loads(text)
         assert len(doc["ledgers"]) == 1
+        assert set(doc["workload"]) == {
+            "app", "duration", "fft_dispatch", "refresh_interval", "seed", "window"
+        }
         # sort_keys=True output is byte-stable across runs of the same doc
         assert text.strip() == json.dumps(doc, indent=2, sort_keys=True)
 
-    def test_measured_dispatch_flag_recorded(self, capsys):
-        assert main(["profile", "--json", "--duration", "125",
-                     "--measured-dispatch"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"]["measured_dispatch"] is True
+    @pytest.mark.parametrize("verb", ["top", "profile"])
+    def test_removed_dispatch_flag_exits_2(self, verb, capsys):
+        # Kernel dispatch is modeled only: the flag is gone and argparse
+        # rejects it as unrecognized (exit 2) before any simulation runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--measured-dispatch"])
+        assert excinfo.value.code == 2
+        assert "--measured-dispatch" in capsys.readouterr().err

@@ -4,8 +4,9 @@
   per-refresh :class:`~repro.obs.sample.MetricsSample` work counts and
   exact metrics counters -- on a many-class deployment and on every
   scenario in :mod:`repro.scenarios`.
-* ``batched=True`` (the default) recovers the same service graphs as
-  the legacy per-pair engine on the same workload.
+* Every refresh publishes the graphs the dense reference pathmap
+  computes over the engine's own block history (the one oracle), on
+  spike trains and on smeared, near-dense blocks.
 * ``PipelineCore._edge_series`` is a pure refactor of the old pairwise
   ``concatenated()`` chain (quadratic in window depth).
 * After attach -> refreshes -> ``close()`` no thread, child process,
@@ -25,9 +26,12 @@ import pytest
 from repro.apps.manyclass import build_many_class
 from repro.config import PathmapConfig, TransportConfig
 from repro.core.engine import E2EProfEngine
+from repro.core.pathmap import compute_service_graphs
+from repro.core.stages import HostWindow
 from repro.errors import AnalysisError
 from repro.lake import TraceLake
 from repro.obs.exposition import snapshot
+from repro.obs.ledger import KERNEL_RLE
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sample import MetricsSample
 from repro.tracing.collector import TraceCollector
@@ -43,9 +47,10 @@ CFG = PathmapConfig(
 
 
 def run_engine(seed=3, end_time=18.0, classes=6, quiet_fraction=0.5, config=CFG,
-               **engine_kwargs):
+               on_refresh=None, **engine_kwargs):
     """One many-class deployment driven to ``end_time`` with an engine
-    attached; returns the engine and its per-refresh samples."""
+    attached (``on_refresh(engine, now, result)`` subscribed when given);
+    returns the engine and its per-refresh samples."""
     deployment = build_many_class(
         classes=classes,
         quiet_fraction=quiet_fraction,
@@ -57,6 +62,8 @@ def run_engine(seed=3, end_time=18.0, classes=6, quiet_fraction=0.5, config=CFG,
     engine = E2EProfEngine(config, **engine_kwargs)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
+    if on_refresh is not None:
+        engine.subscribe(lambda now, result: on_refresh(engine, now, result))
     engine.attach(deployment.topology)
     deployment.run_until(end_time)
     engine.detach()
@@ -182,41 +189,51 @@ class TestScenarioSweep:
         assert_equivalent(first, second, f_samples, s_samples)
 
 
+def labels(graphs):
+    """Per class: every delayed edge's key -> its minimum delay."""
+    return {
+        pair: {edge.key: edge.min_delay for edge in graph.edges if edge.delays}
+        for pair, graph in graphs.items()
+    }
+
+
+def oracle_checks(config=CFG, **kwargs):
+    """``run_engine`` with every refresh checked against the dense
+    reference pathmap over the engine's own block history; returns one
+    ``(now, matched)`` per refresh and the engine. (The engine isolates
+    subscriber exceptions, so verdicts are collected and asserted
+    afterwards.)"""
+    checked = []
+
+    def check(engine, now, result):
+        expected = compute_service_graphs(HostWindow(engine), config, method="dense")
+        checked.append((now, labels(result.graphs) == labels(expected.graphs)))
+
+    engine, _ = run_engine(config=config, on_refresh=check, **kwargs)
+    return checked, engine
+
+
 class TestBatchedEquivalence:
-    def test_batched_engine_matches_legacy_graphs(self):
-        batched_engine, batched_samples = run_engine(batched=True)
-        legacy_engine, legacy_samples = run_engine(batched=False)
+    """The grouped, quiet-skipping refresh publishes the graphs of the
+    dense reference kernel, refresh for refresh."""
 
-        batched = batched_engine.latest_result
-        legacy = legacy_engine.latest_result
-        assert set(batched.graphs) == set(legacy.graphs)
-        for key, graph in legacy.graphs.items():
-            assert batched.graphs[key].edge_set() == graph.edge_set(), key
-        assert batched.stats.spikes == legacy.stats.spikes
-        assert batched.stats.correlations == legacy.stats.correlations
+    def test_batched_engine_matches_dense_oracle(self):
+        checked, _ = oracle_checks()
+        assert checked == [(float(now), True) for now in range(2, 20, 2)]
 
-        # The optimization telemetry separates the modes: the legacy
-        # engine never skips; the batched engine skips the quiet edges.
-        assert all(s.correlator_skips == 0 for s in legacy_samples)
-        assert any(s.correlator_skips > 0 for s in batched_samples)
-
-    def test_batched_matches_legacy_on_smeared_dense_blocks(self):
+    def test_batched_matches_dense_oracle_on_smeared_dense_blocks(self):
         # Smearing over many quanta produces near-dense blocks -- the
         # regime where the density dispatch must route rows to the RLE
-        # kernel instead of the sparse batch kernel. Results must still
-        # be identical to the legacy per-pair engine.
+        # kernel instead of the sparse batch kernel.
         dense_cfg = dataclasses.replace(CFG, sampling_window=50e-3)
-        kwargs = dict(seed=4, end_time=14.0, classes=4, quiet_fraction=0.25)
-        batched_engine, _ = run_engine(config=dense_cfg, batched=True, **kwargs)
-        legacy_engine, _ = run_engine(config=dense_cfg, batched=False, **kwargs)
-        batched = batched_engine.latest_result
-        legacy = legacy_engine.latest_result
-        assert set(batched.graphs) == set(legacy.graphs)
-        for key, graph in legacy.graphs.items():
-            assert batched.graphs[key].to_dict() == graph.to_dict(), key
+        checked, engine = oracle_checks(
+            config=dense_cfg, seed=4, end_time=14.0, classes=4, quiet_fraction=0.25
+        )
+        assert checked == [(float(now), True) for now in range(2, 16, 2)]
+        assert sum(led.kernel(KERNEL_RLE).rows for led in engine.ledger.history()) > 0
 
     def test_batched_skip_counts_respond_to_quiet_classes(self):
-        _, samples = run_engine(batched=True, end_time=20.0)
+        _, samples = run_engine(end_time=20.0)
         # While every class is active (first refreshes) nothing is
         # skipped; once half the classes stop, skips appear.
         assert samples[0].correlator_skips == 0

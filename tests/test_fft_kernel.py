@@ -14,10 +14,11 @@ cross-correlation):
   online engine do only the newest dW block's work per refresh.
 * The :class:`SpectrumCache` is transparent -- hits return bitwise the
   array a recompute would -- and the three-way ``choose_batch_kernel``
-  routes by the modeled/measured cost frontier.
+  routes by the modeled cost frontier over the dispatch-unit estimates.
 * End to end, ``fft_dispatch`` in {auto, off, force} changes refresh
-  cost only: graphs agree across modes within tolerance, and auto mode
-  stays bit-identical across serial/threads/processes execution.
+  cost only: graphs agree across modes within tolerance; and forcing
+  every loud row onto the sparse or the RLE kernel publishes the graphs
+  of the default routing bit for bit.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PathmapConfig
+from repro.core import stages
 from repro.core.correlation import (
     MODELED_RLE_COST_RATIO,
     SpectrumCache,
@@ -41,15 +43,17 @@ from repro.core.correlation import (
     fft_dispatch_units,
     fft_length,
     fft_lag_products,
+    rle_dispatch_units,
+    sparse_dispatch_units,
     sparse_lag_products,
 )
 from repro.core.engine import E2EProfEngine
 from repro.core.incremental import IncrementalCorrelator
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import AnalysisError, ConfigError, CorrelationError
-from repro.obs.ledger import KERNEL_FFT_BATCH
+from repro.obs.ledger import KERNEL_FFT_BATCH, KERNEL_RLE, KERNEL_SPARSE_BATCH
 
-from tests.test_engine_determinism import CFG
+from tests.test_engine_determinism import CFG, run_engine
 
 QUANTUM = 1e-3
 
@@ -276,20 +280,17 @@ class TestChooseBatchKernel:
         assert choose_batch_kernel(100.0, 40.0, fft_units=direct) == "sparse"
         assert choose_batch_kernel(1000.0, 40.0, fft_units=200.0) == "rle"
 
-    def test_measured_frontier_requires_all_three_ewmas(self):
-        # Only two EWMAs warm: stay on the modeled comparison.
-        assert choose_batch_kernel(
-            100.0, 40.0, fft_units=1000.0, ns_sparse=1.0, ns_rle=1.0
-        ) != "fft"
-        # All three warm: measured nanoseconds decide.
-        assert choose_batch_kernel(
-            100.0, 40.0, fft_units=1000.0,
-            ns_sparse=10.0, ns_rle=10.0, ns_fft=0.1,
-        ) == "fft"
-        assert choose_batch_kernel(
-            10.0, 40.0, fft_units=10.0,
-            ns_sparse=1.0, ns_rle=1.0, ns_fft=100.0,
-        ) == "sparse"
+    def test_sparse_units_formula(self):
+        assert sparse_dispatch_units(10, 20, 100, 4) == pytest.approx(
+            10 * 5 * 20 / 100
+        )
+
+    def test_sparse_units_guards_empty_span(self):
+        assert sparse_dispatch_units(10, 20, 0, 4) == pytest.approx(10 * 5 * 20)
+
+    def test_rle_units_formula(self):
+        assert rle_dispatch_units(6, 7) == 42.0
+        assert MODELED_RLE_COST_RATIO == 4.0
 
 
 class TestOverlapAddIncrement:
@@ -458,6 +459,47 @@ class TestEngineFftDispatch:
         # blocks and a 6 s window no more than 3 blocks per series side
         # stay resident, so the cache cannot grow with run length.
         assert len(cache) <= 4 * (engine._num_blocks + 1) * 10
+
+
+def kernel_rows(engine):
+    return {
+        kernel: sum(led.kernel(kernel).rows for led in engine.ledger.history())
+        for kernel in (KERNEL_SPARSE_BATCH, KERNEL_RLE, KERNEL_FFT_BATCH)
+    }
+
+
+def graphs_and_stats(engine):
+    result = engine.latest_result
+    return (
+        {key: graph.to_dict() for key, graph in result.graphs.items()},
+        result.stats.correlations,
+        result.stats.spikes,
+    )
+
+
+class TestForcedDispatchFlip:
+    """The sparse and RLE kernels produce bitwise-identical lag products:
+    forcing every loud row onto either one moves the work, never a bit
+    of the published graphs."""
+
+    def run_forced(self, kernel, monkeypatch):
+        """Ledger rows and output of a run with every loud row routed to
+        ``kernel``, beside the default routing's."""
+        default, _ = run_engine(seed=5, end_time=12.0, classes=4)
+        monkeypatch.setattr(stages, "choose_batch_kernel", lambda *units: kernel)
+        forced, _ = run_engine(seed=5, end_time=12.0, classes=4)
+        assert graphs_and_stats(forced) == graphs_and_stats(default)
+        loud = sum(kernel_rows(default).values())
+        assert loud > 0
+        return kernel_rows(forced), loud
+
+    def test_forced_sparse_routes_everything_to_sparse(self, monkeypatch):
+        rows, loud = self.run_forced("sparse", monkeypatch)
+        assert rows == {KERNEL_SPARSE_BATCH: loud, KERNEL_RLE: 0, KERNEL_FFT_BATCH: 0}
+
+    def test_forced_rle_routes_everything_to_rle(self, monkeypatch):
+        rows, loud = self.run_forced("rle", monkeypatch)
+        assert rows == {KERNEL_SPARSE_BATCH: 0, KERNEL_RLE: loud, KERNEL_FFT_BATCH: 0}
 
 
 class TestFftDispatchPlumbing:

@@ -11,6 +11,7 @@ exposition.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import E2EProfEngine, PathmapConfig, build_rubis
 from repro.analysis.top import render_profile, render_top
@@ -83,6 +84,29 @@ class TestEwma:
     def test_invalid_alpha_rejected(self, alpha):
         with pytest.raises(ObservabilityError):
             Ewma(alpha=alpha)
+
+
+class TestEwmaConvergence:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1,
+                    max_size=50),
+           st.floats(min_value=0.05, max_value=1.0))
+    def test_value_stays_within_sample_bounds(self, samples, alpha):
+        ewma = Ewma(alpha=alpha)
+        for sample in samples:
+            ewma.update(sample)
+        assert min(samples) <= ewma.value <= max(samples)
+        assert ewma.samples == len(samples)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=1e6),
+           st.floats(min_value=1e-3, max_value=1e6))
+    def test_converges_to_constant_tail(self, start, target):
+        ewma = Ewma(alpha=0.2)
+        ewma.update(start)
+        for _ in range(200):
+            ewma.update(target)
+        assert ewma.value == pytest.approx(target, rel=1e-6)
 
 
 class TestLedgerRecorder:

@@ -96,78 +96,6 @@ class TestAnalysisBudget:
 
         assert per_op * spans_per_refresh < 0.05 * mean_refresh
 
-    def test_batched_refresh_not_slower_on_quiet_heavy_workload(self):
-        """The batched refresh (grouped kernels + quiet-edge skipping)
-        must never lose to the legacy per-pair refresh on a workload
-        where most classes go quiet -- its target regime. The bound is
-        deliberately lenient (1.25x) to tolerate CI noise; the real
-        speedup assertion lives in benchmarks/test_refresh_throughput.py."""
-        from repro.apps.manyclass import build_many_class
-
-        quiet_cfg = PathmapConfig(
-            window=6.0,
-            refresh_interval=2.0,
-            quantum=1e-3,
-            sampling_window=1e-3,
-            max_transaction_delay=2.0,
-            min_spike_height=0.10,
-        )
-
-        def median_refresh(batched: bool) -> float:
-            dep = build_many_class(classes=12, quiet_fraction=0.75, seed=5,
-                                   quiet_after=5.0, config=quiet_cfg)
-            engine = E2EProfEngine(dep.config, batched=batched)
-            samples = []
-            engine.subscribe_metrics(lambda now, res, s: samples.append(s))
-            engine.attach(dep.topology)
-            dep.run_until(28.0)
-            engine.detach()
-            steady = sorted(s.refresh_seconds for s in samples[4:])
-            return steady[len(steady) // 2]
-
-        serial = min(median_refresh(batched=False) for _ in range(2))
-        batched = min(median_refresh(batched=True) for _ in range(2))
-        assert batched < serial * 1.25, (
-            f"batched refresh regressed: {batched * 1000:.1f}ms vs "
-            f"serial {serial * 1000:.1f}ms"
-        )
-
-    def test_batched_refresh_not_slower_on_dense_smeared_blocks(self):
-        """Smeared sampling windows make blocks near-dense -- the sparse
-        batch kernel's worst case (its cost scales with sample pairs, the
-        RLE kernel's with run pairs). The engine's density dispatch must
-        route those rows to the RLE kernel, so the batched engine may not
-        lose to the legacy per-pair engine here either."""
-        from repro.apps.manyclass import build_many_class
-
-        dense_cfg = PathmapConfig(
-            window=6.0,
-            refresh_interval=2.0,
-            quantum=1e-3,
-            sampling_window=50e-3,
-            max_transaction_delay=0.5,
-            min_spike_height=0.10,
-        )
-
-        def median_refresh(batched: bool) -> float:
-            dep = build_many_class(classes=6, quiet_fraction=0.0, seed=9,
-                                   config=dense_cfg)
-            engine = E2EProfEngine(dep.config, batched=batched)
-            samples = []
-            engine.subscribe_metrics(lambda now, res, s: samples.append(s))
-            engine.attach(dep.topology)
-            dep.run_until(20.0)
-            engine.detach()
-            steady = sorted(s.refresh_seconds for s in samples[2:])
-            return steady[len(steady) // 2]
-
-        serial = min(median_refresh(batched=False) for _ in range(2))
-        batched = min(median_refresh(batched=True) for _ in range(2))
-        assert batched < serial * 1.25, (
-            f"batched refresh regressed on dense blocks: "
-            f"{batched * 1000:.1f}ms vs serial {serial * 1000:.1f}ms"
-        )
-
     def test_simulation_throughput(self):
         """The DES substrate itself must stay fast enough for the long
         scenario tests (>= 20k events/second of wall clock)."""

@@ -1,17 +1,18 @@
-"""Benchmark the online refresh: batched kernels vs per-pair appends.
+"""Benchmark the online refresh on the synthetic many-class topology.
 
-Drives N engine refreshes over the synthetic many-class topology
-(:mod:`repro.apps.manyclass`) in two modes -- ``serial`` (legacy
-per-pair appends) and ``batched`` (reference-grouped kernels +
-quiet-edge skipping) -- and reports p50/p95 refresh latencies,
-correlator counts and skip ratios as JSON. Run from the repository root:
+Drives N engine refreshes over :mod:`repro.apps.manyclass` and reports
+p50/p95 refresh latencies, correlator counts and skip ratios as JSON:
+the quiet-heavy workload (``modes.batched`` -- the reference-grouped,
+quiet-skipping refresh, the engine's only one) and a dense-regime A/B of
+the FFT batch kernel (``dense.modes.direct`` / ``dense.modes.fft``).
+The per-pair ``serial`` baseline this file used to compare against is
+frozen in docs/PERFORMANCE.md ("Per-pair refresh and measured dispatch:
+measured and removed"). Run from the repository root:
 
     PYTHONPATH=src python tools/bench_refresh.py            # full workload
     PYTHONPATH=src python tools/bench_refresh.py --quick    # CI-sized
 
-The JSON lands in ``BENCH_refresh.json`` (override with ``--output``);
-``benchmarks/test_refresh_throughput.py`` asserts the batched speedup on
-the same machinery.
+The JSON lands in ``BENCH_refresh.json`` (override with ``--output``).
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ WARMUP_REFRESHES = 6
 
 
 def run_mode(
-    batched: bool,
     classes: int,
     quiet_fraction: float,
     seed: int,
@@ -81,11 +81,7 @@ def run_mode(
         quiet_after=5.0,
         config=config,
     )
-    engine = E2EProfEngine(
-        deployment.config,
-        batched=batched,
-        fft_dispatch=fft_dispatch,
-    )
+    engine = E2EProfEngine(deployment.config, fft_dispatch=fft_dispatch)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     started = time.perf_counter()
@@ -137,29 +133,22 @@ def run_benchmark(
     end_time: float,
     repeats: int,
 ) -> dict:
-    modes = {
-        "serial": dict(batched=False),
-        "batched": dict(batched=True),
-    }
-    results = {}
-    for name, mode in modes.items():
-        results[name] = best_of(
-            repeats,
-            classes=classes,
-            quiet_fraction=quiet_fraction,
-            seed=seed,
-            end_time=end_time,
-            **mode,
-        )
-        print(
-            f"{name:12s} p50={results[name]['p50_seconds'] * 1000:7.1f}ms "
-            f"p95={results[name]['p95_seconds'] * 1000:7.1f}ms "
-            f"correlators={results[name]['correlators']} "
-            f"skips/refresh={results[name]['skips_per_refresh']:.0f}",
-            flush=True,
-        )
-    serial = results["serial"]["p50_seconds"]
-    batched = results["batched"]["p50_seconds"]
+    """The quiet-heavy workload, reported as ``modes.batched`` (the key
+    :func:`repro.obs.slo.refresh_baseline` reads)."""
+    batched = best_of(
+        repeats,
+        classes=classes,
+        quiet_fraction=quiet_fraction,
+        seed=seed,
+        end_time=end_time,
+    )
+    print(
+        f"batched      p50={batched['p50_seconds'] * 1000:7.1f}ms "
+        f"p95={batched['p95_seconds'] * 1000:7.1f}ms "
+        f"correlators={batched['correlators']} "
+        f"skips/refresh={batched['skips_per_refresh']:.0f}",
+        flush=True,
+    )
     return {
         "workload": {
             "classes": classes,
@@ -175,8 +164,7 @@ def run_benchmark(
                 "max_transaction_delay": BENCH_REFRESH_CONFIG.max_transaction_delay,
             },
         },
-        "modes": results,
-        "batched_speedup": serial / batched if batched else float("inf"),
+        "modes": {"batched": batched},
     }
 
 
@@ -187,7 +175,7 @@ def run_dense_benchmark(
     end_time: float,
     repeats: int,
 ) -> dict:
-    """The dense-regime A/B: batched refresh with the FFT kernel off
+    """The dense-regime A/B: the refresh with the FFT kernel off
     (``direct`` -- every row on the sparse/RLE kernels, the pre-FFT
     baseline) versus on (``fft`` -- the density dispatch routes dense
     rows to the batched FFT kernel with cached spectra)."""
@@ -199,7 +187,6 @@ def run_dense_benchmark(
     for name, mode in modes.items():
         results[name] = best_of(
             repeats,
-            batched=True,
             classes=classes,
             quiet_fraction=0.0,
             seed=seed,
@@ -308,7 +295,6 @@ def main(argv=None) -> int:
             merged = {}
     merged.update(doc)
     args.output.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf-8")
-    print(f"batched speedup over serial: {doc['batched_speedup']:.2f}x")
     if "dense" in doc:
         print(f"dense fft speedup over direct kernels: {doc['dense']['fft_speedup']:.2f}x")
     print(f"[written to {args.output}]")
