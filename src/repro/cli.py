@@ -526,7 +526,6 @@ def _demo_engine(args: argparse.Namespace):
         quantum=args.quantum,
         sampling_window=args.sampling_window or 50 * args.quantum,
         max_transaction_delay=args.max_delay,
-        fft_dispatch=getattr(args, "fft_dispatch", "auto"),
     )
     rubis = build_rubis(dispatch="affinity", seed=args.seed)
     engine = E2EProfEngine(config, wire_fidelity=True)
@@ -606,7 +605,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         doc["workload"] = {
             "app": "rubis",
             "duration": args.duration,
-            "fft_dispatch": engine.fft_dispatch,
             "refresh_interval": config.refresh_interval,
             "seed": args.seed,
             "window": config.window,
@@ -1103,11 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="demo-mode simulation seed")
     top.add_argument("--duration", type=float, default=185.0,
                      help="demo-mode simulated seconds (default 185)")
-    top.add_argument("--fft-dispatch", default="auto",
-                     choices=("auto", "off", "force"),
-                     help="FFT batch kernel routing: auto (cost model "
-                          "decides), off (direct kernels only), force "
-                          "(every loud row through the FFT kernel)")
     _add_config_arguments(top)
     top.set_defaults(func=cmd_top)
 
@@ -1127,11 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="demo-mode simulation seed")
     profile.add_argument("--duration", type=float, default=185.0,
                          help="demo-mode simulated seconds (default 185)")
-    profile.add_argument("--fft-dispatch", default="auto",
-                         choices=("auto", "off", "force"),
-                         help="FFT batch kernel routing: auto (cost model "
-                              "decides), off (direct kernels only), force "
-                              "(every loud row through the FFT kernel)")
     _add_config_arguments(profile)
     profile.set_defaults(func=cmd_profile)
 

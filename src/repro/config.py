@@ -85,16 +85,6 @@ class PathmapConfig:
     #: must cover at least one window plus the transaction delay bound,
     #: or the retained trace could not serve a full analysis window.
     retention: float | None = None
-    #: Dense-regime FFT batch kernel routing. ``"auto"`` (the default)
-    #: lets the density dispatch send rows whose direct-kernel cost
-    #: exceeds the modeled FFT transform cost to the batched FFT kernel
-    #: (``choose_batch_kernel``). ``"off"`` never uses the FFT kernel
-    #: (every row keeps the bit-exact direct kernels -- also the A/B
-    #: baseline for benchmarks). ``"force"`` routes every loud row
-    #: through the FFT kernel regardless of density (equivalence
-    #: testing). FFT lag products agree with the direct kernels to float
-    #: tolerance, not bitwise; see docs/PERFORMANCE.md.
-    fft_dispatch: str = "auto"
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:
@@ -138,11 +128,6 @@ class PathmapConfig:
         if not 0.0 <= self.min_spike_height < 1.0:
             raise ConfigError(
                 f"min_spike_height must be in [0, 1), got {self.min_spike_height}"
-            )
-        if self.fft_dispatch not in ("auto", "off", "force"):
-            raise ConfigError(
-                "fft_dispatch must be one of auto/off/force, "
-                f"got {self.fft_dispatch!r}"
             )
         if self.retention is not None:
             floor = self.window + self.max_transaction_delay

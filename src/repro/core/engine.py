@@ -119,30 +119,15 @@ class E2EProfEngine(PipelineCore):
         capture_sink: Optional[TraceCollector] = None,
         lake: Optional["TraceLake"] = None,
         adaptive: bool = False,
-        ledger: bool = True,
-        fft_dispatch: Optional[str] = None,
     ) -> None:
         self.config = config
         self._clients: Set[NodeId] = set(clients or ())
         #: Always-on refresh cost ledger (:mod:`repro.obs.ledger`): one
         #: :class:`RefreshLedger` per refresh with per-stage wall times
         #: and per-kernel measured costs, attached to every result.
-        #: ``ledger=False`` disables the recording (the overhead
-        #: benchmark's baseline); results then carry zero ledgers.
-        self.ledger = LedgerRecorder(enabled=ledger)
+        self.ledger = LedgerRecorder()
         #: The most recent refresh's ledger (None before the first).
         self.latest_ledger: Optional[RefreshLedger] = None
-        #: Dense-regime FFT batch kernel routing (``"auto"`` / ``"off"``
-        #: / ``"force"``; see :attr:`PathmapConfig.fft_dispatch`).
-        #: Defaults to ``config.fft_dispatch``.
-        self.fft_dispatch = (
-            fft_dispatch if fft_dispatch is not None else config.fft_dispatch
-        )
-        if self.fft_dispatch not in ("auto", "off", "force"):
-            raise AnalysisError(
-                "fft_dispatch must be one of auto/off/force, "
-                f"got {self.fft_dispatch!r}"
-            )
         # Cross-refresh cache of block FFT spectra (the overlap-add
         # increment: only the newest dW block needs a fresh transform).
         self._spectra = SpectrumCache()
@@ -266,7 +251,9 @@ class E2EProfEngine(PipelineCore):
             "engine_blocks_ingested_total", "Non-empty RLE blocks pulled from tracers"
         )
         self._m_wire_bytes = m.counter(
-            "engine_wire_bytes_total", "Wire-format bytes received (wire_fidelity mode)"
+            "engine_wire_bytes_total",
+            "Wire-format bytes received (transport deliveries, or "
+            "wire_fidelity round trips on the direct path)",
         )
         self._m_cache_hits = m.counter(
             "engine_correlator_cache_hits_total",
@@ -742,16 +729,15 @@ class E2EProfEngine(PipelineCore):
             time.perf_counter() - fanout_started,
             len(self._subscribers) + len(self._metrics_subscribers),
         )
-        if self.ledger.enabled:
-            for stage in PIPELINE_STAGES:
-                self._m_stage[stage].observe(ledger.stage_seconds(stage))
-            for kernel in CORRELATION_KERNELS:
-                kernel_sample = ledger.kernel(kernel)
-                if kernel_sample.rows:
-                    self._m_kernel_rows[kernel].inc(kernel_sample.rows)
-                    self._m_kernel_seconds[kernel].inc(kernel_sample.seconds)
-                if kernel_sample.ns_per_row_ewma is not None:
-                    self._m_kernel_ns[kernel].set(kernel_sample.ns_per_row_ewma)
+        for stage in PIPELINE_STAGES:
+            self._m_stage[stage].observe(ledger.stage_seconds(stage))
+        for kernel in CORRELATION_KERNELS:
+            kernel_sample = ledger.kernel(kernel)
+            if kernel_sample.rows:
+                self._m_kernel_rows[kernel].inc(kernel_sample.rows)
+                self._m_kernel_seconds[kernel].inc(kernel_sample.seconds)
+            if kernel_sample.ns_per_row_ewma is not None:
+                self._m_kernel_ns[kernel].set(kernel_sample.ns_per_row_ewma)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "refresh %d at t=%.3f: %d blocks, %d correlators, "

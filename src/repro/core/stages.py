@@ -17,8 +17,7 @@ Host contract (attributes the engine provides):
 ``config`` (:class:`~repro.config.PathmapConfig`), ``metrics``
 (:class:`~repro.obs.registry.MetricsRegistry`), ``tracer``
 (:class:`~repro.obs.spans.SpanTracer`), ``ledger``
-(:class:`~repro.obs.ledger.LedgerRecorder`), ``fft_dispatch``
-(``"auto"`` / ``"off"`` / ``"force"``), ``_spectra`` (a
+(:class:`~repro.obs.ledger.LedgerRecorder`), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
 ``_clients`` (set of client node ids), ``_blocks`` / ``_correlators``
 (the window state), ``_parked`` /
@@ -260,8 +259,7 @@ class PipelineCore:
         and history replays make the identical choice and stay
         bit-for-bit reproducible. The sparse and RLE kernels produce
         bitwise-identical lag products, so their choice never changes the
-        output; FFT rows agree to the documented float tolerance
-        (``fft_dispatch="off"`` keeps everything bit-exact).
+        output; FFT rows agree to the documented float tolerance.
 
         Kernel timing is recorded per dispatch group (a handful of
         ``perf_counter`` calls per pending x block), never per row.
@@ -275,18 +273,11 @@ class PipelineCore:
         fft_rows: List[int] = []
         sparse_units_total = 0.0
         rle_units_total = 0.0
-        fft_mode = self.fft_dispatch
-        fft_size = 0
-        fft_units_row: Optional[float] = None
-        if fft_mode != "off" and y_blocks:
-            # One shared 5-smooth plan length for the whole group: every
-            # member block covers the same window as the head block.
-            fft_size = fft_length(int(x_block.length) + int(y_blocks[0].length) - 1)
-            fft_units_row = fft_dispatch_units(int(y_blocks[0].length), fft_size)
+        # One shared 5-smooth plan length for the whole group: every
+        # member block covers the same window as the head block.
+        fft_size = fft_length(int(x_block.length) + int(y_blocks[0].length) - 1)
+        fft_units_row = fft_dispatch_units(int(y_blocks[0].length), fft_size)
         for i, (y_block, ys) in enumerate(zip(y_blocks, ys_sparse)):
-            if fft_mode == "force":
-                fft_rows.append(i)
-                continue
             span = max(int(ys.indices[-1]) - int(ys.indices[0]) + 1, 1)
             sparse_units = sparse_dispatch_units(
                 xs.indices.size, ys.indices.size, span, max_lag
@@ -301,56 +292,49 @@ class PipelineCore:
             else:
                 rle_rows.append(i)
                 rle_units_total += rle_units
-        record = self.ledger.record_kernel if self.ledger.enabled else None
         if fft_rows:
             fft_started = time.perf_counter()
             mat_fft = fft_batch_lag_products(
                 x_block,
                 [y_blocks[i] for i in fft_rows],
                 max_lag,
-                size=fft_size or None,
+                size=fft_size,
                 cache=self._spectra,
             )
-            full_fft: Optional[np.ndarray] = None
+            # Dense samples transformed: 8 bytes per quantum of the x
+            # block plus every routed y block (spectra cache hits skip
+            # the transform but still read the padded product row).
+            self.ledger.record_kernel(
+                KERNEL_FFT_BATCH,
+                rows=len(fft_rows),
+                seconds=time.perf_counter() - fft_started,
+                work_units=fft_units_row * len(fft_rows),
+                bytes_touched=8 * (
+                    int(x_block.length)
+                    + int(y_blocks[0].length) * len(fft_rows)
+                ),
+            )
             if len(fft_rows) == len(y_blocks):
-                full_fft = mat_fft
-            else:
-                for r, i in enumerate(fft_rows):
-                    rows[i] = mat_fft[r]
-            if record is not None:
-                # Dense samples transformed: 8 bytes per quantum of the x
-                # block plus every routed y block (spectra cache hits skip
-                # the transform but still read the padded product row).
-                record(
-                    KERNEL_FFT_BATCH,
-                    rows=len(fft_rows),
-                    seconds=time.perf_counter() - fft_started,
-                    work_units=(fft_units_row or 0.0) * len(fft_rows),
-                    bytes_touched=8 * (
-                        int(x_block.length)
-                        + int(y_blocks[0].length) * len(fft_rows)
-                    ),
-                )
-            if full_fft is not None:
-                return full_fft
+                return mat_fft
+            for r, i in enumerate(fft_rows):
+                rows[i] = mat_fft[r]
         if rle_rows:
             rle_started = time.perf_counter()
             mat_rle = rle_batch_lag_products(
                 x_block, [y_blocks[i] for i in rle_rows], max_lag
             )
-            if record is not None:
-                # RunLengthSeries data: starts + counts (int64) + values
-                # (float64) = 24 bytes per run.
-                record(
-                    KERNEL_RLE,
-                    rows=len(rle_rows),
-                    seconds=time.perf_counter() - rle_started,
-                    work_units=rle_units_total,
-                    bytes_touched=24 * (
-                        x_block.num_runs * len(rle_rows)
-                        + sum(y_blocks[i].num_runs for i in rle_rows)
-                    ),
-                )
+            # RunLengthSeries data: starts + counts (int64) + values
+            # (float64) = 24 bytes per run.
+            self.ledger.record_kernel(
+                KERNEL_RLE,
+                rows=len(rle_rows),
+                seconds=time.perf_counter() - rle_started,
+                work_units=rle_units_total,
+                bytes_touched=24 * (
+                    x_block.num_runs * len(rle_rows)
+                    + sum(y_blocks[i].num_runs for i in rle_rows)
+                ),
+            )
             if len(rle_rows) == len(y_blocks):
                 return mat_rle
             for r, i in enumerate(rle_rows):
@@ -358,30 +342,24 @@ class PipelineCore:
         if not sparse_rows:
             return np.stack(rows)
         batch_started = time.perf_counter()
+        mat = batch_lag_products(xs, [ys_sparse[i] for i in sparse_rows], max_lag)
+        # DensityTimeSeries data: indices (int64) + values (float64)
+        # = 16 bytes per nonzero.
+        self.ledger.record_kernel(
+            KERNEL_SPARSE_BATCH,
+            rows=len(sparse_rows),
+            seconds=time.perf_counter() - batch_started,
+            work_units=sparse_units_total,
+            bytes_touched=16 * (
+                xs.indices.size
+                + sum(ys_sparse[i].indices.size for i in sparse_rows)
+            ),
+        )
         if len(sparse_rows) == len(y_blocks):
-            mat = batch_lag_products(xs, ys_sparse, max_lag)
-            out: Optional[np.ndarray] = mat
-        else:
-            mat = batch_lag_products(
-                xs, [ys_sparse[i] for i in sparse_rows], max_lag
-            )
-            for r, i in enumerate(sparse_rows):
-                rows[i] = mat[r]
-            out = None
-        if record is not None:
-            # DensityTimeSeries data: indices (int64) + values (float64)
-            # = 16 bytes per nonzero.
-            record(
-                KERNEL_SPARSE_BATCH,
-                rows=len(sparse_rows),
-                seconds=time.perf_counter() - batch_started,
-                work_units=sparse_units_total,
-                bytes_touched=16 * (
-                    xs.indices.size
-                    + sum(ys_sparse[i].indices.size for i in sparse_rows)
-                ),
-            )
-        return out if out is not None else np.stack(rows)
+            return mat
+        for r, i in enumerate(sparse_rows):
+            rows[i] = mat[r]
+        return np.stack(rows)
 
     def _append_group(
         self,

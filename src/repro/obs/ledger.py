@@ -279,20 +279,13 @@ class LedgerRecorder:
     the persistent EWMAs and appends to a bounded history. Kernel records
     and history reads take a lock, so callers may share one recorder
     across their own threads.
-
-    ``enabled=False`` turns every call into a cheap no-op (``complete``
-    still returns a stage/kernel-complete zero ledger so downstream
-    consumers never see a partial one) -- used by the overhead benchmark
-    to price the always-on default.
     """
 
     def __init__(
         self,
-        enabled: bool = True,
         alpha: float = DEFAULT_EWMA_ALPHA,
         history: int = DEFAULT_LEDGER_HISTORY,
     ) -> None:
-        self.enabled = bool(enabled)
         self.alpha = float(alpha)
         self._lock = threading.Lock()
         self._history: Deque[RefreshLedger] = deque(maxlen=max(1, int(history)))
@@ -312,8 +305,6 @@ class LedgerRecorder:
 
     def begin_refresh(self) -> None:
         """Reset the per-refresh tallies (call at the top of a refresh)."""
-        if not self.enabled:
-            return
         self._begin_fresh_tallies()
 
     def record_stage(self, stage: str, seconds: float, items: int = 0) -> None:
@@ -322,8 +313,6 @@ class LedgerRecorder:
         Additive, so a stage split across code regions (e.g. publish =
         annotation + two fan-out loops) accumulates into one sample.
         """
-        if not self.enabled:
-            return
         sample = self._stages.get(stage)
         if sample is None:
             sample = self._stages[stage] = StageSample(unit=_STAGE_UNITS.get(stage, ""))
@@ -339,8 +328,6 @@ class LedgerRecorder:
         bytes_touched: int = 0,
     ) -> None:
         """Add one kernel invocation's cost. Thread-safe."""
-        if not self.enabled:
-            return
         with self._lock:
             tally = self._kernels.get(kernel)
             if tally is None:
@@ -364,40 +351,33 @@ class LedgerRecorder:
         processed rows, so idle refreshes never dilute the cost model.
         """
         kernels: Dict[str, KernelSample] = {}
-        if self.enabled:
-            for name, (rows, seconds, units, nbytes) in self._kernels.items():
-                ns_per_row = (seconds * 1e9 / rows) if rows > 0 else None
-                row_ewma = self._row_ewma.setdefault(name, Ewma(self.alpha))
-                unit_ewma = self._unit_ewma.setdefault(name, Ewma(self.alpha))
-                if ns_per_row is not None:
-                    row_ewma.update(ns_per_row)
-                    if units > 0:
-                        unit_ewma.update(seconds * 1e9 / units)
-                kernels[name] = KernelSample(
-                    rows=rows,
-                    seconds=seconds,
-                    work_units=units,
-                    bytes_touched=nbytes,
-                    ns_per_row=ns_per_row,
-                    ns_per_row_ewma=row_ewma.value,
-                )
-            stages = self._stages
-        else:
-            kernels = {name: KernelSample() for name in CORRELATION_KERNELS}
-            stages = {name: StageSample(unit=_STAGE_UNITS[name])
-                      for name in PIPELINE_STAGES}
+        for name, (rows, seconds, units, nbytes) in self._kernels.items():
+            ns_per_row = (seconds * 1e9 / rows) if rows > 0 else None
+            row_ewma = self._row_ewma.setdefault(name, Ewma(self.alpha))
+            unit_ewma = self._unit_ewma.setdefault(name, Ewma(self.alpha))
+            if ns_per_row is not None:
+                row_ewma.update(ns_per_row)
+                if units > 0:
+                    unit_ewma.update(seconds * 1e9 / units)
+            kernels[name] = KernelSample(
+                rows=rows,
+                seconds=seconds,
+                work_units=units,
+                bytes_touched=nbytes,
+                ns_per_row=ns_per_row,
+                ns_per_row_ewma=row_ewma.value,
+            )
         ledger = RefreshLedger(
             time=float(time_),
             sequence=int(sequence),
             refresh_seconds=float(refresh_seconds),
-            stages=stages,
+            stages=self._stages,
             kernels=kernels,
             skips=int(skips),
             cache_hits=int(cache_hits),
         )
-        if self.enabled:
-            with self._lock:
-                self._history.append(ledger)
+        with self._lock:
+            self._history.append(ledger)
         return ledger
 
     # -- cost model feed -------------------------------------------------------

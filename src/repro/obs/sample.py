@@ -47,8 +47,8 @@ class MetricsSample:
     blocks_ingested:
         Streamed RLE blocks pulled from tracers this refresh.
     wire_bytes:
-        Bytes of wire-format payload decoded this refresh (0 unless the
-        engine runs with ``wire_fidelity=True``).
+        Wire-format bytes received this refresh: every transport
+        delivery, or on the direct path the ``wire_fidelity`` round trips.
     correlators:
         Live (unparked) incremental correlators after this refresh.
     parked_correlators:

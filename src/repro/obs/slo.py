@@ -368,17 +368,9 @@ def refresh_baseline(doc: dict, mode: str = "batched") -> Dict[str, float]:
     """Regression baselines from a loaded ``BENCH_refresh.json`` document.
 
     Uses the refresh p50 of ``mode`` -- by default the batched mode the
-    PR 4 CI gate already pins -- as the whole-refresh baseline. Modes
-    from the dense-regime FFT A/B section are addressed with a
-    ``dense/`` prefix: ``refresh_baseline(doc, "dense/fft")`` pins the
-    dense 40-class workload on the FFT batch kernel, ``"dense/direct"``
-    the same workload on the sparse/RLE kernels only.
+    CI refresh gate pins -- as the whole-refresh baseline.
     """
-    if mode.startswith("dense/"):
-        modes = doc["dense"]["modes"]
-        mode = mode[len("dense/"):]
-    else:
-        modes = doc["modes"]
+    modes = doc["modes"]
     if mode not in modes:
         raise KeyError(
             f"mode {mode!r} not in benchmark document "

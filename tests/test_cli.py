@@ -361,7 +361,6 @@ class TestProfileCli:
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["ewma", "kernel_density", "ledgers", "workload"]
         assert doc["workload"]["app"] == "rubis"
-        assert doc["workload"]["fft_dispatch"] == "auto"
         assert doc["ledgers"]
         for entry in doc["ledgers"]:
             ledger = RefreshLedger.from_dict(entry)
@@ -386,16 +385,24 @@ class TestProfileCli:
         doc = json.loads(text)
         assert len(doc["ledgers"]) == 1
         assert set(doc["workload"]) == {
-            "app", "duration", "fft_dispatch", "refresh_interval", "seed", "window"
+            "app", "duration", "refresh_interval", "seed", "window"
         }
         # sort_keys=True output is byte-stable across runs of the same doc
         assert text.strip() == json.dumps(doc, indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("verb", ["top", "profile"])
-    def test_removed_dispatch_flag_exits_2(self, verb, capsys):
-        # Kernel dispatch is modeled only: the flag is gone and argparse
-        # rejects it as unrecognized (exit 2) before any simulation runs.
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [
+            pytest.param("top", "--measured-dispatch", id="top"),
+            pytest.param("profile", "--measured-dispatch", id="profile"),
+            pytest.param("top", "--fft-dispatch", id="top-fft"),
+            pytest.param("profile", "--fft-dispatch", id="profile-fft"),
+        ],
+    )
+    def test_removed_dispatch_flag_exits_2(self, verb, flag, capsys):
+        # Kernel dispatch is modeled only: the flags are gone and argparse
+        # rejects them as unrecognized (exit 2) before any simulation runs.
         with pytest.raises(SystemExit) as excinfo:
-            main([verb, "--measured-dispatch"])
+            main([verb, flag])
         assert excinfo.value.code == 2
-        assert "--measured-dispatch" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err

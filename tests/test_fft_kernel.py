@@ -15,8 +15,9 @@ cross-correlation):
 * The :class:`SpectrumCache` is transparent -- hits return bitwise the
   array a recompute would -- and the three-way ``choose_batch_kernel``
   routes by the modeled cost frontier over the dispatch-unit estimates.
-* End to end, ``fft_dispatch`` in {auto, off, force} changes refresh
-  cost only: graphs agree across modes within tolerance; and forcing
+* End to end, routing changes refresh cost only: forcing every loud
+  row onto the FFT kernel (``choose_batch_kernel`` monkeypatched)
+  publishes the graphs of an all-RLE run within tolerance; and forcing
   every loud row onto the sparse or the RLE kernel publishes the graphs
   of the default routing bit for bit.
 """
@@ -29,7 +30,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.config import PathmapConfig
 from repro.core import stages
 from repro.core.correlation import (
     MODELED_RLE_COST_RATIO,
@@ -50,7 +50,7 @@ from repro.core.correlation import (
 from repro.core.engine import E2EProfEngine
 from repro.core.incremental import IncrementalCorrelator
 from repro.core.timeseries import DensityTimeSeries
-from repro.errors import AnalysisError, ConfigError, CorrelationError
+from repro.errors import CorrelationError
 from repro.obs.ledger import KERNEL_FFT_BATCH, KERNEL_RLE, KERNEL_SPARSE_BATCH
 
 from tests.test_engine_determinism import CFG, run_engine
@@ -383,7 +383,7 @@ class TestCorrelateFftBatch:
             correlate_fft_batch(x, [series([1.0] * 8, start=3)])
 
 
-def run_dense_engine(seed=4, end_time=14.0, classes=4, **engine_kwargs):
+def run_dense_engine(seed=4, end_time=14.0, classes=4):
     """A genuinely dense workload: 120 req/s smeared over 5 quanta fills
     the blocks, pushing the direct kernels' pair estimates past the FFT
     kernel's fixed ``size * log2(size)`` cost so auto dispatch actually
@@ -398,7 +398,7 @@ def run_dense_engine(seed=4, end_time=14.0, classes=4, **engine_kwargs):
         quiet_after=None,
         config=DENSE_CFG,
     )
-    engine = E2EProfEngine(DENSE_CFG, **engine_kwargs)
+    engine = E2EProfEngine(DENSE_CFG)
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     engine.attach(deployment.topology)
@@ -409,50 +409,54 @@ def run_dense_engine(seed=4, end_time=14.0, classes=4, **engine_kwargs):
 
 
 class TestEngineFftDispatch:
-    """End-to-end: fft_dispatch changes cost, never analysis output."""
+    """End-to-end: routing rows onto the FFT kernel changes cost, never
+    analysis output beyond float tolerance."""
 
     def graphs_of(self, engine):
         return {k: g.to_dict() for k, g in engine.latest_result.graphs.items()}
 
-    def test_force_matches_off_within_tolerance(self):
-        off, _ = run_dense_engine(fft_dispatch="off")
-        force, _ = run_dense_engine(fft_dispatch="force")
-        g_off, g_force = self.graphs_of(off), self.graphs_of(force)
-        assert set(g_off) == set(g_force)
-        for key in g_off:
-            edges_off = {(e["src"], e["dst"]): e["delays"]
-                         for e in g_off[key]["edges"]}
-            edges_force = {(e["src"], e["dst"]): e["delays"]
-                           for e in g_force[key]["edges"]}
-            assert set(edges_off) == set(edges_force), key
-            for edge, delays in edges_off.items():
+    def run_forced(self, kernel, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(stages, "choose_batch_kernel", lambda *units: kernel)
+            engine, _ = run_dense_engine()
+        return engine
+
+    def test_forced_fft_matches_forced_rle_within_tolerance(self, monkeypatch):
+        rle = self.run_forced("rle", monkeypatch)
+        fft = self.run_forced("fft", monkeypatch)
+        assert kernel_rows(rle)[KERNEL_FFT_BATCH] == 0
+        assert kernel_rows(fft)[KERNEL_RLE] == 0
+        g_rle, g_fft = self.graphs_of(rle), self.graphs_of(fft)
+        assert set(g_rle) == set(g_fft)
+        for key in g_rle:
+            edges_rle = {(e["src"], e["dst"]): e["delays"]
+                         for e in g_rle[key]["edges"]}
+            edges_fft = {(e["src"], e["dst"]): e["delays"]
+                         for e in g_fft[key]["edges"]}
+            assert set(edges_rle) == set(edges_fft), key
+            for edge, delays in edges_rle.items():
                 np.testing.assert_allclose(
-                    edges_force[edge], delays, atol=1e-9,
+                    edges_fft[edge], delays, atol=1e-9,
                     err_msg=f"{key} {edge}",
                 )
-        assert off.latest_result.stats.spikes == force.latest_result.stats.spikes
+        assert rle.latest_result.stats.spikes == fft.latest_result.stats.spikes
 
-    def test_auto_routes_dense_rows_to_fft_and_matches_off(self):
-        auto, _ = run_dense_engine(fft_dispatch="auto")
-        off, _ = run_dense_engine(fft_dispatch="off")
-        rows = sum(
-            led.kernel(KERNEL_FFT_BATCH).rows for led in auto.ledger.history()
+    def test_default_routes_dense_rows_to_fft_and_matches_forced_rle(
+        self, monkeypatch
+    ):
+        default, _ = run_dense_engine()
+        rle = self.run_forced("rle", monkeypatch)
+        assert kernel_rows(default)[KERNEL_FFT_BATCH] > 0, (
+            "dense workload must route rows to the FFT kernel"
         )
-        assert rows > 0, "dense workload must route rows to the FFT kernel"
-        assert self.graphs_of(auto) == self.graphs_of(off)  # bit-identical:
-        # modeled auto-routing picks a kernel per row, and on this
-        # workload FFT-routed rows produce delays that quantize onto the
-        # same spikes as the direct kernels.
-
-    def test_off_never_touches_fft_kernel(self):
-        engine, _ = run_dense_engine(fft_dispatch="off", end_time=12.0)
-        assert all(
-            led.kernel(KERNEL_FFT_BATCH).rows == 0
-            for led in engine.ledger.history()
-        )
+        assert kernel_rows(rle)[KERNEL_FFT_BATCH] == 0
+        assert self.graphs_of(default) == self.graphs_of(rle)  # bit-identical:
+        # modeled routing picks a kernel per row, and on this workload
+        # FFT-routed rows produce delays that quantize onto the same
+        # spikes as the direct kernels.
 
     def test_spectra_cache_warms_and_stays_bounded(self):
-        engine, _ = run_dense_engine(fft_dispatch="force", end_time=16.0)
+        engine, _ = run_dense_engine(end_time=16.0)
         cache = engine._spectra
         assert cache.hits > 0, "refresh overlap must re-serve cached spectra"
         # Eviction bounds residency to the live block history: with 2 s
@@ -500,22 +504,3 @@ class TestForcedDispatchFlip:
     def test_forced_rle_routes_everything_to_rle(self, monkeypatch):
         rows, loud = self.run_forced("rle", monkeypatch)
         assert rows == {KERNEL_SPARSE_BATCH: 0, KERNEL_RLE: loud, KERNEL_FFT_BATCH: 0}
-
-
-class TestFftDispatchPlumbing:
-    def test_config_validates_mode(self):
-        with pytest.raises(ConfigError):
-            dataclasses.replace(CFG, fft_dispatch="fast")
-
-    def test_engine_validates_mode(self):
-        with pytest.raises(AnalysisError):
-            E2EProfEngine(CFG, fft_dispatch="fast")
-
-    def test_config_flows_and_param_wins(self):
-        assert E2EProfEngine(CFG).fft_dispatch == "auto"
-        cfg = dataclasses.replace(CFG, fft_dispatch="off")
-        assert E2EProfEngine(cfg).fft_dispatch == "off"
-        assert E2EProfEngine(cfg, fft_dispatch="force").fft_dispatch == "force"
-
-    def test_default_config_value(self):
-        assert PathmapConfig().fft_dispatch == "auto"

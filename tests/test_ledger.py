@@ -149,16 +149,15 @@ class TestLedgerRecorder:
         assert rec.ns_per_row(KERNEL_SPARSE_BATCH) is None
         assert rec.ns_per_unit(KERNEL_SPARSE_BATCH) is None
 
-    def test_disabled_recorder_is_a_noop_with_complete_shape(self):
-        rec = LedgerRecorder(enabled=False)
+    def test_nothing_recorded_still_completes_full_shape(self):
+        rec = LedgerRecorder()
         rec.begin_refresh()
-        rec.record_stage(STAGE_DFS, 1.0, items=10)
-        rec.record_kernel(KERNEL_LEGACY, rows=10, seconds=1.0)
         ledger = rec.complete(5.0, 2, refresh_seconds=1.0)
         assert set(ledger.stages) == set(PIPELINE_STAGES)
         assert set(ledger.kernels) == set(CORRELATION_KERNELS)
         assert ledger.stage(STAGE_DFS).seconds == 0.0
-        assert len(rec) == 0 and rec.latest is None
+        assert all(sample.rows == 0 for sample in ledger.kernels.values())
+        assert len(rec) == 1 and rec.latest is ledger
 
     def test_history_is_bounded(self):
         rec = LedgerRecorder(history=4)
@@ -315,20 +314,6 @@ class TestEngineIntegration:
         for stage in PIPELINE_STAGES:
             assert f'engine_stage_seconds_bucket{{stage="{stage}"' in text
         assert "ledger_kernel_rows_total" in text
-
-    def test_disabled_ledger_engine_still_attaches_ledgers(self):
-        rubis = build_rubis(dispatch="affinity", seed=6, request_rate=10.0,
-                            config=CFG)
-        engine = E2EProfEngine(CFG, ledger=False)
-        results = []
-        engine.subscribe(lambda now, result: results.append(result))
-        engine.attach(rubis.topology)
-        rubis.run_until(45.0)
-        assert results
-        assert len(engine.ledger) == 0
-        for result in results:
-            assert set(result.ledger.stages) == set(PIPELINE_STAGES)
-            assert result.ledger.stage(STAGE_DFS).seconds == 0.0
 
 
 class TestTopRenderer:
