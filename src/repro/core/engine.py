@@ -275,9 +275,9 @@ class E2EProfEngine(PipelineCore):
         )
         #: Optional analyzer-side capture archive. When set, every
         #: tracer's raw per-edge timestamps are drained each refresh as
-        #: columnar batches and forwarded here -- through the transport's
-        #: packed timestamp frames when transport is on, directly
-        #: otherwise -- without materializing per-record objects.
+        #: columnar batches and forwarded here -- riding each tracer's
+        #: round frame when transport is on, directly otherwise --
+        #: without materializing per-record objects.
         self.capture_sink = capture_sink
         self._refresh_capture_batches = 0
         #: Optional trace lake (:class:`~repro.lake.TraceLake`). When set,
@@ -842,8 +842,9 @@ class E2EProfEngine(PipelineCore):
     ) -> List[RoundFrame]:
         """Flush every tracer through its framed link + channel into the
         receiving endpoint -- one round frame per tracer, carrying only
-        its loud blocks; returns re-sequenced *late* rounds (rounds of
-        earlier refreshes) for history patching.
+        its loud blocks and the capture batches drained with them;
+        returns re-sequenced *late* rounds (rounds of earlier refreshes)
+        for history patching.
 
         The refresh's deliveries are collected in arrival order and
         handed to the receiver once, so it decodes the round in one pass."""
@@ -859,18 +860,15 @@ class E2EProfEngine(PipelineCore):
                 channel = self._channel_for(node_id)
                 with self.tracer.span("tracer.flush", node=node_id):
                     blocks = self._flush_kept(node_id, tracer, block_start)
+                # Raw captures ride the tracer's round frame.
+                batches = tracer.drain_batches() if self.capture_sink is not None else None
                 deliveries.extend(
                     channel.send(
-                        link.encode_blocks(blocks, block_start, self._block_quanta, tau)
+                        link.encode_blocks(
+                            blocks, block_start, self._block_quanta, tau, batches
+                        )
                     )
                 )
-                if self.capture_sink is not None:
-                    # Raw captures ride the same link/channel as packed
-                    # timestamp frames (one frame per edge batch).
-                    batches = tracer.drain_batches()
-                    if batches:
-                        for payload in link.encode_timestamp_batches(batches):
-                            deliveries.extend(channel.send(payload))
             # Frames the channels held back (reordered / delayed) that
             # have come due this round.
             for channel in self.transport_channels.values():
@@ -886,15 +884,15 @@ class E2EProfEngine(PipelineCore):
                 else:
                     late.append(frame)
             if self.capture_sink is not None:
-                # Timestamp batches carry absolute capture times, so
-                # arrival order is irrelevant: file each straight into
-                # the columnar archive.
-                for ts_frame in receiver.poll_timestamp_batches():
+                # The capture batches of every polled round, fresh and
+                # late, in poll order: they carry absolute capture times,
+                # so a late round's batches file like any other.
+                for batch in receiver.poll_timestamp_batches():
                     self.capture_sink.ingest_batch(
-                        ts_frame.src,
-                        ts_frame.dst,
-                        ts_frame.timestamps,
-                        observed_at_destination=ts_frame.observed_at_destination,
+                        batch.src,
+                        batch.dst,
+                        batch.timestamps,
+                        observed_at_destination=batch.observed_at_destination,
                     )
                     self._refresh_capture_batches += 1
             # Declared gaps: rounds the reorder buffers gave up waiting
@@ -1139,7 +1137,7 @@ class E2EProfEngine(PipelineCore):
     def restart_tracer(self, node_id: NodeId) -> None:
         """Simulate a tracer crash/restart: captured state is lost, the
         transport epoch bumps (so pre-restart blocks are never
-        resurrected) and its round and batch sequences reset."""
+        resurrected) and its round sequence resets."""
         if self._topology is not None:
             tracer = self._topology.fabric.tracer(node_id)
             if tracer is not None:

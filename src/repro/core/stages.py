@@ -552,29 +552,35 @@ class PipelineCore:
 
 class HostWindow(TraceWindow):
     """TraceWindow view over a :class:`PipelineCore` host's block history
-    (its ``_active_edges`` / ``_clients`` / ``_edge_series``)."""
+    (its ``_active_edges`` / ``_clients`` / ``_edge_series``).
+
+    The src -> dsts, dst -> clients and front-end lists are built once, in
+    one pass over the active edges: the DFS asks for them at every node
+    it visits."""
 
     def __init__(self, host: PipelineCore) -> None:
         self._host = host
-        self._active = host._active_edges()
         self._clients = host._clients
+        destinations: Dict[NodeId, List[NodeId]] = {}
+        clients: Dict[NodeId, List[NodeId]] = {}
+        for src, dst in host._active_edges():
+            destinations.setdefault(src, []).append(dst)
+            if src in self._clients:
+                clients.setdefault(dst, []).append(src)
+        for nodes in (*destinations.values(), *clients.values()):
+            nodes.sort()
+        self._destinations = destinations
+        self._node_clients = clients
+        self._front_ends = sorted(node for node in clients if node not in self._clients)
 
     def front_end_nodes(self) -> List[NodeId]:
-        return sorted(
-            {
-                dst
-                for (src, dst) in self._active
-                if src in self._clients and dst not in self._clients
-            }
-        )
+        return list(self._front_ends)
 
     def clients_of(self, node: NodeId) -> List[NodeId]:
-        return sorted(
-            src for (src, dst) in self._active if dst == node and src in self._clients
-        )
+        return list(self._node_clients.get(node, ()))
 
     def destinations_of(self, node: NodeId) -> List[NodeId]:
-        return sorted(dst for (src, dst) in self._active if src == node)
+        return list(self._destinations.get(node, ()))
 
     def is_client(self, node: NodeId) -> bool:
         return node in self._clients

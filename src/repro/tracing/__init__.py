@@ -30,7 +30,6 @@ from repro.tracing.transport import (
 )
 from repro.tracing.wire import (
     RoundFrame,
-    TimestampFrame,
     decode_block,
     decode_frame,
     encode_block,

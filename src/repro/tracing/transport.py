@@ -10,9 +10,10 @@ silently mis-computing service paths:
 * :class:`TransportLink` -- the sender side of one tracer's stream. It
   wraps each flush round in one :class:`~repro.tracing.wire.RoundFrame`
   carrying the tracer's **epoch** (bumped on restart), a per-tracer
-  round **sequence number**, the round's block window and only the
-  blocks that have runs. A quiet tracer still sends its (empty) round,
-  which is its heartbeat, so the receiver can tell "quiet" from "dead".
+  round **sequence number**, the round's block window, only the blocks
+  that have runs, and the raw capture batches the tracer drained for the
+  capture archive. A quiet tracer still sends its (empty) round, which is
+  its heartbeat, so the receiver can tell "quiet" from "dead".
 * :class:`FaultyChannel` -- a seeded, deterministic fault injector
   (drop / duplicate / reorder / corrupt / delay / total outage) standing
   in for the lossy link. Tests and benchmarks drive every failure mode
@@ -29,9 +30,9 @@ silently mis-computing service paths:
 * :class:`TransportReceiver` -- the analyzer-side endpoint tying the
   above together: decodes frames (corrupt ones are counted, never
   raised), routes them to per-tracer reorder buffers, tracks liveness
-  and which tracer owns which edge, and surfaces ordered rounds plus
-  :class:`GapNotice` records to the engine (a lost round is a gap on
-  every edge its tracer owns).
+  and which tracer owns which edge, and surfaces ordered rounds, their
+  capture batches and :class:`GapNotice` records to the engine (a lost
+  round is a gap on every edge its tracer owns).
 * :class:`DataQuality` -- the per-edge verdict the engine derives from
   transport health (``fresh`` / ``degraded`` / ``stale`` plus the gap
   ratio), which :class:`~repro.core.pathmap.PathmapResult` carries so
@@ -50,13 +51,12 @@ import numpy as np
 from repro.config import TransportConfig
 from repro.core.rle import RunLengthSeries
 from repro.errors import TraceError
-from repro.tracing.records import NodeId
+from repro.tracing.records import NodeId, TimestampBatch
 from repro.tracing.wire import (
     RoundFrame,
-    TimestampFrame,
     decode_frames,
-    encode_frame,
     encode_frames,
+    encode_timestamp_sections,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 EdgeKey = Tuple[NodeId, NodeId]
-StreamKey = Tuple[NodeId, NodeId, NodeId]
 
 #: Edge data states carried by :class:`DataQuality`.
 QUALITY_FRESH = "fresh"
@@ -321,16 +320,12 @@ class TransportLink:
         self.restarts = 0
         self.frames_sent = 0
         self._round_seq = 0
-        # Timestamp-batch streams sequence per edge, independently of the
-        # rounds (they are not re-sequenced -- batches carry absolute times).
-        self._batch_seqs: Dict[EdgeKey, int] = {}
 
     def restart(self) -> None:
-        """Bump the epoch (tracer restart): all streams reset to seq 0."""
+        """Bump the epoch (tracer restart): the round stream resets to seq 0."""
         self.epoch += 1
         self.restarts += 1
         self._round_seq = 0
-        self._batch_seqs.clear()
 
     def encode_blocks(
         self,
@@ -338,44 +333,34 @@ class TransportLink:
         start: int,
         length: int,
         quantum: float,
+        batches: Optional[Dict[EdgeKey, "np.ndarray"]] = None,
     ) -> bytes:
         """Frame one flush round: the window ``[start, start + length)``
-        at ``quantum`` and the blocks that spoke in it (``blocks`` holds
-        no empty block). A quiet round is the tracer's heartbeat."""
+        at ``quantum``, the blocks that spoke in it (``blocks`` holds no
+        empty block) and the capture ``batches`` drained with it, whose
+        timestamp section :meth:`encode_timestamp_batches` packs. Empty
+        batches are left off the wire. A quiet round is the tracer's
+        heartbeat."""
+        batches = {edge: stamps for edge, stamps in (batches or {}).items() if len(stamps)}
         frame = RoundFrame(
-            self.node, self.epoch, self._round_seq, start, length, quantum, blocks
+            self.node, self.epoch, self._round_seq, start, length, quantum, blocks, batches
         )
+        (payload,) = encode_frames([frame], [self.encode_timestamp_batches(batches, blocks)])
         self._round_seq += 1
         self.frames_sent += 1
-        return encode_frame(frame)
+        return payload
 
     def encode_timestamp_batches(
-        self, batches: Dict[EdgeKey, "np.ndarray"]
-    ) -> List[bytes]:
-        """Frame one round of raw per-edge timestamp batches.
-
-        One packed :class:`~repro.tracing.wire.TimestampFrame` per
-        non-empty edge batch, sequenced on a per-edge stream separate
-        from the round stream. The observing side is derived from the
-        link's node: a batch for ``src -> dst`` captured here was
-        observed at the destination exactly when this node *is* ``dst``.
-        Empty batches are skipped (no frame, no sequence advance).
-        """
-        frames: List[TimestampFrame] = []
-        for (src, dst), timestamps in batches.items():
-            arr = np.asarray(timestamps, dtype=np.float64)
-            if arr.size == 0:
-                continue
-            seq = self._batch_seqs.get((src, dst), 0)
-            self._batch_seqs[(src, dst)] = seq + 1
-            frames.append(
-                TimestampFrame(
-                    self.node, self.epoch, seq, src, dst, arr,
-                    observed_at_destination=(self.node == dst),
-                )
-            )
-        self.frames_sent += len(frames)
-        return encode_frames(frames)
+        self, batches: Dict[EdgeKey, "np.ndarray"], blocks: Iterable[EdgeKey] = ()
+    ) -> bytes:
+        """The timestamp section of a round carrying ``blocks`` (their
+        edges name the first rows of the frame's edge table) and
+        ``batches``: one packed float64 batch per edge. The observing
+        side is derived from the link's node: a batch for ``src -> dst``
+        captured here was observed at the destination exactly when this
+        node *is* ``dst``."""
+        (section,) = encode_timestamp_sections([(self.node, blocks, batches)])
+        return section
 
 
 # -- receiver side -----------------------------------------------------------------
@@ -579,7 +564,10 @@ class TransportReceiver:
     never raised), re-sequences each tracer's rounds through a
     :class:`ReorderBuffer`, feeds every frame to the liveness watchdog,
     records which tracer owns each edge that spoke, and accumulates
-    ordered rounds until the engine ``poll``\\ s.
+    ordered rounds -- and the capture batches riding them -- until the
+    engine ``poll``\\ s. Batches share their round's fate: a duplicate,
+    pre-restart or lost round delivers none, a late-recovered one
+    delivers them late.
     """
 
     def __init__(
@@ -602,14 +590,8 @@ class TransportReceiver:
         # counts them all, drained or not.
         self._gap_notices: List[GapNotice] = []
         self.gaps = 0
-        # Timestamp-batch streams bypass the reorder buffers (batches
-        # carry absolute times, so arrival order is irrelevant); per
-        # stream we keep only what dropping duplicates and pre-restart
-        # frames needs: [epoch, next_seq, ahead] -- every seq below
-        # next_seq was delivered in this epoch, plus the out-of-order
-        # seqs in ``ahead`` above it. In-order delivery keeps it O(1).
-        self._ready_batches: List[TimestampFrame] = []
-        self._batch_streams: Dict[StreamKey, list] = {}
+        # Capture batches of the delivered rounds, in delivery order.
+        self._ready_batches: List[TimestampBatch] = []
         self.frames_received = 0
         self.corrupt_blocks = 0
         self.heartbeats = 0
@@ -631,7 +613,7 @@ class TransportReceiver:
             )
             self._m_batches = metrics.counter(
                 "transport_timestamp_batches_total",
-                "Packed timestamp-batch frames accepted",
+                "Capture batches accepted with their round",
             )
         else:
             self._m_received = None
@@ -664,9 +646,6 @@ class TransportReceiver:
                     logger.debug("dropped corrupt transport frame: %s", frame)
                 continue
             self.watchdog.heartbeat(frame.node, now, frame.epoch)
-            if isinstance(frame, TimestampFrame):
-                self._receive_batch(frame)
-                continue
             self.heartbeats += 1
             if self._m_heartbeats is not None:
                 self._m_heartbeats.inc()
@@ -677,7 +656,12 @@ class TransportReceiver:
                 self._buffers[node] = buffer
             for edge in frame.blocks:
                 self._edge_owner[edge] = node
-            self._ready.extend(buffer.push(frame))
+            duplicates, stale = buffer.duplicates, buffer.stale_epoch_drops
+            self._deliver(buffer.push(frame))
+            # A duplicate or pre-restart round drops its batches with it.
+            batches = len(frame.batches)
+            self.timestamp_duplicates += (buffer.duplicates - duplicates) * batches
+            self.timestamp_stale_epoch += (buffer.stale_epoch_drops - stale) * batches
             if buffer.lost_rounds:
                 self._declare_lost(node, buffer.drain_lost_rounds())
 
@@ -691,44 +675,27 @@ class TransportReceiver:
                     GapNotice(node, src, dst, lost.epoch, lost.seq, lost.block_start)
                 )
 
-    def _receive_batch(self, frame: TimestampFrame) -> None:
-        """File one timestamp-batch frame: dedup within the stream's
-        current epoch, drop pre-restart epochs, deliver the rest.
-
-        No reorder buffering: batches carry absolute capture times, so
-        the collector can ingest them in any arrival order."""
-        key: StreamKey = (frame.node, frame.src, frame.dst)
-        stream = self._batch_streams.get(key)
-        if stream is None or frame.epoch > stream[0]:
-            stream = [frame.epoch, 0, set()]
-            self._batch_streams[key] = stream
-        epoch, next_seq, ahead = stream
-        if frame.epoch < epoch:
-            self.timestamp_stale_epoch += 1
-            return
-        if frame.seq < next_seq or frame.seq in ahead:
-            self.timestamp_duplicates += 1
-            return
-        if frame.seq == next_seq:
-            next_seq += 1
-            while next_seq in ahead:
-                ahead.remove(next_seq)
-                next_seq += 1
-            stream[1] = next_seq
-        else:
-            ahead.add(frame.seq)
-        self.timestamp_batches += 1
-        if self._m_batches is not None:
-            self._m_batches.inc()
-        self._ready_batches.append(frame)
+    def _deliver(self, rounds: List[RoundFrame]) -> None:
+        """Queue delivered rounds, and their capture batches as
+        :class:`~repro.tracing.records.TimestampBatch` records."""
+        self._ready.extend(rounds)
+        for frame in rounds:
+            for (src, dst), stamps in frame.batches.items():
+                self._ready_batches.append(
+                    TimestampBatch(src, dst, frame.node == dst, stamps)
+                )
+            self.timestamp_batches += len(frame.batches)
+            if self._m_batches is not None and frame.batches:
+                self._m_batches.inc(len(frame.batches))
 
     def poll(self) -> List[RoundFrame]:
         """Ordered rounds accumulated since the last poll."""
         ready, self._ready = self._ready, []
         return ready
 
-    def poll_timestamp_batches(self) -> List[TimestampFrame]:
-        """Timestamp-batch frames accepted since the last poll."""
+    def poll_timestamp_batches(self) -> List[TimestampBatch]:
+        """Capture batches of the rounds delivered since the last call,
+        in delivery order."""
         ready, self._ready_batches = self._ready_batches, []
         return ready
 
@@ -761,7 +728,9 @@ class TransportReceiver:
         """Aggregate stream counters across all reorder buffers. Round
         counters (``delivered``, ``duplicates``, ``reordered``,
         ``late_recovered``, ``stale_epoch_drops``, ``outstanding``) count
-        rounds; ``gaps`` counts the edge blocks lost with them."""
+        rounds; ``gaps`` counts the edge blocks lost with them. The
+        ``timestamp_*`` counters count capture batches: delivered with
+        their round, or dropped with a duplicate or stale-epoch one."""
         totals = {
             "frames_received": self.frames_received,
             "corrupt_blocks": self.corrupt_blocks,

@@ -47,9 +47,9 @@ the frame body detects corruption on a lossy link instead of silently
 decoding it. Layout (little-endian)::
 
     magic     2 bytes  b"RF"
-    version   1 byte   (FRAME_VERSION = 2)
+    version   1 byte   (FRAME_VERSION = 3)
     crc32     4 bytes  uint32, CRC-32 of every byte after this field
-    flags     1 byte   (0: round frame; 0x02: packed timestamp batch)
+    flags     1 byte   (reserved: 0)
     epoch     varint
     seq       varint
     node      varint length + utf-8 (observing tracer id)
@@ -63,25 +63,34 @@ decoding it. Layout (little-endian)::
       runs    varint   (>= 1, and at most size / 6: a run is >= 6 bytes)
       size    varint   (bytes of the run body)
       body    the block's runs, in the run layout above
+    -- timestamp section --
+    edges     varint   (edges named by a batch but by no block)
+    per edge:
+      src     varint length + utf-8
+      dst     varint length + utf-8
+    batches   varint   (number of capture batches)
+    per batch:
+      edge    varint   (index into the edge table: the blocks' edges in
+                        order, then the edges above)
+      count   varint   (number of timestamps)
+    widths    1 byte per batch of >= 2 timestamps (1..8: bytes per delta)
+    firsts    8 bytes per non-empty batch (float64: its first timestamp)
+    deltas    per batch of >= 2 timestamps, count - 1 deltas of width bytes
 
 The run body is byte for byte what :func:`encode_block` writes after its
-header. Frames are never persisted, so there is one frame version: a
-version-1 frame is rejected as ``unsupported frame version 1``.
-
-Packed timestamp frames
------------------------
-
-The high-throughput ingest path ships raw capture timestamps in bulk:
-one :class:`TimestampFrame` carries N float64 timestamps for one edge as
-a packed little-endian array (``np.frombuffer`` on decode -- no
-per-record parsing). It shares the CRC-framed envelope above; after the
-``node`` string the body continues::
-
-    src       varint length + utf-8
-    dst       varint length + utf-8
-    side      1 byte   (1: observed at destination, 0: at source)
-    count     varint   (number of timestamps)
-    payload   count * 8 bytes, little-endian float64
+header. The timestamp section carries the raw capture timestamps the
+tracer drained this round, one batch per edge, losslessly: each batch is
+its first float64, then the zigzag-coded differences of consecutive
+float64 bit patterns (wrapping mod 2**64, so unsorted, negative and
+subnormal values round-trip bit for bit), each cut to the batch's one
+byte width, little-endian. The section is columnar -- headers, widths,
+first values, deltas -- so one array pass codes every batch of a round
+(:func:`encode_timestamp_sections`) and one decodes every batch of many
+(:func:`decode_frames`). The observing side is not sent: a batch was
+captured at the destination exactly when the frame's node is the edge's
+``dst``, so a batch edge must have the node at exactly one end. Frames
+are never persisted, so there is one frame version: earlier versions
+are rejected as ``unsupported frame version N``.
 """
 
 from __future__ import annotations
@@ -89,7 +98,8 @@ from __future__ import annotations
 import dataclasses
 import struct
 import zlib
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,10 +113,7 @@ MAGIC = b"RL"
 VERSION = 1
 
 FRAME_MAGIC = b"RF"
-FRAME_VERSION = 2
-#: Frame flags value of a packed float64 timestamp-batch frame (a round
-#: frame's flags are 0).
-FRAME_FLAG_TIMESTAMPS = 0x02
+FRAME_VERSION = 3
 
 _HEADER = struct.Struct("<2sBdqqI")
 _FRAME_PREFIX = struct.Struct("<2sBI")  # magic, version, crc32
@@ -114,6 +121,9 @@ _GEOMETRY = struct.Struct("<dqq")  # a round's quantum, start, length
 
 
 def _encode_varint(value: int, out: bytearray) -> None:
+    if 0 <= value < 0x80:  # the common one-byte case
+        out.append(value)
+        return
     if value < 0:
         raise TraceError(f"varint cannot encode negative value {value}")
     while True:
@@ -127,6 +137,8 @@ def _encode_varint(value: int, out: bytearray) -> None:
 
 
 def _decode_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    if pos < len(data) and data[pos] < 0x80:  # the common one-byte case
+        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -529,10 +541,12 @@ def _wire_metrics(
 
 # -- transport framing ---------------------------------------------------------
 
+EdgeKey = Tuple[str, str]
 
-@dataclasses.dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class RoundFrame:
-    """One tracer's flush round: stream bookkeeping plus the loud blocks.
+    """One tracer's flush round: bookkeeping, loud blocks, capture batches.
 
     Every block of a round shares one window, so the geometry travels
     once per frame; only blocks with runs travel at all. An edge absent
@@ -555,6 +569,14 @@ class RoundFrame:
     blocks:
         ``(src, dst) -> block`` for every edge that spoke this round;
         each block has at least one run and the round's window.
+    batches:
+        ``(src, dst) -> float64 timestamps`` the tracer captured on each
+        edge since its previous round, in capture order. ``node`` is at
+        exactly one end of each edge; the batch was observed at the
+        destination exactly when it is ``dst``. Empty unless a capture
+        archive drains the tracer.
+
+    Equality compares batches bit for bit.
     """
 
     node: str
@@ -563,63 +585,27 @@ class RoundFrame:
     start: int
     length: int
     quantum: float
-    blocks: Mapping[Tuple[str, str], RunLengthSeries] = dataclasses.field(
-        default_factory=dict
-    )
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class TimestampFrame:
-    """One transport frame carrying a packed timestamp batch.
-
-    The same envelope as :class:`RoundFrame` (node identity, restart
-    epoch, sequence number, CRC-32) around N raw float64 capture
-    timestamps for one edge, sequenced per ``(node, src, dst)`` stream.
-    ``observed_at_destination`` records which endpoint captured the
-    batch, so the receiving collector files it on the correct side.
-    """
-
-    node: str
-    epoch: int
-    seq: int
-    src: str
-    dst: str
-    timestamps: np.ndarray
-    observed_at_destination: bool = True
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.timestamps, dtype=np.float64)
-        if arr.ndim != 1:
-            raise TraceError(
-                f"timestamp frame payload must be one-dimensional, got {arr.shape}"
-            )
-        object.__setattr__(self, "timestamps", arr)
-
-    @property
-    def edge(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
+    blocks: Mapping[EdgeKey, RunLengthSeries] = dataclasses.field(default_factory=dict)
+    batches: Mapping[EdgeKey, np.ndarray] = dataclasses.field(default_factory=dict)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimestampFrame):
+        if not isinstance(other, RoundFrame):
             return NotImplemented
         return (
-            self.node == other.node
-            and self.epoch == other.epoch
-            and self.seq == other.seq
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.observed_at_destination == other.observed_at_destination
-            and np.array_equal(self.timestamps, other.timestamps)
+            (self.node, self.epoch, self.seq, self.start, self.length, self.quantum)
+            == (other.node, other.epoch, other.seq, other.start, other.length, other.quantum)
+            and self.blocks == other.blocks
+            and self.batches.keys() == other.batches.keys()
+            and all(_same_bits(a, other.batches[e]) for e, a in self.batches.items())
         )
 
     __hash__ = None  # type: ignore[assignment]  # mutable array payload
 
 
-#: Either transport frame kind, as returned by :func:`decode_frame`.
-AnyFrame = Union[RoundFrame, TimestampFrame]
+def _same_bits(a, b) -> bool:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _encode_string(text: str, out: bytearray) -> None:
@@ -629,7 +615,11 @@ def _encode_string(text: str, out: bytearray) -> None:
 
 
 def _decode_string(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _decode_varint(data, pos)
+    if pos < len(data) and data[pos] < 0x80:  # the common one-byte length
+        length = data[pos]
+        pos += 1
+    else:
+        length, pos = _decode_varint(data, pos)
     if pos + length > len(data):
         raise TraceError("truncated string in transport frame")
     try:
@@ -653,61 +643,182 @@ def _check_round(frame: RoundFrame) -> None:
             )
 
 
-def encode_frames(frames: Sequence[AnyFrame]) -> List[bytes]:
+def _foreign(node: str, src: str, dst: str) -> TraceError:
+    """Why ``node`` cannot have captured a batch on ``src -> dst`` when
+    it is at neither or both ends: the capture side is derived from which
+    end the node is."""
+    return TraceError(
+        f"tracer {node!r} cannot capture a batch on {src}->{dst}: "
+        "a batch edge has the tracer at exactly one end"
+    )
+
+
+#: Byte column index of a packed uint64.
+_BYTE_COLUMNS = np.arange(8, dtype=np.uint8)
+#: The timestamp section of a round without capture batches.
+_NO_BATCHES = b"\x00\x00"
+
+
+def _encode_stamps(batches: Sequence[np.ndarray]) -> Tuple[List[int], bytes, bytes]:
+    """Pack capture batches -- any number of rounds' worth -- in one pass.
+
+    Returns each batch's delta width (0 below two timestamps), the first
+    timestamp of every non-empty batch as packed float64, and every
+    batch's zigzag deltas back to back. Python work is per batch, never
+    per timestamp.
+    """
+    counts = [len(stamps) for stamps in batches]
+    total = sum(counts)
+    if total == 0:
+        return [0] * len(counts), b"", b""
+    try:
+        flat = np.concatenate(batches, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise TraceError(f"capture batch is not a float64 timestamp array: {exc}") from exc
+    if flat.shape != (total,):
+        raise TraceError("capture batch is not a one-dimensional timestamp array")
+    if not np.isfinite(flat).all():
+        raise TraceError("capture batch carries a non-finite timestamp")
+    starts = list(accumulate(counts, initial=0))
+    heads = [h for h, count in zip(starts, counts) if count]
+    firsts = flat[heads].astype("<f8", copy=False).tobytes()
+    multi = [h for h, count in zip(starts, counts) if count > 1]
+    if not multi:
+        return [0] * len(counts), firsts, b""
+    # Zigzag of each bit-pattern difference, wrapping mod 2**64. The
+    # differences across a batch boundary code nothing: zeroed, they
+    # leave each batch's widest delta alone.
+    bits = flat.view(np.int64)
+    diffs = bits[1:] - bits[:-1]
+    zigzag = ((diffs << 1) ^ (diffs >> 63)).view(np.uint64)
+    if len(heads) > 1:
+        zigzag[[h - 1 for h in heads[1:]]] = 0
+    widest = iter(np.maximum.reduceat(zigzag, multi).tolist())
+    widths = [
+        ((next(widest).bit_length() + 7) >> 3 or 1) if count > 1 else 0 for count in counts
+    ]
+    # Every delta cut to each width in use -- one copy per width, not per
+    # batch -- then each batch's run of them.
+    packed = zigzag.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    cut = {width: packed[:, :width].tobytes() for width in set(widths) if width}
+    deltas = b"".join(
+        cut[width][width * head : width * (head + count - 1)]
+        for head, count, width in zip(starts, counts, widths)
+        if width
+    )
+    return widths, firsts, deltas
+
+
+def encode_timestamp_sections(
+    rounds: Sequence[Tuple[str, Iterable[EdgeKey], Mapping[EdgeKey, np.ndarray]]],
+) -> List[bytes]:
+    """Serialize the timestamp sections of many rounds in one pass.
+
+    One section per ``(node, block edges, batches)`` round; every round's
+    batches are coded by one :func:`_encode_stamps` call.
+
+    Raises :class:`~repro.errors.TraceError` for a batch the decoder
+    would reject (non-finite timestamp, or an edge without the node at
+    exactly one end), so a bad batch is refused at the sender and can
+    never cost a received round its blocks.
+    """
+    arrays = []
+    for node, _, batches in rounds:
+        for src, dst in batches:
+            if (node == src) == (node == dst):
+                raise _foreign(node, src, dst)
+        arrays.extend(batches.values())
+    if not arrays:
+        return [_NO_BATCHES] * len(rounds)
+    widths, firsts, deltas = _encode_stamps(arrays)
+    out: List[bytes] = []
+    k = first_at = delta_at = 0
+    for _, block_edges, batches in rounds:
+        if not batches:
+            out.append(_NO_BATCHES)
+            continue
+        index = {edge: i for i, edge in enumerate(block_edges)}
+        extra = [edge for edge in batches if edge not in index]
+        section = bytearray()
+        _encode_varint(len(extra), section)
+        for src, dst in extra:
+            index[(src, dst)] = len(index)
+            _encode_string(src, section)
+            _encode_string(dst, section)
+        _encode_varint(len(batches), section)
+        own = widths[k : k + len(batches)]
+        first_end = first_at
+        delta_end = delta_at
+        for (edge, stamps), width in zip(batches.items(), own):
+            count = len(stamps)
+            _encode_varint(index[edge], section)
+            _encode_varint(count, section)
+            if count:
+                first_end += 8
+                delta_end += width * (count - 1)
+        section += bytes(width for width in own if width)
+        section += firsts[first_at:first_end]
+        section += deltas[delta_at:delta_end]
+        k += len(batches)
+        first_at, delta_at = first_end, delta_end
+        out.append(bytes(section))
+    return out
+
+
+def encode_frames(
+    frames: Sequence[RoundFrame], sections: Optional[Sequence[bytes]] = None
+) -> List[bytes]:
     """Serialize a flush round of frames.
 
     The run bodies of every block of every round among them come from one
-    :func:`_encode_runs` call."""
-    rounds = [f for f in frames if isinstance(f, RoundFrame)]
-    for frame in rounds:
+    :func:`_encode_runs` call, and their timestamp sections from one
+    :func:`encode_timestamp_sections` call -- unless ``sections`` already
+    holds them, one per frame."""
+    for frame in frames:
         _check_round(frame)
+    if sections is None:
+        sections = encode_timestamp_sections(
+            [(frame.node, frame.blocks, frame.batches) for frame in frames]
+        )
     runs, run_ends = _encode_runs(
-        [block for frame in rounds for block in frame.blocks.values()]
+        [block for frame in frames for block in frame.blocks.values()]
     )
     lo = 0
     ends = iter(run_ends)
     out: List[bytes] = []
-    for frame in frames:
-        body = bytearray()
-        timestamps = isinstance(frame, TimestampFrame)
-        body.append(FRAME_FLAG_TIMESTAMPS if timestamps else 0)
+    for frame, section in zip(frames, sections):
+        body = bytearray(b"\x00")  # flags
         _encode_varint(frame.epoch, body)
         _encode_varint(frame.seq, body)
         _encode_string(frame.node, body)
-        if timestamps:
-            _encode_string(frame.src, body)
-            _encode_string(frame.dst, body)
-            body.append(1 if frame.observed_at_destination else 0)
-            _encode_varint(int(frame.timestamps.size), body)
-            body += np.ascontiguousarray(frame.timestamps, dtype="<f8").tobytes()
-        else:
-            body += _GEOMETRY.pack(frame.quantum, frame.start, frame.length)
-            _encode_varint(len(frame.blocks), body)
-            for (src, dst), block in frame.blocks.items():
-                hi = next(ends)
-                _encode_string(src, body)
-                _encode_string(dst, body)
-                _encode_varint(block.num_runs, body)
-                _encode_varint(hi - lo, body)
-                body += runs[lo:hi]
-                lo = hi
+        body += _GEOMETRY.pack(frame.quantum, frame.start, frame.length)
+        _encode_varint(len(frame.blocks), body)
+        for (src, dst), block in frame.blocks.items():
+            hi = next(ends)
+            _encode_string(src, body)
+            _encode_string(dst, body)
+            _encode_varint(block.num_runs, body)
+            _encode_varint(hi - lo, body)
+            body += runs[lo:hi]
+            lo = hi
+        body += section
         out.append(
             _FRAME_PREFIX.pack(FRAME_MAGIC, FRAME_VERSION, zlib.crc32(body)) + body
         )
     return out
 
 
-def encode_frame(frame: AnyFrame) -> bytes:
-    """Serialize one :class:`RoundFrame` or :class:`TimestampFrame`."""
+def encode_frame(frame: RoundFrame) -> bytes:
+    """Serialize one :class:`RoundFrame`."""
     (payload,) = encode_frames([frame])
     return payload
 
 
-def _decode_envelope(data: bytes) -> Union[TimestampFrame, tuple]:
-    """CRC-check and parse one frame up to its run bodies. A timestamp
-    frame comes back complete; a round comes back as its
-    :class:`RoundFrame` fields with ``[(edge, runs, body), ...]`` in
-    place of the blocks."""
+def _decode_envelope(data: bytes) -> tuple:
+    """CRC-check and parse one frame up to its run bodies and packed
+    timestamps: its :class:`RoundFrame` fields with ``[(edge, runs, body),
+    ...]`` in place of the blocks and ``[[edge, count, width], ...]`` in
+    place of the batches, then the section's first-value and delta bytes."""
     if len(data) < _FRAME_PREFIX.size + 1:
         raise TraceError("transport frame shorter than header")
     magic, version, crc = _FRAME_PREFIX.unpack_from(data, 0)
@@ -718,22 +829,11 @@ def _decode_envelope(data: bytes) -> Union[TimestampFrame, tuple]:
     body = data[_FRAME_PREFIX.size :]
     if zlib.crc32(body) != crc:
         raise TraceError("transport frame failed CRC-32 check")
-    flags = body[0]
-    if flags not in (0, FRAME_FLAG_TIMESTAMPS):
-        raise TraceError(f"corrupt transport frame: unknown flags {flags:#04x}")
+    if body[0]:
+        raise TraceError(f"corrupt transport frame: unknown flags {body[0]:#04x}")
     epoch, pos = _decode_varint(body, 1)
     seq, pos = _decode_varint(body, pos)
     node, pos = _decode_string(body, pos)
-    if flags == FRAME_FLAG_TIMESTAMPS:
-        src, pos = _decode_string(body, pos)
-        dst, pos = _decode_string(body, pos)
-        at_destination, timestamps, pos = _decode_timestamp_payload(body, pos)
-        if pos != len(body):
-            raise TraceError(f"{len(body) - pos} trailing bytes in timestamp frame")
-        return TimestampFrame(
-            node, epoch, seq, src, dst, timestamps,
-            observed_at_destination=at_destination,
-        )
     if pos + _GEOMETRY.size > len(body):
         raise TraceError("truncated round frame: missing block window")
     quantum, start, length = _GEOMETRY.unpack_from(body, pos)
@@ -741,13 +841,15 @@ def _decode_envelope(data: bytes) -> Union[TimestampFrame, tuple]:
     count, pos = _decode_varint(body, pos + _GEOMETRY.size)
     view = memoryview(body)
     blocks = []
-    seen = set()
+    # The frame's edge table, and the same edges as a set.
+    edges: List[EdgeKey] = []
+    named = set()
     for _ in range(count):
         src, pos = _decode_string(body, pos)
         dst, pos = _decode_string(body, pos)
         runs, pos = _decode_varint(body, pos)
         size, pos = _decode_varint(body, pos)
-        if (src, dst) in seen:
+        if (src, dst) in named:
             raise TraceError(f"round frame carries {src}->{dst} twice")
         if not runs:
             raise TraceError(f"round frame carries a quiet block for {src}->{dst}")
@@ -757,29 +859,120 @@ def _decode_envelope(data: bytes) -> Union[TimestampFrame, tuple]:
             raise TraceError(f"round frame claims {runs} runs for {src}->{dst} in {size} bytes")
         if pos + size > len(body):
             raise TraceError("truncated block body in round frame")
-        seen.add((src, dst))
+        named.add((src, dst))
+        edges.append((src, dst))
         blocks.append(((src, dst), runs, view[pos : pos + size]))
         pos += size
-    if pos != len(body):
-        raise TraceError(f"{len(body) - pos} trailing bytes in round frame")
-    return node, epoch, seq, start, length, quantum, blocks
+    count, pos = _decode_varint(body, pos)
+    for _ in range(count):
+        src, pos = _decode_string(body, pos)
+        dst, pos = _decode_string(body, pos)
+        if (src, dst) in named:
+            raise TraceError(f"round frame names {src}->{dst} twice")
+        named.add((src, dst))
+        edges.append((src, dst))
+    count, pos = _decode_varint(body, pos)
+    batches = []
+    captured = set()
+    for _ in range(count):
+        at, pos = _decode_varint(body, pos)
+        if at >= len(edges):
+            raise TraceError(f"timestamp batch names edge {at} of {len(edges)}")
+        src, dst = edge = edges[at]
+        if (node == src) == (node == dst):
+            raise _foreign(node, src, dst)
+        if edge in captured:
+            raise TraceError(f"round frame carries two batches for {src}->{dst}")
+        captured.add(edge)
+        stamps, pos = _decode_varint(body, pos)
+        batches.append([edge, stamps, 0])
+    widths = iter(view[pos:])
+    deltas_size = firsts_size = 0
+    for batch in batches:
+        (src, dst), stamps, _ = batch
+        if stamps > 1:
+            width = next(widths, None)
+            if width is None:
+                raise TraceError("truncated timestamp section: missing delta widths")
+            if not 1 <= width <= 8:
+                raise TraceError(f"timestamp batch for {src}->{dst} has delta width {width}")
+            batch[2] = width
+            pos += 1
+            deltas_size += width * (stamps - 1)
+        if stamps:
+            firsts_size += 8
+    firsts_end = pos + firsts_size
+    end = firsts_end + deltas_size
+    if end > len(body):
+        raise TraceError(
+            f"timestamp batches claim {end - len(body)} bytes past the end of the frame"
+        )
+    if end != len(body):
+        raise TraceError(f"{len(body) - end} trailing bytes in round frame")
+    return (
+        node, epoch, seq, start, length, quantum, blocks, batches,
+        view[pos:firsts_end], view[firsts_end:end],
+    )
 
 
-def decode_frames(payloads: Sequence[bytes]) -> List[Union[AnyFrame, TraceError]]:
+def _decode_stamps(
+    counts: List[int], widths: List[int], firsts: List[bytes], deltas: List[bytes]
+) -> Tuple[np.ndarray, List[bool]]:
+    """Every batch's timestamps back to back, decoded in one pass, and per
+    batch whether all of them are finite.
+
+    ``counts`` and ``widths`` are per batch; ``firsts`` and ``deltas``
+    hold the first-value and delta bytes of each frame's section. The bit
+    patterns are rebuilt by one cumulative sum (mod 2**64) over the whole
+    run of batches, less the sum before each batch's head."""
+    total = sum(counts)
+    if total == 0:
+        return _NO_FLOATS, [True] * len(counts)
+    sizes = np.array(counts, dtype=np.int64)
+    steps = np.maximum(sizes - 1, 0)
+    matrix = np.zeros((int(steps.sum()), 8), dtype=np.uint8)
+    rows = np.repeat(np.array(widths, dtype=np.int64), steps)
+    matrix[_BYTE_COLUMNS < rows[:, None]] = np.frombuffer(b"".join(deltas), np.uint8)
+    zigzag = matrix.view("<u8").ravel()
+    heads = (np.cumsum(sizes) - sizes)[sizes > 0]
+    terms = np.empty(total, dtype=np.uint64)
+    inner = np.ones(total, dtype=bool)
+    inner[heads] = False
+    terms[inner] = (zigzag >> 1) ^ ((zigzag << 63).view(np.int64) >> 63).view(np.uint64)
+    terms[heads] = np.frombuffer(b"".join(firsts), "<u8")
+    sums = np.cumsum(terms)
+    before = np.concatenate([np.zeros(1, np.uint64), sums])[heads]
+    stamps = (sums - np.repeat(before, sizes[sizes > 0])).view(np.float64)
+    finite = np.isfinite(stamps)
+    if finite.all():
+        return stamps, [True] * len(counts)
+    owner = np.repeat(np.arange(len(counts)), sizes)
+    sound = np.ones(len(counts), dtype=bool)
+    sound[owner[~finite]] = False
+    return stamps, sound.tolist()
+
+
+def decode_frames(payloads: Sequence[bytes]) -> List[Union[RoundFrame, TraceError]]:
     """Exact inverse of :func:`encode_frames`, one entry per payload.
 
     Truncation, a failed CRC-32, a frame version other than
-    :data:`FRAME_VERSION`, or any corruption in an embedded block yields
-    the :class:`~repro.errors.TraceError` in that frame's place -- the
-    transport receiver counts such frames
+    :data:`FRAME_VERSION`, or any corruption in an embedded block or
+    timestamp batch yields the :class:`~repro.errors.TraceError` in that
+    frame's place -- the transport receiver counts such frames
     (``transport_corrupt_blocks_total``) and drops them instead of letting
     the refresh loop die. Envelopes are parsed per frame; the run bodies
-    of every round's blocks are decoded by one :func:`_decode_runs` call.
+    of every round's blocks are decoded by one :func:`_decode_runs` call,
+    and the timestamps of every round's batches by one
+    :func:`_decode_stamps` call.
     """
-    out: List[Union[AnyFrame, TraceError]] = []
+    out: List[Union[RoundFrame, TraceError]] = []
     rounds: List[Tuple[int, tuple]] = []
     bodies: List[bytes] = []
     headers: List[Tuple[float, int, int, int]] = []
+    counts: List[int] = []
+    widths: List[int] = []
+    firsts: List[bytes] = []
+    deltas: List[bytes] = []
     for data in payloads:
         try:
             parsed = _decode_envelope(data)
@@ -787,24 +980,38 @@ def decode_frames(payloads: Sequence[bytes]) -> List[Union[AnyFrame, TraceError]
             parsed = exc
         if isinstance(parsed, tuple):
             rounds.append((len(out), parsed))
-            _, _, _, start, length, quantum, blocks = parsed
+            _, _, _, start, length, quantum, blocks, batches, first, rest = parsed
             for _, runs, body in blocks:
                 bodies.append(body)
                 headers.append((quantum, start, length, runs))
+            for _, count, width in batches:
+                counts.append(count)
+                widths.append(width)
+            firsts.append(first)
+            deltas.append(rest)
         out.append(parsed)  # type: ignore[arg-type]  # rounds filled in below
     decoded = iter(_decode_runs(bodies, headers))
-    for slot, (node, epoch, seq, start, length, quantum, blocks) in rounds:
+    stamps, finite = _decode_stamps(counts, widths, firsts, deltas)
+    k = lo = 0
+    for slot, (node, epoch, seq, start, length, quantum, blocks, batches, _, _) in rounds:
         loud = {edge: next(decoded) for edge, _, _ in blocks}
         error = next((b for b in loud.values() if isinstance(b, TraceError)), None)
+        captured = {}
+        for (src, dst), count, _ in batches:
+            if not finite[k] and error is None:
+                error = TraceError(f"corrupt round frame: non-finite timestamp on {src}->{dst}")
+            captured[(src, dst)] = stamps[lo : lo + count]
+            lo += count
+            k += 1
         out[slot] = (
             error
             if error is not None
-            else RoundFrame(node, epoch, seq, start, length, quantum, loud)
+            else RoundFrame(node, epoch, seq, start, length, quantum, loud, captured)
         )
     return out
 
 
-def decode_frame(data: bytes) -> AnyFrame:
+def decode_frame(data: bytes) -> RoundFrame:
     """Exact inverse of :func:`encode_frame`.
 
     One-element :func:`decode_frames`; raises the
@@ -813,26 +1020,6 @@ def decode_frame(data: bytes) -> AnyFrame:
     if isinstance(frame, TraceError):
         raise frame
     return frame
-
-
-def _decode_timestamp_payload(
-    body: bytes, pos: int
-) -> Tuple[bool, np.ndarray, int]:
-    """Decode ``side + count + packed float64`` from a timestamp frame."""
-    if pos >= len(body):
-        raise TraceError("truncated timestamp frame: missing side byte")
-    side = body[pos]
-    pos += 1
-    if side not in (0, 1):
-        raise TraceError(f"corrupt timestamp frame: bad side byte {side}")
-    count, pos = _decode_varint(body, pos)
-    end = pos + 8 * count
-    if end > len(body):
-        raise TraceError("truncated timestamp frame payload")
-    timestamps = np.frombuffer(body, dtype="<f8", count=count, offset=pos)
-    if count and not np.isfinite(timestamps).all():
-        raise TraceError("corrupt timestamp frame: non-finite timestamp")
-    return bool(side), timestamps, end
 
 
 def wire_sizes(series: RunLengthSeries, message_count: int = 0) -> dict:

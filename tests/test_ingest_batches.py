@@ -21,6 +21,7 @@ from repro.tracing.collector import TraceCollector
 from repro.tracing.records import CaptureRecord, TimestampBatch
 from repro.tracing.tracer import Tracer
 from repro.tracing.transport import TransportLink, TransportReceiver
+from repro.tracing.wire import decode_frame
 
 CFG = PathmapConfig(
     window=20.0,
@@ -245,7 +246,8 @@ class TestTracerBatchCapture:
 
 class TestTransportBatchStreams:
     def _frames(self, link, stamps):
-        return link.encode_timestamp_batches({("A", "B"): np.asarray(stamps)})
+        """One quiet round of ``link`` carrying ``stamps`` on ``A -> B``."""
+        return [link.encode_blocks({}, 0, 10, 1e-3, {("A", "B"): np.asarray(stamps)})]
 
     def test_round_trip_and_duplicate_drop(self):
         link = TransportLink("B")
@@ -276,7 +278,9 @@ class TestTransportBatchStreams:
 
     def test_empty_batches_not_framed(self):
         link = TransportLink("B")
-        assert link.encode_timestamp_batches({("A", "B"): np.empty(0)}) == []
+        (payload,) = self._frames(link, [])
+        assert decode_frame(payload).batches == {}
+        assert payload == TransportLink("B").encode_blocks({}, 0, 10, 1e-3)
 
 
 class TestEngineCaptureSink:

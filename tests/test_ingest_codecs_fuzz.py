@@ -1,8 +1,9 @@
 """Fuzz and round-trip tests for the columnar ingest codecs.
 
-Two codecs carry packed float64 timestamp arrays: the transport's
-:class:`~repro.tracing.wire.TimestampFrame` and the binary columnar
-capture file format (``.rtb``). Both share the corruption contract of the
+Two codecs carry float64 timestamp arrays: the timestamp section of the
+transport's :class:`~repro.tracing.wire.RoundFrame` (delta-packed) and
+the binary columnar capture file format (``.rtb``). Both share the
+corruption contract of the
 RLE wire codec -- decode returns the exact payload or raises
 :class:`~repro.errors.TraceError`, never any other exception -- and both
 are hammered here with hypothesis round-trips, truncation sweeps and
@@ -29,16 +30,15 @@ from repro.tracing.storage import (
     write_capture_binary,
 )
 from repro.tracing.wire import (
-    FRAME_FLAG_TIMESTAMPS,
     FRAME_MAGIC,
     FRAME_VERSION,
-    TimestampFrame,
+    RoundFrame,
     decode_frame,
     encode_frame,
 )
 
-#: Finite float64 payloads round-trip bit-exactly through the packed
-#: little-endian representation, so equality below is exact.
+#: Finite float64 payloads round-trip bit-exactly through the delta-packed
+#: representation, so equality below is exact.
 timestamp_arrays = st.lists(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     min_size=0,
@@ -47,16 +47,19 @@ timestamp_arrays = st.lists(
 
 frame_names = st.text(min_size=0, max_size=12)
 
+#: A quiet round carrying one capture batch, observed at either end.
 timestamp_frames = st.builds(
-    TimestampFrame,
+    lambda node, epoch, seq, peer, at_destination, stamps: RoundFrame(
+        node, epoch, seq, 0, 10, 1e-3, {},
+        {(peer, node) if at_destination else (node, peer): stamps},
+    ),
     node=frame_names,
     epoch=st.integers(0, 2**40),
     seq=st.integers(0, 2**40),
-    src=frame_names,
-    dst=frame_names,
-    timestamps=timestamp_arrays,
-    observed_at_destination=st.booleans(),
-)
+    peer=frame_names.map(lambda name: name + "'"),
+    at_destination=st.booleans(),
+    stamps=timestamp_arrays,
+).filter(lambda frame: all(src != dst for src, dst in frame.batches))
 
 node_names = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
@@ -72,14 +75,17 @@ capture_batches = st.builds(
 
 
 def reference_frame():
-    return TimestampFrame("WS", 3, 7, "C1", "WS", np.array([1.0, 2.5, -3.25, 1e9]))
+    return RoundFrame(
+        "WS", 3, 7, 0, 10, 1e-3, {}, {("C1", "WS"): np.array([1.0, 2.5, -3.25, 1e9])}
+    )
 
 
 class TestTimestampFrameRoundTrip:
+    """Round frames carrying a capture batch (the timestamp section)."""
+
     @given(frame=timestamp_frames)
     def test_roundtrip_reproduces_frame(self, frame):
         decoded = decode_frame(encode_frame(frame))
-        assert isinstance(decoded, TimestampFrame)
         assert decoded == frame
 
     @given(frame=timestamp_frames)
@@ -88,9 +94,9 @@ class TestTimestampFrameRoundTrip:
         assert encode_frame(decode_frame(payload)) == payload
 
     def test_empty_batch_roundtrips(self):
-        frame = TimestampFrame("N", 0, 0, "A", "B", np.empty(0))
+        frame = RoundFrame("N", 0, 0, 0, 10, 1e-3, {}, {("A", "N"): np.empty(0)})
         decoded = decode_frame(encode_frame(frame))
-        assert len(decoded) == 0
+        assert len(decoded.batches[("A", "N")]) == 0
         assert decoded == frame
 
 
@@ -124,32 +130,32 @@ class TestTimestampFrameCorruption:
         ) + body
 
     def _body_prefix(self) -> bytearray:
-        body = bytearray([FRAME_FLAG_TIMESTAMPS])
+        """Node N's quiet round, up to the count of its one batch on A -> N."""
+        body = bytearray([0x00])  # flags
         body += bytes([0x00, 0x00])  # epoch 0, seq 0
         body += bytes([0x01]) + b"N"  # node
-        body += bytes([0x01]) + b"A"  # src
-        body += bytes([0x01]) + b"B"  # dst
+        body += struct.pack("<dqq", 1e-3, 0, 10)  # window
+        body += bytes([0x00])  # no blocks
+        body += bytes([0x01, 0x01]) + b"A" + bytes([0x01]) + b"N"  # edge table: A -> N
+        body += bytes([0x01, 0x00])  # one batch, on edge 0
         return body
 
-    def test_bad_side_byte_with_valid_crc(self):
-        body = self._body_prefix() + bytes([7, 0x00])
-        with pytest.raises(TraceError):
-            decode_frame(self._frame_with_body(bytes(body)))
-
     def test_count_overrun_with_valid_crc(self):
-        # Claims 100 timestamps with no payload behind them.
-        body = self._body_prefix() + bytes([1, 100])
+        # Claims 100 timestamps with no payload behind their width.
+        body = self._body_prefix() + bytes([100, 8])
         with pytest.raises(TraceError):
             decode_frame(self._frame_with_body(bytes(body)))
 
     def test_non_finite_payload_with_valid_crc(self):
-        body = self._body_prefix() + bytes([1, 1])
+        body = self._body_prefix() + bytes([1])
         body += struct.pack("<d", float("nan"))
         with pytest.raises(TraceError):
             decode_frame(self._frame_with_body(bytes(body)))
 
     def test_trailing_bytes_with_valid_crc(self):
-        body = self._body_prefix() + bytes([1, 0]) + b"\x00"
+        body = self._body_prefix() + bytes([0])
+        assert decode_frame(self._frame_with_body(bytes(body))).batches[("A", "N")].size == 0
+        body += b"\x00"
         with pytest.raises(TraceError):
             decode_frame(self._frame_with_body(bytes(body)))
 

@@ -27,7 +27,7 @@ from repro.tracing.transport import (
     TransportReceiver,
     overall_quality,
 )
-from repro.tracing.wire import RoundFrame, TimestampFrame, decode_frame, encode_frame
+from repro.tracing.wire import RoundFrame, decode_frame, encode_frame
 
 QUANTUM = 1e-3
 BLOCK_QUANTA = 100
@@ -42,17 +42,20 @@ def make_block(start, seed=0):
     return rle_encode(DensityTimeSeries.from_dense(dense, start, QUANTUM))
 
 
-def ts_frame(epoch=0, seq=0):
-    return TimestampFrame("N", epoch, seq, "A", "N", np.array([float(seq), seq + 0.5]))
-
-
-def make_round(node="N", epoch=0, seq=0, edges=(("A", "N"),), start=None):
+def make_round(node="N", epoch=0, seq=0, edges=(("A", "N"),), start=None, batches=None):
     """Round ``seq`` of ``node``'s stream, loud on exactly ``edges``."""
     if start is None:
         start = seq * BLOCK_QUANTA
     return RoundFrame(
         node, epoch, seq, start, BLOCK_QUANTA, QUANTUM,
-        {edge: make_block(start, seed=seq) for edge in edges},
+        {edge: make_block(start, seed=seq) for edge in edges}, batches or {},
+    )
+
+
+def stamped_round(node="N", epoch=0, seq=0):
+    """A quiet round carrying one capture batch on ``A -> node``."""
+    return make_round(
+        node, epoch, seq, edges=(), batches={("A", node): np.array([float(seq), seq + 0.5])}
     )
 
 
@@ -367,7 +370,7 @@ class TestTransportReceiver:
 
     def test_one_call_per_round_equals_frame_by_frame(self):
         """Collected deliveries -- good, duplicated, reordered, corrupt,
-        quiet and timestamp frames -- have the same effect handed
+        quiet and batch-carrying rounds -- have the same effect handed
         over in one call as delivered one at a time."""
         corrupt = bytearray(encode_frame(make_frame(node="M", src="B", dst="M", seq=1)))
         corrupt[-1] ^= 0x40
@@ -376,11 +379,11 @@ class TestTransportReceiver:
             encode_frame(make_frame(seq=3)),
             bytes(corrupt),
             encode_frame(make_round(node="M", seq=0, edges=())),
-            encode_frame(ts_frame(seq=0)),
+            encode_frame(stamped_round(node="M", seq=2)),
             encode_frame(make_frame(seq=1)),
             encode_frame(make_frame(seq=1)),
             b"junk",
-            encode_frame(ts_frame(seq=0)),
+            encode_frame(stamped_round(node="M", seq=2)),
             encode_frame(make_frame(node="M", src="B", dst="M", seq=1)),
             encode_frame(make_frame(epoch=1, seq=0)),
             encode_frame(make_frame(seq=2)),
@@ -415,44 +418,6 @@ class TestTransportReceiver:
         assert recv.corrupt_blocks == 1
         assert recv.heartbeats == 0
         assert recv.poll() == []
-
-    def test_timestamp_stream_dedup_out_of_order(self):
-        recv = TransportReceiver(TransportConfig(), 10.0)
-        recv.receive([encode_frame(ts_frame(seq=s)) for s in (0, 2, 3, 1, 1, 5, 2, 0)], 0.0)
-        assert [f.seq for f in recv.poll_timestamp_batches()] == [0, 2, 3, 1, 5]
-        assert recv.timestamp_batches == 5
-        assert recv.timestamp_duplicates == 3
-        # seq 4 is still outstanding: it is new, and only once.
-        recv.receive([encode_frame(ts_frame(seq=4))] * 2, 0.0)
-        assert [f.seq for f in recv.poll_timestamp_batches()] == [4]
-        assert recv.timestamp_duplicates == 4
-
-    def test_timestamp_stream_epochs(self):
-        recv = TransportReceiver(TransportConfig(), 10.0)
-        deliveries = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 0), (1, 1)]
-        recv.receive([encode_frame(ts_frame(epoch=e, seq=s)) for e, s in deliveries], 0.0)
-        accepted = [(f.epoch, f.seq) for f in recv.poll_timestamp_batches()]
-        assert accepted == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert recv.timestamp_stale_epoch == 1
-        assert recv.timestamp_duplicates == 1
-
-    def test_timestamp_stream_state_does_not_grow(self):
-        """A week of in-order delivery must not leave a week of seqs
-        behind: the receiver used to keep every seq ever seen."""
-        recv = TransportReceiver(TransportConfig(), 10.0)
-        for seq in range(1000):
-            recv.receive([encode_frame(ts_frame(seq=seq))], 0.0)
-        assert recv.timestamp_batches == 1000
-        remembered = sum(
-            len(part)
-            for stream in recv._batch_streams.values()
-            for part in stream
-            if isinstance(part, (set, frozenset, list, dict))
-        )
-        assert remembered == 0
-        # ...and late duplicates from anywhere in that history still drop.
-        recv.receive([encode_frame(ts_frame(seq=s)) for s in (0, 500, 999)], 0.0)
-        assert recv.timestamp_duplicates == 3
 
 
 class TestEngineTransport:
@@ -538,6 +503,70 @@ class TestEngineTransport:
         assert summary["links"]["EJB1"]["restarts"] == 1
         # The refresh loop kept running through the restart.
         assert engine._refreshes == 4
+
+    def test_capture_batches_share_their_round_fate_under_faults(self, monkeypatch):
+        """With drop, duplicate, reorder and corrupt all on, every
+        timestamp of every round delivered -- in order or late-recovered
+        -- reaches the capture sink exactly once, and none from a lost or
+        pre-restart round does."""
+        from repro.apps.rubis import build_rubis
+        from repro.core.engine import E2EProfEngine
+        from repro.tracing.collector import TraceCollector
+
+        sent = {}
+        delivered = []
+        encode_blocks = TransportLink.encode_blocks
+        poll = TransportReceiver.poll
+
+        def recording_encode(link, blocks, start, length, quantum, batches=None):
+            key = (link.node, link.epoch, link._round_seq)
+            sent[key] = {edge: np.array(stamps) for edge, stamps in (batches or {}).items()}
+            return encode_blocks(link, blocks, start, length, quantum, batches)
+
+        def recording_poll(receiver):
+            rounds = poll(receiver)
+            delivered.extend((f.node, f.epoch, f.seq) for f in rounds)
+            return rounds
+
+        monkeypatch.setattr(TransportLink, "encode_blocks", recording_encode)
+        monkeypatch.setattr(TransportReceiver, "poll", recording_poll)
+        rubis = build_rubis(dispatch="affinity", seed=5, request_rate=10.0, config=self.CFG)
+        sink = TraceCollector(client_nodes=rubis.topology.collector.clients)
+        engine = E2EProfEngine(
+            self.CFG,
+            transport=TransportConfig(lateness_blocks=1),
+            capture_sink=sink,
+            channel_factory=lambda node: FaultyChannel(
+                seed=sum(node.encode()), drop=0.15, duplicate=0.2,
+                reorder=0.2, corrupt=0.1, delay=0.2,
+            ),
+        )
+        engine.attach(rubis.topology)
+        for until in (40.0, 80.0, 120.0):
+            rubis.run_until(until)
+            for node in ("WS", "TS1", "EJB1", "DS"):
+                engine.restart_tracer(node)
+        rubis.run_until(160.0)
+        monkeypatch.undo()
+
+        totals = engine._receiver.totals()
+        # Every fault the contract speaks of happened.
+        assert totals["gaps"] and totals["late_recovered"] and totals["corrupt_blocks"]
+        assert totals["timestamp_duplicates"] and totals["timestamp_stale_epoch"]
+        assert len(delivered) == len(set(delivered))
+        assert set(delivered) < set(sent)
+        expected = {}
+        for key in delivered:
+            for (src, dst), stamps in sent[key].items():
+                expected.setdefault((src, dst, key[0] == dst), []).append(stamps)
+        filed = {
+            (b.src, b.dst, b.observed_at_destination): np.sort(b.timestamps)
+            for b in sink.export_batches()
+        }
+        assert filed.keys() == expected.keys()
+        for stream, parts in expected.items():
+            np.testing.assert_array_equal(filed[stream], np.sort(np.concatenate(parts)))
+        assert totals["timestamp_batches"] == sum(len(sent[key]) for key in delivered)
 
     def test_transport_summary_shape(self):
         rubis, engine = self._engine()

@@ -6,13 +6,17 @@
   reference loop (``tests/wire_reference.py``) produces, and
   ``decode_blocks`` accepts exactly the payloads the reference accepts,
   with equal results, one verdict per payload.
-* **Round frames**: the same differential for whole version-2 round
-  frames against the scalar round codec, quiet and loud rounds alike.
+* **Round frames**: the same differential for whole version-3 round
+  frames against the scalar round codec, quiet and loud rounds alike,
+  with and without capture batches.
+* **Timestamp sections**: any batch -- unsorted, negative, signed zeros,
+  subnormals, bit-pattern deltas that wrap in zigzag, zero or one
+  element -- comes back bit for bit, in the reference coder's bytes.
 * **Golden vectors**: ``tests/data/wire_golden.json`` holds blocks as the
-  scalar codec wrote them at the commit that retired it, version-2 frames
-  as the scalar round codec writes them, and the retired version-1 frames,
-  each of which must now be rejected. They are the wire format's
-  contract: a diff there is a format change.
+  scalar codec wrote them at the commit that retired it, version-3 frames
+  as the scalar round codec writes them, and the retired version-1 and
+  version-2 frames, each of which must now be rejected. They are the wire
+  format's contract: a diff there is a format change.
 """
 
 import json
@@ -34,13 +38,11 @@ from repro.tracing.transport import TransportReceiver
 from repro.tracing.wire import (
     _FRAME_PREFIX,
     _HEADER,
-    FRAME_FLAG_TIMESTAMPS,
     FRAME_MAGIC,
     FRAME_VERSION,
     MAGIC,
     VERSION,
     RoundFrame,
-    TimestampFrame,
     decode_block,
     decode_blocks,
     decode_frame,
@@ -53,8 +55,10 @@ from repro.tracing.wire import (
 from tests.wire_reference import (
     decode_block_reference,
     decode_round_reference,
+    decode_stamps_reference,
     encode_block_reference,
     encode_round_reference,
+    encode_stamps_reference,
 )
 
 GOLDEN = json.loads(
@@ -274,15 +278,46 @@ class TestHostilePayloads:
 # -- round frames ----------------------------------------------------------------
 
 
+#: Float64 values whose bit patterns stress the timestamp coder: signed
+#: zeros, subnormals, the extremes (their differences wrap in zigzag)
+#: and ordinary capture times.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+stamp_values = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1e5),
+)
+stamp_batches = st.one_of(
+    st.lists(stamp_values, max_size=12),
+    # A capture-like batch: sorted times a few milliseconds apart.
+    st.lists(st.floats(0.0, 1e-2), max_size=30).map(
+        lambda gaps: (100.0 + np.cumsum(gaps)).tolist()
+    ),
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+@st.composite
+def wire_batches(draw, node, edges):
+    """Capture batches of ``node``: on some of ``edges`` that have it at
+    exactly one end, and on new edges of its own."""
+    own = [e for e in edges if (e[0] == node) != (e[1] == node)]
+    peers = draw(st.lists(st.text(max_size=3).filter(lambda x: x != node), max_size=3))
+    candidates = own + [(node, p) for p in peers] + [(p, node) for p in peers]
+    chosen = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return {edge: draw(stamp_batches) for edge in chosen}
+
+
 @st.composite
 def wire_round(draw):
-    """A round frame: one window, 0-5 loud blocks in it on distinct edges."""
+    """A round frame: one window, 0-5 loud blocks in it on distinct edges,
+    and capture batches on 0 or more edges of its node."""
+    node = draw(st.text(max_size=4))
     start = draw(st.integers(-(10**6), 10**6))
     quantum = draw(st.sampled_from([1e-3, 5e-4, 0.25]))
     max_gap, max_count = KINDS[draw(st.sampled_from(["narrow", "narrow", "wide", "huge"]))]
-    edges = draw(
-        st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)), max_size=5, unique=True)
-    )
+    ends = st.one_of(st.just(node), st.text(max_size=3))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=5, unique=True))
     runs_per_edge = [
         draw(
             st.lists(
@@ -308,10 +343,10 @@ def wire_round(draw):
             start, length, quantum,
         )
     return RoundFrame(
-        draw(st.text(max_size=4)),
+        node,
         draw(st.integers(0, 2**40)),
         draw(st.integers(0, 2**40)),
-        start, length, quantum, blocks,
+        start, length, quantum, blocks, draw(wire_batches(node, edges)),
     )
 
 
@@ -329,8 +364,15 @@ def with_crc(body: bytes, version: int = FRAME_VERSION) -> bytes:
     return struct.pack("<2sBI", FRAME_MAGIC, version, zlib.crc32(body)) + body
 
 
-def round_body(blocks: bytes, count: int, start=0, length=1000, quantum=1e-3) -> bytes:
-    return b"\x00\x00\x00\x01N" + struct.pack("<dqq", quantum, start, length) + bytes([count]) + blocks
+def round_body(
+    blocks: bytes, count: int, start=0, length=1000, quantum=1e-3, section=b"\x00\x00"
+) -> bytes:
+    """Node N's round 0 of epoch 0: ``count`` blocks, then ``section``
+    (by default: no extra edges, no batches)."""
+    return (
+        b"\x00\x00\x00\x01N" + struct.pack("<dqq", quantum, start, length)
+        + bytes([count]) + blocks + section
+    )
 
 
 ONE_RUN = run_bytes(b"\x01", b"\x01", 1.0)
@@ -361,6 +403,7 @@ HOSTILE_ROUNDS = {
     "bad quantum": with_crc(round_body(b"", 0, quantum=0.0)),
     "unknown flags": with_crc(b"\x01" + round_body(b"", 0)[1:]),
     "version 1": with_crc(round_body(b"", 0), version=1),
+    "version 2": with_crc(round_body(b"", 0), version=2),
 }
 
 
@@ -389,11 +432,7 @@ class TestRoundDifferential:
         assert len(decoded) == len(payloads)
         for payload, got in zip(payloads, decoded):
             expected = round_verdict(payload)
-            if isinstance(got, TimestampFrame):
-                # A flipped flags byte can make a body parse as a timestamp
-                # batch, which the round-only reference does not read.
-                assert payload[_FRAME_PREFIX.size] == FRAME_FLAG_TIMESTAMPS, payload.hex()
-            elif expected is None:
+            if expected is None:
                 assert isinstance(got, TraceError), payload.hex()
             else:
                 assert got == expected, payload.hex()
@@ -435,24 +474,107 @@ class TestRoundDifferential:
             encode_frame(frame)
 
 
+# -- timestamp sections ----------------------------------------------------------
+
+
+def bits(stamps) -> list:
+    """Bit patterns: equal exactly when two float64 arrays are identical,
+    signed zeros included."""
+    return np.ascontiguousarray(stamps, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestTimestampSection:
+    @given(batches=st.lists(stamp_batches, max_size=6))
+    @settings(max_examples=300)
+    def test_round_trips_bit_for_bit_in_the_reference_bytes(self, batches):
+        """A round's batches through the one-pass coder: the bytes are the
+        scalar coder's, and every decoded bit pattern is the one sent."""
+        edges = [("N", f"D{k}") for k in range(len(batches))]
+        frame = RoundFrame("N", 0, 0, 0, 10, 1e-3, {}, dict(zip(edges, batches)))
+        payload = encode_frame(frame)
+        assert payload == encode_round_reference(frame)
+        decoded = decode_frame(payload).batches
+        assert list(decoded) == edges
+        for edge, stamps in zip(edges, batches):
+            assert decoded[edge].dtype == np.float64
+            assert bits(decoded[edge]) == bits(stamps)
+
+    @given(stamps=stamp_batches)
+    def test_scalar_coder_inverts_itself(self, stamps):
+        width, first, deltas = encode_stamps_reference(stamps)
+        assert len(deltas) == width * max(len(stamps) - 1, 0)
+        assert bits(decode_stamps_reference(len(stamps), width, first, deltas)) == bits(stamps)
+
+    def test_wrapping_delta_takes_eight_bytes(self):
+        """+max to -max: the bit-pattern difference is 2**63, whose
+        zigzag code is 2**64 - 1."""
+        stamps = np.array([1.7976931348623157e308, -1.7976931348623157e308])
+        assert encode_stamps_reference(stamps)[::2] == (8, b"\xff" * 8)
+        frame = RoundFrame("N", 0, 0, 0, 10, 1e-3, {}, {("A", "N"): stamps})
+        assert bits(decode_frame(encode_frame(frame)).batches[("A", "N")]) == bits(stamps)
+
+    def test_neighbouring_floats_take_one_byte_per_delta(self):
+        stamps = np.array([100.0, np.nextafter(100.0, 200.0), 100.0])
+        assert encode_stamps_reference(stamps) == (1, struct.pack("<d", 100.0), b"\x02\x01")
+
+    def test_empty_and_single_batches(self):
+        frame = RoundFrame(
+            "N", 0, 0, 0, 10, 1e-3, {},
+            {("A", "N"): np.empty(0), ("N", "B"): np.array([-0.0])},
+        )
+        payload = encode_frame(frame)
+        # Section: two edges named by batches alone, then two batches:
+        # edge 0 with no timestamps, edge 1 with one -- no width byte, no
+        # deltas, just its first value.
+        assert payload.endswith(
+            b"\x02\x01A\x01N\x01N\x01B\x02\x00\x00\x01\x01" + struct.pack("<d", -0.0)
+        )
+        decoded = decode_frame(payload)
+        assert decoded == frame
+        assert bits(decoded.batches[("N", "B")]) == bits([-0.0])
+
+    def test_batch_on_a_block_edge_reuses_its_name(self):
+        block = decode_block_reference(GOOD)
+        stamps = np.array([1.0, 2.0])
+        shared = encode_frame(
+            RoundFrame("N", 0, 0, 0, 1000, 1e-3, {("A", "N"): block}, {("A", "N"): stamps})
+        )
+        apart = encode_frame(
+            RoundFrame("N", 0, 0, 0, 1000, 1e-3, {("A", "N"): block}, {("B", "N"): stamps})
+        )
+        assert len(apart) - len(shared) == len(b"\x01B\x01N")
+
+    def test_unencodable_batches(self):
+        """The encoder refuses what the decoder would reject, so a bad
+        batch never costs a received round its blocks."""
+        for node, batches in (
+            ("N", {("A", "B"): np.array([1.0])}),  # foreign edge
+            ("N", {("N", "N"): np.array([1.0])}),  # self-loop
+            ("N", {("A", "N"): np.array([1.0, np.nan])}),
+            ("N", {("A", "N"): np.array([np.inf])}),
+            ("N", {("A", "N"): np.ones((2, 2))}),
+        ):
+            with pytest.raises(TraceError):
+                encode_frame(RoundFrame(node, 0, 0, 0, 10, 1e-3, {}, batches))
+
+
 # -- golden vectors --------------------------------------------------------------
 
 
 def frame_from(spec):
-    if "timestamps" in spec:
-        return TimestampFrame(
-            spec["node"], spec["epoch"], spec["seq"], spec["src"], spec["dst"],
-            np.array(spec["timestamps"]), spec["observed_at_destination"],
-        )
     blocks = {
         (b["src"], b["dst"]): series_from(
             GOLDEN["blocks"][b["block"]]["series"] if "block" in b else b["series"]
         )
         for b in spec["blocks"]
     }
+    batches = {
+        (b["src"], b["dst"]): np.array(b["timestamps"], dtype=np.float64)
+        for b in spec["batches"]
+    }
     return RoundFrame(
         spec["node"], spec["epoch"], spec["seq"],
-        spec["start"], spec["length"], spec["quantum"], blocks,
+        spec["start"], spec["length"], spec["quantum"], blocks, batches,
     )
 
 
@@ -486,9 +608,8 @@ class TestGoldenVectors:
         frame = frame_from(entry["frame"])
         assert encode_frame(frame) == payload
         assert encode_frame(decode_frame(payload)) == payload
-        if isinstance(frame, RoundFrame):
-            assert encode_round_reference(frame) == payload
-            assert decode_round_reference(payload) == decode_frame(payload)
+        assert encode_round_reference(frame) == payload
+        assert decode_round_reference(payload) == decode_frame(payload)
 
     def test_all_frames_in_one_round(self):
         entries = [GOLDEN["frames"][name] for name in sorted(GOLDEN["frames"])]
@@ -497,9 +618,10 @@ class TestGoldenVectors:
         assert encode_frames(decode_frames(payloads)) == payloads
 
     def test_timestamp_frame_body_unchanged(self):
-        """Only the version byte of a timestamp frame moved: the CRC and
-        the body are the version-1 bytes."""
-        v2 = bytes.fromhex(GOLDEN["frames"]["timestamps"]["hex"])
+        """Only the version byte of the retired per-edge timestamp frame
+        moved from version 1 to 2: the CRC and the body are the version-1
+        bytes, so both rejected vectors are the same frame."""
+        v2 = bytes.fromhex(GOLDEN["v2_frames"]["timestamps"]["hex"])
         v1 = bytes.fromhex(GOLDEN["v1_frames"]["timestamps"]["hex"])
         assert (v2[2], v1[2]) == (2, 1)
         assert v2[:2] + v2[3:] == v1[:2] + v1[3:]
@@ -517,3 +639,17 @@ class TestGoldenVectors:
         receiver.receive([payload], now=0.0)
         assert receiver.corrupt_blocks == 1
         assert receiver.poll() == [] and receiver.poll_timestamp_batches() == []
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["v2_frames"]))
+    def test_v2_frame_rejected(self, name):
+        """Version-2 frames -- rounds without a timestamp section, and the
+        per-edge packed timestamp frame -- are refused like version 1."""
+        payload = bytes.fromhex(GOLDEN["v2_frames"][name]["hex"])
+        (verdict,) = decode_frames([payload])
+        assert isinstance(verdict, TraceError)
+        assert str(verdict) == "unsupported frame version 2"
+        receiver = TransportReceiver(TransportConfig(), 10.0)
+        receiver.receive([payload], now=0.0)
+        assert receiver.corrupt_blocks == 1
+        assert receiver.poll() == [] and receiver.poll_timestamp_batches() == []
+

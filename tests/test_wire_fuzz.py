@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 import struct
+import warnings
 import zlib
 
 from repro.core.rle import rle_encode
@@ -25,6 +26,7 @@ from repro.tracing.wire import (
     RoundFrame,
     decode_block,
     decode_frame,
+    decode_frames,
     encode_block,
     encode_frame,
 )
@@ -253,3 +255,86 @@ class TestFrameCorruption:
     def test_negative_epoch_unencodable(self):
         with pytest.raises(TraceError):
             encode_frame(RoundFrame("N", -1, 0, 0, 10, QUANTUM))
+
+
+def _section_frame(section: bytes, blocks: bytes = b"\x00") -> bytes:
+    """Node N's round 0 with ``blocks`` and then the timestamp ``section``,
+    under an honest CRC."""
+    body = b"\x00\x00\x00\x01N" + struct.pack("<dqq", QUANTUM, 0, 10) + blocks + section
+    return _frame_with_body(body)
+
+
+def _batch(count: bytes, rest: bytes = b"") -> bytes:
+    """The edge table A -> N, one batch on it with ``count``, then the
+    section's widths, first values and deltas."""
+    return b"\x01\x01A\x01N\x01\x00" + count + rest
+
+
+_ONE = struct.pack("<d", 1.0)
+_INF_BITS = struct.unpack("<Q", struct.pack("<d", float("inf")))[0]
+
+#: Timestamp sections the decoder must reject with TraceError, each for
+#: its own reason (the CRC is honest, so only the section is wrong).
+HOSTILE_SECTIONS = {
+    "no section at all": _frame_with_body(
+        b"\x00\x00\x00\x01N" + struct.pack("<dqq", QUANTUM, 0, 10) + b"\x00"
+    ),
+    "truncated edge table": _section_frame(b"\x01\x01A"),
+    "truncated first value": _section_frame(_batch(b"\x01", _ONE[:5])),
+    "truncated deltas": _section_frame(_batch(b"\x03", b"\x02" + _ONE + b"\x00\x01")),
+    "missing width": _section_frame(_batch(b"\x02")),
+    "width 0": _section_frame(_batch(b"\x02", b"\x00" + _ONE)),
+    "width 9": _section_frame(_batch(b"\x02", b"\x09" + _ONE + bytes(9))),
+    "width 255": _section_frame(_batch(b"\x02", b"\xff" + _ONE + bytes(255))),
+    "count overruns the body": _section_frame(_batch(b"\x05", b"\x01" + _ONE + b"\x02\x02")),
+    "count worth 2**63": _section_frame(_batch(b"\x80" * 9 + b"\x01", b"\x01" + _ONE + b"\x02")),
+    "foreign edge": _section_frame(b"\x01\x01A\x01B\x01\x00\x01" + _ONE),
+    "self-loop edge": _section_frame(b"\x01\x01N\x01N\x01\x00\x01" + _ONE),
+    "edge index past the table": _section_frame(b"\x01\x01A\x01N\x01\x01\x01" + _ONE),
+    "two batches on one edge": _section_frame(
+        b"\x01\x01A\x01N\x02\x00\x01\x00\x01" + _ONE + _ONE
+    ),
+    "edge named twice": _section_frame(b"\x02\x01A\x01N\x01A\x01N\x00"),
+    "nan first value": _section_frame(_batch(b"\x01", struct.pack("<d", float("nan")))),
+    "infinite first value": _section_frame(_batch(b"\x01", struct.pack("<d", float("-inf")))),
+    # 1.0 plus a delta landing exactly on +inf's bit pattern.
+    "delta decodes to infinity": _section_frame(
+        _batch(
+            b"\x02",
+            b"\x08" + _ONE
+            + (2 * (_INF_BITS - struct.unpack("<Q", _ONE)[0])).to_bytes(8, "little"),
+        )
+    ),
+    "trailing bytes": _section_frame(_batch(b"\x01", _ONE + b"\x00")),
+}
+
+
+class TestTimestampSectionCorruption:
+    def test_honest_section_decodes(self):
+        """The hostile sections' building blocks, uncorrupted, are sound."""
+        frame = decode_frame(_section_frame(_batch(b"\x03", b"\x01" + _ONE + b"\x02\x01")))
+        stamps = frame.batches[("A", "N")]
+        assert stamps.tolist() == [1.0, np.nextafter(1.0, 2.0), 1.0]
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_SECTIONS))
+    def test_rejected_with_trace_error_without_warnings(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning is a failure
+            with pytest.raises(TraceError):
+                decode_frame(HOSTILE_SECTIONS[name])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_SECTIONS))
+    def test_never_poisons_its_neighbours(self, name):
+        """All of a receive's timestamps decode in one pass; a bad batch
+        still fails only its own frame."""
+        stamps = np.array([3.0, 1.0, -2.5, 1e9])
+        good = RoundFrame("M", 0, 0, 0, 10, QUANTUM, {}, {("M", "X"): stamps})
+        other = RoundFrame("N", 1, 4, 0, 10, QUANTUM, {}, {("Y", "N"): stamps[::-1]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, verdict, last = decode_frames(
+                [encode_frame(good), HOSTILE_SECTIONS[name], encode_frame(other)]
+            )
+        assert (first, last) == (good, other)
+        assert isinstance(verdict, TraceError)
+
