@@ -419,6 +419,64 @@ class TestTransportReceiver:
         assert recv.heartbeats == 0
         assert recv.poll() == []
 
+    def test_timestamp_stream_dedup_out_of_order(self):
+        """Batches ride their round: re-sequenced with it, and a
+        duplicated round delivers its batch only once."""
+        recv = TransportReceiver(TransportConfig(lateness_blocks=5), 10.0)
+        recv.receive(
+            [encode_frame(stamped_round(seq=s)) for s in (0, 2, 3, 1, 1, 5, 2, 0)], 0.0
+        )
+        batches = recv.poll_timestamp_batches()
+        assert [int(b.timestamps[0]) for b in batches] == [0, 1, 2, 3]
+        assert all((b.src, b.dst, b.observed_at_destination) == ("A", "N", True) for b in batches)
+        assert recv.timestamp_batches == 4
+        assert recv.timestamp_duplicates == 3
+        # Round 4 is still outstanding: it is new, and only once, and
+        # releases the buffered round 5 behind it.
+        recv.receive([encode_frame(stamped_round(seq=4))] * 2, 0.0)
+        assert [int(b.timestamps[0]) for b in recv.poll_timestamp_batches()] == [4, 5]
+        assert recv.timestamp_duplicates == 4
+
+    def test_timestamp_stream_epochs(self):
+        """After a restart, batches of pre-restart rounds are dropped for
+        good and counted stale; a duplicated new-epoch round counts once."""
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        deliveries = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 0), (1, 1)]
+        recv.receive(
+            [
+                encode_frame(make_round(
+                    epoch=e, seq=s, edges=(), batches={("A", "N"): np.array([10.0 * e + s])}
+                ))
+                for e, s in deliveries
+            ],
+            0.0,
+        )
+        accepted = [float(b.timestamps[0]) for b in recv.poll_timestamp_batches()]
+        assert accepted == [0.0, 1.0, 10.0, 11.0]
+        assert recv.timestamp_stale_epoch == 1
+        assert recv.timestamp_duplicates == 1
+
+    def test_timestamp_stream_state_does_not_grow(self):
+        """A week of in-order delivery must not leave a week of seqs
+        behind in the stream that dedups batches."""
+        recv = TransportReceiver(TransportConfig(), 10.0)
+        for seq in range(1000):
+            recv.receive([encode_frame(stamped_round(seq=seq))], 0.0)
+            assert len(recv.poll_timestamp_batches()) == 1
+            recv.poll()
+        assert recv.timestamp_batches == 1000
+        remembered = sum(
+            len(part)
+            for buffer in recv._buffers.values()
+            for part in vars(buffer).values()
+            if isinstance(part, (set, frozenset, list, dict))
+        )
+        assert remembered == 0
+        # ...and late duplicates from anywhere in that history still drop.
+        recv.receive([encode_frame(stamped_round(seq=s)) for s in (0, 500, 999)], 0.0)
+        assert recv.poll_timestamp_batches() == []
+        assert recv.timestamp_duplicates == 3
+
 
 class TestEngineTransport:
     CFG = PathmapConfig(
