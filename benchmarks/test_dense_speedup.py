@@ -20,7 +20,6 @@ Results land in ``benchmarks/results/dense_speedup.txt``.
 """
 
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -79,17 +78,13 @@ def _dense_engine():
 def _kernel_calls(engine):
     """(x block, loud y blocks) per kernel call of the engine's retained
     reference groups: each pending x block and the newest one."""
-    members = defaultdict(list)
-    for ref, edge in engine._correlators:
-        members[ref].append(edge)
     calls = []
-    for ref, edges in sorted(members.items()):
-        ys = [engine._blocks[e][-1] for e in sorted(edges)]
+    for ref, bank in sorted(engine._banks.items()):
+        ys = [engine._blocks[e][-1] for e in sorted(bank.keys)]
         ys = [y for y in ys if not block_is_quiet(y)]
         if not ys:
             continue
-        head = engine._correlators[(ref, sorted(edges)[0])]
-        for x in head.pending_pair_blocks() + [engine._blocks[ref][-1]]:
+        for x in bank.pending_blocks() + [engine._blocks[ref][-1]]:
             if not block_is_quiet(x):
                 calls.append((x, ys))
     return calls

@@ -20,11 +20,12 @@ compared head-to-head with pathmap.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.config import PathmapConfig
-from repro.core.correlation import CorrelationSeries, correlate_fft
+from repro.core.correlation import correlate_fft
 from repro.core.pathmap import Pathmap, PathmapResult, TraceWindow
+from repro.core.spikes import Spike
 
 
 class ConvolutionAnalyzer(Pathmap):
@@ -43,14 +44,16 @@ class ConvolutionAnalyzer(Pathmap):
     """
 
     def __init__(self, config: PathmapConfig, max_lag: Optional[int] = None) -> None:
-        super().__init__(config, method="fft", correlation_provider=self._convolve)
+        super().__init__(config, method="fft", spike_provider=self._convolve)
         self._search_lag = max_lag
 
-    def _convolve(self, window: TraceWindow, ref_key, edge_key) -> CorrelationSeries:
-        return correlate_fft(
-            window.edge_series(*ref_key),
-            window.edge_series(*edge_key),
-            max_lag=self._search_lag,
+    def _convolve(self, window: TraceWindow, ref_key, edge_key) -> List[Spike]:
+        return self.scan(
+            correlate_fft(
+                window.edge_series(*ref_key),
+                window.edge_series(*edge_key),
+                max_lag=self._search_lag,
+            )
         )
 
     def analyze(self, window: TraceWindow) -> PathmapResult:

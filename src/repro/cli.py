@@ -256,7 +256,8 @@ def _optimization_ratios(snap: dict) -> dict:
 
     ``skip_ratio`` is the fraction of block-pair lag products the
     refresh avoided computing; ``correlation_cache_hit_ratio`` is the
-    fraction of correlation queries served from the dirty-flag cache.
+    fraction of correlation queries whose answer was unchanged since it
+    was last served.
     """
     pairs = _counter_value(snap, "correlator_pair_products_total")
     skips = _counter_value(snap, "correlator_skips_total")

@@ -13,7 +13,6 @@ from repro.core.correlation import (
     cross_correlate,
 )
 from repro.core.engine import E2EProfEngine
-from repro.core.incremental import IncrementalCorrelator
 from repro.core.link_latency import (
     decompose_node_delays,
     estimate_link_latency,

@@ -36,6 +36,7 @@ Four interchangeable implementations are provided:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional, Union
 
@@ -220,17 +221,19 @@ MODELED_RLE_COST_RATIO = 4.0
 def sparse_dispatch_units(x_nnz: int, y_nnz: int, y_span: int, max_lag: int) -> float:
     """Dispatch cost units of the sparse batch kernel for one row.
 
+    Given arrays of y statistics, the units of each row.
+
     Proportional to the expected number of (x sample, y sample) pairs
     within ``max_lag``: every x sample sweeps a ``max_lag + 1`` wide
     window over a y series of density ``y_nnz / y_span``.
     """
-    return x_nnz * (max_lag + 1) * y_nnz / max(y_span, 1)
+    return x_nnz * (max_lag + 1) * y_nnz / np.maximum(y_span, 1)
 
 
 def rle_dispatch_units(x_runs: int, y_runs: int) -> float:
     """Dispatch cost units of the RLE pair-product kernel for one row
     (the kernel's cost scales with the run-pair count, not samples)."""
-    return float(x_runs * y_runs)
+    return x_runs * y_runs * 1.0
 
 
 #: Modeled cost ratio of the FFT frontier: one FFT dispatch unit
@@ -258,15 +261,15 @@ def choose_batch_kernel(
     produce bitwise-identical lag products, so their choice never
     changes analysis output; ties go to the direct kernels, because the
     FFT kernel's products agree only to float tolerance (see
-    ``docs/PERFORMANCE.md``).
+    ``docs/PERFORMANCE.md``). Given arrays of per-row units, returns an
+    array of per-row names.
     """
     rle_cost = MODELED_RLE_COST_RATIO * rle_units
-    direct = "sparse" if sparse_units <= rle_cost else "rle"
-    if fft_units is not None and MODELED_FFT_COST_RATIO * fft_units < min(
-        sparse_units, rle_cost
-    ):
-        return "fft"
-    return direct
+    kernel = np.where(sparse_units <= rle_cost, "sparse", "rle")
+    if fft_units is not None:
+        fft = MODELED_FFT_COST_RATIO * fft_units < np.minimum(sparse_units, rle_cost)
+        kernel = np.where(fft, "fft", kernel)
+    return kernel if kernel.ndim else str(kernel)
 
 
 def sparse_lag_products(
@@ -653,6 +656,7 @@ def correlate_rle(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def fft_length(n: int) -> int:
     """Smallest 5-smooth integer ``>= n`` (a fast FFT plan size).
 

@@ -3,10 +3,10 @@
 This is the analyzer node: every refresh interval ``dW`` it pulls the
 RLE-encoded block of every edge that spoke from the per-node tracers (the
 streamed wire format of Section 3.6; a quiet edge's silence is implicit),
-feeds the blocks into cached
-:class:`~repro.core.incremental.IncrementalCorrelator` instances -- one
-per (service class, edge) pair -- and re-runs the pathmap DFS using those
-cached correlations. Only the newest ``dW`` of trace is ever correlated,
+feeds the blocks into incremental correlators -- one
+:class:`~repro.core.incremental.CorrelatorBank` per service class, one
+row per edge -- and re-runs the pathmap DFS over the spikes those rows
+keep. Only the newest ``dW`` of trace is ever correlated,
 which is what makes the per-refresh cost constant in ``W`` (the flat
 'incremental' curve of Figure 9).
 
@@ -27,6 +27,8 @@ import logging
 import time
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.config import PathmapConfig, TransportConfig
 from repro.core.confidence import (
     DEFAULT_LOW_CONFIDENCE,
@@ -34,7 +36,7 @@ from repro.core.confidence import (
     window_confidence,
 )
 from repro.core.correlation import SpectrumCache
-from repro.core.incremental import IncrementalCorrelator, block_is_quiet
+from repro.core.incremental import CorrelatorBank, block_is_quiet
 from repro.lake.summaries import BlockSummary
 from repro.core.pathmap import Pathmap, PathmapResult
 from repro.core.rle import RunLengthSeries
@@ -157,7 +159,8 @@ class E2EProfEngine(PipelineCore):
         self._blocks: Dict[EdgeKey, Deque[RunLengthSeries]] = {}
         self._refreshes = 0
         self._base_quantum: Optional[int] = None
-        self._correlators: Dict[Tuple[RefKey, EdgeKey], IncrementalCorrelator] = {}
+        # Reference edge -> its correlator bank (core.stages).
+        self._banks: Dict[RefKey, CorrelatorBank] = {}
         # Parked correlator keys; edge -> live and parked keys (core.stages).
         self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
         self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
@@ -167,7 +170,7 @@ class E2EProfEngine(PipelineCore):
         self._metrics_subscribers: List[MetricsSubscriber] = []
         self._pathmap = Pathmap(
             config,
-            correlation_provider=self._provide_correlation,
+            spike_provider=self._provide_spikes,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -186,7 +189,7 @@ class E2EProfEngine(PipelineCore):
         self._refresh_cache_hits = 0
         self._refresh_cache_misses = 0
         # Per-refresh optimization tallies: pair products skipped on quiet
-        # blocks, and correlations served from the dirty-flag result cache.
+        # blocks, and correlations served unchanged since their last service.
         self._refresh_skips = 0
         self._refresh_corr_cache_hits = 0
         # Per-refresh adaptivity tallies (satellite of the cost ledger):
@@ -504,13 +507,13 @@ class E2EProfEngine(PipelineCore):
         self._lake_segments_synced = lake.segments_written
         self.ledger.record_stage(STAGE_SPILL, lake.drain_spill_seconds(), segments)
 
-    def _summary_hook(self, ref_key, edge_key):
-        """Correlator eviction hook persisting materialized summaries.
+    def _summary_hook(self, ref_key):
+        """Bank eviction hook persisting materialized summaries.
 
-        Returns None without a lake; otherwise a closure that turns each
+        Returns None without a lake; otherwise a hook that turns each row's
         evicted ``(reference block, signal block, summed pair-product
         row)`` into a :class:`~repro.lake.BlockSummary` buffered in the
-        lake (memory only; the refresh's checkpoint journals it).  The
+        lake (memory only; the refresh's checkpoint journals it). A row's
         first eviction also writes a coverage marker; from there to the
         lake's frontier an eviction of two quiet blocks is implicit.
         """
@@ -518,37 +521,43 @@ class E2EProfEngine(PipelineCore):
         if lake is None:
             return None
         client, root = ref_key
-        src, dst = edge_key
-        covered = False
 
-        def hook(old_x, old_y, contribution):
-            nonlocal covered
-            if not covered:
-                covered = True
+        def hook(keys, old_x, y_moments, y_quiet, first, contributions):
+            start, length = int(old_x.start), int(old_x.length)
+            quantum = float(old_x.quantum)
+            x_total, x_energy = float(old_x.total()), float(old_x.energy())
+            x_quiet = block_is_quiet(old_x)
+            # A contribution pairs the evicted x block, so a quiet x block
+            # leaves only markers and rows with a loud y block to write.
+            rows = np.flatnonzero(first | ~y_quiet) if x_quiet else range(len(keys))
+            moments, quiet, marked = y_moments.tolist(), y_quiet.tolist(), first.tolist()
+            for row in rows:
+                src, dst = keys[row]
+                if marked[row]:
+                    lake.record_summary(
+                        BlockSummary(
+                            client, root, src, dst, start, length, quantum,
+                            coverage="begin",
+                        )
+                    )
+                if x_quiet and quiet[row]:
+                    continue
                 lake.record_summary(
                     BlockSummary(
-                        client, root, src, dst, int(old_y.start),
-                        int(old_y.length), float(old_y.quantum), coverage="begin",
+                        client=client,
+                        root=root,
+                        src=src,
+                        dst=dst,
+                        block_start=start,
+                        block_length=length,
+                        quantum=quantum,
+                        x_total=x_total,
+                        x_energy=x_energy,
+                        y_total=moments[row][0],
+                        y_energy=moments[row][1],
+                        lag_products=contributions.get(row),
                     )
                 )
-            if contribution is None and block_is_quiet(old_x) and block_is_quiet(old_y):
-                return
-            lake.record_summary(
-                BlockSummary(
-                    client=client,
-                    root=root,
-                    src=src,
-                    dst=dst,
-                    block_start=int(old_y.start),
-                    block_length=int(old_y.length),
-                    quantum=float(old_y.quantum),
-                    x_total=float(old_x.total()),
-                    x_energy=float(old_x.energy()),
-                    y_total=float(old_y.total()),
-                    y_energy=float(old_y.energy()),
-                    lag_products=contribution,
-                )
-            )
 
         return hook
 
@@ -624,7 +633,7 @@ class E2EProfEngine(PipelineCore):
         if late_frames:
             self._patch_late_blocks(late_frames, block_start)
         with self.tracer.span(
-            "engine.correlators", correlators=len(self._correlators)
+            "engine.correlators", correlators=self.correlator_count
         ):
             self._append_to_correlators()
         self.ledger.record_stage(
@@ -685,7 +694,7 @@ class E2EProfEngine(PipelineCore):
         self._m_blocks.inc(blocks_ingested)
         wire_bytes = self.wire_bytes_received - wire_bytes_before
         self._m_wire_bytes.inc(wire_bytes)
-        self._m_correlators.set(len(self._correlators))
+        self._m_correlators.set(self.correlator_count)
         self._m_edges.set(len(self._blocks))
         fanout_started = time.perf_counter()
         with self.tracer.span(
@@ -702,7 +711,7 @@ class E2EProfEngine(PipelineCore):
             fanout_seconds=fanout_seconds,
             blocks_ingested=blocks_ingested,
             wire_bytes=wire_bytes,
-            correlators=len(self._correlators),
+            correlators=self.correlator_count,
             parked_correlators=len(self._parked),
             cache_hits=self._refresh_cache_hits,
             cache_misses=self._refresh_cache_misses,
@@ -745,7 +754,7 @@ class E2EProfEngine(PipelineCore):
                 self._refreshes,
                 now,
                 blocks_ingested,
-                len(self._correlators),
+                self.correlator_count,
                 result.stats.spikes,
                 self.last_refresh_seconds * 1e3,
             )

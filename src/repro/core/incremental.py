@@ -6,58 +6,51 @@ The paper's second optimization: "direct cross-correlation is incremental
 The sliding window of ``W = m * dW`` is kept as a deque of ``m`` blocks of
 ``dW`` worth of quanta each. For each ordered pair of blocks whose quanta
 can be at most ``max_lag`` apart, the raw lag-product vector
-``S[d] = sum x[i] * y[i + d]`` is computed once and cached. Appending a new
+``S[d] = sum x[i] * y[i + d]`` is computed once and kept. Appending a new
 block therefore only computes the pair products that involve the new block
 (a constant amount of work per refresh, which is why the 'incremental'
 curve in Figure 9 is flat in ``W``), and evicting the oldest block
-subtracts its cached vectors.
+subtracts its kept vectors. The result equals (to floating-point
+accumulation error) :func:`repro.core.correlation.correlate_sparse` over
+the concatenated window, the invariant the test suite checks.
 
-The result is *exactly* equal (to floating-point accumulation error) to
-running :func:`repro.core.correlation.correlate_sparse` over the full
-concatenated window, which is the invariant the test suite checks.
+The correlators sharing one reference signal ``x`` are the rows of one
+:class:`CorrelatorBank`: an append is one indexed add per pending block,
+an eviction one indexed subtract, normalization one 2-D pass over the rows
+whose answer changed -- and each row sees exactly the float operations a
+one-pair correlator would, in the same order. A one-row bank is a
+stand-alone correlator.
 
 Two steady-state optimizations keep quiet edges nearly free (paper
 Section 3.5): pair products against an empty block are skipped outright
-(their contribution is identically zero), and
-:meth:`IncrementalCorrelator.correlation` caches its result behind a
-dirty flag so an unchanged correlator re-serves the same
-``CorrelationSeries`` object. ``append`` also accepts externally computed
-``pair_vectors`` so the engine can feed many correlators that share one
-reference edge from a single :func:`~repro.core.correlation.batch_lag_products`
-pass (see ``docs/PERFORMANCE.md``).
+(their contribution is identically zero), and a row whose append provably
+leaves its normalized correlation unchanged keeps its scanned result.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-from repro.core.correlation import (
-    CorrelationSeries,
-    _normalize,
-    _sparse_prefix_mass,
-    rle_lag_products,
-    sparse_lag_products,
-)
+from repro.core.correlation import _sparse_prefix_mass
 from repro.core.rle import RunLengthSeries
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import CorrelationError, SeriesError
 
 Block = Union[DensityTimeSeries, RunLengthSeries]
 
-
-def _pair_products(x: Block, y: Block, max_lag: int) -> np.ndarray:
-    """Raw lag products between two blocks, picking the right kernel."""
-    if isinstance(x, RunLengthSeries) and isinstance(y, RunLengthSeries):
-        return rle_lag_products(x, y, max_lag)
-    xs = x.to_sparse() if isinstance(x, RunLengthSeries) else x
-    ys = y.to_sparse() if isinstance(y, RunLengthSeries) else y
-    return sparse_lag_products(xs, ys, max_lag)
+#: ``hook(keys, old_x, y_moments, y_quiet, first, contributions)``, called
+#: once per eviction: the bank's row keys, the evicted x block, each row's
+#: evicted y (total, energy) and quietness, the rows evicting for the first
+#: time, and row -> summed lag products just subtracted (absent: all quiet).
+EvictHook = Callable[[List[Hashable], Block, np.ndarray, np.ndarray, np.ndarray, Dict], None]
 
 
 def block_is_quiet(block: Block) -> bool:
@@ -71,8 +64,8 @@ def block_is_quiet(block: Block) -> bool:
 def _concat_blocks(blocks: Sequence[Block], quantum: float) -> DensityTimeSeries:
     """Adjacent, already-validated blocks as one sparse series."""
     sparse = [b.to_sparse() if isinstance(b, RunLengthSeries) else b for b in blocks]
-    if not sparse:
-        return DensityTimeSeries.empty(0, 0, quantum)
+    if len(sparse) < 2:
+        return sparse[0] if sparse else DensityTimeSeries.empty(0, 0, quantum)
     return DensityTimeSeries._from_validated(
         np.concatenate([s.indices for s in sparse]),
         np.concatenate([s.values for s in sparse]),
@@ -88,12 +81,11 @@ def boundary_mass(blocks: Sequence[Block], max_lag: int, newest: bool) -> np.nda
     One entry per ``d = 0..min(max_lag, n - 1)``, ``n`` being the quanta
     ``blocks`` cover.
 
-    These are the boundary terms of ``_normalize``: ``x_prefix(d)`` is the
+    These are the boundary terms of normalization: ``x_prefix(d)`` is the
     x total minus the tail mass, ``y_suffix(d)`` the y total minus the
     head mass. Each is a pure function of one edge's blocks, so a host
     running many correlators over one aligned block history computes it
-    once per (edge, side) and hands it to
-    :meth:`IncrementalCorrelator.correlation`.
+    once per (edge, side) and hands it to :meth:`CorrelatorBank.normalize`.
     """
     d_max = min(max_lag, sum(block.length for block in blocks) - 1)
     lags = np.arange(d_max + 1, dtype=np.int64)
@@ -113,8 +105,16 @@ def boundary_mass(blocks: Sequence[Block], max_lag: int, newest: bool) -> np.nda
     return _sparse_prefix_mass(edge, lags)
 
 
-class IncrementalCorrelator:
-    """Maintains ``corr(x, y)`` over a sliding window of blocks.
+def _run_or_rows(rows: np.ndarray) -> Union[slice, np.ndarray]:
+    """Sorted row indices as a slice when they are one run: an in-place
+    update through a slice skips fancy indexing's gather and scatter."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+class CorrelatorBank:
+    """The incremental correlators of one reference signal, as rows.
 
     Parameters
     ----------
@@ -125,33 +125,39 @@ class IncrementalCorrelator:
     quantum:
         Quantum duration in seconds.
     metrics:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` receiving
-        ``correlator_pair_products_total`` (block-pair lag-product vectors
-        actually computed), ``correlator_skips_total`` (pair products
-        skipped because one side was quiet),
-        ``correlator_correlations_served_total`` (queries answered from
-        the cached aggregates), ``correlation_cache_hits_total``
-        (queries served from the dirty-flag result cache),
-        ``correlator_evictions_total`` and the ``correlator_window_blocks``
-        gauge. Many correlators may share one registry; the counters
-        aggregate across them.
+        Optional :class:`~repro.obs.registry.MetricsRegistry` receiving the
+        :data:`INSTRUMENTS`; many banks may share one registry.
+    evict_hook:
+        Optional :data:`EvictHook`, called once per eviction.
 
-    :meth:`correlation` re-serves the *same* ``CorrelationSeries`` object
-    until an append changes the answer: callers must not mutate a
-    returned series in place.
-
-    Usage::
-
-        corr = IncrementalCorrelator(max_lag=60_000, num_blocks=3, quantum=1e-3)
-        for x_block, y_block in stream:   # each spanning dW quanta
-            corr.append(x_block, y_block)
-            series = corr.correlation()
+    All rows share the bank's x window (the reference blocks); each row
+    keeps its own moments, since a row added later accumulated them in
+    a different order. A row is keyed by any hashable (the engine uses
+    the signal edge).
     """
 
     SKIPS_COUNTER = (  # hosts add their parked correlators' skips to it
         "correlator_skips_total",
         "Block-pair lag products skipped because one side was quiet",
     )
+    #: (key, kind, name, help) of the registry instruments.
+    INSTRUMENTS = (
+        ("pairs", "counter", "correlator_pair_products_total",
+         "Block-pair lag-product vectors computed (not served from cache)"),
+        ("skips", "counter", *SKIPS_COUNTER),
+        ("served", "counter", "correlator_correlations_served_total",
+         "Correlation queries answered from cached lag-product aggregates"),
+        ("hits", "counter", "correlation_cache_hits_total",
+         "Correlation queries whose answer was unchanged since last served"),
+        ("evictions", "counter", "correlator_evictions_total",
+         "Blocks evicted from sliding correlator windows"),
+        ("depth", "gauge", "correlator_window_blocks",
+         "Window depth (blocks) of the most recently updated correlator bank"),
+    )
+
+    #: Per-row arrays; growing or dropping rows applies to each alike.
+    _ROW_ARRAYS = ("_lag", "_moments", "_y", "_y_quiet", "_pair_count", "_evicted",
+                   "_served", "spikes")
 
     def __init__(
         self,
@@ -159,9 +165,7 @@ class IncrementalCorrelator:
         num_blocks: int,
         quantum: float,
         metrics: Optional["MetricsRegistry"] = None,
-        evict_hook: Optional[
-            "collections.abc.Callable[[Block, Block, Optional[np.ndarray]], None]"
-        ] = None,
+        evict_hook: Optional[EvictHook] = None,
     ) -> None:
         if max_lag < 0:
             raise CorrelationError(f"max_lag must be non-negative, got {max_lag}")
@@ -172,76 +176,45 @@ class IncrementalCorrelator:
         self.max_lag = int(max_lag)
         self.num_blocks = int(num_blocks)
         self.quantum = float(quantum)
-        self._x_blocks: Deque[Tuple[int, Block]] = collections.deque()
-        self._y_blocks: Deque[Tuple[int, Block]] = collections.deque()
-        self._next_block_id = 0
+        #: Row -> key, and key -> row.
+        self.keys: List[Hashable] = []
+        self.rows: Dict[Hashable, int] = {}
+        # The shared x window; block ids run on from _first_id.
+        self._x_blocks: Deque[Block] = collections.deque()
+        self._first_id = 0
         self._block_quanta: Optional[int] = None
-        # Aggregate lag products over all live block pairs.
-        self._lag_products = np.zeros(self.max_lag + 1, dtype=np.float64)
-        # Cache of per-pair vectors, keyed by (x block id, y block id),
-        # needed to subtract a block's contributions on eviction.
-        self._pair_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        # Running window statistics, maintained on append/evict so that
-        # normalization never needs the full window (what keeps the
-        # per-refresh cost flat in W -- Figure 9's 'incremental' curve).
-        self._x_total = 0.0
-        self._x_energy = 0.0
-        self._y_total = 0.0
-        self._y_energy = 0.0
-        # Eviction callback: called as hook(old_x, old_y, contribution)
-        # whenever a block pair leaves the window, where contribution is
-        # the summed lag-product vector being subtracted (None when the
-        # evicted pair contributed identically zero).  The engine uses it
-        # to materialize correlation summaries into the trace lake.
+        # Per-row state, with spare capacity past len(keys):
+        self._lag = np.zeros((0, self.max_lag + 1))  # aggregate lag products
+        self._moments = np.zeros((0, 4))  # x total, x energy, y total, y energy
+        # y (total, energy) and quietness of each window block, in a ring
+        # of m + 1 slots indexed by block id (an append lands before the
+        # eviction it triggers).
+        self._y = np.zeros((0, self.num_blocks + 1, 2))
+        self._y_quiet = np.ones((0, self.num_blocks + 1), dtype=bool)
+        self._pair_count = np.zeros(0, dtype=np.int64)  # live pair vectors
+        self._evicted = np.zeros(0, dtype=bool)  # has evicted a block
+        self._served = np.zeros(0, dtype=bool)  # unchanged since last served
+        #: Per-row scan result the host stores, None while stale.
+        self.spikes = np.empty(0, dtype=object)
+        # Live block pairs: (x block id, y block id) -> chunks of
+        # (row indices, kernel output matrix for those rows), in the
+        # order they were accumulated.
+        self._pairs: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._evict_hook = evict_hook
-        # Dirty-flag result cache: when an append provably leaves the
-        # normalized correlation unchanged (see append()), _dirty stays
-        # False and correlation() re-serves _corr_cache as-is.
-        self._dirty = True
-        self._corr_cache: Optional[CorrelationSeries] = None
-        if metrics is not None:
-            self._m_pairs = metrics.counter(
-                "correlator_pair_products_total",
-                "Block-pair lag-product vectors computed (not served from cache)",
-            )
-            self._m_served = metrics.counter(
-                "correlator_correlations_served_total",
-                "Correlation queries answered from cached lag-product aggregates",
-            )
-            self._m_evictions = metrics.counter(
-                "correlator_evictions_total",
-                "Blocks evicted from sliding correlator windows",
-            )
-            self._m_depth = metrics.gauge(
-                "correlator_window_blocks",
-                "Window depth (blocks) of the most recently updated correlator",
-            )
-            self._m_skips = metrics.counter(*self.SKIPS_COUNTER)
-            self._m_cache_hits = metrics.counter(
-                "correlation_cache_hits_total",
-                "Correlation queries served from the dirty-flag result cache",
-            )
-        else:
-            self._m_pairs = None
-            self._m_served = None
-            self._m_evictions = None
-            self._m_depth = None
-            self._m_skips = None
-            self._m_cache_hits = None
+        self._m = None if metrics is None else {
+            key: getattr(metrics, kind)(name, help)
+            for key, kind, name, help in self.INSTRUMENTS
+        }
 
     # -- bookkeeping ---------------------------------------------------------
 
-    @property
-    def window_start(self) -> Optional[int]:
-        """Absolute quantum index of the start of the current window."""
-        if not self._x_blocks:
-            return None
-        return self._x_blocks[0][1].start
+    def __len__(self) -> int:
+        return len(self.keys)
 
     @property
     def window_length(self) -> int:
         """Number of quanta currently in the window."""
-        return sum(block.length for _, block in self._x_blocks)
+        return sum(block.length for block in self._x_blocks)
 
     @property
     def block_reach(self) -> int:
@@ -250,24 +223,19 @@ class IncrementalCorrelator:
             return 0
         return (self.max_lag + self._block_quanta - 1) // self._block_quanta
 
-    @property
-    def dormant(self) -> bool:
-        """True once a full window is quiet on both sides with nothing
-        cached: the state is then a pure function of the window position,
-        so the host parks the correlator -- drops it and replays it from
-        block history when an edge wakes (:mod:`repro.core.stages`)."""
-        return (
-            len(self._x_blocks) == self.num_blocks
-            and not self._pair_cache
-            and all(block_is_quiet(b) for _, b in self._x_blocks)
-            and all(block_is_quiet(b) for _, b in self._y_blocks)
-        )
+    def pending_blocks(self) -> List[Block]:
+        """The live x blocks the next appended block pairs with (window
+        order, excluding the diagonal pair): the x side of one batched
+        kernel call each."""
+        reach = self.block_reach
+        return list(self._x_blocks)[-reach:] if reach else []
+
+    def _slot(self, block_id: int) -> int:
+        return block_id % (self.num_blocks + 1)
 
     def _validate_block(self, block: Block) -> None:
         if block.quantum != self.quantum:
-            raise SeriesError(
-                f"block quantum {block.quantum} != correlator quantum {self.quantum}"
-            )
+            raise SeriesError(f"block quantum {block.quantum} != bank quantum {self.quantum}")
         if self._block_quanta is None:
             if block.length < 1:
                 raise SeriesError("blocks must span at least one quantum")
@@ -278,255 +246,309 @@ class IncrementalCorrelator:
                 f"{self._block_quanta}"
             )
         if self._x_blocks:
-            expected = self._x_blocks[-1][1].end
+            expected = self._x_blocks[-1].end
             if block.start != expected:
                 raise SeriesError(
                     f"blocks must be adjacent: expected start {expected}, got {block.start}"
                 )
 
+    # -- rows ------------------------------------------------------------------
+
+    def add_row(
+        self,
+        key: Hashable,
+        x_blocks: Sequence[Block],
+        y_blocks: Sequence[Block],
+        vectors: Sequence[Sequence[Optional[np.ndarray]]],
+    ) -> int:
+        """Add a row by replaying its window history; returns the row.
+
+        ``x_blocks`` must be the bank's window (it becomes the window of an
+        empty bank), ``y_blocks`` the row's blocks over it. ``vectors[i]``
+        holds the pair products block ``i`` appended: one per pending x
+        block, then the diagonal, ``None`` where one side was quiet.
+        """
+        if not self.keys:
+            self._x_blocks.clear()
+            self._pairs.clear()
+            self._block_quanta = None
+            for block in x_blocks:
+                self._validate_block(block)
+                self._x_blocks.append(block)
+        elif len(x_blocks) != len(self._x_blocks) or any(
+            a.start != b.start for a, b in zip(x_blocks, self._x_blocks)
+        ):
+            raise CorrelationError("a new row must replay the bank's own window")
+        row = len(self.keys)
+        if row == self._lag.shape[0]:
+            self._resize(np.arange(row), capacity=row + max(4, row // 2))
+        self.keys.append(key)
+        self.rows[key] = row
+        self.spikes[row] = None  # the rest of a spare row is still zeros
+        reach = self.block_reach
+        index = np.array([row])
+        moments = [0.0, 0.0, 0.0, 0.0]
+        computed = skipped = 0
+        for i, (x_block, y_block) in enumerate(zip(x_blocks, y_blocks)):
+            block_id = self._first_id + i
+            for p, vec in zip([*range(max(0, i - reach), i), i], vectors[i]):
+                if vec is None:
+                    skipped += 1
+                    continue
+                self._lag[row] += vec
+                self._pairs.setdefault((self._first_id + p, block_id), []).append(
+                    (index, vec[None])
+                )
+                computed += 1
+            y_total, y_energy = y_block.total(), y_block.energy()
+            moments[0] += x_block.total()
+            moments[1] += x_block.energy()
+            moments[2] += y_total
+            moments[3] += y_energy
+            self._y[row, self._slot(block_id)] = (y_total, y_energy)
+            self._y_quiet[row, self._slot(block_id)] = block_is_quiet(y_block)
+        self._moments[row] = moments
+        self._pair_count[row] = computed
+        self._count(computed, skipped)
+        return row
+
+    def drop(self, keys) -> None:
+        """Drop the rows of ``keys`` (unknown keys are ignored)."""
+        gone = {self.rows[key] for key in keys if key in self.rows}
+        if not gone:
+            return
+        keep = np.setdiff1d(np.arange(len(self.keys)), list(gone))
+        remap = np.full(len(self.keys), -1, dtype=np.int64)
+        remap[keep] = np.arange(keep.size)
+        for pair, chunks in list(self._pairs.items()):
+            kept = []
+            for index, mat in chunks:
+                live = remap[index] >= 0
+                if live.any():
+                    kept.append((remap[index[live]], mat if live.all() else mat[live]))
+            if kept:
+                self._pairs[pair] = kept
+            else:
+                del self._pairs[pair]
+        self.keys = [self.keys[row] for row in keep]
+        self.rows = {key: row for row, key in enumerate(self.keys)}
+        self._resize(keep, capacity=keep.size)
+
+    def _resize(self, keep: np.ndarray, capacity: int) -> None:
+        """Rebuild every per-row array from rows ``keep`` (in order),
+        with room for ``capacity`` rows."""
+        for name in self._ROW_ARRAYS:
+            old = getattr(self, name)
+            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: keep.size] = old[keep]
+            setattr(self, name, new)
+
     # -- the sliding-window protocol ------------------------------------------
 
-    def pending_pair_blocks(self) -> List[Block]:
-        """The live x blocks that will pair with the next appended block
-        (window order, excluding the diagonal pair).
-
-        The engine's reference-grouped batch append uses this to assemble
-        the shared x side of one :func:`~repro.core.correlation.batch_lag_products`
-        call per pending block.
-        """
-        reach = self.block_reach
-        if reach <= 0 or not self._x_blocks:
-            return []
-        return [block for _, block in self._x_blocks][-reach:]
-
-    def _result_preserved(self, x_block: Block, y_block: Block) -> bool:
-        """Whether appending (x_block, y_block) provably leaves the
-        normalized correlation value-identical (checked *before* the
-        window slides).
+    def _preserved(self, x_block: Block, y_quiet: np.ndarray) -> np.ndarray:
+        """Rows whose normalized correlation the coming append provably
+        leaves value-identical (checked *before* the window slides).
 
         The window sums are unchanged exactly when the appended and
         evicted blocks are all quiet, but the boundary mass corrections
-        (``x_prefix``/``y_suffix`` in ``_normalize``) also slide with the
+        (``x_prefix``/``y_suffix`` of normalization) also slide with the
         window: they stay identical only if the old window's last
         ``max_lag`` quanta of x and the new window's first ``max_lag``
         quanta of y are quiet too (checked conservatively at block
         granularity).
         """
-        if self._dirty or self._corr_cache is None:
-            return False
-        if len(self._x_blocks) != self.num_blocks:
-            return False
-        if not (block_is_quiet(x_block) and block_is_quiet(y_block)):
-            return False
-        # The eviction that this append triggers must remove quiet blocks.
-        if not (
-            block_is_quiet(self._x_blocks[0][1])
-            and block_is_quiet(self._y_blocks[0][1])
+        n = len(self.keys)
+        m = self.num_blocks
+        x_window = list(self._x_blocks)
+        reach = min(self.block_reach, m)
+        if (
+            len(x_window) != m
+            or not block_is_quiet(x_block)
+            or not all(block_is_quiet(b) for b in x_window[:1] + x_window[m - reach :])
         ):
-            return False
-        reach = min(self.block_reach, len(self._x_blocks))
-        if reach == 0:
-            return True
-        x_blocks = [block for _, block in self._x_blocks]
-        y_blocks = [block for _, block in self._y_blocks]
-        tail_quiet = all(block_is_quiet(b) for b in x_blocks[-reach:])
-        head_quiet = all(block_is_quiet(b) for b in y_blocks[1 : 1 + reach])
-        return tail_quiet and head_quiet
+            return np.zeros(n, dtype=bool)
+        # The evicted y block and the y blocks after it within reach.
+        slots = [self._slot(self._first_id + k) for k in range(min(reach, m - 1) + 1)]
+        return y_quiet & self._y_quiet[:n][:, slots].all(axis=1)
 
     def append(
         self,
         x_block: Block,
-        y_block: Block,
-        pair_vectors: Optional[Sequence[Optional[np.ndarray]]] = None,
+        y_moments: np.ndarray,
+        y_quiet: np.ndarray,
+        rows: np.ndarray,
+        mats: Sequence[Optional[np.ndarray]],
     ) -> int:
-        """Slide the window forward by one block (one refresh interval).
+        """Slide every row's window forward by one adjacent block.
 
-        ``x_block`` and ``y_block`` must cover the same quantum range, be
-        adjacent to the previously appended blocks, and all blocks must have
-        equal length.
-
-        ``pair_vectors`` optionally injects precomputed lag-product vectors
-        (e.g. from :func:`~repro.core.correlation.batch_lag_products`): one
-        entry per :meth:`pending_pair_blocks` block plus a final entry for
-        the diagonal ``(x_block, y_block)`` pair, where ``None`` marks an
-        identically-zero vector that should be skipped outright.
-
-        Returns the number of pair products skipped (0 when every pair was
-        computed or injected).
+        ``y_moments`` / ``y_quiet`` give each row's new y block (total,
+        energy) and quietness. ``mats`` holds one entry per
+        :meth:`pending_blocks` block, then the diagonal: ``None`` for a
+        quiet x block, else the pair products of rows ``rows`` (rows left
+        out are skipped as quiet). Returns the pair products skipped.
         """
-        if (
-            x_block.start != y_block.start
-            or x_block.length != y_block.length
-            or x_block.quantum != y_block.quantum
-        ):
-            raise SeriesError("x and y blocks must cover the same window")
         self._validate_block(x_block)
-        preserved = self._result_preserved(x_block, y_block)
-
-        block_id = self._next_block_id
-        self._next_block_id += 1
-
-        # New pairs: (x_p, y_new) for every live x block p within lag reach
-        # (older x blocks cannot reach the new y quanta within max_lag).
-        reach = self.block_reach
-        pending = [
-            (p_id, p_block)
-            for p_id, p_block in self._x_blocks
-            if block_id - p_id <= reach
-        ]
-        if pair_vectors is not None and len(pair_vectors) != len(pending) + 1:
+        n = len(self.keys)
+        pending = len(self.pending_blocks())
+        if len(mats) != pending + 1:
             raise CorrelationError(
-                f"pair_vectors must have {len(pending) + 1} entries "
-                f"(pending pairs + diagonal), got {len(pair_vectors)}"
+                f"mats must have {pending + 1} entries (pending + diagonal), got {len(mats)}"
             )
-        y_quiet = block_is_quiet(y_block)
+        preserved = self._preserved(x_block, y_quiet)
+        new_id = self._first_id + len(self._x_blocks)
         computed = 0
-        skipped = 0
-        for slot, (p_id, p_block) in enumerate(pending):
-            if pair_vectors is not None:
-                vec = pair_vectors[slot]
-            elif y_quiet or block_is_quiet(p_block):
-                vec = None
-            else:
-                vec = _pair_products(p_block, y_block, self.max_lag)
-            if vec is None:
-                skipped += 1
+        for p_id, mat in zip(range(new_id - pending, new_id + 1), mats):
+            if mat is None:
                 continue
-            self._pair_cache[(p_id, block_id)] = vec
-            self._lag_products += vec
+            # A kernel may hand back a view of a wider scratch matrix.
+            mat = np.ascontiguousarray(mat)
+            self._lag[_run_or_rows(rows)] += mat
+            self._pairs.setdefault((p_id, new_id), []).append((rows, mat))
             computed += 1
-        # The diagonal pair (x_new, y_new).
-        if pair_vectors is not None:
-            vec = pair_vectors[-1]
-        elif y_quiet or block_is_quiet(x_block):
-            vec = None
-        else:
-            vec = _pair_products(x_block, y_block, self.max_lag)
-        if vec is None:
-            skipped += 1
-        else:
-            self._pair_cache[(block_id, block_id)] = vec
-            self._lag_products += vec
-            computed += 1
-
-        self._x_blocks.append((block_id, x_block))
-        self._y_blocks.append((block_id, y_block))
-        self._x_total += x_block.total()
-        self._x_energy += x_block.energy()
-        self._y_total += y_block.total()
-        self._y_energy += y_block.energy()
-
+        self._pair_count[rows] += computed
+        slot = self._slot(new_id)
+        self._y[:n, slot] = y_moments
+        self._y_quiet[:n, slot] = y_quiet
+        self._x_blocks.append(x_block)
+        moments = self._moments[:n]
+        moments[:, 0] += x_block.total()
+        moments[:, 1] += x_block.energy()
+        moments[:, 2] += y_moments[:, 0]
+        moments[:, 3] += y_moments[:, 1]
         while len(self._x_blocks) > self.num_blocks:
             self._evict_oldest()
-        if not preserved:
-            self._dirty = True
-        if self._m_pairs is not None:
-            self._m_pairs.inc(computed)
-            self._m_depth.set(len(self._x_blocks))
-            if skipped:
-                self._m_skips.inc(skipped)
+        self._served[:n] &= preserved
+        self.spikes[:n][~preserved] = None
+        skipped = n * len(mats) - computed * len(rows)
+        self._count(computed * len(rows), skipped)
         return skipped
 
+    def _count(self, computed: int, skipped: int) -> None:
+        if self._m is not None:
+            self._m["pairs"].inc(computed)
+            if skipped:
+                self._m["skips"].inc(skipped)
+            self._m["depth"].set(len(self._x_blocks))
+
     def _evict_oldest(self) -> None:
-        old_id, old_x = self._x_blocks.popleft()
-        _, old_y = self._y_blocks.popleft()
-        self._x_total -= old_x.total()
-        self._x_energy -= old_x.energy()
-        self._y_total -= old_y.total()
-        self._y_energy -= old_y.energy()
-        # Remove every cached pair involving the evicted block. Because
-        # blocks are evicted in FIFO order, the evicted id is the smallest
-        # live id, so it can only appear as the x side (x_old paired with
-        # same-or-newer y) or as the diagonal.
-        stale = [key for key in self._pair_cache if old_id in key]
-        contribution: Optional[np.ndarray] = None
-        for key in stale:
-            vec = self._pair_cache.pop(key)
-            self._lag_products -= vec
-            if self._evict_hook is not None:
-                contribution = (
-                    vec.copy() if contribution is None else contribution + vec
-                )
+        n = len(self.keys)
+        old_x = self._x_blocks.popleft()
+        old_id = self._first_id
+        self._first_id += 1
+        slot = self._slot(old_id)
+        y_old = self._y[:n, slot].copy()
+        moments = self._moments[:n]
+        moments[:, 0] -= old_x.total()
+        moments[:, 1] -= old_x.energy()
+        moments[:, 2] -= y_old[:, 0]
+        moments[:, 3] -= y_old[:, 1]
+        # Every live pair with the evicted block is (old, same-or-newer):
+        # blocks leave in FIFO order. Subtract them in the order they were
+        # added -- the diagonal first -- and sum each row's contribution
+        # in that same order for the hook.
+        chunks = [
+            chunk
+            for y_id in range(old_id, old_id + self.block_reach + 1)
+            for chunk in self._pairs.pop((old_id, y_id), ())
+        ]
+        for rows, mat in chunks:
+            self._lag[_run_or_rows(rows)] -= mat
+            self._pair_count[rows] -= 1
         if self._evict_hook is not None:
-            self._evict_hook(old_x, old_y, contribution)
-        if self._m_evictions is not None:
-            self._m_evictions.inc()
+            contributions: Dict[int, np.ndarray] = {}
+            if chunks:
+                touched = np.unique(np.concatenate([rows for rows, _ in chunks]))
+                at = np.zeros(n, dtype=np.int64)
+                at[touched] = np.arange(touched.size)
+                total = np.empty((touched.size, self.max_lag + 1))
+                seen = np.zeros(touched.size, dtype=bool)
+                for rows, mat in chunks:
+                    slots, first = at[rows], ~seen[at[rows]]
+                    total[slots[first]] = mat[first]
+                    total[slots[~first]] += mat[~first]
+                    seen[slots] = True
+                contributions = dict(zip(touched.tolist(), total))
+            self._evict_hook(
+                self.keys, old_x, y_old, self._y_quiet[:n, slot].copy(),
+                ~self._evicted[:n], contributions,
+            )
+        self._evicted[:n] = True
+        if self._m is not None:
+            self._m["evictions"].inc(n)
+
+    def y_active(self) -> np.ndarray:
+        """Rows with at least one loud y block in the window."""
+        slots = [self._slot(self._first_id + k) for k in range(len(self._x_blocks))]
+        return ~self._y_quiet[: len(self.keys)][:, slots].all(axis=1)
+
+    def dormant(self) -> np.ndarray:
+        """Rows whose full window is quiet on both sides with nothing
+        kept: their state is then a pure function of the window position,
+        so a host may drop them and replay them from block history when
+        an edge wakes (:mod:`repro.core.stages`)."""
+        if len(self._x_blocks) != self.num_blocks or not all(
+            block_is_quiet(b) for b in self._x_blocks
+        ):
+            return np.zeros(len(self.keys), dtype=bool)
+        return (self._pair_count[: len(self.keys)] == 0) & ~self.y_active()
 
     # -- queries ----------------------------------------------------------------
 
-    def window_series(self) -> Tuple[DensityTimeSeries, DensityTimeSeries]:
-        """The full x and y series over the current window (for testing)."""
-        return (
-            _concat_blocks([b for _, b in self._x_blocks], self.quantum),
-            _concat_blocks([b for _, b in self._y_blocks], self.quantum),
-        )
+    def serve(self, row: int) -> bool:
+        """Count one query of ``row``; True when its answer is unchanged
+        since it was last served (a result-cache hit)."""
+        hit = bool(self._served[row])
+        self._served[row] = True
+        if self._m is not None:
+            self._m["served"].inc()
+            if hit:
+                self._m["hits"].inc()
+        return hit
 
-    @property
-    def result_cached(self) -> bool:
-        """True when the next :meth:`correlation` call re-serves the
-        cached series (no boundary masses needed)."""
-        return not self._dirty and self._corr_cache is not None
+    def stale_rows(self) -> np.ndarray:
+        """Rows whose answer changed since their ``spikes`` were stored."""
+        return np.flatnonzero(np.equal(self.spikes[: len(self.keys)], None))
 
-    def correlation(
-        self,
-        x_tail_mass: Optional[np.ndarray] = None,
-        y_head_mass: Optional[np.ndarray] = None,
-    ) -> CorrelationSeries:
-        """Normalized correlation over the current window.
-
-        Equal to ``correlate_sparse(x_window, y_window, max_lag)`` up to
-        floating-point accumulation error. Cost is O(max_lag + head/tail
-        block sizes), independent of the window length.
-
-        ``x_tail_mass`` / ``y_head_mass`` are the :func:`boundary_mass`
-        arrays of the x window's newest and the y window's oldest quanta;
-        a host that shares one block history across correlators passes
-        them in, a stand-alone correlator computes its own.
-        """
+    def normalize(
+        self, rows: np.ndarray, x_tail_mass: np.ndarray, y_head_mass: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Normalized correlation of ``rows`` (a ``(rows, d_max + 1)``
+        matrix) and their degenerate mask, given the :func:`boundary_mass`
+        of the x window's newest quanta and of each y window's oldest.
+        Element for element the 1-D normalization's arithmetic; O(max_lag)
+        per row, independent of the window length."""
         if not self._x_blocks:
             raise CorrelationError("no blocks appended yet")
-        if self._m_served is not None:
-            self._m_served.inc()
-        if self.result_cached:
-            if self._m_cache_hits is not None:
-                self._m_cache_hits.inc()
-            return self._corr_cache
         n = self.window_length
         d_max = min(self.max_lag, n - 1)
-        if x_tail_mass is None:
-            x_tail_mass = boundary_mass(
-                [b for _, b in self._x_blocks], self.max_lag, newest=True
-            )
-        if y_head_mass is None:
-            y_head_mass = boundary_mass(
-                [b for _, b in self._y_blocks], self.max_lag, newest=False
-            )
-        if x_tail_mass.size != d_max + 1 or y_head_mass.size != d_max + 1:
+        if x_tail_mass.size != d_max + 1 or y_head_mass.shape[-1] != d_max + 1:
             raise CorrelationError(
                 f"boundary masses must cover lags 0..{d_max}, got "
-                f"{x_tail_mass.size} and {y_head_mass.size} entries"
+                f"{x_tail_mass.size} and {y_head_mass.shape[-1]} entries"
             )
+        moments = self._moments[rows]
+        x_total, x_energy = moments[:, 0:1], moments[:, 1:2]
+        y_total, y_energy = moments[:, 2:3], moments[:, 3:4]
         # x_prefix(d) = mass of the first n-d quanta of x
         #             = total_x - mass of the last d quanta (tail blocks).
-        x_prefix = self._x_total - x_tail_mass
+        x_prefix = x_total - x_tail_mass
         # y_suffix(d) = total_y - mass of the first d quanta (head blocks).
-        y_suffix = self._y_total - y_head_mass
-
-        mx = self._x_total / n
-        my = self._y_total / n
-        sx = float(np.sqrt(max(0.0, self._x_energy / n - mx * mx)))
-        sy = float(np.sqrt(max(0.0, self._y_energy / n - my * my)))
-        result = _normalize(
-            self._lag_products[: d_max + 1],
-            x_prefix,
-            y_suffix,
-            n,
-            mx,
-            my,
-            sx,
-            sy,
-            self.quantum,
-        )
-        self._corr_cache = result
-        self._dirty = False
-        return result
+        y_suffix = y_total - y_head_mass
+        mx = x_total / n
+        my = y_total / n
+        sx = np.sqrt(np.maximum(0.0, x_energy / n - mx * mx))
+        sy = np.sqrt(np.maximum(0.0, y_energy / n - my * my))
+        # lag - mx * y_suffix - my * x_prefix + (n - lags) * mx * my, in
+        # that order, updating in place.
+        num = self._lag[rows, : d_max + 1]
+        num -= np.multiply(mx, y_suffix, out=y_suffix)
+        num -= np.multiply(my, x_prefix, out=x_prefix)
+        ramp = (n - np.arange(d_max + 1, dtype=np.float64)) * mx
+        num += np.multiply(ramp, my, out=ramp)
+        denom = n * sx * sy
+        degenerate = ~((denom > 0.0) & np.isfinite(denom))[:, 0]
+        if degenerate.any():
+            denom[degenerate] = 1.0
+            num[degenerate] = 0.0
+        num /= denom
+        return num, degenerate

@@ -193,15 +193,13 @@ class PathmapResult:
         return matches[0]
 
 
-#: Signature of a pluggable correlation provider: given the window and
-#: the identifying keys of the reference ``(client, root)`` and edge
-#: ``(src, dst)`` signals, return a correlation series. A provider that
-#: needs the signals themselves fetches them with ``window.edge_series``;
-#: the online engine plugs in one backed by incremental correlators, which
-#: never does.
-CorrelationProvider = Callable[
-    [TraceWindow, Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
-    "CorrelationSeries",
+#: Signature of a pluggable spike provider: given the window and the keys
+#: of the reference ``(client, root)`` and edge ``(src, dst)`` signals,
+#: return the edge's correlation spikes. The offline default correlates
+#: both series and scans the result (:meth:`Pathmap.scan`); the online
+#: engine's correlator banks never build a series.
+SpikeProvider = Callable[
+    [TraceWindow, Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]], List[Spike]
 ]
 
 
@@ -215,11 +213,11 @@ class Pathmap:
     method:
         Correlation implementation: ``"auto"``, ``"dense"``, ``"sparse"``,
         ``"rle"`` or ``"fft"`` (see :mod:`repro.core.correlation`).
-    correlation_provider:
-        Optional override for how edge correlations are produced. Receives
-        ``(window, (client, root), (src, dst))`` and returns a
-        :class:`~repro.core.correlation.CorrelationSeries`. Used by the
-        online engine to substitute cached incremental correlators.
+    spike_provider:
+        Optional override for how an edge's spikes are produced. Receives
+        ``(window, (client, root), (src, dst))`` and returns its
+        :class:`~repro.core.spikes.Spike` list. Used by the online engine
+        to substitute its incremental correlator banks.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving,
         per analysis pass, the DFS work counters
@@ -237,50 +235,47 @@ class Pathmap:
         self,
         config: PathmapConfig,
         method: str = "auto",
-        correlation_provider: Optional[CorrelationProvider] = None,
+        spike_provider: Optional[SpikeProvider] = None,
         metrics: Optional["MetricsRegistry"] = None,
         tracer: Optional["SpanTracer"] = None,
     ) -> None:
         self.config = config
         self.method = method
-        self._provider = correlation_provider or self._default_provider
+        self._provider = spike_provider or self._default_provider
         self._metrics = metrics
         if tracer is None:
             from repro.obs.spans import NULL_TRACER
 
             tracer = NULL_TRACER
         self._tracer = tracer
-        # Spike-scan memo: when the provider returns the *same*
-        # CorrelationSeries object as last time for a (class, edge) pair --
-        # the incremental correlator's dirty-flag cache does exactly that
-        # for quiet edges -- the previous detect_spikes result is reused.
-        # Holding a strong reference to the series makes the identity check
-        # safe (the id cannot be recycled while the entry lives). A host
-        # that discards a correlator calls forget() so the memo dies with
-        # it.
-        self._spike_cache: Dict[
-            Tuple[Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]],
-            Tuple["CorrelationSeries", List[Spike]],
-        ] = {}
 
     def _default_provider(
         self,
         window: TraceWindow,
         ref_key: Tuple[NodeId, NodeId],
         edge_key: Tuple[NodeId, NodeId],
-    ) -> "CorrelationSeries":
-        return cross_correlate(
-            window.edge_series(*ref_key),
-            window.edge_series(*edge_key),
-            max_lag=self.config.max_lag_quanta,
-            method=self.method,
+    ) -> List[Spike]:
+        return self.scan(
+            cross_correlate(
+                window.edge_series(*ref_key),
+                window.edge_series(*edge_key),
+                max_lag=self.config.max_lag_quanta,
+                method=self.method,
+            )
         )
 
-    def forget(self, keys) -> None:
-        """Drop the spike memo of every ``(ref_key, edge_key)`` in ``keys``
-        (the host discarded those correlators and their cached series)."""
-        for key in keys:
-            self._spike_cache.pop(key, None)
+    def scan(self, corr: CorrelationSeries) -> List[Spike]:
+        """The spikes of one edge correlation under this configuration
+        (none over fewer than ``min_overlap_samples`` quanta)."""
+        cfg = self.config
+        if corr.n < cfg.min_overlap_samples:
+            return []
+        return detect_spikes(
+            corr,
+            sigma=cfg.spike_sigma,
+            resolution_quanta=cfg.resolution_quanta,
+            min_height=cfg.min_spike_height,
+        )
 
     # -- Algorithm 1: ServiceRoot ------------------------------------------------
 
@@ -360,40 +355,15 @@ class Pathmap:
         for dest in window.destinations_of(node):
             # Response edges back to client nodes are correlated too (they
             # expose the end-to-end latency) but never extend the recursion.
-            spikes = self._correlate_edge(window, ref_key, (node, dest), stats)
+            spikes = self._provider(window, ref_key, (node, dest))
+            stats.correlations += 1
+            stats.spikes += len(spikes)
             if not spikes:
                 continue
             graph.add_edge(node, dest, [s.delay for s in spikes], spikes)
             stats.edges_discovered += 1
             if dest not in visited and not window.is_client(dest):
                 self._compute_path(graph, dest, visited, window, stats)
-
-    def _correlate_edge(
-        self,
-        window: TraceWindow,
-        ref_key: Tuple[NodeId, NodeId],
-        edge_key: Tuple[NodeId, NodeId],
-        stats: PathmapStats,
-    ) -> List[Spike]:
-        cfg = self.config
-        corr = self._provider(window, ref_key, edge_key)
-        stats.correlations += 1
-        if corr.n < cfg.min_overlap_samples:
-            return []
-        memo_key = (ref_key, edge_key)
-        memo = self._spike_cache.get(memo_key)
-        if memo is not None and memo[0] is corr:
-            spikes = memo[1]
-        else:
-            spikes = detect_spikes(
-                corr,
-                sigma=cfg.spike_sigma,
-                resolution_quanta=cfg.resolution_quanta,
-                min_height=cfg.min_spike_height,
-            )
-            self._spike_cache[memo_key] = (corr, spikes)
-        stats.spikes += len(spikes)
-        return spikes
 
 
 def compute_service_graphs(

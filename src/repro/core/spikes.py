@@ -75,51 +75,83 @@ def detect_spikes(
     """
     if corr.degenerate:
         return []
-    values = corr.values
-    if values.size < 3:
-        return []
-    mean = float(values.mean())
-    std = float(values.std())
-    if std == 0.0:
-        # A perfectly flat series carries no causal information.
-        return []
-    threshold = max(mean + sigma * std, min_height)
-
-    candidates = _local_maxima_above(values, threshold)
-    if not candidates:
-        return []
-    survivors = _apply_resolution_window(values, candidates, resolution_quanta)
-    spikes = [
-        Spike(
-            lag=int(lag),
-            delay=float(lag) * corr.quantum,
-            height=float(values[lag]),
-            prominence=float(values[lag] - threshold),
-        )
-        for lag in survivors
-    ]
+    spikes = detect_spike_rows(
+        corr.values[None], corr.quantum, sigma, resolution_quanta, min_height
+    )[0]
     if max_spikes is not None and len(spikes) > max_spikes:
         spikes = sorted(spikes, key=lambda s: -s.height)[:max_spikes]
-    return sorted(spikes, key=lambda s: s.lag)
+        spikes.sort(key=lambda s: s.lag)
+    return spikes
+
+
+def detect_spike_rows(
+    values: np.ndarray,
+    quantum: float,
+    sigma: float = 3.0,
+    resolution_quanta: int = 1,
+    min_height: float = 0.0,
+) -> List[List[Spike]]:
+    """:func:`detect_spikes` of each row of a ``(rows, lags)`` matrix of
+    non-degenerate correlation values, in one 2-D pass: row-wise
+    ``mean``/``std`` over contiguous rows are bitwise the 1-D reductions."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    found: List[List[Spike]] = [[] for _ in range(values.shape[0])]
+    if values.shape[1] < 3:
+        return found
+    mean = values.mean(axis=1)
+    std = values.std(axis=1)
+    # A perfectly flat series carries no causal information.
+    live = np.flatnonzero(std != 0.0)
+    threshold = mean + sigma * std
+    threshold = np.where(min_height > threshold, min_height, threshold)
+    for row, candidates in zip(live, _local_maxima_rows(values[live], threshold[live])):
+        row_values = values[row]
+        cut = float(threshold[row])
+        found[row] = [
+            Spike(
+                lag=int(lag),
+                delay=float(lag) * quantum,
+                height=float(row_values[lag]),
+                prominence=float(row_values[lag] - cut),
+            )
+            for lag in _apply_resolution_window(row_values, candidates, resolution_quanta)
+        ]
+    return found
 
 
 def _local_maxima_above(values: np.ndarray, threshold: float) -> List[int]:
     """Indices that are local maxima (plateau-aware) and exceed threshold."""
-    n = values.size
-    if n == 0:
-        return []
-    # Decompose the series into plateaus (maximal runs of equal values);
-    # a plateau is a maximum when it stands above both neighbours, the
-    # series ends counting as lower ground.
-    breaks = np.flatnonzero(values[1:] != values[:-1]) + 1
-    first = np.concatenate(([0], breaks))
-    last = np.concatenate((breaks - 1, [n - 1]))
-    level = values[first]
-    peak = level > threshold
-    peak[1:] &= level[:-1] < level[1:]
-    peak[:-1] &= level[1:] < level[:-1]
+    return _local_maxima_rows(values[None], np.array([threshold]))[0]
+
+
+def _local_maxima_rows(values: np.ndarray, thresholds: np.ndarray) -> List[List[int]]:
+    """:func:`_local_maxima_above` of each row of ``values`` against its
+    threshold, in one pass over the samples above threshold."""
+    rows, n = values.shape
+    found: List[List[int]] = [[] for _ in range(rows)]
+    # A plateau (maximal run of equal values) above its threshold is a
+    # run of adjacent above-threshold samples of one value in one row; it
+    # is a maximum when it stands above both neighbours, the row ends
+    # counting as lower ground.
+    above = np.flatnonzero(values > thresholds[:, None])
+    if not above.size:
+        return found
+    flat = values.ravel()
+    level = flat[above]
+    row = above // n
+    starts = np.ones(above.size, dtype=bool)
+    starts[1:] = (above[1:] != above[:-1] + 1) | (level[1:] != level[:-1]) | (row[1:] != row[:-1])
+    heads = np.flatnonzero(starts)
+    first = above[heads]
+    last = above[np.append(heads[1:], above.size) - 1]
+    row, level = row[heads], level[heads]
+    peak = (first == row * n) | (flat[first - 1] < level)
+    peak &= (last == row * n + n - 1) | (flat[np.minimum(last + 1, flat.size - 1)] < level)
     # Report the centre of each plateau.
-    return ((first[peak] + last[peak]) // 2).tolist()
+    centres = (first[peak] + last[peak]) // 2 - row[peak] * n
+    for r, lag in zip(row[peak].tolist(), centres.tolist()):
+        found[r].append(lag)
+    return found
 
 
 def _apply_resolution_window(

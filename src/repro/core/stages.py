@@ -4,13 +4,15 @@ The online engine's refresh is four explicit stages -- **ingest ->
 correlate -> DFS -> publish**, the exact stage names the refresh ledger
 records (:data:`repro.obs.ledger.PIPELINE_STAGES`). The middle two
 stages operate on one bundle of state: the aligned per-edge block
-history, the incremental correlator cache keyed ``(reference, edge)``,
-and the kernels that append fresh blocks into those correlators.
+history, one :class:`~repro.core.incremental.CorrelatorBank` per reference
+signal whose rows are that class's edges, and the kernels that append
+fresh blocks into those banks.
 
 That bundle lives here, as :class:`PipelineCore`, a mixin of
-:class:`repro.core.engine.E2EProfEngine`. A correlator's contents depend
-only on the block history and the append order, so a correlator rebuilt
-from history is bit-identical to one maintained across refreshes.
+:class:`repro.core.engine.E2EProfEngine`. A row rebuilt from history
+holds the pair vectors a maintained row holds, but not its bits: the
+maintained sums carry the rounding of every block added and evicted
+since. The two agree within float tolerance and publish the same spikes.
 
 Host contract (attributes the engine provides):
 
@@ -19,22 +21,24 @@ Host contract (attributes the engine provides):
 (:class:`~repro.obs.spans.SpanTracer`), ``ledger``
 (:class:`~repro.obs.ledger.LedgerRecorder`), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
-``_clients`` (set of client node ids), ``_blocks`` / ``_correlators``
-(the window state), ``_parked`` /
+``_clients`` (set of client node ids), ``_blocks`` / ``_banks``
+(the window state: edge -> block deque, reference -> bank), ``_parked`` /
 ``_edge_keys`` (parked keys; edge -> its live and parked keys),
 ``_boundary`` (this refresh's per-(edge, side) boundary masses),
-``_pathmap`` (the :class:`~repro.core.pathmap.Pathmap` whose spike memo
-dies with the correlators),
 ``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
 the per-refresh ``_refresh_*`` tallies, the ``_summary_hook`` factory of
-correlator eviction hooks, and the ``_m_batch`` / ``_m_cache_hits`` /
+bank eviction hooks, and the ``_m_batch`` / ``_m_cache_hits`` /
 ``_m_cache_misses`` instruments.
 
-**Parking.** A correlator whose whole window is quiet on both sides
-holds nothing its block history does not: the host drops it, keeps its
-key in ``_parked``, and replays it from history the refresh either edge
-receives a non-quiet block. A refresh thus visits the correlators that
-can change, not every correlator ever created.
+**Parking.** A row whose whole window is quiet on both sides holds
+nothing its block history does not: the host drops it, keeps its key in
+``_parked``, and replays it from history the refresh either edge receives
+a non-quiet block. A refresh thus visits the rows that can change, not
+every correlator ever created.
+
+**Spikes.** The DFS asks for an edge's spikes, never its series: its
+first ask of a class normalizes and scans the bank's changed rows in one
+2-D pass, and the rows keep spikes, not series.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.correlation import (
-    CorrelationSeries,
-    SeriesLike,
     batch_lag_products,
     choose_batch_kernel,
     fft_batch_lag_products,
@@ -58,13 +60,14 @@ from repro.core.correlation import (
     sparse_dispatch_units,
 )
 from repro.core.incremental import (
-    IncrementalCorrelator,
+    CorrelatorBank,
     _concat_blocks,
     block_is_quiet,
     boundary_mass,
 )
 from repro.core.pathmap import TraceWindow
 from repro.core.rle import RunLengthSeries
+from repro.core.spikes import Spike, detect_spike_rows
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import AnalysisError
 from repro.obs.ledger import (
@@ -78,6 +81,18 @@ from repro.tracing.records import NodeId
 EdgeKey = Tuple[NodeId, NodeId]
 RefKey = Tuple[NodeId, NodeId]
 CorrelatorKey = Tuple[RefKey, EdgeKey]
+
+
+def _run_stats(blocks: List[RunLengthSeries]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Runs, samples and sample span of each loud block: the y side of
+    the kernel dispatch model, read off the runs in one vectorized pass."""
+    runs = np.array([block.num_runs for block in blocks], dtype=np.int64)
+    starts = np.concatenate([block.starts for block in blocks])
+    counts = np.concatenate([block.counts for block in blocks])
+    first = np.cumsum(runs) - runs
+    last = first + runs - 1
+    samples = np.add.reduceat(counts, first)
+    return runs, samples, starts[last] + counts[last] - starts[first]
 
 
 class PipelineCore:
@@ -187,53 +202,63 @@ class PipelineCore:
 
     def _drop_correlators(self, keys) -> List[CorrelatorKey]:
         dropped = list(keys)
+        edges_of: Dict[RefKey, List[EdgeKey]] = {}
         for key in dropped:
-            self._correlators.pop(key, None)
+            edges_of.setdefault(key[0], []).append(key[1])
             self._parked.discard(key)
             for edge in key:
                 self._edge_keys[edge].discard(key)
-        self._pathmap.forget(dropped)
+        for ref_edge, edges in edges_of.items():
+            self._drop_rows(ref_edge, edges)
         return dropped
+
+    def _drop_rows(self, ref_edge: RefKey, edges: List[EdgeKey]) -> None:
+        bank = self._banks.get(ref_edge)
+        if bank is not None:
+            bank.drop(edges)
+            if not len(bank):
+                del self._banks[ref_edge]
 
     # -- correlate stage -------------------------------------------------------
 
     def _append_to_correlators(self) -> None:
         started = time.perf_counter()
-        # Correlators sharing one reference edge hold identical x-side
-        # windows (they replay the same block history), so all their new
-        # pair products come from one kernel call per pending x block.
-        groups: Dict[RefKey, List[Tuple[EdgeKey, IncrementalCorrelator]]] = {}
-        for (ref_edge, edge), correlator in self._correlators.items():
-            groups.setdefault(ref_edge, []).append((edge, correlator))
-        results = [
-            self._append_group(ref_edge, members)
-            for ref_edge, members in groups.items()
-        ]
-        # A parked correlator's append would have skipped every pair slot;
-        # count those without visiting it.
+        # A parked row's append would have skipped every pair slot; count
+        # those without visiting it.
         reach = -(-self.config.max_lag_quanta // self._block_quanta)
         parked_skips = len(self._parked) * (min(reach, self._num_blocks) + 1)
+        loud = {
+            edge: blocks[-1]
+            for edge, blocks in self._blocks.items()
+            if not block_is_quiet(blocks[-1])
+        }
+        skipped = 0
+        dormant: Dict[RefKey, List[EdgeKey]] = {}
+        for ref_edge, bank in self._banks.items():
+            skipped += self._append_group(ref_edge, bank, loud)
+            if ref_edge not in loud:
+                rows = np.flatnonzero(bank.dormant())
+                if rows.size:
+                    dormant[ref_edge] = [bank.keys[row] for row in rows]
         parked_skips -= self._wake_parked()
-        for _, dormant in results:
-            for key in dormant:
-                del self._correlators[key]
-                self._parked.add(key)
-            self._pathmap.forget(dormant)
-        self.metrics.counter(*IncrementalCorrelator.SKIPS_COUNTER).inc(parked_skips)
-        self._refresh_skips = sum(skipped for skipped, _ in results) + parked_skips
+        for ref_edge, edges in dormant.items():
+            self._drop_rows(ref_edge, edges)
+            self._parked.update((ref_edge, edge) for edge in edges)
+        self.metrics.counter(*CorrelatorBank.SKIPS_COUNTER).inc(parked_skips)
+        self._refresh_skips = skipped + parked_skips
         self._m_batch.observe(time.perf_counter() - started)
 
     def _wake_parked(self) -> int:
-        """Replay from history every parked correlator one of whose edges
-        just received a non-quiet block. Returns the pair products the
-        skipped appends would have computed: the diagonal of each woken
-        pair with traffic on both edges (every older block is quiet)."""
+        """Replay from history every parked row one of whose edges just
+        received a non-quiet block. Returns the pair products the skipped
+        appends would have computed: the diagonal of each woken pair with
+        traffic on both edges (every older block is quiet)."""
         computed = 0
         for edge, blocks in self._blocks.items() if self._parked else ():
             if block_is_quiet(blocks[-1]):
                 continue
             for key in self._parked.intersection(self._edge_keys.get(edge, ())):
-                self._create_correlator(*key)
+                self._create_row(*key)
                 computed += not any(block_is_quiet(self._blocks[e][-1]) for e in key)
         return computed
 
@@ -241,11 +266,12 @@ class PipelineCore:
         self,
         x_block: RunLengthSeries,
         y_blocks: List[RunLengthSeries],
-        ys_sparse: List[SeriesLike],
+        y_stats: Tuple[np.ndarray, np.ndarray, np.ndarray],
         max_lag: int,
     ) -> Optional[np.ndarray]:
-        """Pair-product rows of one pending x block against every loud
-        group member, dispatched by a density cost model.
+        """Pair-product rows of one pending x block against loud y blocks
+        (``y_stats`` is their :func:`_run_stats`), dispatched row by row
+        by a density cost model.
 
         The sparse batch kernel touches every (x sample, y sample) pair
         within ``max_lag``, so its cost explodes on smeared (near-dense)
@@ -266,203 +292,159 @@ class PipelineCore:
         """
         if block_is_quiet(x_block):
             return None
-        xs = x_block.to_sparse()
-        rows: List[Optional[np.ndarray]] = [None] * len(y_blocks)
-        sparse_rows: List[int] = []
-        rle_rows: List[int] = []
-        fft_rows: List[int] = []
-        sparse_units_total = 0.0
-        rle_units_total = 0.0
+        y_runs, y_nnz, y_span = y_stats
+        x_nnz = x_block.nnz
+        sparse_units = sparse_dispatch_units(x_nnz, y_nnz, y_span, max_lag)
+        rle_units = rle_dispatch_units(x_block.num_runs, y_runs)
         # One shared 5-smooth plan length for the whole group: every
         # member block covers the same window as the head block.
         fft_size = fft_length(int(x_block.length) + int(y_blocks[0].length) - 1)
         fft_units_row = fft_dispatch_units(int(y_blocks[0].length), fft_size)
-        for i, (y_block, ys) in enumerate(zip(y_blocks, ys_sparse)):
-            span = max(int(ys.indices[-1]) - int(ys.indices[0]) + 1, 1)
-            sparse_units = sparse_dispatch_units(
-                xs.indices.size, ys.indices.size, span, max_lag
-            )
-            rle_units = rle_dispatch_units(x_block.num_runs, y_block.num_runs)
-            kernel = choose_batch_kernel(sparse_units, rle_units, fft_units_row)
-            if kernel == "fft":
-                fft_rows.append(i)
-            elif kernel == "sparse":
-                sparse_rows.append(i)
-                sparse_units_total += sparse_units
-            else:
-                rle_rows.append(i)
-                rle_units_total += rle_units
-        if fft_rows:
-            fft_started = time.perf_counter()
-            mat_fft = fft_batch_lag_products(
-                x_block,
-                [y_blocks[i] for i in fft_rows],
-                max_lag,
-                size=fft_size,
-                cache=self._spectra,
-            )
-            # Dense samples transformed: 8 bytes per quantum of the x
-            # block plus every routed y block (spectra cache hits skip
-            # the transform but still read the padded product row).
-            self.ledger.record_kernel(
-                KERNEL_FFT_BATCH,
-                rows=len(fft_rows),
-                seconds=time.perf_counter() - fft_started,
-                work_units=fft_units_row * len(fft_rows),
-                bytes_touched=8 * (
-                    int(x_block.length)
-                    + int(y_blocks[0].length) * len(fft_rows)
-                ),
-            )
-            if len(fft_rows) == len(y_blocks):
-                return mat_fft
-            for r, i in enumerate(fft_rows):
-                rows[i] = mat_fft[r]
-        if rle_rows:
-            rle_started = time.perf_counter()
-            mat_rle = rle_batch_lag_products(
-                x_block, [y_blocks[i] for i in rle_rows], max_lag
-            )
-            # RunLengthSeries data: starts + counts (int64) + values
-            # (float64) = 24 bytes per run.
-            self.ledger.record_kernel(
-                KERNEL_RLE,
-                rows=len(rle_rows),
-                seconds=time.perf_counter() - rle_started,
-                work_units=rle_units_total,
-                bytes_touched=24 * (
-                    x_block.num_runs * len(rle_rows)
-                    + sum(y_blocks[i].num_runs for i in rle_rows)
-                ),
-            )
-            if len(rle_rows) == len(y_blocks):
-                return mat_rle
-            for r, i in enumerate(rle_rows):
-                rows[i] = mat_rle[r]
-        if not sparse_rows:
-            return np.stack(rows)
-        batch_started = time.perf_counter()
-        mat = batch_lag_products(xs, [ys_sparse[i] for i in sparse_rows], max_lag)
-        # DensityTimeSeries data: indices (int64) + values (float64)
-        # = 16 bytes per nonzero.
-        self.ledger.record_kernel(
-            KERNEL_SPARSE_BATCH,
-            rows=len(sparse_rows),
-            seconds=time.perf_counter() - batch_started,
-            work_units=sparse_units_total,
-            bytes_touched=16 * (
-                xs.indices.size
-                + sum(ys_sparse[i].indices.size for i in sparse_rows)
-            ),
+        kernels = np.broadcast_to(
+            choose_batch_kernel(sparse_units, rle_units, fft_units_row), y_runs.shape
         )
-        if len(sparse_rows) == len(y_blocks):
-            return mat
-        for r, i in enumerate(sparse_rows):
-            rows[i] = mat[r]
-        return np.stack(rows)
+        out: Optional[np.ndarray] = None
+        for kernel in ("fft", "rle", "sparse"):
+            rows = np.flatnonzero(kernels == kernel)
+            if not rows.size:
+                continue
+            picked = [y_blocks[i] for i in rows]
+            started = time.perf_counter()
+            if kernel == "fft":
+                mat = fft_batch_lag_products(
+                    x_block, picked, max_lag, size=fft_size, cache=self._spectra
+                )
+                # Dense samples transformed: 8 bytes per quantum of the x
+                # block plus every routed y block (spectra cache hits skip
+                # the transform but still read the padded product row).
+                self.ledger.record_kernel(
+                    KERNEL_FFT_BATCH,
+                    rows=rows.size,
+                    seconds=time.perf_counter() - started,
+                    work_units=fft_units_row * rows.size,
+                    bytes_touched=8 * (
+                        int(x_block.length) + int(y_blocks[0].length) * rows.size
+                    ),
+                )
+            elif kernel == "rle":
+                mat = rle_batch_lag_products(x_block, picked, max_lag)
+                # RunLengthSeries data: starts + counts (int64) + values
+                # (float64) = 24 bytes per run.
+                self.ledger.record_kernel(
+                    KERNEL_RLE,
+                    rows=rows.size,
+                    seconds=time.perf_counter() - started,
+                    work_units=float(np.cumsum(rle_units[rows])[-1]),
+                    bytes_touched=24 * int(
+                        x_block.num_runs * rows.size + y_runs[rows].sum()
+                    ),
+                )
+            else:
+                mat = batch_lag_products(
+                    x_block.to_sparse(), [y.to_sparse() for y in picked], max_lag
+                )
+                # DensityTimeSeries data: indices (int64) + values (float64)
+                # = 16 bytes per nonzero.
+                self.ledger.record_kernel(
+                    KERNEL_SPARSE_BATCH,
+                    rows=rows.size,
+                    seconds=time.perf_counter() - started,
+                    work_units=float(np.cumsum(sparse_units[rows])[-1]),
+                    bytes_touched=16 * int(x_nnz + y_nnz[rows].sum()),
+                )
+            if rows.size == len(y_blocks):
+                return mat
+            if out is None:
+                out = np.empty((len(y_blocks), max_lag + 1))
+            out[rows] = mat
+        return out
 
     def _append_group(
         self,
         ref_edge: RefKey,
-        members: List[Tuple[EdgeKey, IncrementalCorrelator]],
-    ) -> Tuple[int, List[CorrelatorKey]]:
-        """Append the newest blocks to every correlator of one reference
-        group, batching all non-quiet edges into shared kernels. Returns
-        the pair products skipped as quiet and the keys left dormant."""
+        bank: CorrelatorBank,
+        loud: Dict[EdgeKey, RunLengthSeries],
+    ) -> int:
+        """Append the newest blocks to every row of one reference group: a
+        kernel call per pending x block over its loud rows, then one
+        indexed add. Returns the pair products skipped as quiet."""
         x_new = self._blocks[ref_edge][-1]
-        x_quiet = block_is_quiet(x_new)
-        traced = self.tracer.enabled
-        skipped = 0
-        dormant: List[CorrelatorKey] = []
-        # Split the group: quiet newest edge blocks produce zero vectors
-        # only (the plain append skips every kernel for them); the rest
-        # share one batch per pending x block. A member whose window
-        # disagrees with the group's (cannot happen through the normal
-        # refresh cycle, but cheap to guard) also takes the plain path,
-        # which computes its own kernels.
-        batch: List[Tuple[EdgeKey, IncrementalCorrelator, RunLengthSeries]] = []
-        plain: List[Tuple[EdgeKey, IncrementalCorrelator, RunLengthSeries]] = []
-        canonical: Optional[List[SeriesLike]] = None
-        for edge, correlator in members:
-            y_new = self._blocks[edge][-1]
-            if block_is_quiet(y_new):
-                plain.append((edge, correlator, y_new))
-                continue
-            pending = correlator.pending_pair_blocks()
-            if canonical is None:
-                canonical = pending
-            elif len(pending) != len(canonical) or any(
-                a is not b for a, b in zip(pending, canonical)
-            ):
-                plain.append((edge, correlator, y_new))
-                continue
-            batch.append((edge, correlator, y_new))
-        if batch:
-            max_lag = self.config.max_lag_quanta
-            y_blocks = [y for _, _, y in batch]
-            ys = [
-                y.to_sparse() if isinstance(y, RunLengthSeries) else y
-                for y in y_blocks
-            ]
-            mats = [
-                self._group_vectors(x_p, y_blocks, ys, max_lag)
-                for x_p in list(canonical or []) + [x_new]
-            ]
-            for row, (edge, correlator, y_new) in enumerate(batch):
-                vectors = [None if m is None else m[row].copy() for m in mats]
-                if traced:
-                    with self.tracer.span(
-                        "correlator.append",
-                        ref=f"{ref_edge[0]}->{ref_edge[1]}",
-                        edge=f"{edge[0]}->{edge[1]}",
-                    ):
-                        skipped += correlator.append(x_new, y_new, pair_vectors=vectors)
-                else:
-                    skipped += correlator.append(x_new, y_new, pair_vectors=vectors)
-        if plain:
-            # Quiet / mismatched members take the plain per-pair append
-            # (which computes its own kernels, if any); ledger them as one
-            # legacy_pair sample per group.
-            plain_started = time.perf_counter()
-            for edge, correlator, y_new in plain:
-                if traced:
-                    with self.tracer.span(
-                        "correlator.append",
-                        ref=f"{ref_edge[0]}->{ref_edge[1]}",
-                        edge=f"{edge[0]}->{edge[1]}",
-                    ):
-                        skipped += correlator.append(x_new, y_new)
-                else:
-                    skipped += correlator.append(x_new, y_new)
-                if x_quiet and correlator.dormant:
-                    dormant.append((ref_edge, edge))
-            self.ledger.record_kernel(
-                KERNEL_LEGACY,
-                rows=len(plain),
-                seconds=time.perf_counter() - plain_started,
+        n = len(bank)
+        with self.tracer.span(
+            "correlator.append", ref=f"{ref_edge[0]}->{ref_edge[1]}", rows=n
+        ):
+            rows = [row for row, edge in enumerate(bank.keys) if edge in loud]
+            y_moments = np.zeros((n, 2))
+            y_quiet = np.ones(n, dtype=bool)
+            xs = bank.pending_blocks() + [x_new]
+            mats: List[Optional[np.ndarray]] = [None] * len(xs)
+            if rows:
+                y_blocks = [loud[bank.keys[row]] for row in rows]
+                y_moments[rows] = [(y.total(), y.energy()) for y in y_blocks]
+                y_quiet[rows] = False
+            if rows and not all(block_is_quiet(x_p) for x_p in xs):
+                y_stats = _run_stats(y_blocks)
+                max_lag = self.config.max_lag_quanta
+                mats = [self._group_vectors(x_p, y_blocks, y_stats, max_lag) for x_p in xs]
+            slide_started = time.perf_counter()
+            skipped = bank.append(
+                x_new, y_moments, y_quiet, np.array(rows, dtype=np.int64), mats
             )
-        return skipped, dormant
+            if len(rows) < n:
+                # Quiet rows call no kernel; ledger them, with their share
+                # of the slide, as one legacy_pair sample per group.
+                self.ledger.record_kernel(
+                    KERNEL_LEGACY,
+                    rows=n - len(rows),
+                    seconds=(time.perf_counter() - slide_started) * (n - len(rows)) / n,
+                )
+        return skipped
 
-    # -- correlation provider (plugged into pathmap) ---------------------------
+    # -- spike provider (plugged into pathmap) ---------------------------------
 
-    def _provide_correlation(
+    def _provide_spikes(
         self, window: TraceWindow, ref_key: RefKey, edge_key: EdgeKey
-    ) -> CorrelationSeries:
-        correlator = self._correlators.get((ref_key, edge_key))
-        if correlator is None:
+    ) -> List[Spike]:
+        bank = self._banks.get(ref_key)
+        row = None if bank is None else bank.rows.get(edge_key)
+        if row is None:
             self._refresh_cache_misses += 1
             self._m_cache_misses.inc()
-            correlator = self._create_correlator(ref_key, edge_key)
+            bank, row = self._create_row(ref_key, edge_key)
         else:
             self._refresh_cache_hits += 1
             self._m_cache_hits.inc()
-        if correlator.result_cached:
+        if bank.serve(row):
             self._refresh_corr_cache_hits += 1
-            return correlator.correlation()
-        return correlator.correlation(
+        if bank.spikes[row] is None:
+            self._scan(ref_key, bank, row)
+        return bank.spikes[row]
+
+    def _scan(self, ref_key: RefKey, bank: CorrelatorBank, row: int) -> None:
+        """Normalize ``row`` and every other row of ``bank`` whose answer
+        changed and whose edge the DFS may ask about (one with samples in
+        the window), and scan them for spikes, in one 2-D pass."""
+        cfg = self.config
+        rows = bank.stale_rows()
+        rows = rows[(rows == row) | bank.y_active()[rows]]
+        for stale in rows:
+            bank.spikes[stale] = []  # what degenerate rows and short windows keep
+        if bank.window_length < cfg.min_overlap_samples:
+            return
+        values, degenerate = bank.normalize(
+            rows,
             self._boundary_mass(ref_key, newest=True),
-            self._boundary_mass(edge_key, newest=False),
+            np.array([self._boundary_mass(bank.keys[r], newest=False) for r in rows]),
         )
+        scanned = detect_spike_rows(
+            values[~degenerate],
+            cfg.quantum,
+            sigma=cfg.spike_sigma,
+            resolution_quanta=cfg.resolution_quanta,
+            min_height=cfg.min_spike_height,
+        )
+        for live, spikes in zip(rows[~degenerate], scanned):
+            bank.spikes[live] = spikes
 
     def _boundary_mass(self, edge: EdgeKey, newest: bool) -> np.ndarray:
         """This refresh's :func:`boundary_mass` of one edge's window, shared
@@ -476,53 +458,45 @@ class PipelineCore:
             )
         return mass
 
-    def _create_correlator(self, ref_key: RefKey, edge_key: EdgeKey) -> IncrementalCorrelator:
+    def _create_row(self, ref_key: RefKey, edge_key: EdgeKey) -> Tuple[CorrelatorBank, int]:
         ref_blocks = self._blocks.get(ref_key)
         edge_blocks = self._blocks.get(edge_key)
         if ref_blocks is None or edge_blocks is None:
             raise AnalysisError(
                 f"no block history for correlator {ref_key} x {edge_key}"
             )
-        correlator = IncrementalCorrelator(
-            max_lag=self.config.max_lag_quanta,
-            num_blocks=self._num_blocks,
-            quantum=self.config.quantum,
-            metrics=self.metrics,
-            evict_hook=self._summary_hook(ref_key, edge_key),
-        )
-        for ref_block, edge_block in zip(ref_blocks, edge_blocks):
-            # Replay through the same batch kernel the grouped append
-            # uses, so a correlator rebuilt from history (new service
-            # class, transport late-block invalidation) is bit-identical
-            # to one maintained incrementally across refreshes.
-            self._batched_replay(correlator, ref_block, edge_block)
+        bank = self._banks.get(ref_key)
+        if bank is None:
+            bank = self._banks[ref_key] = CorrelatorBank(
+                max_lag=self.config.max_lag_quanta,
+                num_blocks=self._num_blocks,
+                quantum=self.config.quantum,
+                metrics=self.metrics,
+                evict_hook=self._summary_hook(ref_key),
+            )
+        # Replay the history through single-row calls of the kernels the
+        # grouped append uses, with its quiet skips and kernel dispatch:
+        # the row gets the pair vectors a maintained row holds.
+        max_lag = self.config.max_lag_quanta
+        reach = -(-max_lag // self._block_quanta)
+        x_blocks = list(ref_blocks)
+        vectors: List[List[Optional[np.ndarray]]] = []
+        for i, y_block in enumerate(edge_blocks):
+            paired = x_blocks[max(0, i - reach) : i + 1]
+            if block_is_quiet(y_block):
+                vectors.append([None] * len(paired))
+                continue
+            y_stats = _run_stats([y_block])
+            mats = [
+                self._group_vectors(x_p, [y_block], y_stats, max_lag) for x_p in paired
+            ]
+            vectors.append([None if mat is None else mat[0] for mat in mats])
+        row = bank.add_row(edge_key, x_blocks, list(edge_blocks), vectors)
         key = (ref_key, edge_key)
-        self._correlators[key] = correlator
         self._parked.discard(key)
         for edge in key:
             self._edge_keys.setdefault(edge, set()).add(key)
-        return correlator
-
-    def _batched_replay(
-        self,
-        correlator: IncrementalCorrelator,
-        x_block: RunLengthSeries,
-        y_block: RunLengthSeries,
-    ) -> int:
-        """One append computed via single-row :meth:`_group_vectors` calls
-        (the quiet-skip and kernel-dispatch structure mirrors the grouped
-        path exactly, so a replayed correlator is bit-identical to a
-        maintained one)."""
-        if block_is_quiet(y_block):
-            return correlator.append(x_block, y_block)
-        max_lag = self.config.max_lag_quanta
-        y_blocks = [y_block]
-        ys = [y_block.to_sparse() if isinstance(y_block, RunLengthSeries) else y_block]
-        vectors: List[Optional[np.ndarray]] = []
-        for x_p in correlator.pending_pair_blocks() + [x_block]:
-            mat = self._group_vectors(x_p, y_blocks, ys, max_lag)
-            vectors.append(None if mat is None else mat[0])
-        return correlator.append(x_block, y_block, pair_vectors=vectors)
+        return bank, row
 
     # -- window state queried by the pathmap DFS -------------------------------
 
@@ -541,8 +515,8 @@ class PipelineCore:
 
     @property
     def correlator_count(self) -> int:
-        """Live incremental correlators."""
-        return len(self._correlators)
+        """Live incremental correlators (bank rows)."""
+        return sum(len(bank) for bank in self._banks.values())
 
     @property
     def parked_count(self) -> int:

@@ -72,9 +72,8 @@ class MetricsSample:
         are counted arithmetically: each would have skipped every pair
         slot.
     correlation_cache_hits:
-        Correlation queries answered from a correlator's dirty-flag
-        result cache this refresh (unchanged window, same series object
-        re-served).
+        Correlation queries this refresh whose answer was unchanged since
+        it was last served (the row's kept spikes re-served, no scan).
     capture_batches:
         Columnar timestamp batches forwarded to the engine's capture
         sink this refresh (0 unless a ``capture_sink`` is configured).

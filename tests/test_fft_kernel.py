@@ -48,12 +48,12 @@ from repro.core.correlation import (
     sparse_lag_products,
 )
 from repro.core.engine import E2EProfEngine
-from repro.core.incremental import IncrementalCorrelator
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import CorrelationError
 from repro.obs.ledger import KERNEL_FFT_BATCH, KERNEL_RLE, KERNEL_SPARSE_BATCH
 
 from tests.test_engine_determinism import CFG, run_engine
+from tests.test_incremental import IncrementalCorrelator
 
 QUANTUM = 1e-3
 

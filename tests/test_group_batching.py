@@ -5,13 +5,17 @@
 * the vectorised ``_local_maxima_above`` reports the lags the scalar scan
   reported;
 * a mesh engine that hands host-computed window-boundary masses to its
-  correlators publishes the ``CorrelationSeries`` a stand-alone
-  correlator computes, through parking, waking, late-block invalidation
-  replays and ``rewindow``;
+  correlator banks scans the correlation each row's own window masses
+  give, through parking, waking, late-block invalidation replays and
+  ``rewindow``;
 * a grouped refresh makes one RLE kernel call per (reference group,
   pending x block);
-* the pathmap spike memo dies with the correlators it describes.
+* no correlation series outlives its scan, and spikes are kept only on
+  live rows.
 """
+
+import gc
+
 
 import numpy as np
 import pytest
@@ -22,9 +26,13 @@ from hypothesis import given, strategies as st
 from repro.apps.mesh import build_mesh
 from repro.config import PathmapConfig, TransportConfig
 from repro.core import correlation, stages
-from repro.core.correlation import rle_batch_lag_products, rle_lag_products
+from repro.core.correlation import (
+    CorrelationSeries,
+    rle_batch_lag_products,
+    rle_lag_products,
+)
 from repro.core.engine import E2EProfEngine
-from repro.core.incremental import block_is_quiet
+from repro.core.incremental import block_is_quiet, boundary_mass
 from repro.core.rle import RunLengthSeries
 from repro.core.spikes import _local_maxima_above
 from repro.errors import CorrelationError
@@ -214,9 +222,10 @@ WAKE_AT = 19.0
 END = 30.0
 
 
-def run_mesh(faults=False, rewindow_at=None, on_refresh=None):
+def run_mesh(faults=False, rewindow_at=None, on_refresh=None, **kwargs):
     """Four classes over six shared backends; class M1 stops at
-    ``QUIET_AT`` and issues requests again from ``WAKE_AT``."""
+    ``QUIET_AT`` and issues requests again from ``WAKE_AT``. Extra
+    keyword arguments go to the engine."""
     deployment = build_mesh(
         classes=4, backends=6, stores=2, fanout=2, seed=7, request_rate=10.0,
         config=CFG,
@@ -224,7 +233,6 @@ def run_mesh(faults=False, rewindow_at=None, on_refresh=None):
     sim = deployment.topology.sim
     sim.schedule_at(QUIET_AT, deployment.workloads["M1"].stop)
     sim.schedule_at(WAKE_AT, deployment.workloads["M1"].start)
-    kwargs = {}
     if faults:
         kwargs.update(
             transport=TransportConfig(lateness_blocks=1),
@@ -252,23 +260,37 @@ class TestSharedBoundaryMasses:
         verdicts = []
 
         def check(engine, now, result):
-            for key, correlator in engine._correlators.items():
-                if not correlator.result_cached:
-                    continue  # not visited by the DFS since it last changed
-                hosted = correlator.correlation()
-                correlator._dirty = True
-                alone = correlator.correlation()  # computes its own masses
-                verdicts.append(
-                    (
-                        now,
-                        key,
-                        alone.n == hosted.n
-                        and alone.degenerate == hosted.degenerate
-                        and np.array_equal(bits(alone.values), bits(hosted.values)),
-                    )
+            max_lag = CFG.max_lag_quanta
+            for ref, bank in engine._banks.items():
+                rows = np.flatnonzero(~np.equal(bank.spikes[: len(bank)], None))
+                if not rows.size:
+                    continue  # no row scanned since it last changed
+                hosted, _ = bank.normalize(
+                    rows,
+                    engine._boundary_mass(ref, newest=True),
+                    np.array([engine._boundary_mass(bank.keys[r], newest=False) for r in rows]),
                 )
-                # Put the served object back so the run is undisturbed.
-                correlator._corr_cache = hosted
+                # Masses each row computes from its own windows.
+                alone, degenerate = bank.normalize(
+                    rows,
+                    boundary_mass(list(bank._x_blocks), max_lag, newest=True),
+                    np.array([
+                        boundary_mass(list(engine._blocks[bank.keys[r]]), max_lag, newest=False)
+                        for r in rows
+                    ]),
+                )
+                for i, row in enumerate(rows):
+                    series = CorrelationSeries(
+                        alone[i], CFG.quantum, bank.window_length, bool(degenerate[i])
+                    )
+                    verdicts.append(
+                        (
+                            now,
+                            (ref, bank.keys[row]),
+                            np.array_equal(bits(alone[i]), bits(hosted[i]))
+                            and bank.spikes[row] == engine._pathmap.scan(series),
+                        )
+                    )
 
         engine, samples = run_mesh(
             faults=faults, rewindow_at=25.0 if faults else None, on_refresh=check
@@ -331,9 +353,8 @@ class TestKernelCallsPerGroup:
             # One call per loud x block a group's append pairs with (the
             # pending blocks plus the diagonal), however many rows ride.
             expected = 0
-            for ref in {ref for ref, _ in engine._correlators}:
-                members = [edge for r, edge in engine._correlators if r == ref]
-                if any(not block_is_quiet(engine._blocks[e][-1]) for e in members):
+            for ref, bank in engine._banks.items():
+                if any(not block_is_quiet(engine._blocks[e][-1]) for e in bank.keys):
                     expected += sum(
                         not block_is_quiet(block)
                         for block in list(engine._blocks[ref])[-(reach + 1):]
@@ -360,21 +381,55 @@ class TestKernelCallsPerGroup:
         assert checked >= 10
 
 
-class TestSpikeMemoLifetime:
-    def test_memo_is_bounded_by_known_correlators_under_churn(self):
-        sizes = []
+def series_reachable_from(root):
+    """Every CorrelationSeries in the object graph reachable from ``root``."""
+    seen, found, stack = {id(root)}, [], [root]
+    while stack:
+        node = stack.pop()
+        # gc does not see into object arrays (a bank's spike column).
+        is_objects = isinstance(node, np.ndarray) and node.dtype == object
+        for child in node.ravel().tolist() if is_objects else gc.get_referents(node):
+            if id(child) in seen or isinstance(child, type):
+                continue
+            seen.add(id(child))
+            if isinstance(child, CorrelationSeries):
+                found.append(child)
+            stack.append(child)
+    return found
+
+
+class TestSeriesLifetime:
+    def test_no_series_reachable_spikes_on_live_rows(self):
+        verdicts = []
 
         def check(engine, now, result):
-            memo = set(engine._pathmap._spike_cache)
-            known = set(engine._correlators) | engine._parked
-            sizes.append((now, len(memo), memo <= known, memo <= set(engine._correlators)))
+            live, kept, spares = set(), set(), []
+            for ref, bank in engine._banks.items():
+                n = len(bank)
+                live.update((ref, edge) for edge in bank.keys)
+                kept.update(
+                    (ref, bank.keys[row]) for row in range(n) if bank.spikes[row] is not None
+                )
+                # Spare capacity past the live rows holds no scan result.
+                spares.extend(bank.spikes[n:])
+            verdicts.append(
+                (
+                    now,
+                    bool(kept)
+                    and kept <= live
+                    and not live & engine._parked
+                    and all(isinstance(s, int) for s in spares),
+                    len(series_reachable_from(engine)),
+                )
+            )
 
         engine, samples = run_mesh(faults=True, rewindow_at=25.0, on_refresh=check)
-        assert all(bounded for _, _, bounded, _ in sizes), sizes
-        # Parking drops the entry too: nothing is held for a dormant pair.
-        assert all(live_only for _, _, _, live_only in sizes), sizes
+        assert len(verdicts) == len(samples)
+        assert all(ok and not series for _, ok, series in verdicts), verdicts
         assert max(s.parked_correlators for s in samples) > 0
         assert engine._receiver.totals()["late_recovered"] > 0
-        # Dropping the remaining correlators empties the memo.
-        engine._drop_correlators(list(engine._correlators))
-        assert not engine._pathmap._spike_cache
+        # Dropping the remaining correlators empties every bank.
+        engine._drop_correlators(
+            [(ref, edge) for ref, bank in engine._banks.items() for edge in bank.keys]
+        )
+        assert not engine._banks

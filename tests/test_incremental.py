@@ -2,22 +2,95 @@
 
 Central invariant: after any sequence of appends, the incremental result
 equals a from-scratch sparse correlation over the concatenated window.
+A stand-alone correlator is a one-row :class:`CorrelatorBank`.
 """
+
+import collections
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlation import correlate_sparse
-from repro.core.incremental import IncrementalCorrelator
-from repro.core.rle import rle_encode
+from repro.core.correlation import (
+    CorrelationSeries,
+    correlate_sparse,
+    rle_lag_products,
+    sparse_lag_products,
+)
+from repro.core.incremental import (
+    CorrelatorBank,
+    _concat_blocks,
+    block_is_quiet,
+    boundary_mass,
+)
+from repro.core.rle import RunLengthSeries, rle_encode
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import CorrelationError, SeriesError
 
 
 def block(dense, start, quantum=1e-3):
     return DensityTimeSeries.from_dense(dense, start, quantum)
+
+
+def pair_products(x, y, max_lag):
+    """Raw lag products of two blocks, through the matching kernel."""
+    if isinstance(x, RunLengthSeries) and isinstance(y, RunLengthSeries):
+        return rle_lag_products(x, y, max_lag)
+    as_sparse = lambda b: b.to_sparse() if isinstance(b, RunLengthSeries) else b
+    return sparse_lag_products(as_sparse(x), as_sparse(y), max_lag)
+
+
+class IncrementalCorrelator:
+    """``corr(x, y)`` over a sliding window: a one-row bank fed blocks."""
+
+    def __init__(self, max_lag, num_blocks, quantum):
+        self.bank = CorrelatorBank(max_lag, num_blocks, quantum)
+        self.bank.add_row(None, [], [], [])
+        self.y_blocks = collections.deque(maxlen=num_blocks)
+
+    def pending_pair_blocks(self):
+        return self.bank.pending_blocks()
+
+    @property
+    def window_start(self):
+        return self.bank._x_blocks[0].start if self.bank._x_blocks else None
+
+    def append(self, x, y, pair_vectors=None):
+        """One block per side; ``pair_vectors`` (one per pending x block,
+        then the diagonal, ``None`` for a skipped pair) default to the
+        pair kernels over non-quiet blocks."""
+        if pair_vectors is None:
+            pair_vectors = [
+                None
+                if block_is_quiet(y) or block_is_quiet(p)
+                else pair_products(p, y, self.bank.max_lag)
+                for p in self.bank.pending_blocks() + [x]
+            ]
+        skipped = self.bank.append(
+            x,
+            np.array([[y.total(), y.energy()]]),
+            np.array([block_is_quiet(y)]),
+            np.array([0]),
+            [None if v is None else v[None] for v in pair_vectors],
+        )
+        self.y_blocks.append(y)
+        return skipped
+
+    def window_series(self):
+        return (
+            _concat_blocks(list(self.bank._x_blocks), self.bank.quantum),
+            _concat_blocks(list(self.y_blocks), self.bank.quantum),
+        )
+
+    def correlation(self):
+        bank = self.bank
+        tail = boundary_mass(list(bank._x_blocks), bank.max_lag, newest=True)
+        head = boundary_mass(list(self.y_blocks), bank.max_lag, newest=False)
+        values, degenerate = bank.normalize(np.array([0]), tail, head[None])
+        return CorrelationSeries(
+            values[0], bank.quantum, bank.window_length, bool(degenerate[0])
+        )
 
 
 def batch_reference(x_blocks, y_blocks, max_lag):
@@ -95,16 +168,16 @@ class TestBookkeeping:
         assert inc.window_start is None
         inc.append(block([1.0] * 4, 0), block([1.0] * 4, 0))
         assert inc.window_start == 0
-        assert inc.window_length == 4
+        assert inc.bank.window_length == 4
         inc.append(block([1.0] * 4, 4), block([1.0] * 4, 4))
         inc.append(block([1.0] * 4, 8), block([1.0] * 4, 8))
         assert inc.window_start == 4  # oldest evicted
-        assert inc.window_length == 8
+        assert inc.bank.window_length == 8
 
     def test_block_reach(self):
         inc = IncrementalCorrelator(max_lag=25, num_blocks=4, quantum=1e-3)
         inc.append(block([1.0] * 10, 0), block([1.0] * 10, 0))
-        assert inc.block_reach == 3  # ceil(25/10)
+        assert inc.bank.block_reach == 3  # ceil(25/10)
 
     def test_cache_does_not_grow_after_eviction(self):
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
@@ -113,23 +186,31 @@ class TestBookkeeping:
         for i in range(10):
             d = rng.integers(0, 2, 8).astype(float)
             inc.append(block(d, i * 8), block(d, i * 8))
-            sizes.append(len(inc._pair_cache))
+            sizes.append(len(inc.bank._pairs))
         assert max(sizes[3:]) <= max(sizes[:3]) + 1  # bounded steady state
 
 
 class TestValidation:
     def test_rejects_bad_construction(self):
         with pytest.raises(CorrelationError):
-            IncrementalCorrelator(max_lag=-1, num_blocks=1, quantum=1e-3)
+            CorrelatorBank(max_lag=-1, num_blocks=1, quantum=1e-3)
         with pytest.raises(CorrelationError):
-            IncrementalCorrelator(max_lag=1, num_blocks=0, quantum=1e-3)
+            CorrelatorBank(max_lag=1, num_blocks=0, quantum=1e-3)
         with pytest.raises(CorrelationError):
-            IncrementalCorrelator(max_lag=1, num_blocks=1, quantum=0.0)
+            CorrelatorBank(max_lag=1, num_blocks=1, quantum=0.0)
 
-    def test_rejects_mismatched_xy_blocks(self):
+    def test_rejects_wrong_pair_slot_count(self):
+        # One kernel output per pending x block plus the diagonal.
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
-        with pytest.raises(SeriesError):
-            inc.append(block([1.0] * 4, 0), block([1.0] * 4, 4))
+        inc.append(block([1.0] * 4, 0), block([1.0] * 4, 0))
+        with pytest.raises(CorrelationError):
+            inc.append(block([1.0] * 4, 4), block([1.0] * 4, 4), pair_vectors=[None])
+
+    def test_rejects_a_row_off_the_bank_window(self):
+        inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
+        inc.append(block([1.0] * 4, 0), block([1.0] * 4, 0))
+        with pytest.raises(CorrelationError):
+            inc.bank.add_row("late", [block([1.0] * 4, 4)], [block([1.0] * 4, 4)], [[None]])
 
     def test_rejects_non_adjacent_blocks(self):
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
@@ -151,4 +232,4 @@ class TestValidation:
     def test_query_before_any_block(self):
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
         with pytest.raises(CorrelationError):
-            inc.correlation()
+            inc.bank.normalize(np.array([0]), np.zeros(1), np.zeros((1, 1)))

@@ -25,7 +25,7 @@ from repro.analysis.history import span_estimate
 from repro.apps.manyclass import build_many_class
 from repro.config import PathmapConfig, TransportConfig
 from repro.core.engine import E2EProfEngine
-from repro.core.incremental import IncrementalCorrelator, block_is_quiet
+from repro.core.incremental import CorrelatorBank, block_is_quiet
 from repro.core.pathmap import compute_service_graphs
 from repro.core.stages import HostWindow
 from repro.errors import AnalysisError, CorrelationError, TraceError
@@ -92,6 +92,11 @@ def run_lifecycle(config=CFG, faults=False, rewindow_at=None, lake_dir=None,
     return engine, samples, deployment
 
 
+def live_keys(engine):
+    """Every live correlator key: one per row of every bank."""
+    return {(ref, edge) for ref, bank in engine._banks.items() for edge in bank.keys}
+
+
 def labels(graphs):
     return {
         pair: {edge.key: edge.min_delay for edge in graph.edges if edge.delays}
@@ -152,7 +157,9 @@ class TestParkUnparkLifecycle:
             config, faults=True, rewindow_at=25.0, lake_dir=tmp_path / "parked"
         )
         with monkeypatch.context() as patch:
-            patch.setattr(IncrementalCorrelator, "dormant", property(lambda self: False))
+            patch.setattr(
+                CorrelatorBank, "dormant", lambda self: np.zeros(len(self), dtype=bool)
+            )
             never_engine, never, _ = run_lifecycle(
                 config, faults=True, rewindow_at=25.0, lake_dir=tmp_path / "never"
             )
@@ -193,9 +200,9 @@ class TestParkUnparkLifecycle:
         # references and live (x loud, y quiet) under the active ones.
         edge = ("FE4", "AP4")
         keys = set(engine._edge_keys[edge])
-        assert keys & engine._parked and keys & set(engine._correlators)
+        assert keys & engine._parked and keys & live_keys(engine)
         assert set(engine._invalidate_correlators(edge)) == keys
-        assert not keys & engine._parked and not keys & set(engine._correlators)
+        assert not keys & engine._parked and not keys & live_keys(engine)
         assert not engine._edge_keys[edge]
         assert all(key not in engine._edge_keys[key[0]] for key in keys)
         # A later non-quiet block has nothing stale left to unpark.
@@ -207,7 +214,7 @@ class TestParkUnparkLifecycle:
 class TestDormantCostNothing:
     def test_live_correlators_are_exactly_the_ones_with_signal(self, tmp_path):
         engine, samples, _ = run_lifecycle(lake_dir=tmp_path / "lake")
-        known = set(engine._correlators) | engine._parked
+        known = live_keys(engine) | engine._parked
 
         def loud(edge):
             return any(not block_is_quiet(b) for b in engine._blocks[edge])
