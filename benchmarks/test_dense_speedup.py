@@ -9,9 +9,9 @@ and those rows must get dramatically cheaper.
 
 Gate: on the dense 12-class workload (every class active at 120 req/s,
 messages smeared over 5 ms) the default engine routes rows to
-``fft_batch``; then, over that engine's own retained reference groups
-(every pending x block against the group's loud newest y blocks, as the
-correlate stage calls the kernels), ``fft_batch_lag_products`` beats the
+``fft_batch``; then, over that engine's own retained correlators (per
+pair slot, every row loud on both sides with its own reference's x
+block, as the correlate stage calls the kernels), ``fft_batch_lag_products`` beats the
 cheaper of ``batch_lag_products`` / ``rle_batch_lag_products`` by
 >= 2x. The refresh-level A/B (FFT kernel off vs on, 9.2x at 40 classes)
 is frozen in docs/PERFORMANCE.md section 5.
@@ -76,17 +76,25 @@ def _dense_engine():
 
 
 def _kernel_calls(engine):
-    """(x block, loud y blocks) per kernel call of the engine's retained
-    reference groups: each pending x block and the newest one."""
+    """(x block per row, loud y blocks) per kernel call of the engine's
+    retained correlators: one call per pair slot -- each pending x block
+    and the newest one -- over the rows loud on both sides."""
+    bank = engine._bank
+    keys = sorted(bank.keys)
+    depth = len(bank.x_window(keys[0][0]))
+    pending = min(bank.block_reach, depth)
+    slots = [bank.x_window(ref)[depth - pending:] for ref, _ in keys]
     calls = []
-    for ref, bank in sorted(engine._banks.items()):
-        ys = [engine._blocks[e][-1] for e in sorted(bank.keys)]
-        ys = [y for y in ys if not block_is_quiet(y)]
-        if not ys:
-            continue
-        for x in bank.pending_blocks() + [engine._blocks[ref][-1]]:
-            if not block_is_quiet(x):
-                calls.append((x, ys))
+    for k in range(pending + 1):
+        xs, ys = [], []
+        for (ref, edge), pending in zip(keys, slots):
+            x = [*pending, engine._blocks[ref][-1]][k]
+            y = engine._blocks[edge][-1]
+            if not (block_is_quiet(x) or block_is_quiet(y)):
+                xs.append(x)
+                ys.append(y)
+        if ys:
+            calls.append((xs, ys))
     return calls
 
 
@@ -115,8 +123,8 @@ def test_fft_kernel_halves_dense_kernel_time():
     kernels = {
         "fft_batch": lambda x, ys: fft_batch_lag_products(x, ys, max_lag),
         "rle": lambda x, ys: rle_batch_lag_products(x, ys, max_lag),
-        "sparse_batch": lambda x, ys: batch_lag_products(
-            x.to_sparse(), [y.to_sparse() for y in ys], max_lag
+        "sparse_batch": lambda xs, ys: batch_lag_products(
+            [x.to_sparse() for x in xs], [y.to_sparse() for y in ys], max_lag
         ),
     }
     # One pass of each direct kernel picks the cheaper; only it (and the

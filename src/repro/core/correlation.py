@@ -108,6 +108,29 @@ def _as_rle(series: SeriesLike) -> RunLengthSeries:
     return series
 
 
+def _row_blocks(x: "SeriesLike | list[SeriesLike]", num_rows: int) -> "list[SeriesLike]":
+    """A batch kernel's ``x``: one block for every row, or one block per row."""
+    if isinstance(x, (DensityTimeSeries, RunLengthSeries)):
+        return [x] * num_rows
+    xs = list(x)
+    if len(xs) != num_rows:
+        raise CorrelationError(
+            f"x must be one block or one block per row: {len(xs)} blocks for {num_rows} rows"
+        )
+    return xs
+
+
+def _one_window(blocks: "list[SeriesLike]", kernel: str) -> SeriesLike:
+    """The first of ``blocks``, which must all cover one window."""
+    head = blocks[0]
+    if any(
+        (b.start, b.length, b.quantum) != (head.start, head.length, head.quantum)
+        for b in blocks[1:]
+    ):
+        raise CorrelationError(f"{kernel} requires all ys to share one window")
+    return head
+
+
 def _effective_max_lag(n: int, max_lag: Optional[int]) -> int:
     if n <= 0:
         raise CorrelationError("cannot correlate over an empty window")
@@ -212,6 +235,16 @@ def correlate_dense(
 #: to bound peak memory on pathological inputs.
 _PAIR_CHUNK = 1 << 20
 
+#: Pairs (and lag cells) a batch kernel materializes at once for whole
+#: rows: larger batches are cut on row boundaries; a single row only
+#: past :data:`_PAIR_CHUNK`.
+_ROW_GROUP = 1 << 16
+
+#: Bytes of spectra the FFT batch kernel transforms at once: blocks of
+#: rows stay under the allocator's default mmap threshold (128 KiB), so
+#: a refresh reuses heap memory instead of faulting in fresh pages.
+_BLOCK_BYTES = 1 << 17
+
 #: Modeled cost ratio of the density dispatch rule: one RLE run pair is
 #: assumed ~4x the cost of one expected sparse sample pair, so a row goes
 #: to the sparse batch kernel when ``sparse_units <= 4 * rle_units``.
@@ -256,7 +289,7 @@ def choose_batch_kernel(
     count, else to RLE; given an FFT estimate, to the dense-regime FFT
     batch kernel when ``MODELED_FFT_COST_RATIO * fft_units`` undercuts
     the winning direct estimate. A pure function of the unit estimates,
-    so every caller -- grouped appends and history replays -- makes the
+    so every caller -- batched appends and history replays -- makes the
     identical choice for identical blocks. The sparse and RLE kernels
     produce bitwise-identical lag products, so their choice never
     changes analysis output; ties go to the direct kernels, because the
@@ -323,23 +356,55 @@ def sparse_lag_products(
     return out
 
 
-def batch_lag_products(
-    x: SeriesLike, ys: "list[SeriesLike]", max_lag: int
-) -> np.ndarray:
-    """Raw lag products of one ``x`` against ``F`` series sharing a window.
+def _row_chunks(
+    cum: np.ndarray, row_start: np.ndarray, width: int
+) -> "list[tuple[int, int, int, int]]":
+    """``(row, stop_row, start, stop)`` of each pair-expansion chunk:
+    whole rows up to :data:`_ROW_GROUP` pairs and lag cells (``width``
+    per row), or one larger row cut on its units (``cum[u]``: pairs
+    before unit ``u``; ``row_start``: each row's first unit, then the
+    end) as a one-row call cuts it. Either way a row's lag cells get the
+    bincounts a one-row call makes."""
+    chunks = []
+    row_cum = cum[row_start]
+    row, rows = 0, row_start.size - 1
+    max_rows = max(1, _ROW_GROUP // width)
+    while row < rows:
+        first = int(row_start[row])
+        last = int(np.searchsorted(row_cum, row_cum[row] + _ROW_GROUP, side="right")) - 1
+        last = min(last, row + max_rows)
+        if last > row:
+            chunks.append((row, last, first, int(row_start[last])))
+            row = last
+            continue
+        start, end = first, int(row_start[row + 1])
+        while start < end:
+            stop = int(np.searchsorted(cum, cum[start] + _PAIR_CHUNK, side="left"))
+            stop = min(max(stop, start + 1), end)
+            chunks.append((row, row + 1, start, stop))
+            start = stop
+        row += 1
+    return chunks
 
-    Returns an ``(F, max_lag + 1)`` array whose row ``r`` equals
-    ``sparse_lag_products(x, ys[r], max_lag)``. All ``ys`` must cover the
-    same quantum range (the engine's reference-grouped append stacks the
-    newest block of every edge correlated against one reference edge, and
-    those blocks are aligned by construction).
+
+def batch_lag_products(
+    x: "SeriesLike | list[SeriesLike]", ys: "list[SeriesLike]", max_lag: int
+) -> np.ndarray:
+    """Raw lag products of ``x`` against ``F`` series sharing a window.
+
+    ``x`` is one block, or one block per row. Returns an
+    ``(F, max_lag + 1)`` array whose row ``r`` equals
+    ``sparse_lag_products(x_r, ys[r], max_lag)``. All ``ys`` must cover
+    the same quantum range (the engine stacks the newest block of every
+    correlated edge, and those blocks are aligned by construction).
 
     The batch is computed in a single vectorized pass: the ``ys`` samples
     are concatenated with a per-row key offset so one ``searchsorted``
-    locates every (x sample, row) lag range, then all pairs are expanded
-    chunk-by-chunk (bounded by ``_PAIR_CHUNK``) into one ``bincount`` over
-    the flattened ``(row, lag)`` axis. Python-level cost is O(F) numpy
-    calls instead of O(F) kernel invocations per x block.
+    locates every (row, x sample) lag range, then all pairs are expanded
+    into one ``bincount`` over the flattened ``(row, lag)`` axis. Pairs
+    are laid out (row, x sample, y sample) and chunks cut on row
+    boundaries (:func:`_row_chunks`), so each row is bitwise what a
+    one-row call returns, whatever else rides in the batch.
     """
     if max_lag < 0:
         raise CorrelationError(f"max_lag must be non-negative, got {max_lag}")
@@ -347,22 +412,12 @@ def batch_lag_products(
     out = np.zeros((num_rows, max_lag + 1), dtype=np.float64)
     if num_rows == 0:
         return out
-    xs = _as_sparse(x)
+    xs = [_as_sparse(x_r) for x_r in _row_blocks(x, num_rows)]
     sparse_ys = [_as_sparse(y) for y in ys]
-    head = sparse_ys[0]
-    for y in sparse_ys[1:]:
-        if (
-            y.start != head.start
-            or y.length != head.length
-            or y.quantum != head.quantum
-        ):
-            raise CorrelationError(
-                "batch_lag_products requires all ys to share one window"
-            )
-    if xs.nnz == 0:
-        return out
+    head = _one_window(sparse_ys, "batch_lag_products")
     row_nnz = np.array([y.nnz for y in sparse_ys], dtype=np.int64)
-    if int(row_nnz.sum()) == 0:
+    x_nnz = np.array([x_r.nnz for x_r in xs], dtype=np.int64)
+    if int(row_nnz.sum()) == 0 or int(x_nnz.sum()) == 0:
         return out
     span = int(head.length)
     # Concatenated y samples with a per-row key offset; keys ascend by
@@ -374,27 +429,25 @@ def batch_lag_products(
     cat_row = np.repeat(np.arange(num_rows, dtype=np.int64), row_nnz)
     keys = cat_row * span + cat_rel
 
-    xi, xv = xs.indices, xs.values
-    nx = xi.size
+    # Every row's x samples, row by row.
+    xi = np.concatenate([x_r.indices for x_r in xs])
+    xv = np.concatenate([x_r.values for x_r in xs])
+    x_row = np.repeat(np.arange(num_rows, dtype=np.int64), x_nnz)
     # Per-x-sample lag range, clipped into [0, span] so a query never
     # bleeds into a neighboring row's key range.
+    bases = x_row * span
     rel_lo = np.clip(xi - head.start, 0, span)
     rel_hi = np.clip(xi - head.start + max_lag + 1, 0, span)
-    bases = np.arange(num_rows, dtype=np.int64)[:, None] * span
-    lo = np.searchsorted(keys, (bases + rel_lo[None, :]).ravel(), side="left")
-    hi = np.searchsorted(keys, (bases + rel_hi[None, :]).ravel(), side="left")
+    lo = np.searchsorted(keys, bases + rel_lo, side="left")
+    hi = np.searchsorted(keys, bases + rel_hi, side="left")
     pair_counts = hi - lo
     if int(pair_counts.sum()) == 0:
         return out
 
-    out_flat = out.reshape(-1)
+    width = max_lag + 1
     cum_pairs = np.concatenate([[0], np.cumsum(pair_counts)])
-    start = 0
-    while start < pair_counts.size:
-        stop = int(
-            np.searchsorted(cum_pairs, cum_pairs[start] + _PAIR_CHUNK, side="left")
-        )
-        stop = min(max(stop, start + 1), pair_counts.size)
+    row_start = np.concatenate([[0], np.cumsum(x_nnz)])
+    for row, stop_row, start, stop in _row_chunks(cum_pairs, row_start, width):
         counts = pair_counts[start:stop]
         chunk_total = int(counts.sum())
         if chunk_total > 0:
@@ -403,14 +456,11 @@ def batch_lag_products(
                 cum_pairs[start:stop] - cum_pairs[start], counts
             )
             offsets = lo[reps] + local
-            xpos = reps % nx
-            lags = cat_rel[offsets] + head.start - xi[xpos]
-            weights = xv[xpos] * cat_val[offsets]
-            flat = (reps // nx) * (max_lag + 1) + lags
-            out_flat += np.bincount(
-                flat, weights=weights, minlength=num_rows * (max_lag + 1)
-            )[: num_rows * (max_lag + 1)]
-        start = stop
+            lags = cat_rel[offsets] + head.start - xi[reps]
+            weights = xv[reps] * cat_val[offsets]
+            flat = (x_row[reps] - row) * width + lags
+            cells = out[row:stop_row].reshape(-1)  # whole rows: a view
+            cells += np.bincount(flat, weights=weights, minlength=cells.size)[: cells.size]
     return out
 
 
@@ -423,32 +473,35 @@ def correlate_batch(
     per-row result is identical, up to floating-point accumulation order,
     to ``correlate_sparse(x, ys[r], max_lag)``.
     """
+    return _normalized_rows(
+        "correlate_batch", x, ys, max_lag,
+        lambda d_max: batch_lag_products(_as_sparse(x), [_as_sparse(y) for y in ys], d_max),
+    )
+
+
+def _normalized_rows(name: str, x, ys, max_lag, lag_products) -> "list[CorrelationSeries]":
+    """The batch correlators' shared body: window checks, then the rows of
+    ``lag_products(d_max)`` normalized one by one."""
     xs = _as_sparse(x)
     sparse_ys = [_as_sparse(y) for y in ys]
     for y in sparse_ys:
         if y.start != xs.start or y.length != xs.length:
-            raise SeriesError(
-                "correlate_batch requires x and every y to share one window"
-            )
+            raise SeriesError(f"{name} requires x and every y to share one window")
         if y.quantum != xs.quantum:
-            raise SeriesError(
-                f"quantum mismatch: {xs.quantum} vs {y.quantum}"
-            )
+            raise SeriesError(f"quantum mismatch: {xs.quantum} vs {y.quantum}")
     n = xs.length
     d_max = _effective_max_lag(n, max_lag)
-    mats = batch_lag_products(xs, sparse_ys, d_max)
+    mats = lag_products(d_max)
     lags = np.arange(d_max + 1, dtype=np.int64)
     x_prefix = _sparse_prefix_mass(xs, n - lags)
     mx, sx = xs.mean(), xs.std()
-    results = []
-    for row, y in enumerate(sparse_ys):
-        y_suffix = y.total() - _sparse_prefix_mass(y, lags)
-        results.append(
-            _normalize(
-                mats[row], x_prefix, y_suffix, n, mx, y.mean(), sx, y.std(), xs.quantum
-            )
+    return [
+        _normalize(
+            mats[row], x_prefix, y.total() - _sparse_prefix_mass(y, lags), n, mx,
+            y.mean(), sx, y.std(), xs.quantum,
         )
-    return results
+        for row, y in enumerate(sparse_ys)
+    ]
 
 
 def _sparse_prefix_mass(series: DensityTimeSeries, lengths: np.ndarray) -> np.ndarray:
@@ -482,25 +535,29 @@ def correlate_sparse(
 
 
 def rle_batch_lag_products(
-    x: RunLengthSeries, ys: "list[RunLengthSeries]", max_lag: int
+    x: "RunLengthSeries | list[RunLengthSeries]",
+    ys: "list[RunLengthSeries]",
+    max_lag: int,
 ) -> np.ndarray:
-    """Raw lag products of one ``x`` against ``F`` run-length series.
+    """Raw lag products of ``x`` against ``F`` run-length series.
 
-    The ``ys`` share one window. Each pair of runs ``(a, b)`` contributes
+    ``x`` is one block, or one block per row; the ``ys`` share one
+    window. Each pair of runs ``(a, b)`` contributes
     ``a.value * b.value * overlap(d)`` where ``overlap`` is a trapezoid on
     the lag axis; the trapezoid is the double cumulative sum of four
     impulses, so each pair costs O(1) scatter work regardless of run
     lengths (the paper's "correlation of overlapping sequences ...
     computed in a single step").
 
-    Returns an ``(F, max_lag + 1)`` array. The whole group is one pass:
-    the ``ys`` runs are concatenated with a per-row key offset so one
-    ``searchsorted`` pair locates every (x run, row) candidate range, the
-    four impulses of every run pair are scattered into a flattened
-    ``(row, lag)`` grid, and two row-wise cumulative sums integrate them.
+    Returns an ``(F, max_lag + 1)`` array. The ``ys`` runs are
+    concatenated with a per-row key offset so one ``searchsorted`` pair
+    locates every (row, x run) candidate range; then, a group of whole
+    rows at a time, the four impulses of every run pair are scattered
+    into a flattened ``(row, lag)`` grid and two row-wise cumulative
+    sums integrate them.
     Pairs are laid out (row, x run, y run), so each row's cells receive
     their additions in the order a one-row call makes them and every row
-    is bitwise what ``rle_lag_products(x, ys[r], max_lag)`` returns.
+    is bitwise what ``rle_lag_products(x_r, ys[r], max_lag)`` returns.
 
     Works on absolute indices; ``x`` need not share the ys' window.
     """
@@ -510,18 +567,11 @@ def rle_batch_lag_products(
     out = np.zeros((num_rows, max_lag + 1), dtype=np.float64)
     if num_rows == 0:
         return out
-    head = ys[0]
-    for y in ys[1:]:
-        if (
-            y.start != head.start
-            or y.length != head.length
-            or y.quantum != head.quantum
-        ):
-            raise CorrelationError(
-                "rle_batch_lag_products requires all ys to share one window"
-            )
+    xs = _row_blocks(x, num_rows)
+    head = _one_window(ys, "rle_batch_lag_products")
     row_runs = np.array([y.num_runs for y in ys], dtype=np.int64)
-    if x.num_runs == 0 or int(row_runs.sum()) == 0:
+    x_runs = np.array([x_r.num_runs for x_r in xs], dtype=np.int64)
+    if int(x_runs.sum()) == 0 or int(row_runs.sum()) == 0:
         return out
     live = [y for y in ys if y.num_runs]
     cat_rel = np.concatenate([y.starts for y in live]) - head.start
@@ -535,65 +585,76 @@ def rle_batch_lag_products(
     start_keys += cat_rel
     end_keys = start_keys + cat_counts
 
-    xs_, xc, xv = x.starts, x.counts, x.values
+    # Every row's x runs, row by row.
+    xs_ = np.concatenate([x_r.starts for x_r in xs])
+    xc = np.concatenate([x_r.counts for x_r in xs])
+    xv = np.concatenate([x_r.values for x_r in xs])
+    x_row = np.repeat(np.arange(num_rows, dtype=np.int64), x_runs)
     x_ends = xs_ + xc
-    nx = xs_.size
     # For x-run k, the candidate y-runs are those whose lag range
     # [y.start - x.end + 1, y.end - 1 - x.start] intersects [0, max_lag]:
     #   y.end > x.start          (lag range reaches >= 0)
     #   y.start <= x.end - 1 + max_lag
     # Queries are clipped into [0, span] so one never bleeds into a
     # neighboring row's key range.
-    bases = np.arange(num_rows, dtype=np.int64)[:, None] * stride
+    bases = x_row * stride
     q_lo = np.clip(xs_ - head.start, 0, span)
     q_hi = np.clip(x_ends + max_lag - head.start, 0, span)
-    lo = np.searchsorted(end_keys, (bases + q_lo[None, :]).ravel(), side="right")
-    hi = np.searchsorted(start_keys, (bases + q_hi[None, :]).ravel(), side="left")
+    lo = np.searchsorted(end_keys, bases + q_lo, side="right")
+    hi = np.searchsorted(start_keys, bases + q_hi, side="left")
     counts = np.maximum(hi - lo, 0)
     total = int(counts.sum())
     if total == 0:
         return out
-    if total > _PAIR_CHUNK and num_rows > 1:
-        # Rows are independent: halve the group to bound the pairs
-        # materialized at once.
-        half = num_rows // 2
-        return np.concatenate(
-            [
-                rle_batch_lag_products(x, ys[:half], max_lag),
-                rle_batch_lag_products(x, ys[half:], max_lag),
-            ]
-        )
-
     # Leading zeros of the grid are bitwise-neutral under cumsum, so the
-    # group shares one (largest) offset.
+    # batch shares one (largest) offset.
     offset = int(xc.max() + cat_counts.max())
     top = max_lag + offset + 2  # clip: impulses beyond the slice cannot affect it
     width = top + 1
-    cum = np.cumsum(counts)
-    reps = np.repeat(np.arange(counts.size), counts)
-    cols = lo[reps] + (np.arange(total) - np.repeat(cum - counts, counts))
-    row, xk = np.divmod(reps, nx)
-    w = xv[xk] * cat_values[cols]
-    # First lag at which the pair overlaps: d0 = y.start - (x.end - 1).
-    d0 = cat_rel[cols] + (head.start + offset + 1) - x_ends[xk]
-    ca = xc[xk]
-    cb = cat_counts[cols]
-    cell0 = row * width
-    # One bincount adds in input order: all +w at d0, then -w at d0 + ca,
-    # -w at d0 + cb, +w at d0 + ca + cb -- four in-order scatters.
-    cells = np.concatenate(
-        [
-            cell0 + np.minimum(d0, top),
-            cell0 + np.minimum(d0 + ca, top),
-            cell0 + np.minimum(d0 + cb, top),
-            cell0 + np.minimum(d0 + ca + cb, top),
-        ]
-    )
-    diff2 = np.bincount(
-        cells, weights=np.concatenate([w, -w, -w, w]), minlength=num_rows * width
-    ).reshape(num_rows, width)
-    ramp = np.cumsum(np.cumsum(diff2, axis=1), axis=1)
-    return ramp[:, offset : offset + max_lag + 1]
+    # Rows are independent: expand the pairs of whole-row groups of at
+    # most _ROW_GROUP pairs plus grid cells at a time (a row is never cut).
+    cost = np.bincount(x_row, weights=counts, minlength=num_rows) + width
+    cuts, used = [0], 0.0
+    for row, row_cost in enumerate(cost.tolist()):
+        if used + row_cost > _ROW_GROUP and row > cuts[-1]:
+            cuts.append(row)
+            used = 0.0
+        used += row_cost
+    cuts.append(num_rows)
+    first_run = np.concatenate([[0], np.cumsum(x_runs)])
+    for row, stop_row in zip(cuts[:-1], cuts[1:]):
+        runs = slice(int(first_run[row]), int(first_run[stop_row]))
+        group = counts[runs]
+        pairs = int(group.sum())
+        if not pairs:
+            continue
+        cum = np.cumsum(group)
+        xk = np.repeat(np.arange(runs.start, runs.stop), group)
+        cols = lo[xk] + (np.arange(pairs) - np.repeat(cum - group, group))
+        w = xv[xk] * cat_values[cols]
+        # First lag at which the pair overlaps: d0 = y.start - (x.end - 1).
+        d0 = cat_rel[cols] + (head.start + offset + 1) - x_ends[xk]
+        ca = xc[xk]
+        cb = cat_counts[cols]
+        cell0 = (x_row[xk] - row) * width
+        # One bincount adds in input order: all +w at d0, then -w at
+        # d0 + ca, -w at d0 + cb, +w at d0 + ca + cb -- four in-order
+        # scatters.
+        cells = np.concatenate(
+            [
+                cell0 + np.minimum(d0, top),
+                cell0 + np.minimum(d0 + ca, top),
+                cell0 + np.minimum(d0 + cb, top),
+                cell0 + np.minimum(d0 + ca + cb, top),
+            ]
+        )
+        diff2 = np.bincount(
+            cells, weights=np.concatenate([w, -w, -w, w]),
+            minlength=(stop_row - row) * width,
+        ).reshape(stop_row - row, width)
+        ramp = np.cumsum(np.cumsum(diff2, axis=1), axis=1)
+        out[row:stop_row] = ramp[:, offset : offset + max_lag + 1]
+    return out
 
 
 def rle_lag_products(
@@ -796,27 +857,31 @@ class SpectrumCache:
 
 
 def fft_batch_lag_products(
-    x: SeriesLike,
+    x: "SeriesLike | list[SeriesLike]",
     ys: "list[SeriesLike]",
     max_lag: int,
     size: Optional[int] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> np.ndarray:
-    """Raw lag products of one ``x`` block against ``F`` blocks sharing a
-    window, via one batched 2-D inverse FFT.
+    """Raw lag products of ``x`` against ``F`` blocks sharing a window,
+    via one batched 2-D inverse FFT.
 
-    Row ``r`` equals ``sparse_lag_products(x, ys[r], max_lag)`` up to
-    float roundoff (documented tolerance: relative ~1e-12 of the block
-    mass scale; see ``docs/PERFORMANCE.md``).  Like the sparse primitive
-    this works on **absolute** indices -- ``x`` need not share the ys'
-    window -- which is what the incremental correlator's cross-block
-    products require.  Lags outside the blocks' overlap support are exact
-    zeros, never FFT roundoff read from the padded transform.
+    ``x`` is one block, or one block per row (the x blocks then share one
+    window too). Row ``r`` equals ``sparse_lag_products(x_r, ys[r],
+    max_lag)`` up to float roundoff (documented tolerance: relative
+    ~1e-12 of the block mass scale; see ``docs/PERFORMANCE.md``).  Like
+    the sparse primitive this works on **absolute** indices -- ``x`` need
+    not share the ys' window -- which is what the incremental
+    correlator's cross-block products require.  Lags outside the blocks'
+    overlap support are exact zeros, never FFT roundoff read from the
+    padded transform.
 
     Per-block forward spectra come from ``cache`` when given (each a
     single 1-D ``rfft``, so cached and fresh spectra are bitwise equal);
-    the inverse transform runs once over the stacked rows.  ``size``
-    shares a precomputed 5-smooth plan length across calls.
+    each row takes its x spectrum's conjugate and the inverse transform
+    runs over blocks of stacked rows (a row's bits do not depend on the
+    block it rides in).  ``size`` shares a precomputed 5-smooth plan
+    length across calls.
     """
     if max_lag < 0:
         raise CorrelationError(f"max_lag must be non-negative, got {max_lag}")
@@ -824,26 +889,19 @@ def fft_batch_lag_products(
     out = np.zeros((num_rows, max_lag + 1), dtype=np.float64)
     if num_rows == 0:
         return out
-    head = ys[0]
-    for y in ys[1:]:
-        if (
-            y.start != head.start
-            or y.length != head.length
-            or y.quantum != head.quantum
-        ):
-            raise CorrelationError(
-                "fft_batch_lag_products requires all ys to share one window"
-            )
-    if x.quantum != head.quantum:
-        raise SeriesError(f"quantum mismatch: {x.quantum} vs {head.quantum}")
-    lx = int(x.length)
+    xs = _row_blocks(x, num_rows)
+    head = _one_window(ys, "fft_batch_lag_products")
+    x_head = _one_window(xs, "fft_batch_lag_products (x blocks too)")
+    if x_head.quantum != head.quantum:
+        raise SeriesError(f"quantum mismatch: {x_head.quantum} vs {head.quantum}")
+    lx = int(x_head.length)
     ly = int(head.length)
     if lx == 0 or ly == 0:
         return out
     # Absolute-lag support of this block pair: a sample pair at lag d
     # exists iff some x index i and y index j = i + d - (head.start -
     # x.start relative shift) both fall inside their blocks.
-    delta = int(head.start) - int(x.start)
+    delta = int(head.start) - int(x_head.start)
     d0 = max(0, delta - (lx - 1))
     d1 = min(max_lag, delta + ly - 1)
     if d1 < d0:
@@ -857,16 +915,22 @@ def fft_batch_lag_products(
         )
     size = int(size)
     local_cache = cache if cache is not None else SpectrumCache()
-    fx = local_cache.spectrum(x, size)
-    spectra = np.empty((num_rows, size // 2 + 1), dtype=np.complex128)
-    for row, y in enumerate(ys):
-        spectra[row] = local_cache.spectrum(y, size)
-    prod = np.fft.irfft(np.conj(fx)[None, :] * spectra, size, axis=1)
+    conj: "dict[int, np.ndarray]" = {}
     # Relative lag r = d - delta may be negative (x block newer than y);
     # circular correlation parks negative lags at the tail of the
     # transform, so gather modulo size.
     idx = (np.arange(d0, d1 + 1) - delta) % size
-    out[:, d0 : d1 + 1] = prod[:, idx]
+    step = max(1, _BLOCK_BYTES // (16 * (size // 2 + 1)))
+    for lo in range(0, num_rows, step):
+        fx = np.empty((min(step, num_rows - lo), size // 2 + 1), dtype=np.complex128)
+        spectra = np.empty_like(fx)
+        for row, (x_r, y) in enumerate(zip(xs[lo : lo + step], ys[lo : lo + step])):
+            if id(x_r) not in conj:
+                conj[id(x_r)] = np.conj(local_cache.spectrum(x_r, size))
+            fx[row] = conj[id(x_r)]
+            spectra[row] = local_cache.spectrum(y, size)
+        prod = np.fft.irfft(np.multiply(fx, spectra, out=spectra), size, axis=1)
+        out[lo : lo + step, d0 : d1 + 1] = prod[:, idx]
     return out
 
 
@@ -882,30 +946,10 @@ def correlate_fft_batch(
     one window, and per-row results equal ``correlate_sparse`` up to the
     documented float tolerance.
     """
-    xs = _as_sparse(x)
-    for y in ys:
-        if y.start != xs.start or y.length != xs.length:
-            raise SeriesError(
-                "correlate_fft_batch requires x and every y to share one window"
-            )
-        if y.quantum != xs.quantum:
-            raise SeriesError(f"quantum mismatch: {xs.quantum} vs {y.quantum}")
-    n = xs.length
-    d_max = _effective_max_lag(n, max_lag)
-    mats = fft_batch_lag_products(x, list(ys), d_max, cache=cache)
-    lags = np.arange(d_max + 1, dtype=np.int64)
-    x_prefix = _sparse_prefix_mass(xs, n - lags)
-    mx, sx = xs.mean(), xs.std()
-    results = []
-    for row, y in enumerate(ys):
-        ysp = _as_sparse(y)
-        y_suffix = ysp.total() - _sparse_prefix_mass(ysp, lags)
-        results.append(
-            _normalize(
-                mats[row], x_prefix, y_suffix, n, mx, ysp.mean(), sx, ysp.std(), xs.quantum
-            )
-        )
-    return results
+    return _normalized_rows(
+        "correlate_fft_batch", x, ys, max_lag,
+        lambda d_max: fft_batch_lag_products(x, list(ys), d_max, cache=cache),
+    )
 
 
 def correlate_fft(

@@ -3,10 +3,9 @@
 This is the analyzer node: every refresh interval ``dW`` it pulls the
 RLE-encoded block of every edge that spoke from the per-node tracers (the
 streamed wire format of Section 3.6; a quiet edge's silence is implicit),
-feeds the blocks into incremental correlators -- one
-:class:`~repro.core.incremental.CorrelatorBank` per service class, one
-row per edge -- and re-runs the pathmap DFS over the spikes those rows
-keep. Only the newest ``dW`` of trace is ever correlated,
+feeds the blocks into incremental correlators -- the rows of one
+:class:`~repro.core.incremental.CorrelatorBank`, one per (service class,
+edge) -- and re-runs the pathmap DFS over the spikes those rows keep. Only the newest ``dW`` of trace is ever correlated,
 which is what makes the per-refresh cost constant in ``W`` (the flat
 'incremental' curve of Figure 9).
 
@@ -36,8 +35,8 @@ from repro.core.confidence import (
     window_confidence,
 )
 from repro.core.correlation import SpectrumCache
-from repro.core.incremental import CorrelatorBank, block_is_quiet
-from repro.lake.summaries import BlockSummary
+from repro.core.incremental import CorrelatorBank, block_is_quiet, block_sums
+from repro.lake.summaries import COVERAGE, ROW_DTYPE, BlockSummary, SummaryBatch
 from repro.core.pathmap import Pathmap, PathmapResult
 from repro.core.rle import RunLengthSeries
 from repro.core.stages import HostWindow, PipelineCore
@@ -159,8 +158,6 @@ class E2EProfEngine(PipelineCore):
         self._blocks: Dict[EdgeKey, Deque[RunLengthSeries]] = {}
         self._refreshes = 0
         self._base_quantum: Optional[int] = None
-        # Reference edge -> its correlator bank (core.stages).
-        self._banks: Dict[RefKey, CorrelatorBank] = {}
         # Parked correlator keys; edge -> live and parked keys (core.stages).
         self._parked: Set[Tuple[RefKey, EdgeKey]] = set()
         self._edge_keys: Dict[EdgeKey, Set[Tuple[RefKey, EdgeKey]]] = {}
@@ -213,7 +210,7 @@ class E2EProfEngine(PipelineCore):
         )
         self._m_batch = m.histogram(
             "correlator_batch_seconds",
-            "Seconds per refresh spent in the reference-grouped batch append",
+            "Seconds per refresh spent in the batched correlator append",
         )
         self._m_stage = {
             stage: m.histogram(
@@ -292,6 +289,14 @@ class E2EProfEngine(PipelineCore):
         if lake is not None and capture_sink is not None and capture_sink.lake is None:
             capture_sink.lake = lake
         self._lake_segments_synced = 0 if lake is None else lake.segments_written
+        # Every (reference edge, edge) correlator, one row each (core.stages).
+        self._bank = CorrelatorBank(
+            max_lag=config.max_lag_quanta,
+            num_blocks=self._num_blocks,
+            quantum=config.quantum,
+            metrics=self.metrics,
+            evict_hook=self._summary_hook(),
+        )
         #: Fault-tolerant transport (None = legacy direct pull). When set,
         #: every tracer's flush round travels as one round frame, tracer
         #: -> TransportLink -> channel -> TransportReceiver, gaining
@@ -507,57 +512,53 @@ class E2EProfEngine(PipelineCore):
         self._lake_segments_synced = lake.segments_written
         self.ledger.record_stage(STAGE_SPILL, lake.drain_spill_seconds(), segments)
 
-    def _summary_hook(self, ref_key):
+    def _summary_hook(self):
         """Bank eviction hook persisting materialized summaries.
 
-        Returns None without a lake; otherwise a hook that turns each row's
-        evicted ``(reference block, signal block, summed pair-product
-        row)`` into a :class:`~repro.lake.BlockSummary` buffered in the
-        lake (memory only; the refresh's checkpoint journals it). A row's
-        first eviction also writes a coverage marker; from there to the
-        lake's frontier an eviction of two quiet blocks is implicit.
+        Returns None without a lake; otherwise a hook that turns every
+        row's evicted ``(reference block, signal block, summed pair-product
+        row)`` into one row of a :class:`~repro.lake.SummaryBatch` -- the
+        whole eviction in one batch, built with array operations -- and
+        buffers it in the lake (memory only; the refresh's checkpoint
+        journals it). A row's first eviction also writes a coverage
+        marker, just before its block row; from there to the lake's
+        frontier an eviction of two quiet blocks is implicit.
         """
         lake = self.lake
         if lake is None:
             return None
-        client, root = ref_key
 
-        def hook(keys, old_x, y_moments, y_quiet, first, contributions):
-            start, length = int(old_x.start), int(old_x.length)
-            quantum = float(old_x.quantum)
-            x_total, x_energy = float(old_x.total()), float(old_x.energy())
-            x_quiet = block_is_quiet(old_x)
+        def hook(bank, old_x, y_moments, y_quiet, first, touched, sums):
+            head = next(x for x in old_x if x is not None)
+            x_sums = block_sums(old_x)
+            refs = bank.row_refs()
             # A contribution pairs the evicted x block, so a quiet x block
             # leaves only markers and rows with a loud y block to write.
-            rows = np.flatnonzero(first | ~y_quiet) if x_quiet else range(len(keys))
-            moments, quiet, marked = y_moments.tolist(), y_quiet.tolist(), first.tolist()
-            for row in rows:
-                src, dst = keys[row]
-                if marked[row]:
-                    lake.record_summary(
-                        BlockSummary(
-                            client, root, src, dst, start, length, quantum,
-                            coverage="begin",
-                        )
-                    )
-                if x_quiet and quiet[row]:
-                    continue
-                lake.record_summary(
-                    BlockSummary(
-                        client=client,
-                        root=root,
-                        src=src,
-                        dst=dst,
-                        block_start=start,
-                        block_length=length,
-                        quantum=quantum,
-                        x_total=x_total,
-                        x_energy=x_energy,
-                        y_total=moments[row][0],
-                        y_energy=moments[row][1],
-                        lag_products=contributions.get(row),
-                    )
-                )
+            x_quiet = np.array([x is None or block_is_quiet(x) for x in old_x])
+            blocks = np.flatnonzero(~(x_quiet[refs] & y_quiet))
+            markers = np.flatnonzero(first)
+            rows = np.concatenate([markers, blocks])
+            marker = np.arange(rows.size) < markers.size
+            order = np.lexsort((~marker, rows))  # by row, its marker first
+            rows, marker = rows[order], marker[order]
+            written, key = np.unique(rows, return_inverse=True)
+            lag_of = np.full(len(bank), -1, dtype=np.int64)
+            lag_of[touched] = np.arange(touched.size)
+            block = ~marker
+            table = np.zeros(rows.size, dtype=ROW_DTYPE)
+            table["key"] = key
+            table["block_start"] = head.start
+            table["block_length"] = head.length
+            table["quantum"] = head.quantum
+            table["x_total"][block] = x_sums[refs[rows[block]], 0]
+            table["x_energy"][block] = x_sums[refs[rows[block]], 1]
+            table["y_total"][block] = y_moments[rows[block], 0]
+            table["y_energy"][block] = y_moments[rows[block], 1]
+            table["coverage"][marker] = COVERAGE.index("begin")
+            table["lag_offset"] = np.where(block, lag_of[rows], -1)
+            keys = [(*bank.keys[row][0], *bank.keys[row][1]) for row in written.tolist()]
+            if rows.size:
+                lake.record_summary(SummaryBatch(keys, table, sums))
 
         return hook
 

@@ -14,10 +14,11 @@ subtracts its kept vectors. The result equals (to floating-point
 accumulation error) :func:`repro.core.correlation.correlate_sparse` over
 the concatenated window, the invariant the test suite checks.
 
-The correlators sharing one reference signal ``x`` are the rows of one
-:class:`CorrelatorBank`: an append is one indexed add per pending block,
-an eviction one indexed subtract, normalization one 2-D pass over the rows
-whose answer changed -- and each row sees exactly the float operations a
+Every correlator of a host is a row of one :class:`CorrelatorBank`,
+whatever its reference signal ``x``: all references' windows sit on one
+block grid, so an append is one indexed add per pair slot, an eviction
+one indexed subtract, normalization one 2-D pass over the rows whose
+answer changed -- and each row sees exactly the float operations a
 one-pair correlator would, in the same order. A one-row bank is a
 stand-alone correlator.
 
@@ -39,18 +40,18 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
-from repro.core.correlation import _sparse_prefix_mass
 from repro.core.rle import RunLengthSeries
 from repro.core.timeseries import DensityTimeSeries
 from repro.errors import CorrelationError, SeriesError
 
 Block = Union[DensityTimeSeries, RunLengthSeries]
 
-#: ``hook(keys, old_x, y_moments, y_quiet, first, contributions)``, called
-#: once per eviction: the bank's row keys, the evicted x block, each row's
-#: evicted y (total, energy) and quietness, the rows evicting for the first
-#: time, and row -> summed lag products just subtracted (absent: all quiet).
-EvictHook = Callable[[List[Hashable], Block, np.ndarray, np.ndarray, np.ndarray, Dict], None]
+#: ``hook(bank, old_x, y_moments, y_quiet, first, touched, sums)``, called
+#: once per eviction: each reference slot's evicted x block (None without
+#: rows), each row's evicted y (total, energy) and quietness, the rows
+#: evicting for the first time, and the rows whose lag products changed
+#: with their summed pair products just subtracted (the rest are quiet).
+EvictHook = Callable[..., None]
 
 
 def block_is_quiet(block: Block) -> bool:
@@ -59,6 +60,13 @@ def block_is_quiet(block: Block) -> bool:
     if isinstance(block, RunLengthSeries):
         return block.num_runs == 0
     return block.nnz == 0
+
+
+def block_sums(blocks: Sequence[Optional[Block]]) -> np.ndarray:
+    """(total, energy) of each block, zeros for ``None``."""
+    return np.array(
+        [(0.0, 0.0) if b is None else (b.total(), b.energy()) for b in blocks]
+    ).reshape(-1, 2)
 
 
 def _concat_blocks(blocks: Sequence[Block], quantum: float) -> DensityTimeSeries:
@@ -75,46 +83,129 @@ def _concat_blocks(blocks: Sequence[Block], quantum: float) -> DensityTimeSeries
     )
 
 
-def boundary_mass(blocks: Sequence[Block], max_lag: int, newest: bool) -> np.ndarray:
-    """Mass of the last (``newest``) or first ``d`` quanta of a window.
+def boundary_masses(
+    windows: Sequence[Sequence[Block]], max_lag: int, newest: bool
+) -> np.ndarray:
+    """Mass of the last (``newest``) or first ``d`` quanta of each window.
 
-    One entry per ``d = 0..min(max_lag, n - 1)``, ``n`` being the quanta
-    ``blocks`` cover.
+    One row per window and one column per ``d = 0..min(max_lag, n - 1)``,
+    ``n`` being the quanta every window covers (they must cover the same
+    number).
 
     These are the boundary terms of normalization: ``x_prefix(d)`` is the
     x total minus the tail mass, ``y_suffix(d)`` the y total minus the
     head mass. Each is a pure function of one edge's blocks, so a host
     running many correlators over one aligned block history computes it
     once per (edge, side) and hands it to :meth:`CorrelatorBank.normalize`.
+    All windows go through one pass: their samples are prefix-summed as
+    the columns of one dense matrix (each column's ``cumsum`` is bitwise
+    the 1-D one, and the zeros between samples add nothing) and read off
+    at every lag at once; only each edge's total is summed on its own,
+    because a pairwise sum depends on length.
     """
-    d_max = min(max_lag, sum(block.length for block in blocks) - 1)
+    n = sum(block.length for block in windows[0])
+    d_max = min(max_lag, n - 1)
     lags = np.arange(d_max + 1, dtype=np.int64)
-    # Just enough blocks from that end of the window to cover d_max quanta.
-    picked = []
-    covered = 0
-    for block in reversed(blocks) if newest else blocks:
-        picked.append(block)
-        covered += block.length
-        if covered >= d_max:
-            break
-    if newest:
-        picked.reverse()
-    edge = _concat_blocks(picked, picked[0].quantum)
-    if newest:
-        return edge.total() - _sparse_prefix_mass(edge, covered - lags)
-    return _sparse_prefix_mass(edge, lags)
+    covers, parts = [], []
+    for blocks in windows:
+        if sum(block.length for block in blocks) != n:
+            raise CorrelationError("boundary masses need windows of one length")
+        # Just enough blocks from that end of the window to cover d_max quanta.
+        picked = []
+        covered = 0
+        for block in reversed(blocks) if newest else blocks:
+            picked.append(block.to_sparse() if isinstance(block, RunLengthSeries) else block)
+            covered += block.length
+            if covered >= d_max:
+                break
+        if newest:
+            picked.reverse()
+        covers.append(covered)
+        parts.append(picked)
+    # cum[p, r]: mass of window r's first p quanta, accumulated down the
+    # columns (the same running sum per window, vectorized across them).
+    # The zeros between samples add exactly nothing, so each entry is
+    # bitwise the 1-D running sum over the window's samples.
+    rows = len(windows)
+    nnz = np.array([sum(s.nnz for s in picked) for picked in parts], dtype=np.int64)
+    row_of = np.repeat(np.arange(rows), nnz)
+    indices = np.concatenate([s.indices for picked in parts for s in picked] or [lags[:0]])
+    values = np.concatenate([s.values for picked in parts for s in picked] or [np.zeros(0)])
+    starts = np.array([picked[0].start for picked in parts], dtype=np.int64)
+    dense = np.zeros((max(covers) + 1, rows))
+    dense[indices - starts[row_of] + 1, row_of] = values
+    cum = np.cumsum(dense, axis=0)
+    if not newest:
+        return cum[: d_max + 1].T
+    if min(covers) == max(covers):  # aligned windows: one reversed slice
+        kept = cum[covers[0] - d_max : covers[0] + 1][::-1].T
+    else:
+        kept = np.take_along_axis(cum.T, np.array(covers)[:, None] - lags, axis=1)
+    ends = np.cumsum(nnz).tolist()
+    totals = [float(values[end - k : end].sum()) for end, k in zip(ends, nnz.tolist())]
+    return np.array(totals)[:, None] - kept
 
 
-def _run_or_rows(rows: np.ndarray) -> Union[slice, np.ndarray]:
-    """Sorted row indices as a slice when they are one run: an in-place
-    update through a slice skips fancy indexing's gather and scatter."""
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
+#: Rows per slab of a bank's lag-product rows; also the most rows an
+#: in-place update gathers at a time, which bounds its temporaries.
+_SLAB_ROWS = 128
+
+
+class _LagRows:
+    """Lag-product rows in slabs of :data:`_SLAB_ROWS`: the store grows by
+    a slab and shrinks by dropping slabs, so no resize copies -- or holds
+    twice -- the rows it keeps. ``store[row]`` is the row's vector."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.slabs: List[np.ndarray] = []
+
+    def reserve(self, rows: int) -> None:
+        need = -(-rows // _SLAB_ROWS)
+        del self.slabs[need:]
+        self.slabs += [np.zeros((_SLAB_ROWS, self.width)) for _ in range(need - len(self.slabs))]
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.slabs[row // _SLAB_ROWS][row % _SLAB_ROWS]
+
+    def __setitem__(self, row: int, values) -> None:
+        self.slabs[row // _SLAB_ROWS][row % _SLAB_ROWS] = values
+
+    def _parts(self, rows: np.ndarray):
+        """(slab, rows within it, their positions in ``rows``) per slab;
+        ascending rows give positions as slices."""
+        slab = rows // _SLAB_ROWS
+        if (np.diff(slab) >= 0).all():
+            cuts = [0, *(np.flatnonzero(np.diff(slab)) + 1).tolist(), rows.size]
+            picks = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        else:
+            picks = [np.flatnonzero(slab == s) for s in np.unique(slab).tolist()]
+        for pick in picks:
+            s = int(slab[pick][0])
+            yield self.slabs[s], rows[pick] - s * _SLAB_ROWS, pick
+
+    def update(self, op: np.ufunc, rows: np.ndarray, mat: np.ndarray) -> None:
+        """``row = op(row, mat row)`` for each of ``rows``, in place, a
+        slab at a time (through a slice where the rows run on): the same
+        operation either way."""
+        for slab, local, pick in self._parts(rows):
+            part = mat[pick]
+            if local[-1] - local[0] + 1 == local.size and (np.diff(local) == 1).all():
+                run = slab[int(local[0]) : int(local[-1]) + 1]
+                op(run, part, out=run)
+            else:
+                slab[local] = op(slab[local], part)
+
+    def take(self, rows: np.ndarray, columns: int) -> np.ndarray:
+        """The first ``columns`` entries of ``rows``, as a new matrix."""
+        out = np.empty((rows.size, columns))
+        for slab, local, pick in self._parts(rows):
+            out[pick] = slab[local, :columns]
+        return out
 
 
 class CorrelatorBank:
-    """The incremental correlators of one reference signal, as rows.
+    """Every incremental correlator of a host, as rows.
 
     Parameters
     ----------
@@ -126,14 +217,17 @@ class CorrelatorBank:
         Quantum duration in seconds.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving the
-        :data:`INSTRUMENTS`; many banks may share one registry.
+        :data:`INSTRUMENTS`.
     evict_hook:
         Optional :data:`EvictHook`, called once per eviction.
 
-    All rows share the bank's x window (the reference blocks); each row
-    keeps its own moments, since a row added later accumulated them in
-    a different order. A row is keyed by any hashable (the engine uses
-    the signal edge).
+    A row correlates one reference signal x with one signal y; it is
+    keyed by any hashable (the engine uses ``(reference edge, edge)``)
+    and carries the slot of its reference in :attr:`refs`. Every
+    reference's x window sits on one block grid, so block ids and the
+    per-row ring of y block moments are shared by all rows, and one
+    append or eviction slides them all. Each row keeps its own moments,
+    since a row added later accumulated them in a different order.
     """
 
     SKIPS_COUNTER = (  # hosts add their parked correlators' skips to it
@@ -152,12 +246,12 @@ class CorrelatorBank:
         ("evictions", "counter", "correlator_evictions_total",
          "Blocks evicted from sliding correlator windows"),
         ("depth", "gauge", "correlator_window_blocks",
-         "Window depth (blocks) of the most recently updated correlator bank"),
+         "Window depth (blocks) of the correlator bank"),
     )
 
     #: Per-row arrays; growing or dropping rows applies to each alike.
-    _ROW_ARRAYS = ("_lag", "_moments", "_y", "_y_quiet", "_pair_count", "_evicted",
-                   "_served", "spikes")
+    _ROW_ARRAYS = ("_moments", "_y", "_y_quiet", "_pair_count", "_evicted",
+                   "_served", "_ref", "spikes")
 
     def __init__(
         self,
@@ -179,12 +273,22 @@ class CorrelatorBank:
         #: Row -> key, and key -> row.
         self.keys: List[Hashable] = []
         self.rows: Dict[Hashable, int] = {}
-        # The shared x window; block ids run on from _first_id.
-        self._x_blocks: Deque[Block] = collections.deque()
+        #: Reference slot -> reference key; slots are never reused by
+        #: another reference.
+        self.refs: List[Hashable] = []
+        self._slots: Dict[Hashable, int] = {}
+        # Each reference's x window and live rows. The windows share one
+        # grid: block ids run on from _first_id, _depth blocks deep, the
+        # next one starting at _next_start. A reference without rows lets
+        # its window go stale and takes a fresh one with its next row.
+        self._x: List[Deque[Block]] = []
+        self._ref_rows = np.zeros(0, dtype=np.int64)
         self._first_id = 0
+        self._depth = 0
+        self._next_start: Optional[int] = None
         self._block_quanta: Optional[int] = None
         # Per-row state, with spare capacity past len(keys):
-        self._lag = np.zeros((0, self.max_lag + 1))  # aggregate lag products
+        self._lag = _LagRows(self.max_lag + 1)  # aggregate lag products
         self._moments = np.zeros((0, 4))  # x total, x energy, y total, y energy
         # y (total, energy) and quietness of each window block, in a ring
         # of m + 1 slots indexed by block id (an append lands before the
@@ -194,6 +298,7 @@ class CorrelatorBank:
         self._pair_count = np.zeros(0, dtype=np.int64)  # live pair vectors
         self._evicted = np.zeros(0, dtype=bool)  # has evicted a block
         self._served = np.zeros(0, dtype=bool)  # unchanged since last served
+        self._ref = np.zeros(0, dtype=np.int64)  # reference slot
         #: Per-row scan result the host stores, None while stale.
         self.spikes = np.empty(0, dtype=object)
         # Live block pairs: (x block id, y block id) -> chunks of
@@ -214,7 +319,7 @@ class CorrelatorBank:
     @property
     def window_length(self) -> int:
         """Number of quanta currently in the window."""
-        return sum(block.length for block in self._x_blocks)
+        return self._depth * (self._block_quanta or 0)
 
     @property
     def block_reach(self) -> int:
@@ -223,15 +328,29 @@ class CorrelatorBank:
             return 0
         return (self.max_lag + self._block_quanta - 1) // self._block_quanta
 
-    def pending_blocks(self) -> List[Block]:
-        """The live x blocks the next appended block pairs with (window
-        order, excluding the diagonal pair): the x side of one batched
-        kernel call each."""
-        reach = self.block_reach
-        return list(self._x_blocks)[-reach:] if reach else []
+    def row_refs(self) -> np.ndarray:
+        """Each row's reference slot (an index into :attr:`refs`)."""
+        return self._ref[: len(self.keys)]
+
+    def x_window(self, ref: Hashable) -> List[Block]:
+        """The window blocks of reference ``ref``, oldest first."""
+        return list(self._x[self._slots[ref]])
+
+    def pair_blocks(self) -> List[List[Block]]:
+        """Per pair slot of the next append -- the pending x blocks it
+        pairs with in window order, excluding the diagonal -- each
+        reference slot's x block (stale for a slot without rows)."""
+        pending = min(self.block_reach, self._depth)
+        return [
+            [window[k] if len(window) == self._depth else None for window in self._x]
+            for k in range(self._depth - pending, self._depth)
+        ]
 
     def _slot(self, block_id: int) -> int:
         return block_id % (self.num_blocks + 1)
+
+    def _window_slots(self) -> List[int]:
+        return [self._slot(self._first_id + k) for k in range(self._depth)]
 
     def _validate_block(self, block: Block) -> None:
         if block.quantum != self.quantum:
@@ -245,45 +364,65 @@ class CorrelatorBank:
                 f"block length {block.length} != established block length "
                 f"{self._block_quanta}"
             )
-        if self._x_blocks:
-            expected = self._x_blocks[-1].end
-            if block.start != expected:
-                raise SeriesError(
-                    f"blocks must be adjacent: expected start {expected}, got {block.start}"
-                )
+        if self._next_start is not None and block.start != self._next_start:
+            raise SeriesError(
+                f"blocks must be adjacent: expected start {self._next_start}, got {block.start}"
+            )
+
+    def _x_quiet(self) -> np.ndarray:
+        """Quietness of every reference slot's window blocks (all True
+        for a stale window)."""
+        return np.array([
+            [block_is_quiet(b) for b in window] if len(window) == self._depth
+            else [True] * self._depth
+            for window in self._x
+        ], dtype=bool).reshape(len(self._x), self._depth)
 
     # -- rows ------------------------------------------------------------------
 
     def add_row(
         self,
         key: Hashable,
+        ref: Hashable,
         x_blocks: Sequence[Block],
         y_blocks: Sequence[Block],
         vectors: Sequence[Sequence[Optional[np.ndarray]]],
     ) -> int:
-        """Add a row by replaying its window history; returns the row.
+        """Add a row correlating reference ``ref`` by replaying its window
+        history; returns the row.
 
-        ``x_blocks`` must be the bank's window (it becomes the window of an
-        empty bank), ``y_blocks`` the row's blocks over it. ``vectors[i]``
-        holds the pair products block ``i`` appended: one per pending x
-        block, then the diagonal, ``None`` where one side was quiet.
+        ``x_blocks`` must cover the bank's window (they become the window
+        of an empty bank), ``y_blocks`` the row's blocks over it.
+        ``vectors[i]`` holds the pair products block ``i`` appended: one
+        per pending x block, then the diagonal, ``None`` where one side
+        was quiet.
         """
         if not self.keys:
-            self._x_blocks.clear()
             self._pairs.clear()
-            self._block_quanta = None
+            self._block_quanta = self._next_start = None
             for block in x_blocks:
                 self._validate_block(block)
-                self._x_blocks.append(block)
-        elif len(x_blocks) != len(self._x_blocks) or any(
-            a.start != b.start for a, b in zip(x_blocks, self._x_blocks)
+                self._next_start = block.end
+            self._depth = len(x_blocks)
+        elif len(x_blocks) != self._depth or (
+            x_blocks and x_blocks[-1].end != self._next_start
         ):
             raise CorrelationError("a new row must replay the bank's own window")
+        slot = self._slots.get(ref)
+        if slot is None:
+            slot = self._slots[ref] = len(self.refs)
+            self.refs.append(ref)
+            self._x.append(collections.deque())
+            self._ref_rows = np.append(self._ref_rows, 0)
+        if not self._ref_rows[slot]:
+            self._x[slot] = collections.deque(x_blocks)
         row = len(self.keys)
-        if row == self._lag.shape[0]:
-            self._resize(np.arange(row), capacity=row + max(4, row // 2))
+        if row == self._moments.shape[0]:
+            self._reserve(row + max(4, row // 2))
         self.keys.append(key)
         self.rows[key] = row
+        self._ref[row] = slot
+        self._ref_rows[slot] += 1
         self.spikes[row] = None  # the rest of a spare row is still zeros
         reach = self.block_reach
         index = np.array([row])
@@ -313,41 +452,68 @@ class CorrelatorBank:
         return row
 
     def drop(self, keys) -> None:
-        """Drop the rows of ``keys`` (unknown keys are ignored)."""
-        gone = {self.rows[key] for key in keys if key in self.rows}
-        if not gone:
+        """Drop the rows of ``keys`` (unknown keys are ignored).
+
+        The last live rows move into the holes, so a drop copies as many
+        rows as it removes, never the whole bank."""
+        gone = np.array(sorted({self.rows[key] for key in keys if key in self.rows}))
+        if not gone.size:
             return
-        keep = np.setdiff1d(np.arange(len(self.keys)), list(gone))
-        remap = np.full(len(self.keys), -1, dtype=np.int64)
-        remap[keep] = np.arange(keep.size)
+        n = len(self.keys)
+        kept = n - gone.size
+        dropped = np.zeros(n, dtype=bool)
+        dropped[gone] = True
+        holes = gone[gone < kept]
+        movers = np.flatnonzero(~dropped[kept:]) + kept
+        np.subtract.at(self._ref_rows, self._ref[gone], 1)
+        for name in self._ROW_ARRAYS:
+            array = getattr(self, name)
+            array[holes] = array[movers]
+            array[kept:n] = 0
+        for hole, mover in zip(holes.tolist(), movers.tolist()):
+            self._lag[hole] = self._lag[mover]
+        for row in range(kept, n):
+            self._lag[row] = 0.0
+        for row in gone.tolist():
+            del self.rows[self.keys[row]]
+        for hole, mover in zip(holes.tolist(), movers.tolist()):
+            self.keys[hole] = self.keys[mover]
+            self.rows[self.keys[hole]] = hole
+        del self.keys[kept:]
+        remap = np.arange(n)
+        remap[gone] = -1
+        remap[movers] = holes
         for pair, chunks in list(self._pairs.items()):
-            kept = []
+            kept_chunks = []
             for index, mat in chunks:
-                live = remap[index] >= 0
-                if live.any():
-                    kept.append((remap[index[live]], mat if live.all() else mat[live]))
-            if kept:
-                self._pairs[pair] = kept
+                rows = remap[index]
+                live = rows >= 0
+                if live.all():
+                    kept_chunks.append((rows, mat))
+                elif live.any():
+                    kept_chunks.append((rows[live], mat[live]))
+            if kept_chunks:
+                self._pairs[pair] = kept_chunks
             else:
                 del self._pairs[pair]
-        self.keys = [self.keys[row] for row in keep]
-        self.rows = {key: row for row, key in enumerate(self.keys)}
-        self._resize(keep, capacity=keep.size)
+        if self._moments.shape[0] > 2 * max(kept, 4):
+            self._reserve(kept + max(4, kept // 2))
 
-    def _resize(self, keep: np.ndarray, capacity: int) -> None:
-        """Rebuild every per-row array from rows ``keep`` (in order),
-        with room for ``capacity`` rows."""
+    def _reserve(self, capacity: int) -> None:
+        """Room for ``capacity`` rows; rows past the live ones are zeros.
+        The small per-row arrays are resized in place, the lag rows by
+        whole slabs."""
         for name in self._ROW_ARRAYS:
-            old = getattr(self, name)
-            new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
-            new[: keep.size] = old[keep]
-            setattr(self, name, new)
+            array = getattr(self, name)
+            array.resize((capacity,) + array.shape[1:], refcheck=False)
+        self._lag.reserve(capacity)
 
     # -- the sliding-window protocol ------------------------------------------
 
-    def _preserved(self, x_block: Block, y_quiet: np.ndarray) -> np.ndarray:
+    def _preserved(self, x_quiet: np.ndarray, y_quiet: np.ndarray) -> np.ndarray:
         """Rows whose normalized correlation the coming append provably
-        leaves value-identical (checked *before* the window slides).
+        leaves value-identical (checked *before* the window slides), given
+        each reference's and each row's new-block quietness.
 
         The window sums are unchanged exactly when the appended and
         evicted blocks are all quiet, but the boundary mass corrections
@@ -359,68 +525,78 @@ class CorrelatorBank:
         """
         n = len(self.keys)
         m = self.num_blocks
-        x_window = list(self._x_blocks)
-        reach = min(self.block_reach, m)
-        if (
-            len(x_window) != m
-            or not block_is_quiet(x_block)
-            or not all(block_is_quiet(b) for b in x_window[:1] + x_window[m - reach :])
-        ):
+        if self._depth != m:
             return np.zeros(n, dtype=bool)
+        reach = min(self.block_reach, m)
+        # The oldest x block and the newest within reach.
+        x_calm = x_quiet & self._x_quiet()[:, [0, *range(m - reach, m)]].all(axis=1)
         # The evicted y block and the y blocks after it within reach.
-        slots = [self._slot(self._first_id + k) for k in range(min(reach, m - 1) + 1)]
-        return y_quiet & self._y_quiet[:n][:, slots].all(axis=1)
+        y_slots = [self._slot(self._first_id + k) for k in range(min(reach, m - 1) + 1)]
+        return x_calm[self.row_refs()] & y_quiet & self._y_quiet[:n][:, y_slots].all(axis=1)
 
     def append(
         self,
-        x_block: Block,
+        x_new: Sequence[Optional[Block]],
         y_moments: np.ndarray,
         y_quiet: np.ndarray,
-        rows: np.ndarray,
-        mats: Sequence[Optional[np.ndarray]],
+        products: Sequence[Sequence[Tuple[np.ndarray, np.ndarray]]],
     ) -> int:
         """Slide every row's window forward by one adjacent block.
 
-        ``y_moments`` / ``y_quiet`` give each row's new y block (total,
-        energy) and quietness. ``mats`` holds one entry per
-        :meth:`pending_blocks` block, then the diagonal: ``None`` for a
-        quiet x block, else the pair products of rows ``rows`` (rows left
-        out are skipped as quiet). Returns the pair products skipped.
+        ``x_new`` holds each reference slot's new block (``None`` or any
+        block for a slot without rows). ``y_moments`` / ``y_quiet`` give
+        each row's new y block (total, energy) and quietness. ``products``
+        holds one entry per :meth:`pair_blocks` slot, then the diagonal:
+        chunks ``(rows, mat)``, the pair products of rows ``rows`` (each
+        row in at most one chunk; rows left out are skipped as quiet).
+        Returns the pair products skipped.
         """
-        self._validate_block(x_block)
         n = len(self.keys)
-        pending = len(self.pending_blocks())
-        if len(mats) != pending + 1:
+        x_new = [x if rows else None for x, rows in zip(x_new, self._ref_rows)]
+        for x in x_new:
+            if x is not None:
+                self._validate_block(x)
+        self._next_start = next((x.end for x in x_new if x is not None), self._next_start)
+        pending = min(self.block_reach, self._depth)
+        if len(products) != pending + 1:
             raise CorrelationError(
-                f"mats must have {pending + 1} entries (pending + diagonal), got {len(mats)}"
+                f"products must have {pending + 1} entries (pending + diagonal), "
+                f"got {len(products)}"
             )
-        preserved = self._preserved(x_block, y_quiet)
-        new_id = self._first_id + len(self._x_blocks)
+        new_id = self._first_id + self._depth
+        ring = self._slot(new_id)
+        x_quiet = np.array([x is None or block_is_quiet(x) for x in x_new], dtype=bool)
+        preserved = self._preserved(x_quiet, y_quiet)
         computed = 0
-        for p_id, mat in zip(range(new_id - pending, new_id + 1), mats):
-            if mat is None:
-                continue
-            # A kernel may hand back a view of a wider scratch matrix.
-            mat = np.ascontiguousarray(mat)
-            self._lag[_run_or_rows(rows)] += mat
-            self._pairs.setdefault((p_id, new_id), []).append((rows, mat))
-            computed += 1
-        self._pair_count[rows] += computed
-        slot = self._slot(new_id)
-        self._y[:n, slot] = y_moments
-        self._y_quiet[:n, slot] = y_quiet
-        self._x_blocks.append(x_block)
+        for p_id, chunks in zip(range(new_id - pending, new_id + 1), products):
+            for rows, mat in chunks:
+                # A kernel may hand back a view of a wider scratch matrix.
+                mat = np.ascontiguousarray(mat)
+                self._lag.update(np.add, rows, mat)
+                self._pair_count[rows] += 1
+                self._pairs.setdefault((p_id, new_id), []).append((rows, mat))
+                computed += len(rows)
+        self._y[:n, ring] = y_moments
+        self._y_quiet[:n, ring] = y_quiet
+        for window, x in zip(self._x, x_new):
+            if x is None:
+                window.clear()
+            else:
+                window.append(x)
+        self._depth += 1
+        refs = self.row_refs()
+        x_sums = block_sums(x_new)
         moments = self._moments[:n]
-        moments[:, 0] += x_block.total()
-        moments[:, 1] += x_block.energy()
+        moments[:, 0] += x_sums[refs, 0]
+        moments[:, 1] += x_sums[refs, 1]
         moments[:, 2] += y_moments[:, 0]
         moments[:, 3] += y_moments[:, 1]
-        while len(self._x_blocks) > self.num_blocks:
+        while self._depth > self.num_blocks:
             self._evict_oldest()
         self._served[:n] &= preserved
         self.spikes[:n][~preserved] = None
-        skipped = n * len(mats) - computed * len(rows)
-        self._count(computed * len(rows), skipped)
+        skipped = n * len(products) - computed
+        self._count(computed, skipped)
         return skipped
 
     def _count(self, computed: int, skipped: int) -> None:
@@ -428,69 +604,83 @@ class CorrelatorBank:
             self._m["pairs"].inc(computed)
             if skipped:
                 self._m["skips"].inc(skipped)
-            self._m["depth"].set(len(self._x_blocks))
+            self._m["depth"].set(self._depth)
 
     def _evict_oldest(self) -> None:
         n = len(self.keys)
-        old_x = self._x_blocks.popleft()
         old_id = self._first_id
         self._first_id += 1
-        slot = self._slot(old_id)
-        y_old = self._y[:n, slot].copy()
+        self._depth -= 1
+        ring = self._slot(old_id)
+        old_x = [window.popleft() if window else None for window in self._x]
+        x_sums = block_sums(old_x)
+        refs = self.row_refs()
+        y_old = self._y[:n, ring].copy()
         moments = self._moments[:n]
-        moments[:, 0] -= old_x.total()
-        moments[:, 1] -= old_x.energy()
+        moments[:, 0] -= x_sums[refs, 0]
+        moments[:, 1] -= x_sums[refs, 1]
         moments[:, 2] -= y_old[:, 0]
         moments[:, 3] -= y_old[:, 1]
         # Every live pair with the evicted block is (old, same-or-newer):
         # blocks leave in FIFO order. Subtract them in the order they were
         # added -- the diagonal first -- and sum each row's contribution
-        # in that same order for the hook.
+        # in that same order for the hook, releasing each chunk once it
+        # is folded in (so the sums never sit beside every chunk at once).
         chunks = [
             chunk
             for y_id in range(old_id, old_id + self.block_reach + 1)
             for chunk in self._pairs.pop((old_id, y_id), ())
         ]
-        for rows, mat in chunks:
-            self._lag[_run_or_rows(rows)] -= mat
+        hook = self._evict_hook
+        touched = np.unique(np.concatenate([rows for rows, _ in chunks] or [refs[:0]]))
+        at = np.zeros(n, dtype=np.int64)
+        at[touched] = np.arange(touched.size)
+        total = np.empty((touched.size if hook else 0, self.max_lag + 1))
+        seen = np.zeros(touched.size, dtype=bool)
+        for i, (rows, mat) in enumerate(chunks):
+            chunks[i] = None
+            self._lag.update(np.subtract, rows, mat)
             self._pair_count[rows] -= 1
-        if self._evict_hook is not None:
-            contributions: Dict[int, np.ndarray] = {}
-            if chunks:
-                touched = np.unique(np.concatenate([rows for rows, _ in chunks]))
-                at = np.zeros(n, dtype=np.int64)
-                at[touched] = np.arange(touched.size)
-                total = np.empty((touched.size, self.max_lag + 1))
-                seen = np.zeros(touched.size, dtype=bool)
-                for rows, mat in chunks:
-                    slots, first = at[rows], ~seen[at[rows]]
-                    total[slots[first]] = mat[first]
-                    total[slots[~first]] += mat[~first]
-                    seen[slots] = True
-                contributions = dict(zip(touched.tolist(), total))
-            self._evict_hook(
-                self.keys, old_x, y_old, self._y_quiet[:n, slot].copy(),
-                ~self._evicted[:n], contributions,
+            for lo in range(0, rows.size if hook else 0, _SLAB_ROWS):
+                slots = at[rows[lo : lo + _SLAB_ROWS]]
+                part, first = mat[lo : lo + _SLAB_ROWS], ~seen[slots]
+                total[slots[first]] = part[first]
+                total[slots[~first]] += part[~first]
+                seen[slots] = True
+        if hook is not None:
+            hook(
+                self, old_x, y_old, self._y_quiet[:n, ring].copy(),
+                ~self._evicted[:n], touched, total,
             )
         self._evicted[:n] = True
         if self._m is not None:
             self._m["evictions"].inc(n)
 
+    def _x_active(self) -> np.ndarray:
+        """Reference slots with at least one loud block in the window."""
+        return ~self._x_quiet().all(axis=1)
+
     def y_active(self) -> np.ndarray:
         """Rows with at least one loud y block in the window."""
-        slots = [self._slot(self._first_id + k) for k in range(len(self._x_blocks))]
-        return ~self._y_quiet[: len(self.keys)][:, slots].all(axis=1)
+        return ~self._y_quiet[: len(self.keys)][:, self._window_slots()].all(axis=1)
+
+    def answerable(self) -> np.ndarray:
+        """Rows with samples in the window on both sides: the rows a
+        pathmap DFS may ask about."""
+        return self.y_active() & self._x_active()[self.row_refs()]
 
     def dormant(self) -> np.ndarray:
         """Rows whose full window is quiet on both sides with nothing
         kept: their state is then a pure function of the window position,
         so a host may drop them and replay them from block history when
         an edge wakes (:mod:`repro.core.stages`)."""
-        if len(self._x_blocks) != self.num_blocks or not all(
-            block_is_quiet(b) for b in self._x_blocks
-        ):
+        if self._depth != self.num_blocks:
             return np.zeros(len(self.keys), dtype=bool)
-        return (self._pair_count[: len(self.keys)] == 0) & ~self.y_active()
+        return (
+            ~self._x_active()[self.row_refs()]
+            & (self._pair_count[: len(self.keys)] == 0)
+            & ~self.y_active()
+        )
 
     # -- queries ----------------------------------------------------------------
 
@@ -513,18 +703,19 @@ class CorrelatorBank:
         self, rows: np.ndarray, x_tail_mass: np.ndarray, y_head_mass: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Normalized correlation of ``rows`` (a ``(rows, d_max + 1)``
-        matrix) and their degenerate mask, given the :func:`boundary_mass`
-        of the x window's newest quanta and of each y window's oldest.
-        Element for element the 1-D normalization's arithmetic; O(max_lag)
-        per row, independent of the window length."""
-        if not self._x_blocks:
+        matrix) and their degenerate mask, given the :func:`boundary_masses`
+        of each row's x window's newest quanta (one vector for all, or a
+        row each) and of each y window's oldest. Element for element the
+        1-D normalization's arithmetic; O(max_lag) per row, independent of
+        the window length."""
+        if not self._depth:
             raise CorrelationError("no blocks appended yet")
         n = self.window_length
         d_max = min(self.max_lag, n - 1)
-        if x_tail_mass.size != d_max + 1 or y_head_mass.shape[-1] != d_max + 1:
+        if x_tail_mass.shape[-1] != d_max + 1 or y_head_mass.shape[-1] != d_max + 1:
             raise CorrelationError(
                 f"boundary masses must cover lags 0..{d_max}, got "
-                f"{x_tail_mass.size} and {y_head_mass.shape[-1]} entries"
+                f"{x_tail_mass.shape[-1]} and {y_head_mass.shape[-1]} entries"
             )
         moments = self._moments[rows]
         x_total, x_energy = moments[:, 0:1], moments[:, 1:2]
@@ -540,7 +731,7 @@ class CorrelatorBank:
         sy = np.sqrt(np.maximum(0.0, y_energy / n - my * my))
         # lag - mx * y_suffix - my * x_prefix + (n - lags) * mx * my, in
         # that order, updating in place.
-        num = self._lag[rows, : d_max + 1]
+        num = self._lag.take(rows, d_max + 1)
         num -= np.multiply(mx, y_suffix, out=y_suffix)
         num -= np.multiply(my, x_prefix, out=x_prefix)
         ramp = (n - np.arange(d_max + 1, dtype=np.float64)) * mx

@@ -197,7 +197,7 @@ class PathmapResult:
 #: of the reference ``(client, root)`` and edge ``(src, dst)`` signals,
 #: return the edge's correlation spikes. The offline default correlates
 #: both series and scans the result (:meth:`Pathmap.scan`); the online
-#: engine's correlator banks never build a series.
+#: engine's correlator bank never builds a series.
 SpikeProvider = Callable[
     [TraceWindow, Tuple[NodeId, NodeId], Tuple[NodeId, NodeId]], List[Spike]
 ]
@@ -217,7 +217,7 @@ class Pathmap:
         Optional override for how an edge's spikes are produced. Receives
         ``(window, (client, root), (src, dst))`` and returns its
         :class:`~repro.core.spikes.Spike` list. Used by the online engine
-        to substitute its incremental correlator banks.
+        to substitute its incremental correlator bank.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` receiving,
         per analysis pass, the DFS work counters

@@ -4,9 +4,10 @@ The online engine's refresh is four explicit stages -- **ingest ->
 correlate -> DFS -> publish**, the exact stage names the refresh ledger
 records (:data:`repro.obs.ledger.PIPELINE_STAGES`). The middle two
 stages operate on one bundle of state: the aligned per-edge block
-history, one :class:`~repro.core.incremental.CorrelatorBank` per reference
-signal whose rows are that class's edges, and the kernels that append
-fresh blocks into those banks.
+history, one :class:`~repro.core.incremental.CorrelatorBank` whose rows
+are every (reference edge, edge) correlator, and the kernels that append
+fresh blocks into it -- once per refresh, each kernel called once per
+pair slot with one x block per row.
 
 That bundle lives here, as :class:`PipelineCore`, a mixin of
 :class:`repro.core.engine.E2EProfEngine`. A row rebuilt from history
@@ -21,14 +22,14 @@ Host contract (attributes the engine provides):
 (:class:`~repro.obs.spans.SpanTracer`), ``ledger``
 (:class:`~repro.obs.ledger.LedgerRecorder`), ``_spectra`` (a
 :class:`~repro.core.correlation.SpectrumCache` of block FFT spectra),
-``_clients`` (set of client node ids), ``_blocks`` / ``_banks``
-(the window state: edge -> block deque, reference -> bank), ``_parked`` /
-``_edge_keys`` (parked keys; edge -> its live and parked keys),
-``_boundary`` (this refresh's per-(edge, side) boundary masses),
-``_num_blocks`` / ``_block_quanta`` / ``_refreshes`` (window geometry),
-the per-refresh ``_refresh_*`` tallies, the ``_summary_hook`` factory of
-bank eviction hooks, and the ``_m_batch`` / ``_m_cache_hits`` /
-``_m_cache_misses`` instruments.
+``_clients`` (set of client node ids), ``_blocks`` / ``_bank``
+(the window state: edge -> block deque, and the bank, keyed
+``(reference edge, edge)``), ``_parked`` / ``_edge_keys`` (parked keys;
+edge -> its live and parked keys), ``_boundary`` (this refresh's
+per-(edge, side) boundary masses), ``_num_blocks`` / ``_block_quanta`` /
+``_refreshes`` (window geometry), the per-refresh ``_refresh_*``
+tallies, and the ``_m_batch`` / ``_m_cache_hits`` / ``_m_cache_misses``
+instruments.
 
 **Parking.** A row whose whole window is quiet on both sides holds
 nothing its block history does not: the host drops it, keeps its key in
@@ -37,8 +38,8 @@ a non-quiet block. A refresh thus visits the rows that can change, not
 every correlator ever created.
 
 **Spikes.** The DFS asks for an edge's spikes, never its series: its
-first ask of a class normalizes and scans the bank's changed rows in one
-2-D pass, and the rows keep spikes, not series.
+first ask of a refresh normalizes and scans every changed row it may ask
+about in one 2-D pass, and the rows keep spikes, not series.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from repro.core.incremental import (
     CorrelatorBank,
     _concat_blocks,
     block_is_quiet,
-    boundary_mass,
+    boundary_masses,
 )
 from repro.core.pathmap import TraceWindow
 from repro.core.rle import RunLengthSeries
@@ -81,6 +82,11 @@ from repro.tracing.records import NodeId
 EdgeKey = Tuple[NodeId, NodeId]
 RefKey = Tuple[NodeId, NodeId]
 CorrelatorKey = Tuple[RefKey, EdgeKey]
+
+#: Rows normalized and scanned at a time: bounds the scan's lag matrices
+#: (a few of rows x (max_lag + 1) floats) when warm-up makes thousands of
+#: rows stale at once.
+SCAN_ROWS = 128
 
 
 def _run_stats(blocks: List[RunLengthSeries]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,22 +208,12 @@ class PipelineCore:
 
     def _drop_correlators(self, keys) -> List[CorrelatorKey]:
         dropped = list(keys)
-        edges_of: Dict[RefKey, List[EdgeKey]] = {}
         for key in dropped:
-            edges_of.setdefault(key[0], []).append(key[1])
             self._parked.discard(key)
             for edge in key:
                 self._edge_keys[edge].discard(key)
-        for ref_edge, edges in edges_of.items():
-            self._drop_rows(ref_edge, edges)
+        self._bank.drop(dropped)
         return dropped
-
-    def _drop_rows(self, ref_edge: RefKey, edges: List[EdgeKey]) -> None:
-        bank = self._banks.get(ref_edge)
-        if bank is not None:
-            bank.drop(edges)
-            if not len(bank):
-                del self._banks[ref_edge]
 
     # -- correlate stage -------------------------------------------------------
 
@@ -227,26 +223,20 @@ class PipelineCore:
         # those without visiting it.
         reach = -(-self.config.max_lag_quanta // self._block_quanta)
         parked_skips = len(self._parked) * (min(reach, self._num_blocks) + 1)
-        loud = {
-            edge: blocks[-1]
-            for edge, blocks in self._blocks.items()
-            if not block_is_quiet(blocks[-1])
-        }
-        skipped = 0
-        dormant: Dict[RefKey, List[EdgeKey]] = {}
-        for ref_edge, bank in self._banks.items():
-            skipped += self._append_group(ref_edge, bank, loud)
-            if ref_edge not in loud:
-                rows = np.flatnonzero(bank.dormant())
-                if rows.size:
-                    dormant[ref_edge] = [bank.keys[row] for row in rows]
+        bank = self._bank
+        skipped = self._append_rows(bank) if len(bank) else 0
+        dormant = [bank.keys[row] for row in np.flatnonzero(bank.dormant())]
         parked_skips -= self._wake_parked()
-        for ref_edge, edges in dormant.items():
-            self._drop_rows(ref_edge, edges)
-            self._parked.update((ref_edge, edge) for edge in edges)
+        if dormant:
+            bank.drop(dormant)
+            self._parked.update(dormant)
         self.metrics.counter(*CorrelatorBank.SKIPS_COUNTER).inc(parked_skips)
         self._refresh_skips = skipped + parked_skips
         self._m_batch.observe(time.perf_counter() - started)
+
+    def _loud_blocks(self) -> Dict[EdgeKey, RunLengthSeries]:
+        """Edge -> its newest block, for every edge whose newest block is loud."""
+        return {edge: blocks[-1] for edge, blocks in self._blocks.items() if blocks[-1].num_runs}
 
     def _wake_parked(self) -> int:
         """Replay from history every parked row one of whose edges just
@@ -254,24 +244,24 @@ class PipelineCore:
         appends would have computed: the diagonal of each woken pair with
         traffic on both edges (every older block is quiet)."""
         computed = 0
-        for edge, blocks in self._blocks.items() if self._parked else ():
-            if block_is_quiet(blocks[-1]):
-                continue
+        loud = self._loud_blocks() if self._parked else {}
+        for edge in loud:
             for key in self._parked.intersection(self._edge_keys.get(edge, ())):
                 self._create_row(*key)
-                computed += not any(block_is_quiet(self._blocks[e][-1]) for e in key)
+                computed += all(e in loud for e in key)
         return computed
 
-    def _group_vectors(
+    def _pair_products(
         self,
-        x_block: RunLengthSeries,
+        xs: List[RunLengthSeries],
         y_blocks: List[RunLengthSeries],
         y_stats: Tuple[np.ndarray, np.ndarray, np.ndarray],
         max_lag: int,
-    ) -> Optional[np.ndarray]:
-        """Pair-product rows of one pending x block against loud y blocks
-        (``y_stats`` is their :func:`_run_stats`), dispatched row by row
-        by a density cost model.
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Pair-product rows of loud x blocks ``xs`` against loud y blocks
+        (one each per row; ``y_stats`` is the ys' :func:`_run_stats`),
+        dispatched row by row by a density cost model: ``(rows, mat)``
+        per kernel called, ``rows`` indexing the inputs.
 
         The sparse batch kernel touches every (x sample, y sample) pair
         within ``max_lag``, so its cost explodes on smeared (near-dense)
@@ -281,122 +271,108 @@ class PipelineCore:
         surge) even the RLE kernel's run-pair count blows up, and the
         batched FFT kernel -- whose ``size * log2(size)`` cost is fixed
         by the window, independent of density -- takes over. All three
-        estimates are pure functions of the blocks, so grouped appends
-        and history replays make the identical choice and stay
+        estimates are pure functions of the row's two blocks, so batched
+        appends and history replays make the identical choice and stay
         bit-for-bit reproducible. The sparse and RLE kernels produce
         bitwise-identical lag products, so their choice never changes the
         output; FFT rows agree to the documented float tolerance.
 
-        Kernel timing is recorded per dispatch group (a handful of
-        ``perf_counter`` calls per pending x block), never per row.
+        Kernel timing is recorded per kernel call (one per kernel per
+        pair slot per refresh), never per row.
         """
-        if block_is_quiet(x_block):
-            return None
         y_runs, y_nnz, y_span = y_stats
-        x_nnz = x_block.nnz
+        x_runs = np.array([x.num_runs for x in xs], dtype=np.int64)
+        x_nnz = np.array([x.nnz for x in xs], dtype=np.int64)
         sparse_units = sparse_dispatch_units(x_nnz, y_nnz, y_span, max_lag)
-        rle_units = rle_dispatch_units(x_block.num_runs, y_runs)
-        # One shared 5-smooth plan length for the whole group: every
-        # member block covers the same window as the head block.
-        fft_size = fft_length(int(x_block.length) + int(y_blocks[0].length) - 1)
-        fft_units_row = fft_dispatch_units(int(y_blocks[0].length), fft_size)
+        rle_units = rle_dispatch_units(x_runs, y_runs)
+        # One shared 5-smooth plan length for the whole call: every
+        # block covers the same window as the head block.
+        length = int(y_blocks[0].length)
+        fft_size = fft_length(int(xs[0].length) + length - 1)
+        fft_units_row = fft_dispatch_units(length, fft_size)
         kernels = np.broadcast_to(
             choose_batch_kernel(sparse_units, rle_units, fft_units_row), y_runs.shape
         )
-        out: Optional[np.ndarray] = None
+        out = []
         for kernel in ("fft", "rle", "sparse"):
             rows = np.flatnonzero(kernels == kernel)
             if not rows.size:
                 continue
+            picked_x = [xs[i] for i in rows]
             picked = [y_blocks[i] for i in rows]
+            distinct_x = {id(x): x for x in picked_x}.values()
             started = time.perf_counter()
             if kernel == "fft":
                 mat = fft_batch_lag_products(
-                    x_block, picked, max_lag, size=fft_size, cache=self._spectra
+                    picked_x, picked, max_lag, size=fft_size, cache=self._spectra
                 )
-                # Dense samples transformed: 8 bytes per quantum of the x
-                # block plus every routed y block (spectra cache hits skip
-                # the transform but still read the padded product row).
-                self.ledger.record_kernel(
-                    KERNEL_FFT_BATCH,
-                    rows=rows.size,
-                    seconds=time.perf_counter() - started,
-                    work_units=fft_units_row * rows.size,
-                    bytes_touched=8 * (
-                        int(x_block.length) + int(y_blocks[0].length) * rows.size
-                    ),
-                )
+                # Dense samples transformed: 8 bytes per quantum of every
+                # distinct x block plus every routed y block (spectra
+                # cache hits skip the transform but still read the padded
+                # product row).
+                name, units = KERNEL_FFT_BATCH, fft_units_row * rows.size
+                touched = 8 * length * (len(distinct_x) + rows.size)
             elif kernel == "rle":
-                mat = rle_batch_lag_products(x_block, picked, max_lag)
+                mat = rle_batch_lag_products(picked_x, picked, max_lag)
                 # RunLengthSeries data: starts + counts (int64) + values
                 # (float64) = 24 bytes per run.
-                self.ledger.record_kernel(
-                    KERNEL_RLE,
-                    rows=rows.size,
-                    seconds=time.perf_counter() - started,
-                    work_units=float(np.cumsum(rle_units[rows])[-1]),
-                    bytes_touched=24 * int(
-                        x_block.num_runs * rows.size + y_runs[rows].sum()
-                    ),
-                )
+                name, units = KERNEL_RLE, float(np.cumsum(rle_units[rows])[-1])
+                touched = 24 * int(x_runs[rows].sum() + y_runs[rows].sum())
             else:
                 mat = batch_lag_products(
-                    x_block.to_sparse(), [y.to_sparse() for y in picked], max_lag
+                    [x.to_sparse() for x in picked_x], [y.to_sparse() for y in picked],
+                    max_lag,
                 )
                 # DensityTimeSeries data: indices (int64) + values (float64)
-                # = 16 bytes per nonzero.
-                self.ledger.record_kernel(
-                    KERNEL_SPARSE_BATCH,
-                    rows=rows.size,
-                    seconds=time.perf_counter() - started,
-                    work_units=float(np.cumsum(sparse_units[rows])[-1]),
-                    bytes_touched=16 * int(x_nnz + y_nnz[rows].sum()),
-                )
-            if rows.size == len(y_blocks):
-                return mat
-            if out is None:
-                out = np.empty((len(y_blocks), max_lag + 1))
-            out[rows] = mat
+                # = 16 bytes per nonzero of every distinct x and routed y.
+                name, units = KERNEL_SPARSE_BATCH, float(np.cumsum(sparse_units[rows])[-1])
+                touched = 16 * int(sum(x.nnz for x in distinct_x) + y_nnz[rows].sum())
+            self.ledger.record_kernel(
+                name, rows=rows.size, seconds=time.perf_counter() - started,
+                work_units=units, bytes_touched=touched,
+            )
+            out.append((rows, mat))
         return out
 
-    def _append_group(
-        self,
-        ref_edge: RefKey,
-        bank: CorrelatorBank,
-        loud: Dict[EdgeKey, RunLengthSeries],
-    ) -> int:
-        """Append the newest blocks to every row of one reference group: a
-        kernel call per pending x block over its loud rows, then one
-        indexed add. Returns the pair products skipped as quiet."""
-        x_new = self._blocks[ref_edge][-1]
+    def _append_rows(self, bank: CorrelatorBank) -> int:
+        """Append the newest blocks to every row: per pair slot, one call
+        per kernel over the rows loud on both sides, then one indexed add.
+        Returns the pair products skipped as quiet."""
         n = len(bank)
+        refs = bank.row_refs()
         with self.tracer.span(
-            "correlator.append", ref=f"{ref_edge[0]}->{ref_edge[1]}", rows=n
+            "correlator.append", refs=int(np.count_nonzero(np.bincount(refs))), rows=n
         ):
-            rows = [row for row, edge in enumerate(bank.keys) if edge in loud]
+            loud_blocks = self._loud_blocks()
+            loud = np.flatnonzero([edge in loud_blocks for _, edge in bank.keys])
+            y_blocks = [loud_blocks[bank.keys[row][1]] for row in loud]
             y_moments = np.zeros((n, 2))
             y_quiet = np.ones(n, dtype=bool)
-            xs = bank.pending_blocks() + [x_new]
-            mats: List[Optional[np.ndarray]] = [None] * len(xs)
-            if rows:
-                y_blocks = [loud[bank.keys[row]] for row in rows]
-                y_moments[rows] = [(y.total(), y.energy()) for y in y_blocks]
-                y_quiet[rows] = False
-            if rows and not all(block_is_quiet(x_p) for x_p in xs):
-                y_stats = _run_stats(y_blocks)
-                max_lag = self.config.max_lag_quanta
-                mats = [self._group_vectors(x_p, y_blocks, y_stats, max_lag) for x_p in xs]
+            if y_blocks:
+                y_moments[loud] = [(y.total(), y.energy()) for y in y_blocks]
+            y_quiet[loud] = False
+            x_new = [self._blocks[ref][-1] for ref in bank.refs]
+            y_stats = _run_stats(y_blocks) if y_blocks else None
+            max_lag = self.config.max_lag_quanta
+            products: List[List[Tuple[np.ndarray, np.ndarray]]] = []
+            for xs in [*bank.pair_blocks(), x_new]:
+                # The rows loud on both sides at this pair slot.
+                x_loud = np.array([x is not None and not block_is_quiet(x) for x in xs])
+                pick = np.flatnonzero(x_loud[refs[loud]])
+                chunks = self._pair_products(
+                    [xs[slot] for slot in refs[loud[pick]]], [y_blocks[i] for i in pick],
+                    tuple(stat[pick] for stat in y_stats), max_lag,
+                ) if pick.size else []
+                products.append([(loud[pick[rows]], mat) for rows, mat in chunks])
             slide_started = time.perf_counter()
-            skipped = bank.append(
-                x_new, y_moments, y_quiet, np.array(rows, dtype=np.int64), mats
-            )
-            if len(rows) < n:
+            skipped = bank.append(x_new, y_moments, y_quiet, products)
+            if loud.size < n:
                 # Quiet rows call no kernel; ledger them, with their share
-                # of the slide, as one legacy_pair sample per group.
+                # of the slide, as one legacy_pair sample per refresh.
                 self.ledger.record_kernel(
                     KERNEL_LEGACY,
-                    rows=n - len(rows),
-                    seconds=(time.perf_counter() - slide_started) * (n - len(rows)) / n,
+                    rows=n - loud.size,
+                    seconds=(time.perf_counter() - slide_started) * (n - loud.size) / n,
                 )
         return skipped
 
@@ -405,77 +381,78 @@ class PipelineCore:
     def _provide_spikes(
         self, window: TraceWindow, ref_key: RefKey, edge_key: EdgeKey
     ) -> List[Spike]:
-        bank = self._banks.get(ref_key)
-        row = None if bank is None else bank.rows.get(edge_key)
+        bank = self._bank
+        row = bank.rows.get((ref_key, edge_key))
         if row is None:
             self._refresh_cache_misses += 1
             self._m_cache_misses.inc()
-            bank, row = self._create_row(ref_key, edge_key)
+            row = self._create_row(ref_key, edge_key)
         else:
             self._refresh_cache_hits += 1
             self._m_cache_hits.inc()
         if bank.serve(row):
             self._refresh_corr_cache_hits += 1
         if bank.spikes[row] is None:
-            self._scan(ref_key, bank, row)
+            self._scan(row)
         return bank.spikes[row]
 
-    def _scan(self, ref_key: RefKey, bank: CorrelatorBank, row: int) -> None:
-        """Normalize ``row`` and every other row of ``bank`` whose answer
-        changed and whose edge the DFS may ask about (one with samples in
-        the window), and scan them for spikes, in one 2-D pass."""
+    def _scan(self, row: int) -> None:
+        """Normalize ``row`` and every other row whose answer changed and
+        whose edges the DFS may ask about (both with samples in the
+        window), and scan them for spikes: one 2-D pass, taken
+        :data:`SCAN_ROWS` rows at a time so its lag matrices stay small."""
         cfg = self.config
+        bank = self._bank
         rows = bank.stale_rows()
-        rows = rows[(rows == row) | bank.y_active()[rows]]
+        rows = rows[(rows == row) | bank.answerable()[rows]]
         for stale in rows:
             bank.spikes[stale] = []  # what degenerate rows and short windows keep
         if bank.window_length < cfg.min_overlap_samples:
             return
-        values, degenerate = bank.normalize(
-            rows,
-            self._boundary_mass(ref_key, newest=True),
-            np.array([self._boundary_mass(bank.keys[r], newest=False) for r in rows]),
-        )
-        scanned = detect_spike_rows(
-            values[~degenerate],
-            cfg.quantum,
-            sigma=cfg.spike_sigma,
-            resolution_quanta=cfg.resolution_quanta,
-            min_height=cfg.min_spike_height,
-        )
-        for live, spikes in zip(rows[~degenerate], scanned):
-            bank.spikes[live] = spikes
-
-    def _boundary_mass(self, edge: EdgeKey, newest: bool) -> np.ndarray:
-        """This refresh's :func:`boundary_mass` of one edge's window, shared
-        by every correlator with the edge on that side (x tail: all of a
-        reference group; y head: every class correlating the edge)."""
-        key = (edge, newest)
-        mass = self._boundary.get(key)
-        if mass is None:
-            mass = self._boundary[key] = boundary_mass(
-                self._blocks[edge], self.config.max_lag_quanta, newest
+        refs = bank.row_refs()
+        tails = self._boundary_masses([bank.refs[s] for s in np.unique(refs[rows])], True)
+        heads = self._boundary_masses([bank.keys[r][1] for r in rows], False)
+        for lo in range(0, rows.size, SCAN_ROWS):
+            part = rows[lo : lo + SCAN_ROWS]
+            values, degenerate = bank.normalize(
+                part,
+                np.array([tails[bank.refs[s]] for s in refs[part]]),
+                np.array([heads[bank.keys[r][1]] for r in part]),
             )
-        return mass
+            scanned = detect_spike_rows(
+                values[~degenerate],
+                cfg.quantum,
+                sigma=cfg.spike_sigma,
+                resolution_quanta=cfg.resolution_quanta,
+                min_height=cfg.min_spike_height,
+            )
+            for live, spikes in zip(part[~degenerate], scanned):
+                bank.spikes[live] = spikes
 
-    def _create_row(self, ref_key: RefKey, edge_key: EdgeKey) -> Tuple[CorrelatorBank, int]:
+    def _boundary_masses(self, edges: List[EdgeKey], newest: bool) -> Dict[EdgeKey, np.ndarray]:
+        """This refresh's :func:`boundary_masses` of each of ``edges``'
+        windows, by edge. Each (edge, side) is computed once a refresh --
+        the ones not yet known in one batched pass -- and shared by every
+        correlator with the edge on that side (x tail: a class's
+        reference; y head: every class correlating the edge)."""
+        missing = list(dict.fromkeys(e for e in edges if (e, newest) not in self._boundary))
+        if missing:
+            masses = boundary_masses(
+                [self._blocks[e] for e in missing], self.config.max_lag_quanta, newest
+            )
+            for edge, mass in zip(missing, masses):
+                self._boundary[(edge, newest)] = mass
+        return {e: self._boundary[(e, newest)] for e in edges}
+
+    def _create_row(self, ref_key: RefKey, edge_key: EdgeKey) -> int:
         ref_blocks = self._blocks.get(ref_key)
         edge_blocks = self._blocks.get(edge_key)
         if ref_blocks is None or edge_blocks is None:
             raise AnalysisError(
                 f"no block history for correlator {ref_key} x {edge_key}"
             )
-        bank = self._banks.get(ref_key)
-        if bank is None:
-            bank = self._banks[ref_key] = CorrelatorBank(
-                max_lag=self.config.max_lag_quanta,
-                num_blocks=self._num_blocks,
-                quantum=self.config.quantum,
-                metrics=self.metrics,
-                evict_hook=self._summary_hook(ref_key),
-            )
         # Replay the history through single-row calls of the kernels the
-        # grouped append uses, with its quiet skips and kernel dispatch:
+        # batched append uses, with its quiet skips and kernel dispatch:
         # the row gets the pair vectors a maintained row holds.
         max_lag = self.config.max_lag_quanta
         reach = -(-max_lag // self._block_quanta)
@@ -487,16 +464,17 @@ class PipelineCore:
                 vectors.append([None] * len(paired))
                 continue
             y_stats = _run_stats([y_block])
-            mats = [
-                self._group_vectors(x_p, [y_block], y_stats, max_lag) for x_p in paired
-            ]
-            vectors.append([None if mat is None else mat[0] for mat in mats])
-        row = bank.add_row(edge_key, x_blocks, list(edge_blocks), vectors)
+            vectors.append([
+                None if block_is_quiet(x_p)
+                else self._pair_products([x_p], [y_block], y_stats, max_lag)[0][1][0]
+                for x_p in paired
+            ])
         key = (ref_key, edge_key)
+        row = self._bank.add_row(key, ref_key, x_blocks, list(edge_blocks), vectors)
         self._parked.discard(key)
         for edge in key:
             self._edge_keys.setdefault(edge, set()).add(key)
-        return bank, row
+        return row
 
     # -- window state queried by the pathmap DFS -------------------------------
 
@@ -516,7 +494,7 @@ class PipelineCore:
     @property
     def correlator_count(self) -> int:
         """Live incremental correlators (bank rows)."""
-        return sum(len(bank) for bank in self._banks.values())
+        return len(self._bank)
 
     @property
     def parked_count(self) -> int:

@@ -22,13 +22,14 @@ from repro.lake.segments import (
     segment_filename,
     write_segment,
 )
-from repro.lake.summaries import BlockSummary, fold_summaries
+from repro.lake.summaries import BlockSummary, SummaryBatch, fold_summaries
 
 __all__ = [
     "BlockSummary",
     "JOURNAL_NAME",
     "SegmentMappingLRU",
     "SegmentMeta",
+    "SummaryBatch",
     "TraceLake",
     "fold_summaries",
     "read_segment",

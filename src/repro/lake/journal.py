@@ -44,7 +44,13 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TraceError
-from repro.lake.summaries import COVERAGE, BlockSummary
+from repro.lake.summaries import (
+    COVERAGE,
+    ROW_DTYPE,
+    BlockSummary,
+    SummaryBatch,
+    SummaryKey,
+)
 
 JOURNAL_NAME = "lake.journal"
 
@@ -67,19 +73,10 @@ SEGMENT_DTYPE = np.dtype(
     [("seq", "<u8"), ("side", "u1"), ("t_min", "<f8"), ("t_max", "<f8"),
      ("count", "<u8"), ("crc", "<u4"), ("nbytes", "<u8")]
 )
-ROW_DTYPE = np.dtype(
-    [("key", "<u4"), ("block_start", "<i8"), ("block_length", "<u4"),
-     ("quantum", "<f8"), ("x_total", "<f8"), ("x_energy", "<f8"),
-     ("y_total", "<f8"), ("y_energy", "<f8"), ("coverage", "u1"),
-     ("lag_offset", "<i8"), ("lag_size", "<u4"), ("lag_crc", "<u4")]
-)
 #: One in-memory index entry per journaled row, 25 bytes.
 INDEX_DTYPE = np.dtype(
     [("t_min", "<f8"), ("t_max", "<f8"), ("offset", "<i8"), ("marker", "u1")]
 )
-
-#: (client, root, src, dst)
-SummaryKey = Tuple[str, str, str, str]
 
 
 @dataclass(frozen=True)
@@ -117,35 +114,37 @@ class JournalRecord(NamedTuple):
 
 def encode_record(
     offset: int,
-    rows: Sequence[BlockSummary],
+    batches: Sequence[SummaryBatch],
     segments: Sequence[SegmentMeta],
     next_seq: int,
     frontier: Optional[int],
     replace: bool = False,
 ) -> Tuple[JournalRecord, List[bytes]]:
-    """Frame one record for a journal offset: ``(record, buffers to write)``."""
+    """Frame one record for a journal offset: ``(record, buffers to write)``.
+
+    The summary rows come as columnar batches: each batch's table is
+    re-keyed and its lag rows placed in the tail with array operations;
+    only the per-row lag checksums are a loop."""
     key_ids: dict = {}
     lags: List[np.ndarray] = []
-    fields = []
+    tables = [np.zeros(0, dtype=ROW_DTYPE)]
     cursor = 0
-    for row in rows:
-        key = key_ids.setdefault(
-            (row.client, row.root, row.src, row.dst), len(key_ids)
-        )
-        lag = row.lag_products
-        if lag is None:
-            where = (-1, 0, 0)
-        else:
-            lag = np.ascontiguousarray(lag, dtype="<f8")
+    for batch in batches:
+        table = batch.table.copy()
+        ids = [key_ids.setdefault(key, len(key_ids)) for key in batch.keys]
+        table["key"] = np.array(ids, dtype=np.int64)[table["key"]]
+        where = table["lag_offset"]
+        has = where >= 0
+        if has.any():
+            lag = np.ascontiguousarray(batch.lags, dtype="<f8")
+            crcs = np.array([zlib.crc32(row) for row in lag], dtype=np.uint32)
+            table["lag_size"][has] = lag.shape[1]
+            table["lag_crc"][has] = crcs[where[has]]
+            where[has] = cursor + where[has] * lag.shape[1] * lag.itemsize
             lags.append(lag)
-            where = (cursor, lag.size, zlib.crc32(lag))
             cursor += lag.nbytes
-        fields.append(
-            (key, row.block_start, row.block_length, row.quantum, row.x_total,
-             row.x_energy, row.y_total, row.y_energy,
-             COVERAGE.index(row.coverage), *where)
-        )
-    table = np.array(fields, dtype=ROW_DTYPE)
+        tables.append(table)
+    table = np.concatenate(tables)
     catalog = np.array(
         [(m.seq, m.observed_at_destination, m.t_min, m.t_max, m.count, m.crc,
           m.nbytes) for m in segments],

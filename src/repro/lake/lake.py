@@ -25,7 +25,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.lake.journal import (
     scan_journal,
 )
 from repro.lake.segments import SegmentMappingLRU, segment_filename, write_segment
-from repro.lake.summaries import BlockSummary
+from repro.lake.summaries import BlockSummary, SummaryBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import LakeConfig
@@ -101,7 +101,7 @@ class TraceLake:
         self._next_seq = 0
         self._frontier: Optional[int] = None
         self._frontier_dirty = False
-        self._pending_summaries: List[BlockSummary] = []
+        self._pending_summaries: List[SummaryBatch] = []
         # Journaled rows: per key, packed INDEX_DTYPE entries in write order.
         self._index: Dict[SummaryKey, bytearray] = collections.defaultdict(bytearray)
         self._summary_batches = 0
@@ -249,9 +249,12 @@ class TraceLake:
             nbytes=info.nbytes,
         )
 
-    def record_summary(self, summary: BlockSummary) -> None:
-        """Buffer one materialized correlation summary row (memory only:
-        the next :meth:`checkpoint` journals it)."""
+    def record_summary(self, summary: Union[BlockSummary, SummaryBatch]) -> None:
+        """Buffer materialized correlation summary rows -- one row, or a
+        columnar batch of them (memory only: the next :meth:`checkpoint`
+        journals them)."""
+        if isinstance(summary, BlockSummary):
+            summary = SummaryBatch.of(summary)
         with self._lock:
             self._pending_summaries.append(summary)
 
@@ -267,13 +270,13 @@ class TraceLake:
     def _append(self, replace: bool = False) -> None:
         """Journal everything pending as one record with one fsync (lock
         held).  ``replace`` swaps the whole segment catalog in."""
-        rows = self._pending_summaries
+        batches = self._pending_summaries
         segments = self._segments if replace else self._new_segments
-        if not (replace or rows or segments or self._frontier_dirty):
+        if not (replace or batches or segments or self._frontier_dirty):
             return
         offset = self._journal_end or len(JOURNAL_MAGIC)
         record, buffers = encode_record(
-            offset, rows, segments, self._next_seq, self._frontier, replace
+            offset, batches, segments, self._next_seq, self._frontier, replace
         )
         if not self._journal_end:
             buffers.insert(0, JOURNAL_MAGIC)
@@ -293,7 +296,7 @@ class TraceLake:
         self._new_segments = []
         self._frontier_dirty = False
         if self._m_rows is not None:
-            self._m_rows.inc(len(rows))
+            self._m_rows.inc(len(record.table))
 
     def _index_rows(self, record: JournalRecord) -> None:
         """Account one journaled record's rows (at open and on append)."""
@@ -430,7 +433,8 @@ class TraceLake:
                 rows.extend(self._journaled(keys, start, end))
             rows.extend(
                 row
-                for row in self._pending_summaries
+                for batch in self._pending_summaries
+                for row in batch.summaries()
                 if matches((row.client, row.root, row.src, row.dst))
                 and (row.coverage or (row.t_max > start and row.t_min < end))
             )
@@ -540,7 +544,7 @@ class TraceLake:
             buffered_records = sum(
                 sum(a.size for a in parts) for parts in self._buffers.values()
             )
-            pending_rows = len(self._pending_summaries)
+            pending_rows = sum(len(batch) for batch in self._pending_summaries)
             segments = len(self._segments)
         return {
             "enabled": True,

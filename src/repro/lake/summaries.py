@@ -26,14 +26,16 @@ marker* (``coverage="begin"``), the lake persists one evicted-through
 the two (:func:`covered_blocks`); a correlator dropped with blocks still
 in its window writes an ``"end"`` marker at the frontier.
 
-Rows persist in the lake's journal (:mod:`repro.lake.journal`) as raw
-little-endian columns, so a summary round-trips bit-exactly.
+The engine hands each eviction's rows to the lake as one columnar
+:class:`SummaryBatch`, and they persist in the lake's journal
+(:mod:`repro.lake.journal`) as raw little-endian columns, so a summary
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,17 @@ from repro.errors import CorrelationError, TraceError
 
 #: Values of :attr:`BlockSummary.coverage`; the journal stores the index.
 COVERAGE = (None, "begin", "end")
+
+#: (client, root, src, dst)
+SummaryKey = Tuple[str, str, str, str]
+
+#: One summary row as the journal stores it (see :class:`SummaryBatch`).
+ROW_DTYPE = np.dtype(
+    [("key", "<u4"), ("block_start", "<i8"), ("block_length", "<u4"),
+     ("quantum", "<f8"), ("x_total", "<f8"), ("x_energy", "<f8"),
+     ("y_total", "<f8"), ("y_energy", "<f8"), ("coverage", "u1"),
+     ("lag_offset", "<i8"), ("lag_size", "<u4"), ("lag_crc", "<u4")]
+)
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,50 @@ class BlockSummary:
     @property
     def quiet(self) -> bool:
         return self.lag_products is None
+
+
+@dataclass(frozen=True)
+class SummaryBatch:
+    """Summary rows as columns: what one eviction hands the lake, in one
+    call, and what the journal encodes with array operations.
+
+    ``table`` holds one :data:`ROW_DTYPE` element per row, in write
+    order. Its ``key`` field indexes ``keys``; its ``lag_offset`` field is
+    the row's index into ``lags`` (-1 for a row without lag products)
+    until the journal rewrites it into a file offset, and ``lag_size`` /
+    ``lag_crc`` are filled then.
+    """
+
+    keys: List[SummaryKey]
+    table: np.ndarray
+    lags: np.ndarray  # (rows with lag products, lag length), float64
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    @classmethod
+    def of(cls, summary: BlockSummary) -> "SummaryBatch":
+        """One row as a one-row batch."""
+        lag = summary.lag_products
+        table = np.array([(
+            0, summary.block_start, summary.block_length, summary.quantum,
+            summary.x_total, summary.x_energy, summary.y_total, summary.y_energy,
+            COVERAGE.index(summary.coverage), -1 if lag is None else 0, 0, 0,
+        )], dtype=ROW_DTYPE)
+        lags = np.zeros((0, 0)) if lag is None else np.asarray(lag, np.float64)[None]
+        return cls([(summary.client, summary.root, summary.src, summary.dst)], table, lags)
+
+    def summaries(self) -> List[BlockSummary]:
+        """The rows as :class:`BlockSummary` objects, in write order."""
+        return [
+            BlockSummary(
+                *self.keys[key], block_start, block_length, quantum, x_total,
+                x_energy, y_total, y_energy,
+                None if lag < 0 else self.lags[lag], COVERAGE[coverage],
+            )
+            for (key, block_start, block_length, quantum, x_total, x_energy,
+                 y_total, y_energy, coverage, lag, _, _) in self.table.tolist()
+        ]
 
 
 def covered_blocks(

@@ -47,7 +47,7 @@ PIPELINE_STAGES = (STAGE_INGEST, STAGE_CORRELATE, STAGE_DFS, STAGE_PUBLISH)
 
 #: Correlation kernel names: the grouped sparse batch kernel, the
 #: run-length pair-product kernel, the dense-regime batched FFT kernel
-#: (cached spectra + one 2-D inverse transform per group), and
+#: (cached spectra + one 2-D inverse transform per call), and
 #: ``legacy_pair``: the plain per-pair appends of group members whose
 #: newest block is quiet (they skip every kernel) or whose window
 #: disagrees with the group's. The name predates the removal of the

@@ -6,7 +6,10 @@ row, four ``np.add.at`` scatters, two 1-D cumulative sums) before
 ``rle_batch_lag_products`` replaced it; the batched kernel is held to it
 bit for bit, row by row. ``local_maxima_above_reference`` is the Python
 scan over lags ``repro.core.spikes`` used before the plateau
-decomposition in array ops.
+decomposition in array ops. ``boundary_mass_reference`` is the one-window
+boundary mass ``repro.core.incremental`` computed before
+``boundary_masses`` batched every window into one pass; the batch is held
+to it bit for bit, row by row.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from typing import List
 
 import numpy as np
 
+from repro.core.correlation import _sparse_prefix_mass
+from repro.core.incremental import _concat_blocks
 from repro.core.rle import RunLengthSeries
 from repro.errors import CorrelationError
 
@@ -89,3 +94,21 @@ def local_maxima_above_reference(values: np.ndarray, threshold: float) -> List[i
             out.append((i + j) // 2)
         i = j + 1
     return out
+
+
+def boundary_mass_reference(blocks, max_lag: int, newest: bool) -> np.ndarray:
+    d_max = min(max_lag, sum(block.length for block in blocks) - 1)
+    lags = np.arange(d_max + 1, dtype=np.int64)
+    picked = []
+    covered = 0
+    for block in reversed(blocks) if newest else blocks:
+        picked.append(block)
+        covered += block.length
+        if covered >= d_max:
+            break
+    if newest:
+        picked.reverse()
+    edge = _concat_blocks(picked, picked[0].quantum)
+    if newest:
+        return edge.total() - _sparse_prefix_mass(edge, covered - lags)
+    return _sparse_prefix_mass(edge, lags)

@@ -252,10 +252,10 @@ class TestTimelineDemo:
             "engine.pathmap",
             "pathmap.class",
         } <= names
-        # One append span per reference group, not per correlator.
+        # One append span per refresh, not per group or correlator.
         appends = [e for e in complete if e["name"] == "correlator.append"]
-        assert all({"ref", "rows"} <= set(e["args"]) for e in appends)
-        assert not any("edge" in e["args"] for e in appends)
+        assert all({"refs", "rows"} <= set(e["args"]) for e in appends)
+        assert not any({"ref", "edge"} & set(e["args"]) for e in appends)
         # Diagnostic events ride along as instants.
         assert any(e["ph"] == "i" for e in doc["traceEvents"])
 

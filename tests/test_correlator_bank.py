@@ -9,7 +9,7 @@
   subtracted since -- but agrees with it within float tolerance and
   publishes the same spikes.
 * The 2-D spike scan finds, row by row, exactly what the 1-D scan finds.
-* One ``correlator.append`` span covers each reference group's append.
+* One ``correlator.append`` span covers each refresh's append.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.correlation import CorrelationSeries
+from repro.core.incremental import CorrelatorBank
 from repro.core.spikes import _local_maxima_rows, detect_spike_rows, detect_spikes
 from repro.obs.spans import SpanTracer
 
@@ -51,10 +52,10 @@ class TestBitParityGolden:
         recorded = []
 
         def record(engine, now, result):
+            bank = engine._bank
             rows = {
                 name(ref, edge): digest(bank._lag[row], bank._moments[row])
-                for ref, bank in engine._banks.items()
-                for row, edge in enumerate(bank.keys)
+                for row, (ref, edge) in enumerate(bank.keys)
             }
             recorded.append({"time": now, "parked": len(engine._parked), "rows": rows})
 
@@ -90,14 +91,14 @@ class TestBitParityGolden:
 
 def rebuilt_row(engine, ref, edge):
     """``(ref, edge)`` replayed from block history into a throwaway bank,
-    leaving the engine's own state as it was."""
-    banks, parked = engine._banks, set(engine._parked)
+    leaving the engine's own state as it was: ``(bank, row)``."""
+    bank, parked = engine._bank, set(engine._parked)
     edge_keys = {e: set(keys) for e, keys in engine._edge_keys.items()}
-    engine._banks = {k: v for k, v in banks.items() if k != ref}
+    fresh = engine._bank = CorrelatorBank(bank.max_lag, bank.num_blocks, bank.quantum)
     try:
-        return engine._create_row(ref, edge)
+        return fresh, engine._create_row(ref, edge)
     finally:
-        engine._banks, engine._parked, engine._edge_keys = banks, parked, edge_keys
+        engine._bank, engine._parked, engine._edge_keys = bank, parked, edge_keys
 
 
 class TestRebuiltRows:
@@ -105,36 +106,36 @@ class TestRebuiltRows:
         compared, differing, mismatched = [], [], []
 
         def check(engine, now, result):
-            for ref, bank in engine._banks.items():
-                tail = engine._boundary_mass(ref, newest=True)
-                for row, edge in enumerate(bank.keys):
-                    fresh, fresh_row = rebuilt_row(engine, ref, edge)
-                    head = engine._boundary_mass(edge, newest=False)[None]
-                    a, a_deg = bank.normalize(np.array([row]), tail, head)
-                    b, b_deg = fresh.normalize(np.array([fresh_row]), tail, head)
-                    # A side gone quiet is exactly zero when rebuilt but
-                    # can keep a ~1e-13 energy residue when maintained:
-                    # degenerate on one side, values ~1e-8 on the other.
-                    ok = (
-                        np.allclose(fresh._lag[fresh_row], bank._lag[row], rtol=1e-9, atol=1e-6)
-                        and np.allclose(fresh._moments[fresh_row], bank._moments[row], rtol=1e-9)
-                        and np.allclose(a, b, rtol=1e-7, atol=1e-6)
-                    )
-                    spikes = [
-                        [s.lag for s in engine._pathmap.scan(
-                            CorrelationSeries(v[0], CFG.quantum, bank.window_length, bool(d[0]))
-                        )]
-                        for v, d in ((a, a_deg), (b, b_deg))
-                    ]
-                    compared.append((now, ref, edge))
-                    if not ok or spikes[0] != spikes[1]:
-                        mismatched.append((now, ref, edge, spikes))
-                    if not np.array_equal(
-                        bits(fresh._lag[fresh_row]), bits(bank._lag[row])
-                    ) or not np.array_equal(
-                        bits(fresh._moments[fresh_row]), bits(bank._moments[row])
-                    ):
-                        differing.append((now, ref, edge))
+            bank = engine._bank
+            for row, (ref, edge) in enumerate(list(bank.keys)):
+                tail = engine._boundary_masses([ref], True)[ref]
+                fresh, fresh_row = rebuilt_row(engine, ref, edge)
+                head = engine._boundary_masses([edge], False)[edge][None]
+                a, a_deg = bank.normalize(np.array([row]), tail, head)
+                b, b_deg = fresh.normalize(np.array([fresh_row]), tail, head)
+                # A side gone quiet is exactly zero when rebuilt but
+                # can keep a ~1e-13 energy residue when maintained:
+                # degenerate on one side, values ~1e-8 on the other.
+                ok = (
+                    np.allclose(fresh._lag[fresh_row], bank._lag[row], rtol=1e-9, atol=1e-6)
+                    and np.allclose(fresh._moments[fresh_row], bank._moments[row], rtol=1e-9)
+                    and np.allclose(a, b, rtol=1e-7, atol=1e-6)
+                )
+                spikes = [
+                    [s.lag for s in engine._pathmap.scan(
+                        CorrelationSeries(v[0], CFG.quantum, bank.window_length, bool(d[0]))
+                    )]
+                    for v, d in ((a, a_deg), (b, b_deg))
+                ]
+                compared.append((now, ref, edge))
+                if not ok or spikes[0] != spikes[1]:
+                    mismatched.append((now, ref, edge, spikes))
+                if not np.array_equal(
+                    bits(fresh._lag[fresh_row]), bits(bank._lag[row])
+                ) or not np.array_equal(
+                    bits(fresh._moments[fresh_row]), bits(bank._moments[row])
+                ):
+                    differing.append((now, ref, edge))
 
         engine, samples = run_mesh(faults=True, rewindow_at=25.0, on_refresh=check)
         assert len(compared) > 10 * len(samples)
@@ -188,20 +189,19 @@ class TestRowScan:
             assert got[row] == want, row
 
 
-class TestGroupSpans:
-    def test_one_append_span_per_group(self):
+class TestAppendSpans:
+    def test_one_append_span_per_refresh(self):
         tracer = SpanTracer(enabled=True)
         engine, samples = run_mesh(tracer=tracer)
         frames = engine.flight.frames()
         assert frames
         for frame in frames:
             appends = [s for s in frame.spans if s.name == "correlator.append"]
-            refs = [s.attributes["ref"] for s in appends]
-            assert len(refs) == len(set(refs))
+            assert len(appends) <= 1
             known = frame.sample["correlators"] + frame.sample["parked_correlators"]
-            assert sum(s.attributes["rows"] for s in appends) <= known
-            assert all("edge" not in s.attributes for s in appends)
-        assert any(
-            s.attributes["rows"] > 1
-            for frame in frames for s in frame.spans if s.name == "correlator.append"
-        )
+            for span in appends:
+                assert 1 <= span.attributes["refs"] <= span.attributes["rows"] <= known
+                assert not {"ref", "edge"} & set(span.attributes)
+        appends = [s for f in frames for s in f.spans if s.name == "correlator.append"]
+        assert len(appends) >= len(frames) - 1
+        assert any(s.attributes["refs"] > 1 for s in appends)

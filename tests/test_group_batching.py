@@ -5,11 +5,11 @@
 * the vectorised ``_local_maxima_above`` reports the lags the scalar scan
   reported;
 * a mesh engine that hands host-computed window-boundary masses to its
-  correlator banks scans the correlation each row's own window masses
+  correlator bank scans the correlation each row's own window masses
   give, through parking, waking, late-block invalidation replays and
   ``rewindow``;
-* a grouped refresh makes one RLE kernel call per (reference group,
-  pending x block);
+* a refresh makes one RLE kernel call per pair slot (pending x block or
+  diagonal), however many reference groups ride in it;
 * no correlation series outlives its scan, and spikes are kept only on
   live rows.
 """
@@ -32,13 +32,14 @@ from repro.core.correlation import (
     rle_lag_products,
 )
 from repro.core.engine import E2EProfEngine
-from repro.core.incremental import block_is_quiet, boundary_mass
+from repro.core.incremental import block_is_quiet
 from repro.core.rle import RunLengthSeries
 from repro.core.spikes import _local_maxima_above
 from repro.errors import CorrelationError
 from repro.tracing.transport import FaultyChannel
 
 from tests.kernel_reference import (
+    boundary_mass_reference,
     local_maxima_above_reference,
     rle_lag_products_reference,
 )
@@ -261,36 +262,42 @@ class TestSharedBoundaryMasses:
 
         def check(engine, now, result):
             max_lag = CFG.max_lag_quanta
-            for ref, bank in engine._banks.items():
-                rows = np.flatnonzero(~np.equal(bank.spikes[: len(bank)], None))
-                if not rows.size:
-                    continue  # no row scanned since it last changed
-                hosted, _ = bank.normalize(
-                    rows,
-                    engine._boundary_mass(ref, newest=True),
-                    np.array([engine._boundary_mass(bank.keys[r], newest=False) for r in rows]),
+            bank = engine._bank
+            rows = np.flatnonzero(~np.equal(bank.spikes[: len(bank)], None))
+            if not rows.size:
+                return  # no row scanned since it last changed
+            keys = [bank.keys[r] for r in rows]
+            tails = engine._boundary_masses([ref for ref, _ in keys], True)
+            heads = engine._boundary_masses([edge for _, edge in keys], False)
+            hosted, _ = bank.normalize(
+                rows,
+                np.array([tails[ref] for ref, _ in keys]),
+                np.array([heads[edge] for _, edge in keys]),
+            )
+            # Masses each row computes from its own windows, one at a time.
+            alone, degenerate = bank.normalize(
+                rows,
+                np.array([
+                    boundary_mass_reference(bank.x_window(ref), max_lag, newest=True)
+                    for ref, _ in keys
+                ]),
+                np.array([
+                    boundary_mass_reference(list(engine._blocks[edge]), max_lag, newest=False)
+                    for _, edge in keys
+                ]),
+            )
+            for i, row in enumerate(rows):
+                series = CorrelationSeries(
+                    alone[i], CFG.quantum, bank.window_length, bool(degenerate[i])
                 )
-                # Masses each row computes from its own windows.
-                alone, degenerate = bank.normalize(
-                    rows,
-                    boundary_mass(list(bank._x_blocks), max_lag, newest=True),
-                    np.array([
-                        boundary_mass(list(engine._blocks[bank.keys[r]]), max_lag, newest=False)
-                        for r in rows
-                    ]),
+                verdicts.append(
+                    (
+                        now,
+                        keys[i],
+                        np.array_equal(bits(alone[i]), bits(hosted[i]))
+                        and bank.spikes[row] == engine._pathmap.scan(series),
+                    )
                 )
-                for i, row in enumerate(rows):
-                    series = CorrelationSeries(
-                        alone[i], CFG.quantum, bank.window_length, bool(degenerate[i])
-                    )
-                    verdicts.append(
-                        (
-                            now,
-                            (ref, bank.keys[row]),
-                            np.array_equal(bits(alone[i]), bits(hosted[i]))
-                            and bank.spikes[row] == engine._pathmap.scan(series),
-                        )
-                    )
 
         engine, samples = run_mesh(
             faults=faults, rewindow_at=25.0 if faults else None, on_refresh=check
@@ -310,33 +317,36 @@ class TestSharedBoundaryMasses:
 
     def test_masses_are_computed_once_per_edge_side(self, monkeypatch):
         calls = []
-        real = stages.boundary_mass
+        real = stages.boundary_masses
 
-        def counting(blocks, max_lag, newest):
-            calls.append(newest)
-            return real(blocks, max_lag, newest)
+        def counting(windows, max_lag, newest):
+            calls.extend((newest, id(window)) for window in windows)
+            return real(windows, max_lag, newest)
 
-        monkeypatch.setattr(stages, "boundary_mass", counting)
+        monkeypatch.setattr(stages, "boundary_masses", counting)
         per_refresh = []
 
         def check(engine, now, result):
+            sides = [newest for newest, _ in calls]
             per_refresh.append(
-                (calls.count(True), calls.count(False), result.stats.correlations,
-                 len(engine._blocks))
+                (sides.count(True), sides.count(False), len(set(calls)) == len(calls),
+                 result.stats.correlations, len(engine._blocks))
             )
             calls.clear()
 
         run_mesh(on_refresh=check)
-        for tails, heads, correlations, edges in per_refresh[3:]:
+        for tails, heads, once, correlations, edges in per_refresh[3:]:
             # One x tail per reference group (four classes), one y head
-            # per signal edge -- not one of each per correlation.
+            # per signal edge -- not one of each per correlation, and no
+            # (edge, side) twice.
             assert 0 < tails <= 4
             assert 0 < heads <= edges
+            assert once
             assert correlations > tails + heads
 
 
-class TestKernelCallsPerGroup:
-    def test_one_rle_call_per_group_and_pending_block(self, monkeypatch):
+class TestKernelCallsPerRefresh:
+    def test_one_rle_call_per_pair_slot(self, monkeypatch):
         calls = []
         real = stages.rle_batch_lag_products
 
@@ -350,23 +360,29 @@ class TestKernelCallsPerGroup:
         refreshes = []
 
         def check(engine, now, result):
-            # One call per loud x block a group's append pairs with (the
-            # pending blocks plus the diagonal), however many rows ride.
-            expected = 0
-            for ref, bank in engine._banks.items():
-                if any(not block_is_quiet(engine._blocks[e][-1]) for e in bank.keys):
-                    expected += sum(
-                        not block_is_quiet(block)
-                        for block in list(engine._blocks[ref])[-(reach + 1):]
-                    )
+            # One call per pair slot (the pending blocks plus the
+            # diagonal) where some row is loud on both sides, however
+            # many rows and reference groups ride.
+            keys = engine._bank.keys
+            slots = {len(engine._blocks[ref]) for ref, _ in keys}
+            depth = min(slots | {reach + 1})
+            expected = sum(
+                any(
+                    not block_is_quiet(engine._blocks[edge][-1])
+                    and not block_is_quiet(list(engine._blocks[ref])[-depth + k])
+                    for ref, edge in keys
+                )
+                for k in range(depth)
+            )
+            groups = len({ref for ref, edge in keys if not block_is_quiet(engine._blocks[edge][-1])})
             refreshes.append(
-                (len(calls), sum(calls), result.ledger.kernels["rle"].rows, expected)
+                (len(calls), sum(calls), result.ledger.kernels["rle"].rows, expected, groups)
             )
             calls.clear()
 
         engine, samples = run_mesh(on_refresh=check)
         checked = 0
-        for i, ((kernel_calls, rows, ledger_rows, expected), sample) in enumerate(
+        for i, ((kernel_calls, rows, ledger_rows, expected, groups), sample) in enumerate(
             zip(refreshes, samples)
         ):
             assert rows == ledger_rows
@@ -375,9 +391,9 @@ class TestKernelCallsPerGroup:
             )
             if replayed:
                 continue  # history replays add single-row calls
-            assert kernel_calls == expected <= 4 * (reach + 1)
+            assert kernel_calls == expected <= reach + 1
             assert rows > 5 * kernel_calls
-            checked += 1
+            checked += groups > 1
         assert checked >= 10
 
 
@@ -403,15 +419,12 @@ class TestSeriesLifetime:
         verdicts = []
 
         def check(engine, now, result):
-            live, kept, spares = set(), set(), []
-            for ref, bank in engine._banks.items():
-                n = len(bank)
-                live.update((ref, edge) for edge in bank.keys)
-                kept.update(
-                    (ref, bank.keys[row]) for row in range(n) if bank.spikes[row] is not None
-                )
-                # Spare capacity past the live rows holds no scan result.
-                spares.extend(bank.spikes[n:])
+            bank = engine._bank
+            n = len(bank)
+            live = set(bank.keys)
+            kept = {bank.keys[row] for row in range(n) if bank.spikes[row] is not None}
+            # Spare capacity past the live rows holds no scan result.
+            spares = list(bank.spikes[n:])
             verdicts.append(
                 (
                     now,
@@ -428,8 +441,6 @@ class TestSeriesLifetime:
         assert all(ok and not series for _, ok, series in verdicts), verdicts
         assert max(s.parked_correlators for s in samples) > 0
         assert engine._receiver.totals()["late_recovered"] > 0
-        # Dropping the remaining correlators empties every bank.
-        engine._drop_correlators(
-            [(ref, edge) for ref, bank in engine._banks.items() for edge in bank.keys]
-        )
-        assert not engine._banks
+        # Dropping the remaining correlators empties the bank.
+        engine._drop_correlators(list(engine._bank.keys))
+        assert not len(engine._bank) and not engine._bank.rows

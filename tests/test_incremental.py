@@ -22,7 +22,7 @@ from repro.core.incremental import (
     CorrelatorBank,
     _concat_blocks,
     block_is_quiet,
-    boundary_mass,
+    boundary_masses,
 )
 from repro.core.rle import RunLengthSeries, rle_encode
 from repro.core.timeseries import DensityTimeSeries
@@ -46,15 +46,19 @@ class IncrementalCorrelator:
 
     def __init__(self, max_lag, num_blocks, quantum):
         self.bank = CorrelatorBank(max_lag, num_blocks, quantum)
-        self.bank.add_row(None, [], [], [])
+        self.bank.add_row("row", "x", [], [], [])
         self.y_blocks = collections.deque(maxlen=num_blocks)
 
     def pending_pair_blocks(self):
-        return self.bank.pending_blocks()
+        return [xs[0] for xs in self.bank.pair_blocks()]
+
+    @property
+    def x_blocks(self):
+        return self.bank.x_window("x")
 
     @property
     def window_start(self):
-        return self.bank._x_blocks[0].start if self.bank._x_blocks else None
+        return self.x_blocks[0].start if self.x_blocks else None
 
     def append(self, x, y, pair_vectors=None):
         """One block per side; ``pair_vectors`` (one per pending x block,
@@ -65,28 +69,27 @@ class IncrementalCorrelator:
                 None
                 if block_is_quiet(y) or block_is_quiet(p)
                 else pair_products(p, y, self.bank.max_lag)
-                for p in self.bank.pending_blocks() + [x]
+                for p in self.pending_pair_blocks() + [x]
             ]
         skipped = self.bank.append(
-            x,
+            [x],
             np.array([[y.total(), y.energy()]]),
             np.array([block_is_quiet(y)]),
-            np.array([0]),
-            [None if v is None else v[None] for v in pair_vectors],
+            [[] if v is None else [(np.array([0]), v[None])] for v in pair_vectors],
         )
         self.y_blocks.append(y)
         return skipped
 
     def window_series(self):
         return (
-            _concat_blocks(list(self.bank._x_blocks), self.bank.quantum),
+            _concat_blocks(self.x_blocks, self.bank.quantum),
             _concat_blocks(list(self.y_blocks), self.bank.quantum),
         )
 
     def correlation(self):
         bank = self.bank
-        tail = boundary_mass(list(bank._x_blocks), bank.max_lag, newest=True)
-        head = boundary_mass(list(self.y_blocks), bank.max_lag, newest=False)
+        tail = boundary_masses([self.x_blocks], bank.max_lag, newest=True)[0]
+        head = boundary_masses([list(self.y_blocks)], bank.max_lag, newest=False)[0]
         values, degenerate = bank.normalize(np.array([0]), tail, head[None])
         return CorrelationSeries(
             values[0], bank.quantum, bank.window_length, bool(degenerate[0])
@@ -210,7 +213,9 @@ class TestValidation:
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)
         inc.append(block([1.0] * 4, 0), block([1.0] * 4, 0))
         with pytest.raises(CorrelationError):
-            inc.bank.add_row("late", [block([1.0] * 4, 4)], [block([1.0] * 4, 4)], [[None]])
+            inc.bank.add_row(
+                "late", "x", [block([1.0] * 4, 4)], [block([1.0] * 4, 4)], [[None]]
+            )
 
     def test_rejects_non_adjacent_blocks(self):
         inc = IncrementalCorrelator(max_lag=5, num_blocks=2, quantum=1e-3)

@@ -93,8 +93,8 @@ def run_lifecycle(config=CFG, faults=False, rewindow_at=None, lake_dir=None,
 
 
 def live_keys(engine):
-    """Every live correlator key: one per row of every bank."""
-    return {(ref, edge) for ref, bank in engine._banks.items() for edge in bank.keys}
+    """Every live correlator key: one per row of the engine's bank."""
+    return set(engine._bank.keys)
 
 
 def labels(graphs):
