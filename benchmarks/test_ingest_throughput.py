@@ -6,11 +6,11 @@ ingest rate bounds the trace rate the whole deployment can sustain
 replays a many-class capture trace (:mod:`repro.apps.manyclass`) through
 the collector along both ingest paths:
 
-* ``per_record`` -- one :class:`CaptureRecord` at a time into the legacy
-  Python-list store (``columnar=False``).
+* ``per_record`` -- one :class:`CaptureRecord` at a time into the
+  collector's chunked store.
 * ``batched``    -- per-(edge, side) timestamp arrays per flush interval
-  into the chunked columnar store, as the engine's capture-sink drain
-  delivers them.
+  into the same store, as the engine's capture-sink drain delivers
+  them.
 
 Asserts the headline claim: batched ingest sustains at least 2x the
 records/second of the per-record path (the committed ``BENCH_ingest.json``
@@ -51,7 +51,7 @@ def test_batched_ingest_twice_as_fast():
     assert count > 50_000  # the workload qualifies as high-throughput
 
     modes = {
-        "per_record": lambda: ingest_per_record(records, columnar=False),
+        "per_record": lambda: ingest_per_record(records),
         "batched": lambda: ingest_batched(batch_rounds),
     }
     results = {name: timed_rate(fn, count, REPEATS) for name, fn in modes.items()}
@@ -83,7 +83,7 @@ def test_batched_ingest_twice_as_fast():
     # Identical inputs: batched and per-record ingest must yield
     # bit-identical analysis windows over the same range.
     assert identical_windows(
-        ingest_per_record(records, columnar=False),
+        ingest_per_record(records),
         ingest_batched(batch_rounds),
         end_time=DURATION,
     )

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 from repro.analysis.render import render_ascii, render_dot
 from repro.apps.delta import build_delta
 from repro.apps.rubis import build_rubis
-from repro.config import PathmapConfig, TransportConfig
+from repro.config import PathmapConfig
 from repro.core.clock_skew import estimate_clock_skew
 from repro.core.pathmap import compute_service_graphs
 from repro.errors import E2EProfError
@@ -277,8 +277,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Run an instrumented analysis and dump the metrics registry.
 
     Without a trace, runs the bundled RUBiS demo through the online
-    engine in wire-fidelity mode, which exercises every instrumented
-    subsystem (tracers, wire codec, incremental correlators, pathmap).
+    engine, which exercises every instrumented subsystem (tracers,
+    transport, incremental correlators, pathmap).
     With a trace, replays it through the offline sliding-window analysis.
     """
     from repro.obs import MetricsRegistry, snapshot, to_prometheus
@@ -288,33 +288,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
     transport_summary = None
     ingest_stats = None
     if args.trace is None:
-        config = PathmapConfig(
-            window=args.window,
-            refresh_interval=args.window / 2.0,
-            quantum=args.quantum,
-            sampling_window=args.sampling_window or 50 * args.quantum,
-            max_transaction_delay=args.max_delay,
-        )
         from repro.core.engine import E2EProfEngine
+        from repro.tracing.transport import FaultyChannel
 
-        use_transport = args.transport or any(
-            (args.fault_drop, args.fault_reorder, args.fault_duplicate,
-             args.fault_corrupt, args.fault_delay)
-        )
-        transport_config = TransportConfig() if use_transport else None
-        channel_factory = None
-        if use_transport:
-            from repro.tracing.transport import FaultyChannel
+        config = _demo_config(args)
 
-            def channel_factory(node, _args=args):
-                return FaultyChannel(
-                    seed=_args.fault_seed + sum(node.encode()),
-                    drop=_args.fault_drop,
-                    reorder=_args.fault_reorder,
-                    duplicate=_args.fault_duplicate,
-                    corrupt=_args.fault_corrupt,
-                    delay=_args.fault_delay,
-                )
+        def channel_factory(node, _args=args):
+            return FaultyChannel(
+                seed=_args.fault_seed + sum(node.encode()),
+                drop=_args.fault_drop,
+                reorder=_args.fault_reorder,
+                duplicate=_args.fault_duplicate,
+                corrupt=_args.fault_corrupt,
+                delay=_args.fault_delay,
+            )
 
         capture_sink = None
         lake = None
@@ -331,9 +318,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         rubis = build_rubis(dispatch="affinity", seed=args.seed)
         engine = E2EProfEngine(
             config,
-            wire_fidelity=True,
             metrics=registry,
-            transport=transport_config,
             channel_factory=channel_factory,
             capture_sink=capture_sink,
             lake=lake,
@@ -353,14 +338,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                             src, dst, 0.0, args.duration
                         )
             ingest_stats = capture_sink.ingest_stats()
-        if engine.latest_sample is None:
-            raise E2EProfError(
-                f"no refresh fired: --duration {args.duration} is shorter "
-                f"than one refresh interval ({config.refresh_interval:.0f}s)"
-            )
+        _require_refresh(engine, args, config)
         latest_sample = engine.latest_sample
-        if use_transport:
-            transport_summary = engine.transport_summary()
+        transport_summary = engine.transport_summary()
     else:
         from repro.core.offline import analyze_sliding
 
@@ -422,26 +402,13 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         from repro.core.engine import E2EProfEngine
         from repro.management.monitor import LatencyMonitor
 
-        config = PathmapConfig(
-            window=args.window,
-            refresh_interval=args.window / 2.0,
-            quantum=args.quantum,
-            sampling_window=args.sampling_window or 50 * args.quantum,
-            max_transaction_delay=args.max_delay,
-        )
-        rubis = build_rubis(dispatch="affinity", seed=args.seed)
-        engine = E2EProfEngine(config, wire_fidelity=True)
+        rubis, engine, config = _demo_engine(args)
         engine.tracer.enable()
         ChangeDetector().subscribe_to(engine)
         AnomalyDetector().subscribe_to(engine)
         LatencyMonitor().subscribe_to(engine)
-        engine.attach(rubis.topology)
         rubis.run_until(args.duration)
-        if engine.latest_sample is None:
-            raise E2EProfError(
-                f"no refresh fired: --duration {args.duration} is shorter "
-                f"than one refresh interval ({config.refresh_interval:.0f}s)"
-            )
+        _require_refresh(engine, args, config)
         dump = engine.dump_flight_record(args.last)
     else:
         from repro.core.anomaly import AnomalyDetector
@@ -512,24 +479,29 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_engine(args: argparse.Namespace):
-    """Build the RUBiS demo wired to an online engine (not yet run).
-
-    Shared by the ledger-driven subcommands (``top``, ``profile``): the
-    caller subscribes whatever it needs, then drives the simulation with
-    ``rubis.run_until(args.duration)``.
-    """
-    from repro.core.engine import E2EProfEngine
-
-    config = PathmapConfig(
+def _demo_config(args: argparse.Namespace) -> PathmapConfig:
+    """The RUBiS demo's analysis config: ``dW`` is half the window."""
+    return PathmapConfig(
         window=args.window,
         refresh_interval=args.window / 2.0,
         quantum=args.quantum,
         sampling_window=args.sampling_window or 50 * args.quantum,
         max_transaction_delay=args.max_delay,
     )
+
+
+def _demo_engine(args: argparse.Namespace):
+    """Build the RUBiS demo wired to an online engine (not yet run).
+
+    Shared by the demo modes of ``timeline``, ``top`` and ``profile``:
+    the caller subscribes whatever it needs, then drives the simulation
+    with ``rubis.run_until(args.duration)``.
+    """
+    from repro.core.engine import E2EProfEngine
+
+    config = _demo_config(args)
     rubis = build_rubis(dispatch="affinity", seed=args.seed)
-    engine = E2EProfEngine(config, wire_fidelity=True)
+    engine = E2EProfEngine(config)
     engine.attach(rubis.topology)
     return rubis, engine, config
 
@@ -1026,10 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="demo-mode simulation seed")
     stats.add_argument("--duration", type=float, default=65.0,
                        help="demo-mode simulated seconds (default 65)")
-    stats.add_argument("--transport", action="store_true",
-                       help="demo mode: stream blocks through the "
-                            "fault-tolerant transport (implied by any "
-                            "--fault-* rate)")
     stats.add_argument("--fault-drop", type=float, default=0.0,
                        help="per-frame drop probability on every link")
     stats.add_argument("--fault-reorder", type=float, default=0.0,

@@ -1,9 +1,10 @@
 """The online E2EProf engine (paper Sections 3.3-3.6).
 
-This is the analyzer node: every refresh interval ``dW`` it pulls the
-RLE-encoded block of every edge that spoke from the per-node tracers (the
-streamed wire format of Section 3.6; a quiet edge's silence is implicit),
-feeds the blocks into incremental correlators -- the rows of one
+This is the analyzer node: every refresh interval ``dW`` each per-node
+tracer sends the RLE-encoded block of every edge that spoke as one round
+frame over the transport (the streamed wire format of Section 3.6; a
+quiet edge's silence is implicit), and the engine feeds the blocks into
+incremental correlators -- the rows of one
 :class:`~repro.core.incremental.CorrelatorBank`, one per (service class,
 edge) -- and re-runs the pathmap DFS over the spikes those rows keep. Only the newest ``dW`` of trace is ever correlated,
 which is what makes the per-refresh cost constant in ``W`` (the flat
@@ -84,7 +85,7 @@ from repro.tracing.transport import (
     TransportReceiver,
     overall_quality,
 )
-from repro.tracing.wire import RoundFrame, decode_block, encode_block
+from repro.tracing.wire import RoundFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lake import TraceLake
@@ -110,7 +111,6 @@ class E2EProfEngine(PipelineCore):
         self,
         config: PathmapConfig,
         clients: Optional[Set[NodeId]] = None,
-        wire_fidelity: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
         events: Optional[EventBus] = None,
@@ -119,7 +119,6 @@ class E2EProfEngine(PipelineCore):
         channel_factory: Optional[Callable[[NodeId], FaultyChannel]] = None,
         capture_sink: Optional[TraceCollector] = None,
         lake: Optional["TraceLake"] = None,
-        adaptive: bool = False,
     ) -> None:
         self.config = config
         self._clients: Set[NodeId] = set(clients or ())
@@ -132,11 +131,7 @@ class E2EProfEngine(PipelineCore):
         # Cross-refresh cache of block FFT spectra (the overlap-add
         # increment: only the newest dW block needs a fresh transform).
         self._spectra = SpectrumCache()
-        #: When True, every streamed block is round-tripped through the
-        #: binary wire format (tracing.wire) before analysis -- proving
-        #: the bytes actually sent over the network carry everything the
-        #: analysis needs (values pass through float32).
-        self.wire_fidelity = wire_fidelity
+        #: Transport bytes delivered to the receiver, all time.
         self.wire_bytes_received = 0
         #: Self-observability registry. Defaults to a fresh **disabled**
         #: registry, so the uninstrumented cost model of Figure 9 holds
@@ -252,8 +247,7 @@ class E2EProfEngine(PipelineCore):
         )
         self._m_wire_bytes = m.counter(
             "engine_wire_bytes_total",
-            "Wire-format bytes received (transport deliveries, or "
-            "wire_fidelity round trips on the direct path)",
+            "Wire-format bytes received (every transport delivery)",
         )
         self._m_cache_hits = m.counter(
             "engine_correlator_cache_hits_total",
@@ -275,9 +269,8 @@ class E2EProfEngine(PipelineCore):
         )
         #: Optional analyzer-side capture archive. When set, every
         #: tracer's raw per-edge timestamps are drained each refresh as
-        #: columnar batches and forwarded here -- riding each tracer's
-        #: round frame when transport is on, directly otherwise --
-        #: without materializing per-record objects.
+        #: columnar batches, ride the tracer's round frame and are filed
+        #: here without materializing per-record objects.
         self.capture_sink = capture_sink
         self._refresh_capture_batches = 0
         #: Optional trace lake (:class:`~repro.lake.TraceLake`). When set,
@@ -297,14 +290,15 @@ class E2EProfEngine(PipelineCore):
             metrics=self.metrics,
             evict_hook=self._summary_hook(),
         )
-        #: Fault-tolerant transport (None = legacy direct pull). When set,
-        #: every tracer's flush round travels as one round frame, tracer
-        #: -> TransportLink -> channel -> TransportReceiver, gaining
-        #: epoch/sequence framing, reordering tolerance, liveness watching
-        #: and per-edge DataQuality.
-        self.transport = transport
+        #: The one ingest path: every tracer's flush round travels as one
+        #: round frame, tracer -> TransportLink -> channel ->
+        #: TransportReceiver, gaining epoch/sequence framing, reordering
+        #: tolerance, liveness watching and per-edge DataQuality.
+        #: ``transport`` tunes the receiver (None = the defaults).
+        self._receiver = TransportReceiver(
+            transport, config.refresh_interval, metrics=m
+        )
         self._channel_factory = channel_factory
-        self._receiver: Optional[TransportReceiver] = None
         self._links: Dict[NodeId, TransportLink] = {}
         #: Per-tracer channels (fault injectors or perfect pass-throughs);
         #: chaos tests reach in here to toggle fault rates mid-run.
@@ -315,14 +309,10 @@ class E2EProfEngine(PipelineCore):
         self._tracer_states: Dict[NodeId, str] = {}
         self._transport_totals: Dict[str, int] = {}
         #: Overall data-quality score of the latest refresh (1.0 = every
-        #: edge signal complete and live; always 1.0 without transport).
+        #: edge signal complete and live; 1.0 before the first refresh).
         self.quality_score: float = 1.0
-        #: Per-edge DataQuality of the latest refresh (transport only).
+        #: Per-edge DataQuality of the latest refresh.
         self.latest_edge_quality: Dict[EdgeKey, DataQuality] = {}
-        if transport is not None:
-            self._receiver = TransportReceiver(
-                transport, config.refresh_interval, metrics=m
-            )
         self._m_quality = m.gauge(
             "engine_quality_score",
             "Overall data-quality score of the latest refresh (1 = fresh)",
@@ -350,19 +340,10 @@ class E2EProfEngine(PipelineCore):
             "transport_stale_epoch_frames_total",
             "Pre-restart frames rejected by epoch checks",
         )
-        #: When True, every refresh also derives per-class tuned-parameter
-        #: recommendations (:mod:`repro.core.autotune`) from the observed
-        #: reference-signal statistics into ``latest_recommendations``.
-        #: The running analysis keeps its own parameters either way --
-        #: blocks are quantized at ingest, so a resolution change needs a
-        #: re-analysis, not a mid-flight swap.
-        self.adaptive = bool(adaptive)
         #: Per-class steady-state confidence of the latest refresh.
         self.latest_confidence: Dict[RefKey, ConfidenceReport] = {}
         #: Overall (minimum per-class) confidence of the latest refresh.
         self.confidence_score: float = 1.0
-        #: Per-class tuned-config recommendations (``adaptive=True`` only).
-        self.latest_recommendations: Dict[RefKey, PathmapConfig] = {}
         #: History-blanking re-windows performed (see :meth:`rewindow`).
         self.rewindows = 0
         self._m_confidence = m.gauge(
@@ -578,38 +559,14 @@ class E2EProfEngine(PipelineCore):
     def _stage_ingest(
         self, now: float, block_start: int
     ) -> Tuple[Dict[EdgeKey, RunLengthSeries], List[RoundFrame]]:
-        """**Stage 1 -- ingest**: pull the block of every edge that spoke
-        from every tracer (directly, or through the fault-tolerant
-        transport) and drain capture batches. Returns the fresh loud
-        blocks plus any re-sequenced late rounds for history patching."""
-        wire_metrics = self.metrics if self.metrics.enabled else None
+        """**Stage 1 -- ingest**: flush every tracer's round through the
+        fault-tolerant transport and file the capture batches riding it.
+        Returns the fresh loud blocks plus any re-sequenced late rounds
+        for history patching."""
         fresh: Dict[EdgeKey, RunLengthSeries] = {}
-        late_frames: List[RoundFrame] = []
         ingest_started = time.perf_counter()
         with self.tracer.span("engine.ingest") as ingest_span:
-            if self._receiver is not None:
-                late_frames = self._transport_ingest(fresh, block_start, now)
-            else:
-                for node_id, tracer in self._topology.fabric.tracers.items():
-                    with self.tracer.span("tracer.flush", node=node_id):
-                        for edge, block in self._flush_kept(
-                            node_id, tracer, block_start
-                        ).items():
-                            if self.wire_fidelity:
-                                payload = encode_block(block, metrics=wire_metrics)
-                                self.wire_bytes_received += len(payload)
-                                block = decode_block(payload, metrics=wire_metrics)
-                            fresh[edge] = block
-                    if self.capture_sink is not None:
-                        # Direct (no-transport) batch forwarding: the
-                        # tracer's raw captures reach the archive as
-                        # columnar writes, never as per-record objects.
-                        for (src, dst), stamps in tracer.drain_batches().items():
-                            self.capture_sink.ingest_batch(
-                                src, dst, stamps,
-                                observed_at_destination=(node_id == dst),
-                            )
-                            self._refresh_capture_batches += 1
+            late_frames = self._transport_ingest(fresh, block_start, now)
             ingest_span.set_attribute("blocks", len(fresh))
         ingest_seconds = time.perf_counter() - ingest_started
         if self.lake is not None:
@@ -663,14 +620,11 @@ class E2EProfEngine(PipelineCore):
         wire_bytes_before: int,
     ) -> PathmapResult:
         """**Stage 4 -- publish**: annotate the result (quality,
-        confidence, recommendations, ledger), observe the engine metrics,
-        and fan out to every subscriber."""
+        confidence, ledger), observe the engine metrics, and fan out to
+        every subscriber."""
         annotate_started = time.perf_counter()
-        if self._receiver is not None:
-            self._apply_quality(result, now, block_start)
+        self._apply_quality(result, now, block_start)
         self._apply_confidence(result, now)
-        if self.adaptive:
-            self._update_recommendations(result)
         self.latest_result = result
         self.latest_refresh_time = now
         self.last_refresh_seconds = time.perf_counter() - started
@@ -722,7 +676,6 @@ class E2EProfEngine(PipelineCore):
             correlator_skips=self._refresh_skips,
             correlation_cache_hits=self._refresh_corr_cache_hits,
             capture_batches=self._refresh_capture_batches,
-            autotune_recommendations=len(self.latest_recommendations),
             low_confidence_events=self._refresh_low_confidence,
             rewindow_clips=self.rewindows - self._rewindows_sampled,
         )
@@ -859,7 +812,6 @@ class E2EProfEngine(PipelineCore):
         The refresh's deliveries are collected in arrival order and
         handed to the receiver once, so it decodes the round in one pass."""
         receiver = self._receiver
-        assert receiver is not None and self._topology is not None
         tau = self.config.quantum
         tracers = self._topology.fabric.tracers
         with self.tracer.span("engine.transport") as span:
@@ -949,7 +901,6 @@ class E2EProfEngine(PipelineCore):
         edges it vouches for -- every edge its tracer owns.
         """
         receiver = self._receiver
-        assert receiver is not None
         patched = 0
         for frame in late:
             for edge, block in frame.blocks.items():
@@ -970,8 +921,6 @@ class E2EProfEngine(PipelineCore):
         transport's gap/liveness state, annotate the result, publish the
         transport health signals."""
         receiver = self._receiver
-        assert receiver is not None
-        transport = self.transport or TransportConfig()
         # Slide the gap bookkeeping with the window.
         cutoff = block_start - (self._num_blocks - 1) * self._block_quanta
         for edge in list(self._gap_blocks):
@@ -983,6 +932,7 @@ class E2EProfEngine(PipelineCore):
         statuses = receiver.statuses(now)
         self._publish_liveness_transitions(statuses, now)
         rounds = min(self._refreshes, self._num_blocks)
+        stale_gap_ratio = receiver.config.stale_gap_ratio
         edge_quality: Dict[EdgeKey, DataQuality] = {}
         for edge in self._blocks:
             gap_ratio = (
@@ -990,7 +940,7 @@ class E2EProfEngine(PipelineCore):
             )
             owner = receiver.edge_owner(edge)
             owner_state = statuses[owner].state if owner in statuses else None
-            if owner_state == TRACER_DEAD or gap_ratio > transport.stale_gap_ratio:
+            if owner_state == TRACER_DEAD or gap_ratio > stale_gap_ratio:
                 edge_quality[edge] = DataQuality(QUALITY_STALE, gap_ratio)
             elif gap_ratio > 0.0 or owner_state == TRACER_LAGGING:
                 edge_quality[edge] = DataQuality(QUALITY_DEGRADED, gap_ratio)
@@ -1033,9 +983,7 @@ class E2EProfEngine(PipelineCore):
     def _sync_transport_counters(self) -> None:
         """Mirror the receiver's cumulative stream tallies into the
         metrics registry as counter deltas."""
-        receiver = self._receiver
-        assert receiver is not None
-        totals = receiver.totals()
+        totals = self._receiver.totals()
         for key, metric in (
             ("gaps", self._m_t_gaps),
             ("duplicates", self._m_t_duplicates),
@@ -1047,7 +995,7 @@ class E2EProfEngine(PipelineCore):
                 metric.inc(delta)
             self._transport_totals[key] = totals[key]
 
-    # -- steady-state confidence and adaptivity ------------------------------------
+    # -- steady-state confidence and re-windowing ----------------------------------
 
     def _class_reference_edges(self) -> List[RefKey]:
         """Every (client, front-end) reference edge with block history,
@@ -1088,39 +1036,6 @@ class E2EProfEngine(PipelineCore):
                     threshold=DEFAULT_LOW_CONFIDENCE,
                 )
 
-    def _update_recommendations(self, result: PathmapResult) -> None:
-        """Refresh the per-class tuned-parameter recommendations from the
-        confidence reports' traffic statistics (``adaptive=True``)."""
-        from repro.core.autotune import (
-            TrafficStats,
-            autotune_config,
-            observed_delay_bound,
-        )
-        from repro.core.confidence import DEFAULT_BINS_PER_BLOCK
-
-        rounds = min(self._refreshes, self._num_blocks)
-        duration = rounds * self.config.refresh_interval
-        bin_seconds = self.config.refresh_interval / DEFAULT_BINS_PER_BLOCK
-        recommendations: Dict[RefKey, PathmapConfig] = {}
-        for class_key, report in self.latest_confidence.items():
-            if report.mean_rate <= 0 or duration <= 0:
-                continue
-            graph = result.graphs.get(class_key)
-            delay_bound = (
-                observed_delay_bound(graph) if graph is not None else None
-            )
-            # Excess Fano factor = excess CV^2 of bin counts x mean bin
-            # count (F = cv2 * mean).
-            burstiness = report.excess_cv2 * report.mean_rate * bin_seconds
-            stats = TrafficStats.from_rate(
-                report.mean_rate,
-                duration,
-                burstiness=burstiness,
-                delay_bound=delay_bound,
-            )
-            recommendations[class_key] = autotune_config(self.config, stats)
-        self.latest_recommendations = recommendations
-
     def rewindow(self, cutoff: float) -> int:
         """Blank all block history that ends at or before ``cutoff``.
 
@@ -1152,13 +1067,10 @@ class E2EProfEngine(PipelineCore):
             tracer = self._topology.fabric.tracer(node_id)
             if tracer is not None:
                 tracer.restart()
-        if self._receiver is not None:
-            self._link_for(node_id).restart()
+        self._link_for(node_id).restart()
 
     def transport_summary(self, now: Optional[float] = None) -> dict:
         """JSON-able snapshot of transport health (``repro stats``)."""
-        if self._receiver is None:
-            return {"enabled": False}
         if now is None:
             now = self.latest_refresh_time if self.latest_refresh_time else 0.0
         return {

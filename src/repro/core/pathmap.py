@@ -112,7 +112,7 @@ class PathmapResult:
 
     graphs: Dict[Tuple[NodeId, NodeId], ServiceGraph]
     stats: PathmapStats
-    #: Per-edge transport-data quality (empty without transport).
+    #: Per-edge transport-data quality (empty for offline analysis).
     edge_quality: Dict[Tuple[NodeId, NodeId], "DataQuality"] = dataclasses.field(
         default_factory=dict
     )

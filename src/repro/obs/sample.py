@@ -48,7 +48,7 @@ class MetricsSample:
         Streamed RLE blocks pulled from tracers this refresh.
     wire_bytes:
         Wire-format bytes received this refresh: every transport
-        delivery, or on the direct path the ``wire_fidelity`` round trips.
+        delivery.
     correlators:
         Live (unparked) incremental correlators after this refresh.
     parked_correlators:
@@ -77,10 +77,6 @@ class MetricsSample:
     capture_batches:
         Columnar timestamp batches forwarded to the engine's capture
         sink this refresh (0 unless a ``capture_sink`` is configured).
-    autotune_recommendations:
-        Per-class tuning recommendations the adaptive controller holds
-        after this refresh (0 unless the engine runs with
-        ``adaptive=True``).
     low_confidence_events:
         Service classes whose steady-state confidence checks failed
         this refresh (each also publishes an ``EVENT_LOW_CONFIDENCE``
@@ -105,7 +101,6 @@ class MetricsSample:
     correlator_skips: int = 0
     correlation_cache_hits: int = 0
     capture_batches: int = 0
-    autotune_recommendations: int = 0
     low_confidence_events: int = 0
     rewindow_clips: int = 0
     parked_correlators: int = 0

@@ -25,10 +25,6 @@ the steady state of a live capture stream -- never trigger a global
 re-sort. Window materialization and :meth:`TraceCollector.edge_timestamps`
 are then array concatenations and ``np.searchsorted`` slices.
 
-The legacy pure-Python store survives as ``columnar=False`` for A/B
-benchmarking; it keeps a per-edge dirty flag so one new record re-sorts
-only the edge it touched, never every edge's full history.
-
 Retention: pass ``retention=<seconds>`` (for example
 ``config.retention_horizon``) and the collector evicts whole chunks older
 than ``newest seen - retention`` in O(chunks), keeping resident memory
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -182,68 +178,6 @@ class _ColumnarStore:
         return dropped
 
 
-class _ListStore:
-    """Legacy per-edge Python-list store (``columnar=False``).
-
-    Kept as the A/B baseline for the ingest benchmarks. The dirty flag is
-    per-store, so one new record re-sorts only its own edge's history --
-    never every edge, as the old collector-global flag did.
-    """
-
-    __slots__ = ("stamps", "_dirty", "_cache", "sorts")
-
-    def __init__(self) -> None:
-        self.stamps: List[float] = []
-        self._dirty = False
-        self._cache: Optional[np.ndarray] = None
-        self.sorts = 0
-
-    def append(self, timestamp: float) -> None:
-        self.stamps.append(timestamp)
-        self._dirty = True
-        self._cache = None
-
-    def extend(self, values: np.ndarray) -> None:
-        if values.size:
-            self.stamps.extend(values.tolist())
-            self._dirty = True
-            self._cache = None
-
-    @property
-    def count(self) -> int:
-        return len(self.stamps)
-
-    @property
-    def pending(self) -> int:
-        return 0
-
-    def consolidate(self) -> None:
-        if self._dirty:
-            self.stamps.sort()
-            self.sorts += 1
-            self._dirty = False
-
-    def array(self) -> np.ndarray:
-        if self._cache is None:
-            self.consolidate()
-            self._cache = (
-                np.asarray(self.stamps, dtype=np.float64) if self.stamps else _EMPTY
-            )
-        return self._cache
-
-    def evict_before(self, cutoff: float, sink=None) -> int:
-        self.consolidate()
-        arr = self.array()
-        idx = int(np.searchsorted(arr, cutoff, side="left"))
-        if idx:
-            if sink is not None:
-                sink(arr[:idx].copy())
-            del self.stamps[:idx]
-            self._cache = None
-        return idx
-
-
-_Store = Union[_ColumnarStore, _ListStore]
 
 
 class TraceCollector:
@@ -263,10 +197,6 @@ class TraceCollector:
         ``collector_records_evicted_total``, the
         ``collector_resident_records`` gauge and
         ``collector_windows_total``.
-    columnar:
-        True (default) stores each stream as sorted numpy chunks plus an
-        unsorted tail; False keeps the legacy per-edge Python lists (the
-        ingest benchmark's baseline). Analysis results are identical.
     retention:
         Optional horizon in seconds. When set, timestamps older than
         ``newest seen - retention`` are evicted (whole chunks at a time),
@@ -286,20 +216,17 @@ class TraceCollector:
         self,
         client_nodes: Iterable[NodeId] = (),
         metrics: Optional["MetricsRegistry"] = None,
-        columnar: bool = True,
         retention: Optional[float] = None,
         lake: Optional["TraceLake"] = None,
     ) -> None:
         self._clients: Set[NodeId] = set(client_nodes)
-        self.columnar = bool(columnar)
-        self._store_factory = _ColumnarStore if columnar else _ListStore
         if retention is not None and not retention > 0:
             raise TraceError(f"retention must be positive, got {retention}")
         self.retention = retention
         self.lake = lake
         # (src, dst) -> timestamp store, per observing side.
-        self._at_src: Dict[EdgeKey, _Store] = {}
-        self._at_dst: Dict[EdgeKey, _Store] = {}
+        self._at_src: Dict[EdgeKey, _ColumnarStore] = {}
+        self._at_dst: Dict[EdgeKey, _ColumnarStore] = {}
         self._max_seen = float("-inf")
         self._records_ingested = 0
         self._batches_ingested = 0
@@ -342,11 +269,11 @@ class TraceCollector:
     def clients(self) -> Set[NodeId]:
         return set(self._clients)
 
-    def _store(self, key: EdgeKey, at_destination: bool) -> _Store:
+    def _store(self, key: EdgeKey, at_destination: bool) -> _ColumnarStore:
         stores = self._at_dst if at_destination else self._at_src
         store = stores.get(key)
         if store is None:
-            store = self._store_factory()
+            store = _ColumnarStore()
             stores[key] = store
         return store
 
@@ -494,11 +421,10 @@ class TraceCollector:
         sorts = 0
         for stores in (self._at_src, self._at_dst):
             for store in stores.values():
-                chunks += len(getattr(store, "chunks", ()))
+                chunks += len(store.chunks)
                 pending += store.pending
                 sorts += store.sorts
         return {
-            "columnar": self.columnar,
             "retention": self.retention,
             "resident_records": self.record_count(),
             "records_ingested": self._records_ingested,

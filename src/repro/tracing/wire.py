@@ -99,15 +99,12 @@ import dataclasses
 import struct
 import zlib
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.rle import RunLengthSeries
 from repro.errors import TraceError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
 
 MAGIC = b"RL"
 VERSION = 1
@@ -236,17 +233,9 @@ def encode_blocks(blocks: Sequence[RunLengthSeries]) -> List[bytes]:
     return out
 
 
-def encode_block(
-    series: RunLengthSeries, metrics: Optional["MetricsRegistry"] = None
-) -> bytes:
-    """Serialize one RLE block to its wire representation.
-
-    ``metrics`` (optional) receives ``wire_blocks_encoded_total``,
-    ``wire_bytes_encoded_total`` and the ``wire_runs_per_block`` histogram.
-    """
+def encode_block(series: RunLengthSeries) -> bytes:
+    """Serialize one RLE block to its wire representation."""
     (payload,) = encode_blocks([series])
-    if metrics is not None:
-        _wire_metrics(metrics, "encoded", len(payload), series.num_runs)
     return payload
 
 
@@ -500,43 +489,17 @@ def decode_blocks(
     return out
 
 
-def decode_block(
-    data: bytes, metrics: Optional["MetricsRegistry"] = None
-) -> RunLengthSeries:
+def decode_block(data: bytes) -> RunLengthSeries:
     """Exact inverse of :func:`encode_block` (float32 value precision).
 
     Truncated or corrupted payloads raise :class:`~repro.errors.TraceError`
     -- never a bare ``struct.error`` or a series-construction error -- so a
     streaming analyzer can drop the block and keep its refresh loop alive.
-
-    ``metrics`` (optional) receives ``wire_blocks_decoded_total``,
-    ``wire_bytes_decoded_total`` and the ``wire_runs_per_block`` histogram.
     """
     (block,) = decode_blocks([data])
     if isinstance(block, TraceError):
         raise block
-    if metrics is not None:
-        _wire_metrics(metrics, "decoded", len(data), block.num_runs)
     return block
-
-
-def _wire_metrics(
-    metrics: "MetricsRegistry", direction: str, num_bytes: int, num_runs: int
-) -> None:
-    """Record one block's codec counters into a registry."""
-    from repro.obs.instruments import DEFAULT_COUNT_BUCKETS
-
-    metrics.counter(
-        f"wire_blocks_{direction}_total", f"RLE blocks {direction}"
-    ).inc()
-    metrics.counter(
-        f"wire_bytes_{direction}_total", f"Wire-format bytes {direction}"
-    ).inc(num_bytes)
-    metrics.histogram(
-        "wire_runs_per_block",
-        "RLE runs per block crossing the wire codec",
-        buckets=DEFAULT_COUNT_BUCKETS,
-    ).observe(num_runs)
 
 
 # -- transport framing ---------------------------------------------------------

@@ -155,11 +155,16 @@ class TestStats:
             "engine_refresh_seconds",
             "engine_correlator_cache_hits_total",
             "engine_correlator_cache_misses_total",
-            "wire_blocks_decoded_total",
+            "engine_wire_bytes_total",
+            "transport_frames_received_total",
             "pathmap_spikes_total",
         ):
             assert family in metrics, family
         assert metrics["engine_refresh_seconds"][""]["count"] >= 1
+        # The demo engine reads its tracers through the transport.
+        assert metrics["engine_wire_bytes_total"][""]["value"] > 0
+        assert metrics["transport_frames_received_total"][""]["value"] > 0
+        assert doc["transport"]["quality_score"] == 1.0
         assert doc["latest_sample"]["blocks_ingested"] > 0
         assert doc["latest_sample"]["parked_correlators"] == 0
 

@@ -110,27 +110,39 @@ class TestAnalysisQuality:
         # Steady state: no new correlators for a stable topology.
         assert engine.correlator_count == count_after_two
 
-    def test_wire_fidelity_mode_preserves_analysis(self):
-        """Streaming the blocks as actual bytes (tracing.wire) must not
-        change the recovered graphs."""
-        topo_a, _ = chain_topology(seed=3)
-        plain = E2EProfEngine(CFG)
-        plain.attach(topo_a)
-        topo_a.run_until(45.0)
+    def test_float32_wire_matches_float64_oracle(self):
+        """Block values cross the transport as float32; every refresh must
+        still publish the dense float64 pathmap's edges over the same
+        window, with delays within one quantum."""
+        from repro.core.pathmap import compute_service_graphs
 
-        topo_b, _ = chain_topology(seed=3)
-        wired = E2EProfEngine(CFG, wire_fidelity=True)
-        wired.attach(topo_b)
-        topo_b.run_until(45.0)
-
-        assert wired.wire_bytes_received > 0
-        g_plain = plain.latest_result.graph_for("C")
-        g_wired = wired.latest_result.graph_for("C")
-        assert g_plain.edge_set() == g_wired.edge_set()
-        for edge in g_plain.edges:
-            assert g_wired.edge(edge.src, edge.dst).delays == pytest.approx(
-                edge.delays, abs=1e-3
+        topo, _ = chain_topology(seed=3)
+        engine = E2EProfEngine(CFG)
+        published = []
+        engine.subscribe(lambda now, result: published.append((now, result)))
+        engine.attach(topo)
+        topo.run_until(45.0)
+        assert engine.wire_bytes_received > 0
+        assert [now for now, _ in published] == [10.0, 20.0, 30.0, 40.0]
+        for now, result in published:
+            # The refresh's window ends one sampling window behind ``now``;
+            # name it by quantum index, a quarter quantum inside, so float
+            # flooring cannot shift it by one quantum.
+            first = round(now / CFG.quantum) - CFG.sampling_quanta - CFG.window_quanta
+            start = (first + 0.25) * CFG.quantum
+            window = topo.collector.window(
+                CFG, end_time=start + CFG.window, start_time=start
             )
+            expected = compute_service_graphs(window, CFG, method="dense").graphs
+            assert set(result.graphs) == set(expected), now
+            for key, graph in expected.items():
+                online = result.graphs[key]
+                assert online.edge_set() == graph.edge_set(), (now, key)
+                for edge in graph.edges:
+                    if edge.delays:
+                        assert online.edge(edge.src, edge.dst).min_delay == pytest.approx(
+                            edge.min_delay, abs=CFG.quantum
+                        ), (now, edge.key)
 
     def test_late_appearing_edge_gets_backfilled(self):
         topo = Topology(seed=1)

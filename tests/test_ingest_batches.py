@@ -172,36 +172,24 @@ class TestExportDeterminism:
 
 
 class TestLegacyStoreDirtyFlags:
-    def test_sorts_are_per_edge(self):
-        collector = TraceCollector(columnar=False)
-        collector.ingest_point(2.0, "A", "B", True)
-        collector.ingest_point(1.0, "A", "B", True)
-        collector.ingest_point(2.0, "C", "D", True)
-        collector.ingest_point(1.0, "C", "D", True)
-        assert collector.edge_timestamps("A", "B").tolist() == [1.0, 2.0]
-        assert collector.ingest_stats()["sort_operations"] == 1
-        # Re-reading a clean edge never re-sorts.
-        collector.edge_timestamps("A", "B")
-        assert collector.ingest_stats()["sort_operations"] == 1
-        # Dirtying one edge does not dirty the other.
-        collector.ingest_point(0.5, "A", "B", True)
-        assert collector.edge_timestamps("C", "D").tolist() == [1.0, 2.0]
-        assert collector.ingest_stats()["sort_operations"] == 2
-        assert collector.edge_timestamps("A", "B").tolist() == [0.5, 1.0, 2.0]
-        assert collector.ingest_stats()["sort_operations"] == 3
+    """Per-point and batched ingest against a plain ``np.sort`` oracle."""
 
     def test_legacy_results_match_columnar(self):
         rng = np.random.default_rng(11)
         stamps = rng.uniform(0.0, 30.0, size=150)
-        legacy = TraceCollector(columnar=False)
-        columnar = TraceCollector()
-        for t in stamps:
-            legacy.ingest_point(float(t), "A", "B", True)
-        columnar.ingest_batch("A", "B", stamps)
-        assert (
-            legacy.edge_timestamps("A", "B").tolist()
-            == columnar.edge_timestamps("A", "B").tolist()
-        )
+        per_point = TraceCollector()
+        for t in stamps[:100]:
+            per_point.ingest_point(float(t), "A", "B", True)
+        # A read between arrivals consolidates; later points must merge in.
+        first = per_point.edge_timestamps("A", "B").tolist()
+        assert first == np.sort(stamps[:100]).tolist()
+        for t in stamps[100:]:
+            per_point.ingest_point(float(t), "A", "B", True)
+        batched = TraceCollector()
+        batched.ingest_batch("A", "B", stamps)
+        expected = np.sort(stamps).tolist()
+        assert per_point.edge_timestamps("A", "B").tolist() == expected
+        assert batched.edge_timestamps("A", "B").tolist() == expected
 
 
 class TestIngestMetrics:

@@ -345,26 +345,26 @@ class TestSampleAdaptivityCounters:
             classes=6, quiet_fraction=0.5, seed=4, request_rate=10.0,
             quiet_after=5.0, config=MANY_CLASS_CONFIG,
         )
-        engine = E2EProfEngine(MANY_CLASS_CONFIG, adaptive=True)
+        engine = E2EProfEngine(MANY_CLASS_CONFIG)
         samples = []
         engine.subscribe_metrics(
             lambda now, result, sample: samples.append(sample)
         )
         engine.attach(deployment.topology)
+        deployment.run_until(9.0)
+        engine.rewindow(4.0)
         deployment.run_until(18.0)
         engine.detach()
         assert samples
-        assert any(s.autotune_recommendations > 0
-                   or s.low_confidence_events > 0 for s in samples)
+        assert any(s.low_confidence_events > 0 for s in samples)
         # rewindow_clips are per-refresh deltas of the engine total
+        assert engine.rewindows == 1
         assert sum(s.rewindow_clips for s in samples) == engine.rewindows
         doc = samples[-1].to_dict()
-        for key in ("autotune_recommendations", "low_confidence_events",
-                    "rewindow_clips"):
+        for key in ("low_confidence_events", "rewindow_clips"):
             assert key in doc
 
     def test_non_adaptive_run_reports_zeroes(self, ledger_run):
         engine, _ = ledger_run
         sample = engine.latest_sample
-        assert sample.autotune_recommendations == 0
         assert sample.rewindow_clips == 0

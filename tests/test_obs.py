@@ -196,7 +196,7 @@ class TestEngineSample:
     def test_metrics_subscribers_receive_samples(self):
         topo = chain_topology()
         reg = MetricsRegistry(enabled=True)
-        engine = E2EProfEngine(CFG, wire_fidelity=True, metrics=reg)
+        engine = E2EProfEngine(CFG, metrics=reg)
         engine.attach(topo)
         samples = []
         engine.subscribe_metrics(lambda now, result, sample: samples.append((now, sample)))
@@ -214,7 +214,8 @@ class TestEngineSample:
         snap = snapshot(reg)
         assert snap["engine_refreshes_total"][""]["value"] == 2.0
         assert snap["engine_refresh_seconds"][""]["count"] == 2
-        assert snap["wire_blocks_decoded_total"][""]["value"] > 0
+        assert snap["transport_frames_received_total"][""]["value"] > 0
+        assert snap["engine_wire_bytes_total"][""]["value"] == engine.wire_bytes_received
         json.dumps(last.to_dict())  # must not raise
 
     def test_samples_flow_even_with_disabled_registry(self):
@@ -259,7 +260,7 @@ class TestOverheadGuard:
         # 2. Instrument ops per refresh, from an enabled run.
         topo = chain_topology(seed=1)
         enabled = MetricsRegistry(enabled=True)
-        engine = E2EProfEngine(CFG, wire_fidelity=True, metrics=enabled)
+        engine = E2EProfEngine(CFG, metrics=enabled)
         engine.attach(topo)
         topo.run_until(25.0)
         snap = snapshot(enabled)
@@ -274,8 +275,7 @@ class TestOverheadGuard:
         ops = (
             val("tracer_packets_observed_total")
             + val("tracer_blocks_flushed_total")
-            + 10 * val("wire_blocks_encoded_total")
-            + 10 * val("wire_blocks_decoded_total")
+            + 10 * val("transport_frames_received_total")
             + 2 * val("correlator_pair_products_total")
             + 2 * val("correlator_correlations_served_total")
             + val("correlator_evictions_total")

@@ -143,14 +143,12 @@ class TestNonSteadyWindows:
             quiet_after=5.0,
             config=CFG,
         )
-        engine = E2EProfEngine(CFG, adaptive=True)
+        engine = E2EProfEngine(CFG)
         engine.attach(deployment.topology)
         deployment.run_until(95.0)  # window slides fully past all traffic
         engine.detach()
         result = engine.latest_result
         assert result is not None
-        # All-quiet window: no graphs, zero confidence, and the tuner
-        # recommends nothing rather than extrapolating from nothing.
+        # All-quiet window: no graphs and zero confidence.
         assert not result.graphs
         assert engine.confidence_score == 0.0
-        assert engine.latest_recommendations == {}

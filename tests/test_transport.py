@@ -508,6 +508,8 @@ class TestEngineTransport:
         assert engine.latest_result.stats.graphs == 2
 
     def test_transport_matches_direct_pull_paths(self):
+        """An explicit default ``TransportConfig`` and none at all (the
+        defaults) publish the same paths."""
         from repro.apps.rubis import build_rubis
         from repro.core.engine import E2EProfEngine
 
@@ -639,11 +641,23 @@ class TestEngineTransport:
 
         json.dumps(summary)  # must be JSON-able
 
-    def test_summary_disabled_without_transport(self):
+    def test_default_engine_summary_enabled(self):
+        """The transport is the one ingest path: an engine built without
+        a ``TransportConfig`` runs it with the defaults."""
+        from repro.apps.rubis import build_rubis
         from repro.core.engine import E2EProfEngine
 
         engine = E2EProfEngine(self.CFG)
-        assert engine.transport_summary() == {"enabled": False}
+        assert engine.transport_summary()["enabled"] is True
+        rubis = build_rubis(
+            dispatch="affinity", seed=7, request_rate=10.0, config=self.CFG
+        )
+        engine.attach(rubis.topology)
+        rubis.run_until(25.0)
+        summary = engine.transport_summary()
+        assert summary["enabled"] is True
+        assert summary["quality_score"] == 1.0
+        assert summary["totals"]["frames_received"] > 0
 
     def test_gap_events_published(self):
         def factory(node):

@@ -4,10 +4,8 @@ Captures a realistic trace from the synthetic many-class topology
 (:mod:`repro.apps.manyclass`), then replays it through the trace
 collector along three ingest paths and reports records/second as JSON:
 
-* ``per_record``         -- the legacy path: one :class:`CaptureRecord`
-  at a time into the Python-list store (``columnar=False``).
-* ``per_record_columnar``-- the same record stream into the chunked
-  columnar store (isolates the store change from the batch API).
+* ``per_record``         -- one :class:`CaptureRecord` at a time into the
+  collector's chunked store.
 * ``batched``            -- per-(edge, side) timestamp arrays grouped by
   flush interval into :meth:`TraceCollector.ingest_batch`, as the
   engine's capture-sink drain delivers them.
@@ -106,8 +104,8 @@ def _consolidate(collector: TraceCollector) -> None:
         collector.edge_timestamps(src, dst, prefer_destination=False)
 
 
-def ingest_per_record(records, columnar: bool) -> TraceCollector:
-    collector = TraceCollector(columnar=columnar)
+def ingest_per_record(records) -> TraceCollector:
+    collector = TraceCollector()
     ingest = collector.ingest
     for record in records:
         ingest(record)
@@ -201,8 +199,7 @@ def run_benchmark(classes: int, seed: int, duration: float, repeats: int,
           flush=True)
 
     modes = {
-        "per_record": lambda: ingest_per_record(records, columnar=False),
-        "per_record_columnar": lambda: ingest_per_record(records, columnar=True),
+        "per_record": lambda: ingest_per_record(records),
         "batched": lambda: ingest_batched(batch_rounds),
     }
     results = {}
@@ -248,7 +245,7 @@ def run_benchmark(classes: int, seed: int, duration: float, repeats: int,
         )
 
     equivalent = identical_windows(
-        ingest_per_record(records, columnar=False),
+        ingest_per_record(records),
         ingest_batched(batch_rounds),
         end_time=duration,
     )
