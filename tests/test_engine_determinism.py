@@ -140,7 +140,19 @@ class TestRepeatability:
         assert first.latest_confidence == second.latest_confidence
         assert first.confidence_score == second.confidence_score
         assert first.latest_result.confidence == second.latest_result.confidence
-        assert first.latest_confidence  # confidence is always on
+
+    def test_adaptive_flag_gates_recommendations(self):
+        # Recommendations are offline only (the scenario runner's
+        # analyze_adaptive); the live engine neither takes the flag nor
+        # publishes them, but its confidence reports are always on.
+        with pytest.raises(TypeError):
+            E2EProfEngine(CFG, adaptive=True)
+        engine, samples = run_engine()
+        assert not hasattr(engine, "latest_recommendations")
+        assert samples
+        assert not hasattr(samples[-1], "autotune_recommendations")
+        assert engine.latest_confidence  # confidence is always on
+        assert engine.latest_result.class_confidence
 
 
 class TestScenarioSweep:
