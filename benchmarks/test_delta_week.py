@@ -2,11 +2,14 @@
 
 "E2EProf is used to analyse a week long trace collected from this
 subsystem." Seven scaled diurnal days (hourly rate curve + the nightly
-4 AM batch) are simulated, exported as an access log, and replayed with
-the offline sliding analyzer sampling four windows per day. Asserts what
+4 AM batch) are simulated, exported as an access log, and replayed
+through the engine; one replay stream supplies four sampled windows per
+day plus each day's refresh whose window covers the batch. Asserts what
 the paper reports: paths recovered throughout the week except around the
 nightly batches, where the steady-state assumption breaks.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from repro.analysis.render import render_comparison_table
 from repro.apps.delta import BATCH_HOUR_SECONDS, build_delta, run_day
 from repro.config import PathmapConfig
-from repro.core.offline import analyze_sliding
+from repro.core.engine import E2EProfEngine
+from repro.core.offline import replay
 from repro.tracing.access_log import access_log_to_captures
 from repro.tracing.collector import TraceCollector
 
@@ -29,7 +33,14 @@ CFG = PathmapConfig(
 )
 DAYS = 7
 DAY = 86400.0
-STEP = 6 * 3600.0  # four analyses per day
+STEP = 6 * 3600.0  # four sampled windows per day
+#: Each day's batch-covering refresh: the first one at or after 45
+#: minutes past the batch hour.
+BATCH_REFRESHES = {
+    math.ceil((day * DAY + BATCH_HOUR_SECONDS + 0.75 * 3600.0) / CFG.refresh_interval)
+    * CFG.refresh_interval
+    for day in range(DAYS)
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +70,11 @@ def full_fraction(result):
 
 def test_delta_week(benchmark, week_replay):
     deployment, collector, end = week_replay
-    results = dict(analyze_sliding(collector, CFG, 0.0, end, step=STEP))
-    # Add one explicit analysis per day whose window covers the batch.
-    from repro.core.pathmap import compute_service_graphs
-
-    for day in range(DAYS):
-        when = day * DAY + BATCH_HOUR_SECONDS + 0.75 * 3600.0
-        window = collector.window(CFG, end_time=when, start_time=when - CFG.window)
-        results[when] = compute_service_graphs(window, CFG)
+    results = {
+        now: result
+        for now, result in replay(collector, E2EProfEngine(CFG), 0.0, end)
+        if (now - CFG.window) % STEP == 0 or now in BATCH_REFRESHES
+    }
 
     rows = []
     batch_windows = []
@@ -96,7 +104,7 @@ def test_delta_week(benchmark, week_replay):
 
     # Benchmark one representative analysis window.
     benchmark(
-        lambda: next(iter(analyze_sliding(collector, CFG, 3 * DAY, 3 * DAY + 3700)))
+        lambda: next(replay(collector, E2EProfEngine(CFG), 3 * DAY, 3 * DAY + 3700))
     )
 
     assert len(results) >= DAYS * 5 - 1

@@ -5,7 +5,8 @@ production, then slice and re-analyze it offline (that is how the paper
 processed Delta's week-long log). This example:
 
 1. records a RUBiS trace to a JSONL file,
-2. reloads it into a fresh collector and analyzes two time slices,
+2. reloads it into a fresh collector and replays it through the online
+   engine, one full window per refresh,
 3. audits clock skew between two servers from the same trace
    (Section 3.8) -- the database's clock is deliberately 80 ms ahead.
 
@@ -15,12 +16,8 @@ Run:  python examples/offline_trace_analysis.py
 import tempfile
 from pathlib import Path
 
-from repro import (
-    PathmapConfig,
-    TraceCollector,
-    compute_service_graphs,
-    estimate_clock_skew,
-)
+from repro import E2EProfEngine, PathmapConfig, TraceCollector, estimate_clock_skew
+from repro.core.offline import replay
 from repro.simulation.distributions import Erlang
 from repro.simulation.nodes import StaticRouter
 from repro.simulation.topology import Topology
@@ -64,10 +61,9 @@ def main() -> None:
         offline = TraceCollector(client_nodes=["C"])
         offline.ingest_many(load_captures(path))
 
-        for end in (61.0, 121.0):
-            result = compute_service_graphs(
-                offline.window(CONFIG, end_time=end), CONFIG
-            )
+        # The stored stamps are already local-clock (DB's included), so
+        # the replay's tracers add no skew of their own.
+        for end, result in replay(offline, E2EProfEngine(CONFIG), 1.0, 121.0):
             graph = result.graph_for("C")
             print(f"window ending t={end:.0f}s: orders path "
                   f"{' -> '.join(p.nodes[-1] for p in graph.paths()[:1]) or '?'} "

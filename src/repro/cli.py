@@ -58,7 +58,9 @@ from repro.apps.delta import build_delta
 from repro.apps.rubis import build_rubis
 from repro.config import PathmapConfig
 from repro.core.clock_skew import estimate_clock_skew
-from repro.core.pathmap import compute_service_graphs
+from repro.core.engine import E2EProfEngine
+from repro.core.offline import replay
+from repro.core.pathmap import PathmapResult
 from repro.errors import E2EProfError
 from repro.tracing.access_log import access_log_to_captures
 from repro.tracing.collector import TraceCollector
@@ -120,20 +122,28 @@ def _load_collector(args: argparse.Namespace, metrics=None) -> TraceCollector:
     return collector
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _trace_span(collector: TraceCollector):
+    """First and last capture time over every edge's signal."""
+    signals = [collector.edge_timestamps(src, dst) for src, dst in collector.edges()]
+    return min(s[0] for s in signals), max(s[-1] for s in signals)
+
+
+def _window_analysis(
+    args: argparse.Namespace, collector: TraceCollector, end: Optional[float]
+) -> PathmapResult:
+    """The analysis of the window ending at ``end`` (default: the last
+    capture): a replay of the trace through a fresh engine, anchored one
+    window earlier, whose one full-window refresh fires at ``end``."""
     config = _config_from(args)
-    collector = _load_collector(args)
-    end = args.end
     if end is None:
-        end = max(
-            max(collector.edge_timestamps(src, dst))
-            for src, dst in collector.edges()
-        )
-    result = compute_service_graphs(
-        collector.window(config, end_time=end),
-        config,
-        method=args.method,
-    )
+        end = _trace_span(collector)[1]
+    start = end - config.window
+    *_, (_, result) = replay(collector, E2EProfEngine(config), start, end)
+    return result
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    result = _window_analysis(args, _load_collector(args), args.end)
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
         return 1
@@ -168,18 +178,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.analysis.diff import diff_graphs
 
-    config = _config_from(args)
     collector = _load_collector(args)
-
-    def analysis(end: float):
-        return compute_service_graphs(
-            collector.window(config, end_time=end),
-            config,
-            method=args.method,
-        )
-
-    before = analysis(args.before_end)
-    after = analysis(args.after_end)
+    before = _window_analysis(args, collector, args.before_end)
+    after = _window_analysis(args, collector, args.after_end)
     shared = set(before.graphs) & set(after.graphs)
     if not shared:
         print("no service class present in both windows", file=sys.stderr)
@@ -202,19 +203,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
     from repro.analysis.svg import write_svg
 
-    config = _config_from(args)
-    collector = _load_collector(args)
-    end = args.end
-    if end is None:
-        end = max(
-            max(collector.edge_timestamps(src, dst))
-            for src, dst in collector.edges()
-        )
-    result = compute_service_graphs(
-        collector.window(config, end_time=end),
-        config,
-        method=args.method,
-    )
+    result = _window_analysis(args, _load_collector(args), args.end)
     if not result.graphs:
         print("no service graphs found in the window", file=sys.stderr)
         return 1
@@ -276,100 +265,72 @@ def _optimization_ratios(snap: dict) -> dict:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Run an instrumented analysis and dump the metrics registry.
 
-    Without a trace, runs the bundled RUBiS demo through the online
-    engine, which exercises every instrumented subsystem (tracers,
-    transport, incremental correlators, pathmap).
-    With a trace, replays it through the offline sliding-window analysis.
+    Runs the online engine, which exercises every instrumented subsystem
+    (tracers, transport, incremental correlators, pathmap): over the
+    bundled RUBiS demo without a trace, else over a replay of the whole
+    trace.
     """
     from repro.obs import MetricsRegistry, snapshot, to_prometheus
+    from repro.tracing.transport import FaultyChannel
 
     registry = MetricsRegistry(enabled=True)
-    latest_sample = None
-    transport_summary = None
-    ingest_stats = None
-    if args.trace is None:
-        from repro.core.engine import E2EProfEngine
-        from repro.tracing.transport import FaultyChannel
+    collector = _trace_collector(args, metrics=registry)
+    config = _config_from(args) if collector is not None else _demo_config(args)
 
-        config = _demo_config(args)
-
-        def channel_factory(node, _args=args):
-            return FaultyChannel(
-                seed=_args.fault_seed + sum(node.encode()),
-                drop=_args.fault_drop,
-                reorder=_args.fault_reorder,
-                duplicate=_args.fault_duplicate,
-                corrupt=_args.fault_corrupt,
-                delay=_args.fault_delay,
-            )
-
-        capture_sink = None
-        lake = None
-        if args.ingest:
-            from repro.tracing.collector import TraceCollector
-
-            if args.lake:
-                from repro.lake import TraceLake
-
-                lake = TraceLake(args.lake, metrics=registry)
-            capture_sink = TraceCollector(
-                metrics=registry, retention=config.retention_horizon, lake=lake
-            )
-        rubis = build_rubis(dispatch="affinity", seed=args.seed)
-        engine = E2EProfEngine(
-            config,
-            metrics=registry,
-            channel_factory=channel_factory,
-            capture_sink=capture_sink,
-            lake=lake,
+    def channel_factory(node, _args=args):
+        return FaultyChannel(
+            seed=_args.fault_seed + sum(node.encode()),
+            drop=_args.fault_drop,
+            reorder=_args.fault_reorder,
+            duplicate=_args.fault_duplicate,
+            corrupt=_args.fault_corrupt,
+            delay=_args.fault_delay,
         )
-        engine.attach(rubis.topology)
-        rubis.run_until(args.duration)
-        if capture_sink is not None:
-            capture_sink.evict_expired()
-            if lake is not None:
-                # Exercise the cache-aside read path over the full span
-                # (twice, so the mapping LRU's hit rate is meaningful in
-                # the report) before snapshotting lake stats.
-                lake.flush()
-                for src, dst, _side in lake.streams():
-                    for _ in range(2):
-                        capture_sink.edge_timestamps_range(
-                            src, dst, 0.0, args.duration
-                        )
-            ingest_stats = capture_sink.ingest_stats()
-        _require_refresh(engine, args, config)
-        latest_sample = engine.latest_sample
-        transport_summary = engine.transport_summary()
-    else:
-        from repro.core.offline import analyze_sliding
 
-        config = _config_from(args)
-        collector = _load_collector(args, metrics=registry)
-        stamps = [
-            t
-            for src, dst in collector.edges()
-            for t in collector.edge_timestamps(src, dst)
-        ]
-        start, end = min(stamps), max(stamps)
-        for _when, _result in analyze_sliding(
-            collector, config, start, end, method=args.method, metrics=registry
-        ):
-            pass
-        if args.ingest:
-            ingest_stats = collector.ingest_stats()
+    capture_sink = None
+    lake = None
+    if args.ingest and collector is None:
+        if args.lake:
+            from repro.lake import TraceLake
+
+            lake = TraceLake(args.lake, metrics=registry)
+        capture_sink = TraceCollector(
+            metrics=registry, retention=config.retention_horizon, lake=lake
+        )
+    engine = E2EProfEngine(
+        config,
+        metrics=registry,
+        channel_factory=channel_factory,
+        capture_sink=capture_sink,
+        lake=lake,
+    )
+    _run_engine(args, engine, collector)
+    ingest_stats = None
+    if capture_sink is not None:
+        capture_sink.evict_expired()
+        if lake is not None:
+            # Exercise the cache-aside read path over the full span
+            # (twice, so the mapping LRU's hit rate is meaningful in
+            # the report) before snapshotting lake stats.
+            lake.flush()
+            for src, dst, _side in lake.streams():
+                for _ in range(2):
+                    capture_sink.edge_timestamps_range(
+                        src, dst, 0.0, args.duration
+                    )
+        ingest_stats = capture_sink.ingest_stats()
+    elif args.ingest:
+        ingest_stats = collector.ingest_stats()
 
     if args.format == "prometheus":
         payload = to_prometheus(registry)
     else:
-        doc = {"metrics": snapshot(registry)}
-        if latest_sample is not None:
-            doc["latest_sample"] = latest_sample.to_dict()
-            doc["refresh_optimizations"] = _optimization_ratios(
-                snapshot(registry)
-            )
-        if transport_summary is not None:
-            doc["transport"] = transport_summary
+        doc = {
+            "metrics": snapshot(registry),
+            "latest_sample": engine.latest_sample.to_dict(),
+            "refresh_optimizations": _optimization_ratios(snapshot(registry)),
+            "transport": engine.transport_summary(),
+        }
         if ingest_stats is not None:
             doc["ingest"] = ingest_stats
         if args.format == "both":
@@ -387,71 +348,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_timeline(args: argparse.Namespace) -> int:
     """Record a span/event timeline of the pipeline and export it.
 
-    Without a trace (or with ``--demo``), runs the bundled RUBiS demo
-    through the online engine with span tracing enabled and the standard
-    detectors subscribed, then exports the engine's flight record. With a
-    trace, replays it through the offline sliding-window analysis under
-    the same tracing, building one flight-record frame per refresh.
+    Runs the online engine with span tracing enabled and the standard
+    detectors subscribed -- over the bundled RUBiS demo without a trace
+    (or with ``--demo``), else over a replay of the whole trace -- then
+    exports the engine's flight record.
     """
     from repro.analysis.timeline import render_timeline_ascii, render_timeline_svg
+    from repro.core.anomaly import AnomalyDetector
+    from repro.core.change_detection import ChangeDetector
+    from repro.management.monitor import LatencyMonitor
     from repro.obs import chrome_trace
 
-    if args.trace is None or args.demo:
-        from repro.core.anomaly import AnomalyDetector
-        from repro.core.change_detection import ChangeDetector
-        from repro.core.engine import E2EProfEngine
-        from repro.management.monitor import LatencyMonitor
-
-        rubis, engine, config = _demo_engine(args)
-        engine.tracer.enable()
-        ChangeDetector().subscribe_to(engine)
-        AnomalyDetector().subscribe_to(engine)
-        LatencyMonitor().subscribe_to(engine)
-        rubis.run_until(args.duration)
-        _require_refresh(engine, args, config)
-        dump = engine.dump_flight_record(args.last)
-    else:
-        from repro.core.anomaly import AnomalyDetector
-        from repro.core.change_detection import ChangeDetector
-        from repro.core.offline import analyze_sliding
-        from repro.obs import EventBus, FlightRecorder, RefreshFrame, SpanTracer
-
-        config = _config_from(args)
-        collector = _load_collector(args)
-        stamps = [
-            t
-            for src, dst in collector.edges()
-            for t in collector.edge_timestamps(src, dst)
-        ]
-        start, end = min(stamps), max(stamps)
-        tracer = SpanTracer(enabled=True)
-        events = EventBus(tracer=tracer)
-        recorder = FlightRecorder()
-        detectors = [
-            ChangeDetector(events=events),
-            AnomalyDetector(events=events),
-        ]
-        sequence = 0
-        mark = time.perf_counter()
-        for when, result in analyze_sliding(
-            collector, config, start, end, method=args.method, tracer=tracer
-        ):
-            for detector in detectors:
-                detector.record(when, result)
-            recorder.record(
-                RefreshFrame(
-                    time=when,
-                    sequence=sequence,
-                    sample={"graphs": len(result.graphs),
-                            "spikes": result.stats.spikes,
-                            "correlations": result.stats.correlations},
-                    spans=tracer.drain(),
-                    events=events.events_since(mark),
-                )
-            )
-            mark = time.perf_counter()
-            sequence += 1
-        dump = recorder.dump(args.last)
+    collector = _trace_collector(args)
+    config = _config_from(args) if collector is not None else _demo_config(args)
+    engine = E2EProfEngine(config)
+    engine.tracer.enable()
+    ChangeDetector().subscribe_to(engine)
+    AnomalyDetector().subscribe_to(engine)
+    LatencyMonitor().subscribe_to(engine)
+    _run_engine(args, engine, collector)
+    dump = engine.dump_flight_record(args.last)
 
     if not dump["frames"]:
         raise E2EProfError("flight record is empty: nothing to export")
@@ -490,28 +406,34 @@ def _demo_config(args: argparse.Namespace) -> PathmapConfig:
     )
 
 
-def _demo_engine(args: argparse.Namespace):
-    """Build the RUBiS demo wired to an online engine (not yet run).
-
-    Shared by the demo modes of ``timeline``, ``top`` and ``profile``:
-    the caller subscribes whatever it needs, then drives the simulation
-    with ``rubis.run_until(args.duration)``.
-    """
-    from repro.core.engine import E2EProfEngine
-
-    config = _demo_config(args)
-    rubis = build_rubis(dispatch="affinity", seed=args.seed)
-    engine = E2EProfEngine(config)
-    engine.attach(rubis.topology)
-    return rubis, engine, config
+def _trace_collector(args: argparse.Namespace, metrics=None) -> Optional[TraceCollector]:
+    """The verb's stored trace, or None when it runs the RUBiS demo."""
+    if args.trace is None or getattr(args, "demo", False):
+        return None
+    return _load_collector(args, metrics=metrics)
 
 
-def _require_refresh(engine, args: argparse.Namespace, config) -> None:
-    if engine.latest_ledger is None:
-        raise E2EProfError(
-            f"no refresh fired: --duration {args.duration} is shorter "
-            f"than one refresh interval ({config.refresh_interval:.0f}s)"
-        )
+def _run_engine(
+    args: argparse.Namespace,
+    engine: E2EProfEngine,
+    collector: Optional[TraceCollector] = None,
+) -> None:
+    """Drive ``engine`` to the end of its input: a replay of
+    ``collector``'s whole trace or, without one, ``--duration`` simulated
+    seconds of the RUBiS demo. Shared by ``stats``, ``timeline``, ``top``
+    and ``profile``: the caller builds and subscribes the engine first."""
+    if collector is not None:
+        for _ in replay(collector, engine, *_trace_span(collector)):
+            pass
+    else:
+        rubis = build_rubis(dispatch="affinity", seed=args.seed)
+        engine.attach(rubis.topology)
+        rubis.run_until(args.duration)
+        if engine.latest_ledger is None:
+            raise E2EProfError(
+                f"no refresh fired: --duration {args.duration} is shorter "
+                f"than one refresh interval ({engine.config.refresh_interval:.0f}s)"
+            )
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -525,7 +447,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     from repro.analysis.top import render_top
 
-    rubis, engine, config = _demo_engine(args)
+    engine = E2EProfEngine(_demo_config(args))
     title = f"repro top | RUBiS demo seed {args.seed}"
     live = not args.once and sys.stdout.isatty()
     if live:
@@ -544,8 +466,7 @@ def cmd_top(args: argparse.Namespace) -> int:
                 time.sleep(args.interval)
 
         engine.subscribe_metrics(redraw)
-    rubis.run_until(args.duration)
-    _require_refresh(engine, args, config)
+    _run_engine(args, engine)
     frame = render_top(
         engine.ledger.history(args.last),
         engine.ledger.ewma_snapshot(),
@@ -568,9 +489,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """
     from repro.analysis.top import render_profile
 
-    rubis, engine, config = _demo_engine(args)
-    rubis.run_until(args.duration)
-    _require_refresh(engine, args, config)
+    engine = E2EProfEngine(_demo_config(args))
+    _run_engine(args, engine)
     if args.json:
         from repro.obs.ledger import CORRELATION_KERNELS
 
@@ -578,9 +498,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
         doc["workload"] = {
             "app": "rubis",
             "duration": args.duration,
-            "refresh_interval": config.refresh_interval,
+            "refresh_interval": engine.config.refresh_interval,
             "seed": args.seed,
-            "window": config.window,
+            "window": engine.config.window,
         }
         # Per-kernel row-density summary over the exported ledgers: how
         # many rows the dispatch routed to each kernel and the average
@@ -925,8 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ingress source name for access logs")
     analyze.add_argument("--end", type=float, default=None,
                          help="window end time (default: last capture)")
-    analyze.add_argument("--method", default="auto",
-                         choices=["auto", "dense", "sparse", "rle", "fft"])
     analyze.add_argument("--format", default="ascii",
                          choices=["ascii", "dot", "json", "report", "summary"])
     _add_config_arguments(analyze)
@@ -944,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated client node ids")
     diff.add_argument("--access-log", action="store_true")
     diff.add_argument("--ingress", default="external")
-    diff.add_argument("--method", default="auto",
-                      choices=["auto", "dense", "sparse", "rle", "fft"])
     _add_config_arguments(diff)
     diff.set_defaults(func=cmd_diff)
 
@@ -959,8 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--ingress", default="external",
                         help="ingress source name for access logs")
     render.add_argument("--end", type=float, default=None)
-    render.add_argument("--method", default="auto",
-                        choices=["auto", "dense", "sparse", "rle", "fft"])
     _add_config_arguments(render)
     render.set_defaults(func=cmd_render)
 
@@ -986,8 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input is an access log, not packet captures")
     stats.add_argument("--ingress", default="external",
                        help="ingress source name for access logs")
-    stats.add_argument("--method", default="auto",
-                       choices=["auto", "dense", "sparse", "rle", "fft"])
     stats.add_argument("--format", default="json",
                        choices=["json", "prometheus", "both"],
                        help="output format (default json; 'both' embeds the "
@@ -1036,8 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="input is an access log, not packet captures")
     timeline.add_argument("--ingress", default="external",
                           help="ingress source name for access logs")
-    timeline.add_argument("--method", default="auto",
-                          choices=["auto", "dense", "sparse", "rle", "fft"])
     timeline.add_argument("--format", default="ascii",
                           choices=["ascii", "chrome", "svg", "json"],
                           help="export format: ASCII Gantt (default), "

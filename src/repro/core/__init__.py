@@ -18,7 +18,7 @@ from repro.core.link_latency import (
     estimate_link_latency,
     measure_link_latencies,
 )
-from repro.core.offline import analyze_sliding, replay_into
+from repro.core.offline import replay
 from repro.core.pathmap import Pathmap, PathmapResult, PathmapStats, TraceWindow, compute_service_graphs
 from repro.core.rle import Run, RunLengthSeries, rle_decode, rle_encode
 from repro.core.service_graph import ServiceEdge, ServiceGraph, ServicePath

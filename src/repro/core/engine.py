@@ -19,6 +19,10 @@ Block timing: blocks are flushed one sampling window behind real time so
 every message contributing to a block's boxcar has already been observed;
 the analysis therefore lags reality by ``omega`` (50 ms at RUBiS
 settings), which is negligible against ``dW``.
+
+Side rule: an edge is captured at each traced endpoint. The engine keeps
+the destination-side copy (Algorithm 1), and the source-side copy only
+for edges into clients, which run no tracer.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.sample import MetricsSample
 from repro.obs.spans import SpanTracer
 from repro.simulation.des import PeriodicTask
-from repro.simulation.topology import Topology
 from repro.tracing.collector import TraceCollector
 from repro.tracing.records import NodeId
 from repro.tracing.tracer import Tracer
@@ -89,6 +92,7 @@ from repro.tracing.wire import RoundFrame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lake import TraceLake
+    from repro.simulation.topology import Topology
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +178,11 @@ class E2EProfEngine(PipelineCore):
         self.last_refresh_seconds: float = 0.0
         #: MetricsSample of the most recent refresh (None before the first).
         self.latest_sample: Optional[MetricsSample] = None
-        self._topology: Optional[Topology] = None
+        # What a refresh reads: node -> tracer, and an object whose
+        # ``.clients`` names the client nodes (a topology's collector or a
+        # stored trace's). Filled by :meth:`connect`.
+        self._tracers: Optional[Dict[NodeId, Tracer]] = None
+        self._client_source = None
         self._task: Optional[PeriodicTask] = None
         # Per-refresh correlator-cache tallies (plain ints: counted even
         # with the registry disabled, so MetricsSamples are always real).
@@ -371,29 +379,45 @@ class E2EProfEngine(PipelineCore):
         (see :mod:`repro.obs.sample`). Works with the registry disabled."""
         self._metrics_subscribers.append(callback)
 
-    def attach(self, topology: Topology, start_at: Optional[float] = None) -> None:
+    def connect(
+        self, tracers: Dict[NodeId, Tracer], client_source, start_at: float
+    ) -> None:
+        """Read ``tracers`` (node -> tracer) from now on; every refresh
+        also re-reads ``client_source.clients``, since clients may appear
+        while running (new service classes).
+
+        Block boundaries are anchored one sampling window behind
+        ``start_at``, so the refresh at ``now`` analyzes the window ending
+        at ``now - omega`` (see the module docstring). :meth:`attach`
+        connects a live topology; :func:`repro.core.offline.replay` a
+        stored trace's streams. Either way, :meth:`refresh` runs the rest.
+        """
+        if self._tracers is not None:
+            raise AnalysisError("engine is already attached")
+        self._tracers = tracers
+        self._client_source = client_source
+        self._clients |= client_source.clients
+        if self.metrics.enabled:
+            # Only bound when observing is on: tracer.observe runs once per
+            # simulated packet, so unbound tracers pay nothing at all.
+            for tracer in tracers.values():
+                tracer.bind_metrics(self.metrics)
+        if self.capture_sink is not None:
+            for tracer in tracers.values():
+                tracer.enable_batch_streaming()
+        # Anchor block boundaries one sampling window behind the wall
+        # clock so flushed blocks are complete (see module docstring).
+        tau = self.config.quantum
+        self._base_quantum = int(round(start_at / tau)) - self.config.sampling_quanta
+
+    def attach(self, topology: "Topology", start_at: Optional[float] = None) -> None:
         """Drive refreshes from a simulated topology's clock.
 
         The first refresh fires one ``dW`` after ``start_at`` (default:
         attach time) and every ``dW`` thereafter.
         """
-        if self._topology is not None:
-            raise AnalysisError("engine is already attached")
-        self._topology = topology
-        self._clients |= topology.collector.clients
-        if self.metrics.enabled:
-            # Only bound when observing is on: tracer.observe runs once per
-            # simulated packet, so unbound tracers pay nothing at all.
-            for tracer in topology.fabric.tracers.values():
-                tracer.bind_metrics(self.metrics)
-        if self.capture_sink is not None:
-            for tracer in topology.fabric.tracers.values():
-                tracer.enable_batch_streaming()
         begin = start_at if start_at is not None else topology.sim.now
-        tau = self.config.quantum
-        # Anchor block boundaries one sampling window behind the wall
-        # clock so flushed blocks are complete (see module docstring).
-        self._base_quantum = int(round(begin / tau)) - self.config.sampling_quanta
+        self.connect(topology.fabric.tracers, topology.collector, begin)
         self._task = PeriodicTask(
             topology.sim,
             self.config.refresh_interval,
@@ -405,7 +429,8 @@ class E2EProfEngine(PipelineCore):
         if self._task is not None:
             self._task.cancel()
             self._task = None
-        self._topology = None
+        self._tracers = None
+        self._client_source = None
 
     def close(self) -> None:
         """Release every runtime resource the engine holds: the refresh
@@ -442,12 +467,9 @@ class E2EProfEngine(PipelineCore):
         ``_stage_correlate`` -> ``_stage_dfs`` -> ``_stage_publish``
         (stage boundaries match the refresh ledger's samples)."""
         started = time.perf_counter()
-        if self._topology is None:
-            raise AnalysisError("engine is not attached to a topology")
-        if self._base_quantum is None:
-            raise AnalysisError("engine was never attached")
-        # Clients may be added while running (new service classes).
-        self._clients |= self._topology.collector.clients
+        if self._tracers is None:
+            raise AnalysisError("engine is not attached")
+        self._clients |= self._client_source.clients
         block_start = self._base_quantum + self._refreshes * self._block_quanta
         self._refresh_cache_hits = 0
         self._refresh_cache_misses = 0
@@ -813,7 +835,7 @@ class E2EProfEngine(PipelineCore):
         handed to the receiver once, so it decodes the round in one pass."""
         receiver = self._receiver
         tau = self.config.quantum
-        tracers = self._topology.fabric.tracers
+        tracers = self._tracers
         with self.tracer.span("engine.transport") as span:
             deliveries: List[bytes] = []
             for node_id, tracer in tracers.items():
@@ -1063,10 +1085,9 @@ class E2EProfEngine(PipelineCore):
         """Simulate a tracer crash/restart: captured state is lost, the
         transport epoch bumps (so pre-restart blocks are never
         resurrected) and its round sequence resets."""
-        if self._topology is not None:
-            tracer = self._topology.fabric.tracer(node_id)
-            if tracer is not None:
-                tracer.restart()
+        tracer = (self._tracers or {}).get(node_id)
+        if tracer is not None:
+            tracer.restart()
         self._link_for(node_id).restart()
 
     def transport_summary(self, now: Optional[float] = None) -> dict:

@@ -1,119 +1,88 @@
-"""Offline sliding-window replay over a stored trace.
+"""Offline sliding-window analysis of a stored trace, replayed through the engine.
 
 The paper's Delta study analyzes "a week long trace collected from this
-subsystem" offline, but the *algorithm* is the same sliding-window
-process as the online engine. :func:`analyze_sliding` replays that
-process over a collector: one analysis per refresh interval, each over
-the trailing window -- producing the same (time, result) stream the
-online engine emits, from data at rest.
+subsystem" offline with the same sliding-window algorithm it runs online.
+:func:`replay` runs that algorithm -- the online
+:class:`~repro.core.engine.E2EProfEngine` itself -- over a collector:
+every stored ``(edge, side)`` stream is fed to a tracer at its observer,
+one refresh round at a time, and the engine refreshes exactly as it does
+attached to a live system. The caller builds the engine, so its registry,
+spans, events, flight record and subscribers are the online ones.
+
+Window alignment: the engine flushes blocks one sampling window ``omega``
+behind ``now``, so its refresh at ``now`` analyzes the trace up to
+``now - omega``. A window "ending at ``end``" is the replay anchored at
+``end - W``: its one full-window refresh fires at ``end`` and covers
+``[end - W - omega, end - omega)``.
 """
 
 from __future__ import annotations
 
-import logging
-import time
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+import math
+from typing import TYPE_CHECKING, Iterator, Tuple
 
-from repro.config import PathmapConfig
-from repro.core.pathmap import PathmapResult, compute_service_graphs
+import numpy as np
+
+from repro.core.pathmap import PathmapResult
 from repro.errors import AnalysisError
 from repro.tracing.collector import TraceCollector
+from repro.tracing.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.spans import SpanTracer
-
-logger = logging.getLogger(__name__)
+    from repro.core.engine import E2EProfEngine
 
 
-def analyze_sliding(
+def replay(
     collector: TraceCollector,
-    config: PathmapConfig,
+    engine: "E2EProfEngine",
     start_time: float,
     end_time: float,
-    method: str = "auto",
-    step: Optional[float] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    tracer: Optional["SpanTracer"] = None,
 ) -> Iterator[Tuple[float, PathmapResult]]:
-    """Yield ``(refresh_time, PathmapResult)`` for every refresh in
+    """Drive ``engine`` over ``collector``'s trace from ``start_time``;
+    yield ``(now, PathmapResult)`` for every refresh in
     ``[start_time + W, end_time]``.
 
-    The first refresh fires once a full window of trace is available;
-    subsequent refreshes advance by ``step`` (default: the config's
-    refresh interval; offline replays of long traces often subsample with
-    a larger step). Lazy: callers can stop early (e.g. once a diagnosis
-    is found in a week-long trace).
+    The engine is anchored at ``start_time`` and refreshes at
+    ``start_time + k * dW``; the refreshes before the first full window
+    run (they fill the engine's history) but are not yielded. Stored
+    stamps are already local-clock, so every tracer runs without skew;
+    feeding starts one sampling window before the engine's first block.
+    Lazy: callers can stop early (e.g. once a diagnosis is found in a
+    week-long trace).
     """
-    if step is None:
-        step = config.refresh_interval
-    if step <= 0:
-        raise AnalysisError(f"step must be positive, got {step}")
+    config = engine.config
     if end_time <= start_time:
-        raise AnalysisError(
-            f"empty replay range: [{start_time}, {end_time}]"
-        )
-    refresh = start_time + config.window
-    if refresh > end_time:
+        raise AnalysisError(f"empty replay range: [{start_time}, {end_time}]")
+    if start_time + config.window > end_time:
         raise AnalysisError(
             "replay range shorter than one analysis window "
             f"({end_time - start_time:.1f}s < {config.window:.1f}s)"
         )
-    hist = (
-        metrics.histogram(
-            "replay_refresh_seconds",
-            "Wall-clock seconds per offline replay refresh",
-        )
-        if metrics is not None
-        else None
-    )
-    if tracer is None:
-        from repro.obs.spans import NULL_TRACER
-
-        tracer = NULL_TRACER
-    while refresh <= end_time:
-        started = time.perf_counter()
-        with tracer.span("replay.refresh", time=refresh):
-            window = collector.window(
-                config, end_time=refresh, start_time=refresh - config.window
-            )
-            result = compute_service_graphs(
-                window, config, method=method, metrics=metrics, tracer=tracer
-            )
-        if hist is not None:
-            hist.observe(time.perf_counter() - started)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "replay refresh at t=%.3f: %d graphs, %.1f ms",
-                refresh,
-                len(result.graphs),
-                (time.perf_counter() - started) * 1e3,
-            )
-        yield refresh, result
-        refresh += step
-
-
-def replay_into(
-    collector: TraceCollector,
-    config: PathmapConfig,
-    start_time: float,
-    end_time: float,
-    *subscribers: Callable[[float, PathmapResult], None],
-    method: str = "auto",
-    step: Optional[float] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    tracer: Optional["SpanTracer"] = None,
-) -> List[Tuple[float, PathmapResult]]:
-    """Run :func:`analyze_sliding` and feed every refresh to the given
-    subscribers (change detectors, anomaly detectors, monitors...), so the
-    exact online tooling runs against offline data. Returns the collected
-    (time, result) list."""
-    out: List[Tuple[float, PathmapResult]] = []
-    for when, result in analyze_sliding(
-        collector, config, start_time, end_time, method, step,
-        metrics=metrics, tracer=tracer,
-    ):
-        for subscriber in subscribers:
-            subscriber(when, result)
-        out.append((when, result))
-    return out
+    interval = config.refresh_interval
+    first_full = math.ceil(config.window / interval - 1e-9)
+    tracers = {}
+    streams = []
+    for batch in collector.export_batches():
+        observer = batch.dst if batch.observed_at_destination else batch.src
+        tracers.setdefault(observer, Tracer(observer))
+        streams.append((observer, batch.src, batch.dst, batch.timestamps))
+    engine.connect(tracers, collector, start_time)
+    fed_from = start_time - 2 * config.sampling_window
+    cursors = [int(np.searchsorted(s[3], fed_from)) for s in streams]
+    k = 1
+    while start_time + k * interval <= end_time:
+        now = start_time + k * interval
+        # This round's captures, stream by stream in first-capture order:
+        # the order a live tracer first saw each edge.
+        groups = []
+        for i, (observer, src, dst, stamps) in enumerate(streams):
+            lo, hi = cursors[i], int(np.searchsorted(stamps, now))
+            if hi > lo:
+                groups.append((stamps[lo], observer, src, dst, stamps[lo:hi]))
+                cursors[i] = hi
+        for _, observer, src, dst, stamps in sorted(groups, key=lambda g: g[:4]):
+            tracers[observer].observe_batch(stamps, src, dst)
+        result = engine.refresh(now)
+        if k >= first_full:
+            yield now, result
+        k += 1

@@ -189,7 +189,7 @@ class TestStats:
         out = capsys.readouterr().out
         assert "# TYPE repro_pathmap_analysis_seconds histogram" in out
         assert "repro_collector_records_ingested_total" in out
-        assert "repro_replay_refresh_seconds_count" in out
+        assert "repro_engine_refresh_seconds_count" in out
 
     def test_too_short_duration_is_an_error(self, capsys):
         code = main(["stats", "--duration", "5", "--window", "60"])
@@ -206,7 +206,7 @@ class TestTimeline:
         assert code == 0
         out = capsys.readouterr().out
         assert "refresh 0" in out
-        assert "replay.refresh" in out
+        assert "engine.refresh" in out
         assert "pathmap.class" in out
 
     def test_replay_mode_chrome_to_file(self, rubis_trace, tmp_path, capsys):
@@ -219,7 +219,7 @@ class TestTimeline:
         assert "wrote chrome timeline" in capsys.readouterr().err
         doc = json.loads(out.read_text())
         names = {e.get("name") for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert "replay.refresh" in names
+        assert "engine.refresh" in names
         assert "pathmap.class" in names
 
     def test_replay_mode_svg(self, rubis_trace, capsys):

@@ -2,7 +2,7 @@
 
 The paper analyzed a week-long trace; this test drives one scaled-down
 day (diurnal rate curve + the 4 AM batch), converts the access log, and
-replays the sliding analysis over the whole day -- checking that paths
+replays it through the engine over the whole day -- checking that paths
 are recovered through the normal hours and that the batch hour is where
 analysis degrades (the paper's reported experience)."""
 
@@ -11,7 +11,8 @@ import pytest
 
 from repro.apps.delta import BATCH_HOUR_SECONDS, DIURNAL_WEIGHTS, build_delta, run_day
 from repro.config import PathmapConfig
-from repro.core.offline import analyze_sliding
+from repro.core.engine import E2EProfEngine
+from repro.core.offline import replay
 from repro.tracing.access_log import access_log_to_captures
 from repro.tracing.collector import TraceCollector
 
@@ -25,7 +26,7 @@ CFG = PathmapConfig(
     max_transaction_delay=1200.0,
 )
 
-#: Offline subsampling: analyze every 2 simulated hours.
+#: Sampling of the replay's refreshes: one every 2 simulated hours.
 STEP = 7200.0
 
 
@@ -37,7 +38,11 @@ def day_replay():
     end = run_day(deployment, batch_events=1200, batch_over_seconds=60.0)
     collector = TraceCollector(client_nodes=["external"])
     collector.ingest_many(access_log_to_captures(deployment.sorted_access_log()))
-    results = dict(analyze_sliding(collector, CFG, 0.0, end, step=STEP))
+    results = {
+        now: result
+        for now, result in replay(collector, E2EProfEngine(CFG), 0.0, end)
+        if (now - CFG.window) % STEP == 0
+    }
     return deployment, results
 
 

@@ -1,6 +1,7 @@
-"""Documentation consistency: DESIGN.md, README.md and EXPERIMENTS.md
-must stay in sync with the code they describe."""
+"""Documentation consistency: DESIGN.md, README.md, EXPERIMENTS.md and
+docs/API.md must stay in sync with the code they describe."""
 
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -52,6 +53,19 @@ class TestReadme:
 
         for name in ("PathmapConfig", "build_rubis", "compute_service_graphs"):
             assert hasattr(repro, name)
+
+
+class TestApiIndex:
+    def test_api_doc_is_generated_from_the_code(self):
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_doc", ROOT / "tools" / "gen_api_doc.py"
+        )
+        gen_api_doc = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_api_doc)
+        committed = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+        assert committed == gen_api_doc.render(), (
+            "docs/API.md is stale: run python tools/gen_api_doc.py"
+        )
 
 
 class TestExperiments:

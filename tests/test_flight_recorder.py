@@ -119,8 +119,9 @@ class TestFlightRecorder:
 class TestEngineFlightRecording:
     def test_every_refresh_leaves_a_frame(self):
         engine = E2EProfEngine(CFG, flight_capacity=8)
-        engine.attach(chain_topology())
-        engine._topology.run_until(35.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(35.0)
         frames = engine.flight.frames()
         assert len(frames) == 3
         assert [f.sequence for f in frames] == [0, 1, 2]
@@ -131,16 +132,18 @@ class TestEngineFlightRecording:
 
     def test_flight_capacity_parameter_bounds_ring(self):
         engine = E2EProfEngine(CFG, flight_capacity=2)
-        engine.attach(chain_topology())
-        engine._topology.run_until(45.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(45.0)
         assert len(engine.flight) == 2
         assert engine.flight.recorded == 4
 
     def test_traced_run_captures_nested_spans_and_dump(self):
         engine = E2EProfEngine(CFG)
         engine.tracer.enable()
-        engine.attach(chain_topology())
-        engine._topology.run_until(25.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(25.0)
         dump = engine.dump_flight_record(last=1)
         (frame,) = dump["frames"]
         names = {s["name"] for s in frame["spans"]}
@@ -161,8 +164,9 @@ class TestEngineFlightRecording:
 
     def test_dump_flight_record_last(self):
         engine = E2EProfEngine(CFG, flight_capacity=8)
-        engine.attach(chain_topology())
-        engine._topology.run_until(35.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(35.0)
         dump = engine.dump_flight_record(last=1)
         assert len(dump["frames"]) == 1
         assert dump["frames"][0]["sequence"] == 2
@@ -181,8 +185,9 @@ class TestSubscriberIsolation:
 
         engine.subscribe(bad)
         engine.subscribe(lambda now, result: seen.append(now))
-        engine.attach(chain_topology())
-        engine._topology.run_until(15.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(15.0)
         # The refresh completed and the later subscriber still ran.
         assert engine.latest_result is not None
         assert seen == [10.0]
@@ -204,14 +209,16 @@ class TestSubscriberIsolation:
 
         engine.subscribe_metrics(bad)
         engine.subscribe_metrics(lambda now, result, sample: seen.append(sample))
-        engine.attach(chain_topology())
-        engine._topology.run_until(15.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(15.0)
         assert len(seen) == 1
         assert engine.subscriber_errors == 1
 
     def test_subscriber_error_count_survives_disabled_registry(self):
         engine = E2EProfEngine(CFG)  # registry disabled
         engine.subscribe(lambda now, result: (_ for _ in ()).throw(RuntimeError()))
-        engine.attach(chain_topology())
-        engine._topology.run_until(15.0)
+        topo = chain_topology()
+        engine.attach(topo)
+        topo.run_until(15.0)
         assert engine.subscriber_errors == 1

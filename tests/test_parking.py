@@ -83,7 +83,8 @@ def run_lifecycle(config=CFG, faults=False, rewindow_at=None, lake_dir=None,
     samples = []
     engine.subscribe_metrics(lambda now, result, sample: samples.append(sample))
     if on_refresh is not None:
-        engine.subscribe(lambda now, result: on_refresh(engine, now, result))
+        collector = deployment.topology.collector
+        engine.subscribe(lambda now, result: on_refresh(engine, collector, now, result))
     engine.attach(deployment.topology)
     if rewindow_at is not None:
         sim.schedule_at(rewindow_at, lambda: engine.rewindow(rewindow_at - 3.0))
@@ -110,10 +111,9 @@ class TestParkUnparkLifecycle:
         # collected here and asserted after the run.
         checked = []
 
-        def check(engine, now, result):
+        def check(engine, collector, now, result):
             if now < CFG.window:
                 return  # window not full yet: the collector's W-long view differs
-            collector = engine._topology.collector
             # Name the window by quantum index (see benchmarks/e2e/oracle.py).
             first = (
                 int(round(now / CFG.quantum)) - CFG.sampling_quanta - CFG.window_quanta
@@ -135,7 +135,7 @@ class TestParkUnparkLifecycle:
     def test_late_blocks_and_rewindow_match_dense_oracle_over_history(self):
         checked = []
 
-        def check(engine, now, result):
+        def check(engine, _collector, now, result):
             expected = compute_service_graphs(
                 HostWindow(engine), CFG, method="dense"
             ).graphs

@@ -40,8 +40,9 @@ def chain_topology(seed=0):
 def traced_dump():
     engine = E2EProfEngine(CFG)
     engine.tracer.enable()
-    engine.attach(chain_topology())
-    engine._topology.run_until(25.0)
+    topo = chain_topology()
+    engine.attach(topo)
+    topo.run_until(25.0)
     return engine.dump_flight_record()
 
 

@@ -2,6 +2,9 @@
 one-line summary. Run from the repository root:
 
     python tools/gen_api_doc.py
+
+:func:`render` builds the text; ``tests/test_docs_consistency.py`` checks
+that the committed file equals it.
 """
 
 from __future__ import annotations
@@ -107,7 +110,11 @@ def public_members(module):
             yield name, obj
 
 
-def main() -> None:
+API_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+
+
+def render() -> str:
+    """The text of docs/API.md for the package as it is imported now."""
     lines = [
         "# API index",
         "",
@@ -130,9 +137,12 @@ def main() -> None:
         for name, obj in members:
             kind = "class" if inspect.isclass(obj) else "def"
             lines.append(f"- **`{name}`** ({kind}) — {first_line(obj.__doc__)}")
-    out = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out} ({len(lines)} lines)")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    API_DOC.write_text(render(), encoding="utf-8")
+    print(f"wrote {API_DOC}")
 
 
 if __name__ == "__main__":
