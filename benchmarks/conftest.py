@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro import PathmapConfig, compute_service_graphs
+from repro import PathmapConfig, analyze_window
 from repro.apps.rubis import build_rubis
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -75,11 +75,9 @@ def rubis_roundrobin():
 
 @pytest.fixture(scope="session")
 def affinity_result(rubis_affinity):
-    window = rubis_affinity.window(end_time=183.0)
-    return compute_service_graphs(window, BENCH_CONFIG, method="rle")
+    return analyze_window(rubis_affinity.collector, BENCH_CONFIG, end=183.0)
 
 
 @pytest.fixture(scope="session")
 def roundrobin_result(rubis_roundrobin):
-    window = rubis_roundrobin.window(end_time=183.0)
-    return compute_service_graphs(window, BENCH_CONFIG, method="rle")
+    return analyze_window(rubis_roundrobin.collector, BENCH_CONFIG, end=183.0)

@@ -16,7 +16,7 @@ from repro.analysis.render import render_comparison_table
 from repro.apps.delta import build_delta, inject_batch
 from repro.config import PathmapConfig
 from repro.core.bottleneck import find_bottlenecks
-from repro.core.pathmap import compute_service_graphs
+from repro.core.offline import analyze_window
 from repro.tracing.access_log import access_log_to_captures
 from repro.tracing.collector import TraceCollector
 
@@ -48,17 +48,12 @@ def steady_case():
 
 def test_delta_pipeline(benchmark, steady_case):
     deployment, collector = steady_case
-    window = collector.window(CFG, end_time=HORIZON - 50.0)
-    result = benchmark(compute_service_graphs, window, CFG, "rle")
+    result = benchmark(analyze_window, collector, CFG, end=HORIZON - 50.0)
 
     _, slow_collector = build_and_collect(slow_db_factor=2.5)
-    slow_result = compute_service_graphs(
-        slow_collector.window(CFG, end_time=HORIZON - 50.0), CFG
-    )
+    slow_result = analyze_window(slow_collector, CFG, end=HORIZON - 50.0)
     batch_dep, batch_collector = build_and_collect(batch=True)
-    surge_result = compute_service_graphs(
-        batch_collector.window(CFG, end_time=2400.0, start_time=400.0), CFG
-    )
+    surge_result = analyze_window(batch_collector, CFG.with_window(2000.0), end=2400.0)
 
     def summarize(res, label):
         rows = []

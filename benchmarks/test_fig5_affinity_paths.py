@@ -11,14 +11,15 @@ servers are the dominant delay contributors (grey).
 
 from repro.analysis.render import render_ascii
 from repro.apps.rubis import EXPECTED_AFFINITY_PATHS
-from repro.core.pathmap import compute_service_graphs
+from repro.core.offline import analyze_window
 
 from conftest import BENCH_CONFIG, write_result
 
 
 def test_fig5_affinity_service_graphs(benchmark, rubis_affinity):
-    window = rubis_affinity.window(end_time=183.0)
-    result = benchmark(compute_service_graphs, window, BENCH_CONFIG, "rle")
+    result = benchmark(
+        analyze_window, rubis_affinity.collector, BENCH_CONFIG, end=183.0
+    )
 
     lines = ["Figure 5 -- service graphs, affinity-based server selection"]
     for client in ("C1", "C2"):

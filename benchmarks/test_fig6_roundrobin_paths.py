@@ -6,14 +6,15 @@ must appear in the class's service graph, with the EJB tier grey.
 
 from repro.analysis.render import render_ascii
 from repro.apps.rubis import EXPECTED_ROUND_ROBIN_EDGES
-from repro.core.pathmap import compute_service_graphs
+from repro.core.offline import analyze_window
 
 from conftest import BENCH_CONFIG, write_result
 
 
 def test_fig6_roundrobin_service_graphs(benchmark, rubis_roundrobin):
-    window = rubis_roundrobin.window(end_time=183.0)
-    result = benchmark(compute_service_graphs, window, BENCH_CONFIG, "rle")
+    result = benchmark(
+        analyze_window, rubis_roundrobin.collector, BENCH_CONFIG, end=183.0
+    )
 
     lines = ["Figure 6 -- service graphs, round-robin server selection"]
     for client in ("C1", "C2"):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.render import render_comparison_table
 from repro.baselines.nesting import nesting_analysis
-from repro.core.pathmap import compute_service_graphs
+from repro.core.offline import analyze_window
 from repro.tracing.records import CaptureRecord
 
 from conftest import BENCH_CONFIG, write_result
@@ -34,16 +34,15 @@ def test_nesting_vs_pathmap(benchmark, rubis_affinity):
     nesting = nesting_analysis(records, client_nodes=["C1", "C2"])
     nesting_time = time.perf_counter() - started
 
-    window = rubis_affinity.window(end_time=183.0)
     started = time.perf_counter()
-    pathmap_result = compute_service_graphs(window, BENCH_CONFIG, method="rle")
+    pathmap_result = analyze_window(rubis_affinity.collector, BENCH_CONFIG, end=183.0)
     pathmap_time = time.perf_counter() - started
 
     benchmark(nesting_analysis, records, ["C1", "C2"])
 
     sequences = set(nesting.node_sequences())
     rows = [
-        ["pathmap (RLE)", f"{pathmap_time:.3f}",
+        ["pathmap (engine)", f"{pathmap_time:.3f}",
          str(sum(len(g.edges) for g in pathmap_result.graphs.values())), "any protocol"],
         ["nesting", f"{nesting_time:.3f}",
          str(len(sequences)), "RPC-style only"],

@@ -17,7 +17,7 @@ the prediction against reality.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import PathmapConfig, build_rubis, compute_service_graphs
+from repro import PathmapConfig, analyze_window, build_rubis
 from repro.management.planning import path_hop_breakdown, plan_for_target, predict_latency
 
 CONFIG = PathmapConfig(
@@ -32,7 +32,7 @@ def measure(service_means=None):
     rubis = build_rubis(dispatch="affinity", seed=7, request_rate=10.0,
                         config=CONFIG, service_means=service_means)
     rubis.run_until(62.0)
-    result = compute_service_graphs(rubis.window(end_time=61.0), CONFIG)
+    result = analyze_window(rubis.collector, CONFIG, end=61.0)
     graph = result.graph_for("C1")
     path = max(graph.paths(), key=lambda p: p.total_delay)
     return graph, path

@@ -13,7 +13,7 @@ request id) -- no packet captures, no instrumentation. This example:
 Run:  python examples/delta_revenue_pipeline.py
 """
 
-from repro import build_delta, compute_service_graphs, find_bottlenecks
+from repro import analyze_window, build_delta, find_bottlenecks
 from repro.analysis.render import render_ascii
 from repro.apps.delta import DELTA_ANALYSIS_CONFIG
 from repro.config import PathmapConfig
@@ -46,8 +46,7 @@ def main() -> None:
     # The same analysis code consumes logs as consumes packet traces.
     collector = TraceCollector(client_nodes=["external"])
     collector.ingest_many(access_log_to_captures(log))
-    window = collector.window(CONFIG, end_time=3650.0)
-    result = compute_service_graphs(window, CONFIG)
+    result = analyze_window(collector, CONFIG, end=3650.0)
 
     print(f"\nrecovered {len(result.graphs)} per-queue service graphs:\n")
     shown = 0

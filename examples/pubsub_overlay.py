@@ -12,9 +12,9 @@ becomes two outbound messages.
 Run:  python examples/pubsub_overlay.py
 """
 
+from repro import analyze_window
 from repro.analysis.render import render_ascii
 from repro.apps.pubsub import PUBSUB_ANALYSIS_CONFIG, build_pubsub
-from repro.core.pathmap import compute_service_graphs
 
 
 def main() -> None:
@@ -23,9 +23,7 @@ def main() -> None:
     print("topics: 'news' (BL branch only), 'alerts' (both branches)\n")
     deployment.run_until(62.0)
 
-    result = compute_service_graphs(
-        deployment.window(end_time=61.0), PUBSUB_ANALYSIS_CONFIG
-    )
+    result = analyze_window(deployment.collector, PUBSUB_ANALYSIS_CONFIG, end=61.0)
     for (publisher, root), graph in sorted(result.graphs.items()):
         print(render_ascii(graph, mark_bottlenecks=False))
         fanout = len(graph.successors(root))

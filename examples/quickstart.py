@@ -8,7 +8,7 @@ and bottleneck -- purely from passively captured packet timestamps.
 Run:  python examples/quickstart.py
 """
 
-from repro import PathmapConfig, build_rubis, compute_service_graphs, find_bottlenecks
+from repro import PathmapConfig, analyze_window, build_rubis, find_bottlenecks
 from repro.analysis.render import render_ascii
 
 
@@ -28,8 +28,8 @@ def main() -> None:
     rubis.run_until(62.0)
     print(f"simulated 62 s, {rubis.topology.fabric.messages_sent} messages on the wire")
 
-    window = rubis.window(end_time=61.0)
-    result = compute_service_graphs(window, config, method="rle")
+    # The online engine, replayed over the stored trace up to t = 61 s.
+    result = analyze_window(rubis.collector, config, end=61.0)
     print(
         f"pathmap: {result.stats.correlations} correlations, "
         f"{result.stats.edges_discovered} causal edges, "

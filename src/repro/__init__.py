@@ -18,11 +18,11 @@ The package has four layers:
 
 Quickstart::
 
-    from repro import build_rubis, compute_service_graphs
+    from repro import analyze_window, build_rubis
 
     rubis = build_rubis(dispatch="affinity", seed=7)
     rubis.run_until(185.0)
-    result = compute_service_graphs(rubis.window(end_time=183.0), rubis.config)
+    result = analyze_window(rubis.collector, rubis.config, end=183.0)
     print(result.graph_for("C1"))
 """
 
@@ -34,13 +34,14 @@ import logging as _logging
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from repro.config import DELTA_CONFIG, PathmapConfig, RUBIS_CONFIG, TransportConfig
-from repro.core.autotune import AdaptiveController, TrafficStats, autotune_config
+from repro.core.autotune import TrafficStats, autotune_config
 from repro.core.bottleneck import BottleneckReport, find_bottlenecks
 from repro.core.change_detection import ChangeDetector, ChangeEvent
 from repro.core.confidence import ConfidenceReport, timestamp_confidence, window_confidence
 from repro.core.clock_skew import SkewEstimate, estimate_clock_skew
 from repro.core.correlation import CorrelationSeries, cross_correlate
 from repro.core.engine import E2EProfEngine
+from repro.core.offline import analyze_window
 from repro.core.pathmap import Pathmap, PathmapResult, TraceWindow, compute_service_graphs
 from repro.core.rle import RunLengthSeries, rle_decode, rle_encode
 from repro.core.service_graph import ServiceEdge, ServiceGraph, ServicePath
@@ -86,7 +87,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessLogRecord",
-    "AdaptiveController",
     "AnalysisError",
     "BottleneckReport",
     "CaptureRecord",
@@ -132,6 +132,7 @@ __all__ = [
     "TransportConfig",
     "TransportLink",
     "TransportReceiver",
+    "analyze_window",
     "autotune_config",
     "build_delta",
     "build_density_series",

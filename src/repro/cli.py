@@ -59,7 +59,7 @@ from repro.apps.rubis import build_rubis
 from repro.config import PathmapConfig
 from repro.core.clock_skew import estimate_clock_skew
 from repro.core.engine import E2EProfEngine
-from repro.core.offline import replay
+from repro.core.offline import analyze_window, replay
 from repro.core.pathmap import PathmapResult
 from repro.errors import E2EProfError
 from repro.tracing.access_log import access_log_to_captures
@@ -131,15 +131,11 @@ def _trace_span(collector: TraceCollector):
 def _window_analysis(
     args: argparse.Namespace, collector: TraceCollector, end: Optional[float]
 ) -> PathmapResult:
-    """The analysis of the window ending at ``end`` (default: the last
-    capture): a replay of the trace through a fresh engine, anchored one
-    window earlier, whose one full-window refresh fires at ``end``."""
-    config = _config_from(args)
+    """The engine's analysis of the window ending at ``end`` (default: the
+    last capture); see :func:`repro.core.offline.analyze_window`."""
     if end is None:
         end = _trace_span(collector)[1]
-    start = end - config.window
-    *_, (_, result) = replay(collector, E2EProfEngine(config), start, end)
-    return result
+    return analyze_window(collector, _config_from(args), end)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

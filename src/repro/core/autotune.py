@@ -24,31 +24,18 @@ feeding a tuned config back through the tuner with the same observations
 returns the identical config. The tuner is deliberately *not* seeded or
 randomized -- two analyzers watching the same traffic pick the same
 parameters.
-
-:class:`AdaptiveController` closes the loop online: it subscribes a
-:class:`~repro.core.change_detection.ChangeDetector` to the engine and,
-when a large per-edge delay shift is detected, asks the engine to
-re-window -- blanking history from before the change so the delay
-estimates converge on the new regime in one refresh instead of a full
-window (the change-point-triggered re-windowing of YTrace-style bursty
-regimes).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.config import PathmapConfig
-from repro.core.change_detection import ChangeDetector, ChangeEvent
 from repro.errors import AnalysisError
-from repro.obs.events import EVENT_REWINDOW
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import E2EProfEngine
 
 # -- documented absolute bounds (the property tests pin these) ------------------
 
@@ -288,74 +275,3 @@ def observed_delay_bound(graph: object) -> Optional[float]:
         if bound is None or edge.max_delay > bound:
             bound = edge.max_delay
     return bound
-
-
-def recommend_for_classes(
-    base: PathmapConfig, stats_by_class: Dict[object, TrafficStats]
-) -> Dict[object, PathmapConfig]:
-    """Per-class tuned configs (one :func:`autotune_config` each)."""
-    return {
-        key: autotune_config(base, stats)
-        for key, stats in stats_by_class.items()
-    }
-
-
-class AdaptiveController:
-    """Change-point-triggered re-windowing for the online engine.
-
-    Wires a :class:`ChangeDetector` into the engine's refresh stream;
-    when an edge's delay shifts by more than ``min_shift`` seconds, the
-    controller calls :meth:`E2EProfEngine.rewindow` at the change point,
-    blanking pre-change history so every correlator and delay estimate
-    re-converges on the new regime immediately. A cooldown (in refresh
-    intervals) keeps one noisy edge from thrashing the window.
-    """
-
-    def __init__(
-        self,
-        detector: Optional[ChangeDetector] = None,
-        min_shift: float = 0.01,
-        cooldown_refreshes: int = 2,
-    ) -> None:
-        if cooldown_refreshes < 1:
-            raise AnalysisError(
-                f"cooldown_refreshes must be >= 1, got {cooldown_refreshes}"
-            )
-        self.detector = detector if detector is not None else ChangeDetector()
-        self.min_shift = min_shift
-        self.cooldown_refreshes = cooldown_refreshes
-        self.rewindows: List[float] = []
-        self._engine: Optional["E2EProfEngine"] = None
-        self._last_rewindow: Optional[float] = None
-
-    def subscribe_to(self, engine: "E2EProfEngine") -> None:
-        """Attach to an engine: the detector consumes its refreshes and
-        re-window requests flow back on large changes."""
-        self._engine = engine
-        self.detector.on_change(self._on_change)
-        self.detector.subscribe_to(engine)
-
-    def _on_change(self, event: ChangeEvent) -> None:
-        engine = self._engine
-        if engine is None:
-            return
-        if abs(event.magnitude) < self.min_shift:
-            return
-        cooldown = self.cooldown_refreshes * engine.config.refresh_interval
-        if self._last_rewindow is not None and event.time - self._last_rewindow < cooldown:
-            return
-        # The change was detected one refresh after it began; keep the
-        # refresh that revealed it, drop everything older.
-        cutoff = event.time - engine.config.refresh_interval
-        dropped = engine.rewindow(cutoff)
-        self._last_rewindow = event.time
-        self.rewindows.append(event.time)
-        engine.events.publish(
-            EVENT_REWINDOW,
-            event.time,
-            edge=f"{event.edge[0]}->{event.edge[1]}",
-            service_class=f"{event.class_key[0]}@{event.class_key[1]}",
-            cutoff=cutoff,
-            blocks_dropped=dropped,
-            magnitude=event.magnitude,
-        )

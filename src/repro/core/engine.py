@@ -22,7 +22,8 @@ settings), which is negligible against ``dW``.
 
 Side rule: an edge is captured at each traced endpoint. The engine keeps
 the destination-side copy (Algorithm 1), and the source-side copy only
-for edges into clients, which run no tracer.
+for edges into a node that runs no tracer: a client, or an untraced
+(black-box) back end.
 """
 
 from __future__ import annotations
@@ -812,11 +813,12 @@ class E2EProfEngine(PipelineCore):
     ) -> Dict[EdgeKey, RunLengthSeries]:
         """One block per loud edge whose copy at this tracer the analysis
         keeps: destination-side capture wins (Algorithm 1); source-side
-        only for edges into untraced clients."""
+        only for edges into a node that runs no tracer."""
+        tracers = self._tracers
         kept = {
             (src, dst)
             for src, dst in tracer.edges()
-            if node_id == dst or (dst in self._clients and node_id == src)
+            if node_id == dst or (node_id == src and dst not in tracers)
         }
         return tracer.flush_block(
             self.config, block_start, self._block_quanta, edges=kept

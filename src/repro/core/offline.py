@@ -12,29 +12,29 @@ spans, events, flight record and subscribers are the online ones.
 Window alignment: the engine flushes blocks one sampling window ``omega``
 behind ``now``, so its refresh at ``now`` analyzes the trace up to
 ``now - omega``. A window "ending at ``end``" is the replay anchored at
-``end - W``: its one full-window refresh fires at ``end`` and covers
-``[end - W - omega, end - omega)``.
+``end - W`` (when ``dW`` divides ``W``): its one full-window refresh
+fires at ``end`` and covers ``[end - W - omega, end - omega)``.
+:func:`analyze_window` is that rule.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.config import PathmapConfig
+from repro.core.engine import E2EProfEngine
 from repro.core.pathmap import PathmapResult
 from repro.errors import AnalysisError
 from repro.tracing.collector import TraceCollector
 from repro.tracing.tracer import Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import E2EProfEngine
-
 
 def replay(
     collector: TraceCollector,
-    engine: "E2EProfEngine",
+    engine: E2EProfEngine,
     start_time: float,
     end_time: float,
 ) -> Iterator[Tuple[float, PathmapResult]]:
@@ -86,3 +86,23 @@ def replay(
         if k >= first_full:
             yield now, result
         k += 1
+
+
+def analyze_window(
+    collector: TraceCollector, config: PathmapConfig, end: float
+) -> PathmapResult:
+    """The engine's analysis of the window ending at ``end``.
+
+    A replay of ``collector`` through a fresh engine, anchored
+    ``ceil(W / dW)`` refresh intervals before ``end`` so that its first
+    full-window refresh fires at ``end``. That refresh analyzes the
+    engine's window (``W`` in whole ``dW`` blocks) ending at
+    ``end - omega``: ``[end - W - omega, end - omega)`` when ``dW``
+    divides ``W``.
+    """
+    interval = config.refresh_interval
+    reach = math.ceil(config.window / interval - 1e-9) * interval
+    start = end - reach
+    # ``start + reach`` is the refresh time replay computes, to the bit.
+    *_, (_, result) = replay(collector, E2EProfEngine(config), start, start + reach)
+    return result

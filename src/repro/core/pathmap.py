@@ -151,12 +151,6 @@ class PathmapResult:
             if report is not None:
                 graph.confidence = report
 
-    def low_confidence_classes(
-        self,
-    ) -> Dict[Tuple[NodeId, NodeId], "ConfidenceReport"]:
-        """Classes whose window violated the steady-state assumption."""
-        return {k: r for k, r in self.class_confidence.items() if not r.ok}
-
     def annotate_quality(
         self,
         edge_quality: Dict[Tuple[NodeId, NodeId], "DataQuality"],
@@ -367,11 +361,12 @@ class Pathmap:
 
 
 def compute_service_graphs(
-    window: TraceWindow,
-    config: PathmapConfig,
-    method: str = "auto",
-    metrics: Optional["MetricsRegistry"] = None,
-    tracer: Optional["SpanTracer"] = None,
+    window: TraceWindow, config: PathmapConfig, method: str = "auto"
 ) -> PathmapResult:
-    """Convenience wrapper: one-shot pathmap analysis of a window."""
-    return Pathmap(config, method=method, metrics=metrics, tracer=tracer).analyze(window)
+    """One-shot pathmap analysis of a window, from scratch.
+
+    The dense oracle the engine is checked against (``method="dense"``)
+    and the subject of the FIG9/CPLX kernel benchmarks; every analysis
+    that a gate grades runs the engine
+    (:func:`repro.core.offline.analyze_window`)."""
+    return Pathmap(config, method=method).analyze(window)

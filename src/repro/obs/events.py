@@ -56,8 +56,8 @@ EVENT_DEGRADED_REFRESH = "degraded_refresh"
 #: A refresh's steady-state confidence fell below the threshold for at
 #: least one service class (flash crowd, trough, disappearing class...).
 EVENT_LOW_CONFIDENCE = "low_confidence"
-#: The adaptive controller blanked pre-change history after a detected
-#: change point (change-point-triggered re-windowing).
+#: Pre-change history was blanked after a detected change point
+#: (change-point-triggered re-windowing, ``E2EProfEngine.rewindow``).
 EVENT_REWINDOW = "rewindow"
 #: A pipeline stage is burning its latency error budget too fast (both
 #: the fast and slow burn-rate windows over threshold; SRE-style

@@ -1,15 +1,15 @@
 """Scenario runner: replay the analysis over a simulated run and grade it.
 
-Offline mirror of the online engine loop: simulate the scenario once,
-then for every refresh tick rebuild the sliding window from the trace
-collector, run pathmap, and grade each class against ground truth. Two
-analysis modes share the loop:
+Simulate the scenario once, then analyze its stored trace refresh by
+refresh and grade each class against ground truth. Two analysis modes:
 
 * :func:`analyze_static` -- one fixed :class:`PathmapConfig` for every
   refresh (the scenario's base config, or any config re-paced to the
-  scenario's W/dW). The static grid (:data:`STATIC_GRID`) is what the
-  benchmark matrix sweeps.
-* :func:`analyze_adaptive` -- the closed loop. Every refresh,
+  scenario's W/dW), run by the online engine itself: one
+  :func:`~repro.core.offline.replay` of the run's collector, each
+  refresh graded over the window the engine analyzed. The static grid
+  (:data:`STATIC_GRID`) is what the benchmark matrix sweeps.
+* :func:`analyze_adaptive` -- the closed loop, from scratch. Every refresh,
   per class: calibrate traffic statistics from the class's observed
   reference-edge timestamps, auto-tune (tau, omega, T_u) with
   :func:`~repro.core.autotune.autotune_config` (the transaction-delay
@@ -39,6 +39,8 @@ from repro.core.autotune import (
     observed_delay_bound,
 )
 from repro.core.change_detection import ChangeDetector
+from repro.core.engine import E2EProfEngine
+from repro.core.offline import replay
 from repro.core.pathmap import PathmapResult, compute_service_graphs
 from repro.scenarios.base import ScenarioRun
 from repro.scenarios.scoring import (
@@ -85,22 +87,30 @@ def analyze_static(
     config: Optional[PathmapConfig] = None,
     mode: str = "static",
 ) -> ScenarioScore:
-    """Grade one fixed config over every refresh of the scenario."""
+    """Grade one fixed config over every refresh of the scenario.
+
+    The engine replays the run's trace, its first full window ending at
+    the first gradeable refresh; each refresh at ``now`` is graded over
+    the window it analyzed, ``[now - W - omega, now - omega)``."""
     run.simulate()
     cfg = run.config if config is None else _repace(run, config)
-    collector = run.topology.collector
+    engine = E2EProfEngine(cfg)
     detector = ChangeDetector()
+    detector.subscribe_to(engine)
+    ends = run.refresh_ends()
     keys = run.class_keys()
     cells = []
-    for end in run.refresh_ends():
-        start = end - cfg.window
-        window = collector.window(cfg, end)
-        result = compute_service_graphs(window, cfg)
-        detector.record(end, result)
+    refreshes = replay(
+        run.topology.collector, engine, ends[0] - cfg.window, ends[-1]
+    )
+    for now, result in refreshes:
+        end = now - cfg.sampling_window
         for cls, (client, front) in keys.items():
             graph = result.graphs.get((client, front))
             cells.append(
-                score_refresh(graph, run.truths[cls], cls, client, start, end)
+                score_refresh(
+                    graph, run.truths[cls], cls, client, end - cfg.window, end
+                )
             )
     detections = [(e.time, e.edge) for e in detector.events()]
     return ScenarioScore(
@@ -113,7 +123,7 @@ def analyze_static(
 
 
 #: A change event smaller than this (seconds) does not trigger window
-#: clipping -- same default as the online AdaptiveController.
+#: clipping: a 10 ms shift, ten quanta at the paper's RUBiS resolution.
 MIN_CLIP_SHIFT = 0.01
 
 #: Classes with fewer reference-edge observations than this in a window

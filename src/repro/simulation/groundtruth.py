@@ -132,10 +132,3 @@ class GroundTruth:
             for trace in self._requests.values()
             if service_class is None or trace.service_class == service_class
         )
-
-    def end_to_end_latencies(
-        self, service_class: str, final_edge: EdgeKey, since: float = 0.0
-    ) -> List[float]:
-        """Front-end arrival to delivery on ``final_edge`` (e.g. the
-        response edge back to the client), per request."""
-        return self.edge_delays(service_class, final_edge, since=since)

@@ -4,7 +4,6 @@ from repro.tracing.access_log import access_log_to_captures, merge_server_logs, 
 from repro.tracing.collector import CollectedTraceWindow, TraceCollector
 from repro.tracing.records import AccessLogRecord, CaptureRecord, TimestampBatch
 from repro.tracing.storage import (
-    load_capture_batches,
     load_captures,
     read_capture_binary,
     read_capture_binary_records,

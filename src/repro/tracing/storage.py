@@ -314,15 +314,6 @@ def read_capture_binary_records(
             yield CaptureRecord(t, batch.src, batch.dst, observer)
 
 
-def load_capture_batches(path: PathLike, mmap: bool = False) -> List[TimestampBatch]:
-    """Load a whole binary capture trace as timestamp batches.
-
-    ``mmap=True`` returns zero-copy batches backed by the file mapping
-    (see :func:`read_capture_binary`).
-    """
-    return list(read_capture_binary(path, mmap=mmap))
-
-
 # -- access-log records (Delta-style traces) -----------------------------------
 
 

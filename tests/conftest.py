@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import PathmapConfig, compute_service_graphs
+from repro import PathmapConfig, analyze_window
 from repro.apps.rubis import build_rubis
 
 try:  # hypothesis is optional; property tests importorskip it themselves
@@ -72,8 +72,7 @@ def affinity_rubis():
 @pytest.fixture(scope="session")
 def affinity_result(affinity_rubis):
     """Pathmap output over the affinity run."""
-    window = affinity_rubis.window(end_time=63.0)
-    return compute_service_graphs(window, affinity_rubis.config, method="rle")
+    return analyze_window(affinity_rubis.collector, affinity_rubis.config, end=63.0)
 
 
 @pytest.fixture(scope="session")
@@ -86,5 +85,4 @@ def roundrobin_rubis():
 
 @pytest.fixture(scope="session")
 def roundrobin_result(roundrobin_rubis):
-    window = roundrobin_rubis.window(end_time=63.0)
-    return compute_service_graphs(window, roundrobin_rubis.config, method="rle")
+    return analyze_window(roundrobin_rubis.collector, roundrobin_rubis.config, end=63.0)

@@ -1,6 +1,8 @@
 """Documentation consistency: DESIGN.md, README.md, EXPERIMENTS.md and
-docs/API.md must stay in sync with the code they describe."""
+docs/API.md must stay in sync with the code they describe, and the code
+must keep the one analyzer those documents promise (``TestOneAnalyzer``)."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -51,7 +53,7 @@ class TestReadme:
         # The names used in the README snippet must exist in the package.
         import repro
 
-        for name in ("PathmapConfig", "build_rubis", "compute_service_graphs"):
+        for name in ("PathmapConfig", "analyze_window", "build_rubis"):
             assert hasattr(repro, name)
 
 
@@ -87,3 +89,61 @@ class TestExperiments:
 
     def test_honest_deviations_section_exists(self):
         assert "Honest-deviation summary" in EXPERIMENTS
+
+
+def _from_scratch_uses(tree):
+    """``(outermost function or None, line)`` of every reference to
+    ``compute_service_graphs`` that is not a ``method="dense"`` call."""
+    oracle = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+            kw.arg == "method"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value == "dense"
+            for kw in node.keywords
+        ):
+            oracle.add(id(node.func))
+    uses = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if scope is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            named = (isinstance(child, ast.Name) and child.id == "compute_service_graphs") or (
+                isinstance(child, ast.Attribute) and child.attr == "compute_service_graphs"
+            )
+            if named and id(child) not in oracle:
+                uses.append((inner, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return uses
+
+
+class TestOneAnalyzer:
+    """Every gate grades the engine. In src/, benchmarks/ and examples/
+    the from-scratch ``compute_service_graphs`` is named only as the dense
+    oracle (``method="dense"``), as the subject of the FIG9/CPLX kernel
+    benches, or by the scenario runner's from-scratch adaptive loop."""
+
+    SUBJECT_FILES = {
+        "benchmarks/test_fig9_analysis_time.py",
+        "benchmarks/test_complexity_scaling.py",
+    }
+    SUBJECT_SCOPES = {("src/repro/scenarios/runner.py", "analyze_adaptive")}
+
+    def test_from_scratch_analysis_is_only_the_oracle(self):
+        offenders = []
+        for top in ("src", "benchmarks", "examples"):
+            for path in sorted((ROOT / top).rglob("*.py")):
+                rel = path.relative_to(ROOT).as_posix()
+                if rel in self.SUBJECT_FILES:
+                    continue
+                for scope, line in _from_scratch_uses(ast.parse(path.read_text())):
+                    if (rel, scope) not in self.SUBJECT_SCOPES:
+                        offenders.append(f"{rel}:{line}")
+        assert not offenders, (
+            "compute_service_graphs outside the dense oracle, FIG9/CPLX and "
+            f"analyze_adaptive (use repro.core.offline.analyze_window): {offenders}"
+        )

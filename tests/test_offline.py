@@ -11,6 +11,7 @@ from repro.core.change_detection import ChangeDetector
 from repro.core.engine import E2EProfEngine
 from repro.core.offline import replay
 from repro.core.pathmap import compute_service_graphs
+from repro.core.stages import HostWindow
 from repro.errors import AnalysisError
 from repro.tracing.collector import TraceCollector
 from repro.tracing.storage import load_captures, write_capture_jsonl
@@ -156,3 +157,33 @@ class TestOneAnalyzer:
                         assert offline.edge(edge.src, edge.dst).min_delay == pytest.approx(
                             edge.min_delay, abs=config.quantum
                         ), (now, edge.key)
+
+    def test_untraced_backend_matches_dense_oracle(self, affinity_rubis):
+        """The black-box case: DS runs no tracer, so every edge into it is
+        captured only at its source. The engine keeps those source copies,
+        so its replay equals the dense pathmap over its window -- both the
+        engine's own block history and the stored trace -- and still finds
+        each class's database hop."""
+        config = affinity_rubis.config
+        stored = TraceCollector(client_nodes=["C1", "C2"])
+        for batch in affinity_rubis.collector.export_batches():
+            observer = batch.dst if batch.observed_at_destination else batch.src
+            if observer != "DS":
+                stored.ingest_batch(
+                    batch.src, batch.dst, batch.timestamps, batch.observed_at_destination
+                )
+        engine = E2EProfEngine(config)
+        end = 64.0
+        *_, (now, result) = replay(stored, engine, end - config.window, end)
+        assert now == end
+        first = round(now / config.quantum) - config.sampling_quanta - config.window_quanta
+        start = (first + 0.25) * config.quantum
+        window = stored.window(config, end_time=start + config.window, start_time=start)
+        for oracle in (HostWindow(engine), window):
+            expected = compute_service_graphs(oracle, config, method="dense").graphs
+            assert set(result.graphs) == set(expected)
+            for key, graph in expected.items():
+                assert result.graphs[key].edge_set() == graph.edge_set(), key
+        for client, ejb in (("C1", "EJB1"), ("C2", "EJB2")):
+            graph = result.graph_for(client)
+            assert graph.has_edge(ejb, "DS") and graph.has_edge("DS", ejb), client

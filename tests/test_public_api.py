@@ -31,6 +31,6 @@ class TestPublicSurface:
             window=30.0, refresh_interval=30.0, quantum=1e-3,
             sampling_window=50e-3, max_transaction_delay=2.0,
         )
-        result = repro.compute_service_graphs(rubis.window(33.0, config), config)
+        result = repro.analyze_window(rubis.collector, config, end=33.0)
         graph = result.graph_for("C1")
         assert graph.has_edge("WS", "TS1")
