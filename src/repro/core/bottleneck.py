@@ -33,10 +33,10 @@ class BottleneckReport:
         return self.node_delays.get(node, 0.0) / self.total_delay
 
     def dominant(self) -> NodeId:
-        """The single largest contributor."""
+        """The single largest contributor; of tied ones, the first by name."""
         if not self.node_delays:
             raise AnalysisError("no node delays to rank")
-        return max(self.node_delays, key=self.node_delays.get)
+        return min(self.node_delays, key=lambda node: (-self.node_delays[node], node))
 
 
 def find_bottlenecks(

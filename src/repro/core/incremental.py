@@ -50,7 +50,8 @@ Block = Union[DensityTimeSeries, RunLengthSeries]
 #: once per eviction: each reference slot's evicted x block (None without
 #: rows), each row's evicted y (total, energy) and quietness, the rows
 #: evicting for the first time, and the rows whose lag products changed
-#: with their summed pair products just subtracted (the rest are quiet).
+#: with their summed pair products just subtracted (the rest are quiet),
+#: as :class:`LagVectors` in the order of those rows.
 EvictHook = Callable[..., None]
 
 
@@ -150,6 +151,17 @@ def boundary_masses(
 #: in-place update gathers at a time, which bounds its temporaries.
 _SLAB_ROWS = 128
 
+#: Bytes of float64 lag rows one bounded block holds: a kernel's output
+#: chunk, the pair products an eviction densifies, the sums it hands the
+#: hook. A steady refresh's rows fit one block; warm-up's thousands of
+#: loud rows go through a few at a time.
+BLOCK_BYTES = 2 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` float64 lags in one :data:`BLOCK_BYTES` block."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
 
 class _LagRows:
     """Lag-product rows in slabs of :data:`_SLAB_ROWS`: the store grows by
@@ -201,6 +213,210 @@ class _LagRows:
         out = np.empty((rows.size, columns))
         for slab, local, pick in self._parts(rows):
             out[pick] = slab[local, :columns]
+        return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` of each pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(int(ends[-1]) if ends.size else 0)
+
+
+def _one_run(starts: np.ndarray, counts: np.ndarray) -> bool:
+    """True when each range ``[start, start + count)`` begins where the
+    one before it ends: together they are one slice."""
+    return bool((starts[1:] == starts[:-1] + counts[:-1]).all())
+
+
+def _grown(array: np.ndarray, need: int) -> np.ndarray:
+    """``array`` with room for ``need`` entries, grown by half again its
+    size (amortized appends) when short: in place when it owns its
+    buffer, else into a new array."""
+    if array.shape[0] < need:
+        size = max(need, array.shape[0] * 3 // 2)
+        if array.base is None:
+            array.resize(size, refcheck=False)
+        else:
+            array = np.concatenate([array, np.zeros(size - array.shape[0], array.dtype)])
+    return array
+
+
+def _joined(store: Optional["LagVectors"], part: "LagVectors") -> "LagVectors":
+    """``store`` with ``part`` appended; ``part`` itself when no store yet."""
+    if store is None:
+        return part
+    store.append(part)
+    return store
+
+
+class LagVectors:
+    """Lag-product vectors of ``width`` lags, each labelled with a row,
+    kept as their nonzeros in a few large slab arrays.
+
+    A chunk of vectors added at once is stored by its nonzeros -- their
+    values and lag indices -- unless, by its measured nonzero count, that
+    would take more room than the dense rows, which are then kept whole.
+    "Nonzero" is by bit pattern (a ``-0.0`` is kept), so :meth:`dense`
+    hands back every vector bit for bit as it was added, and arithmetic
+    on it is the arithmetic on the original. Vector ``k`` owns
+    ``values[start[k]:start[k + 1]]`` and, when compact, as many lag
+    indices from ``index_at[k]`` (-1 when dense).
+
+    A :meth:`chunk` is allocated at its exact size, a dense one in the
+    buffer it came in. A store grown a chunk at a time (:meth:`append`,
+    :meth:`extend`) grows its slabs in place, by half again when short,
+    and :meth:`trim` gives the spare room back; no view of the slabs
+    may be held across a growth.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = int(width)
+        self.size = 0
+        self._rows = np.zeros(0, dtype=np.int64)
+        self._start = np.zeros(1, dtype=np.int64)
+        self._index_at = np.zeros(0, dtype=np.int64)
+        self._values = np.zeros(0)
+        self._indices = np.zeros(0, dtype=np.uint16 if self.width <= 1 << 16 else np.uint32)
+        self._nindices = 0
+
+    @classmethod
+    def chunk(cls, rows: np.ndarray, mat: np.ndarray) -> "LagVectors":
+        """One chunk: the vectors ``mat`` (one row each) of ``rows``."""
+        mat = np.ascontiguousarray(mat, dtype=np.float64)
+        out = cls(mat.shape[-1])
+        mat = mat.reshape(-1, out.width)
+        k = out.size = mat.shape[0]
+        out._rows = np.array(rows, dtype=np.int64)
+        nonzero = mat.view(np.uint64) != 0
+        nnz = np.count_nonzero(nonzero)
+        if nnz * (8 + out._indices.itemsize) < mat.size * 8:
+            flat = np.flatnonzero(nonzero)
+            counts = np.diff(np.searchsorted(flat, np.arange(0, (k + 1) * out.width, out.width)))
+            out._values = np.take(mat.reshape(-1), flat)
+            flat -= np.repeat(np.arange(0, k * out.width, out.width), counts)
+            out._indices = flat.astype(out._indices.dtype)
+            out._nindices = nnz
+            out._index_at = np.cumsum(counts) - counts
+        else:
+            counts = np.full(k, out.width, dtype=np.int64)
+            out._values = mat.reshape(-1)
+            out._index_at = np.full(k, -1, dtype=np.int64)
+        out._start = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=out._start[1:])
+        return out
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Each vector's row label (a view: hold it across no growth)."""
+        return self._rows[: self.size]
+
+    @rows.setter
+    def rows(self, rows: np.ndarray) -> None:
+        self._rows[: self.size] = rows
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the vectors take (their slabs' used part)."""
+        return (
+            16 * self.size + 8 * int(self._start[self.size])
+            + self._indices.itemsize * self._nindices
+        )
+
+    def extend(self, rows: np.ndarray, mat: np.ndarray) -> None:
+        """Add one chunk: the vectors ``mat`` (one row each) of ``rows``."""
+        self.append(LagVectors.chunk(rows, mat))
+
+    def append(self, part: "LagVectors") -> None:
+        """Add the vectors of ``part``, after this store's."""
+        n, k = self.size, part.size
+        base, values = int(self._start[n]), int(part._start[k])
+        at, indices = self._nindices, part._nindices
+        self._rows = _grown(self._rows, n + k)
+        self._index_at = _grown(self._index_at, n + k)
+        self._start = _grown(self._start, n + k + 1)
+        self._values = _grown(self._values, base + values)
+        self._indices = _grown(self._indices, at + indices)
+        self._rows[n : n + k] = part.rows
+        index_at = part._index_at[:k]
+        self._index_at[n : n + k] = np.where(index_at < 0, -1, index_at + at)
+        self._start[n + 1 : n + k + 1] = base + part._start[1 : k + 1]
+        self._values[base : base + values] = part._values[:values]
+        self._indices[at : at + indices] = part._indices[:indices]
+        self.size += k
+        self._nindices += indices
+
+    def trim(self) -> None:
+        """Release the slabs' spare room."""
+        n = self.size
+        for name, used in (
+            ("_rows", n), ("_index_at", n), ("_start", n + 1),
+            ("_values", int(self._start[n])), ("_indices", self._nindices),
+        ):
+            array = getattr(self, name)
+            if array.shape[0] > used and array.base is None:
+                array.resize(used, refcheck=False)
+
+    def dense(self, picks: np.ndarray) -> np.ndarray:
+        """Vectors ``picks`` (positions, not row labels) as a
+        ``(len(picks), width)`` matrix: a read-only view of the slab when
+        they are dense vectors in one run of it, else a new matrix."""
+        start = self._start[picks]
+        count = self._start[picks + 1] - start
+        index_at = self._index_at[picks]
+        whole = index_at < 0
+        if whole.all():
+            if not _one_run(start, count):
+                return self._values[_ranges(start, count)].reshape(-1, self.width)
+            at = int(start[0]) if picks.size else 0
+            view = self._values[at : at + picks.size * self.width].reshape(-1, self.width)
+            view.flags.writeable = False
+            return view
+        out = np.zeros((picks.size, self.width))
+        if whole.any():
+            out[whole] = self._values[_ranges(start[whole], count[whole])].reshape(-1, self.width)
+            start, count, index_at = (a[~whole] for a in (start, count, index_at))
+            picks = np.flatnonzero(~whole)
+        else:
+            picks = np.arange(picks.size)
+        if _one_run(start, count) and _one_run(index_at, count):
+            at, end = int(start[0]), int(start[-1] + count[-1])
+            values = self._values[at:end]
+            columns = self._indices[int(index_at[0]) : int(index_at[0]) + end - at]
+        else:
+            values = self._values[_ranges(start, count)]
+            columns = self._indices[_ranges(index_at, count)]
+        target = np.repeat(picks * self.width, count)
+        target += columns
+        out.reshape(-1)[target] = values
+        return out
+
+    def blocks(self):
+        """Every vector in order, densified a :func:`block_rows` block at
+        a time."""
+        rows = block_rows(self.width)
+        for lo in range(0, self.size, rows):
+            yield self.dense(np.arange(lo, min(lo + rows, self.size)))
+
+    def take(self, keep: np.ndarray, rows: np.ndarray) -> "LagVectors":
+        """The vectors where ``keep`` is True, relabelled ``rows``, in a
+        new store of exactly their size."""
+        picks = np.flatnonzero(keep)
+        out = LagVectors(self.width)
+        start = self._start[picks]
+        count = self._start[picks + 1] - start
+        index_at = self._index_at[picks]
+        compact = index_at >= 0
+        out._rows = np.array(rows, dtype=np.int64)
+        out._start = np.concatenate([[0], np.cumsum(count)])
+        out._values = self._values[_ranges(start, count)]
+        out._indices = self._indices[_ranges(index_at[compact], count[compact])]
+        out._nindices = out._indices.size
+        out._index_at = np.full(picks.size, -1, dtype=np.int64)
+        out._index_at[compact] = np.cumsum(count[compact]) - count[compact]
+        out.size = picks.size
         return out
 
 
@@ -301,10 +517,13 @@ class CorrelatorBank:
         self._ref = np.zeros(0, dtype=np.int64)  # reference slot
         #: Per-row scan result the host stores, None while stale.
         self.spikes = np.empty(0, dtype=object)
-        # Live block pairs: (x block id, y block id) -> chunks of
-        # (row indices, kernel output matrix for those rows), in the
-        # order they were accumulated.
-        self._pairs: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        # Live block pairs: (x block id, y block id) -> the pair products
+        # of every row holding one (a row holds at most one per pair):
+        # those an append computed, stored at once, and those rows added
+        # since replayed, grown a row at a time (so a row added never
+        # copies the append's store).
+        self._pairs: Dict[Tuple[int, int], LagVectors] = {}
+        self._replayed: Dict[Tuple[int, int], LagVectors] = {}
         self._evict_hook = evict_hook
         self._m = None if metrics is None else {
             key: getattr(metrics, kind)(name, help)
@@ -327,6 +546,11 @@ class CorrelatorBank:
         if self._block_quanta is None:
             return 0
         return (self.max_lag + self._block_quanta - 1) // self._block_quanta
+
+    @property
+    def pair_nbytes(self) -> int:
+        """Bytes the live block pairs' products take."""
+        return sum(v.nbytes for store in (self._pairs, self._replayed) for v in store.values())
 
     def row_refs(self) -> np.ndarray:
         """Each row's reference slot (an index into :attr:`refs`)."""
@@ -399,6 +623,7 @@ class CorrelatorBank:
         """
         if not self.keys:
             self._pairs.clear()
+            self._replayed.clear()
             self._block_quanta = self._next_start = None
             for block in x_blocks:
                 self._validate_block(block)
@@ -435,9 +660,10 @@ class CorrelatorBank:
                     skipped += 1
                     continue
                 self._lag[row] += vec
-                self._pairs.setdefault((self._first_id + p, block_id), []).append(
-                    (index, vec[None])
-                )
+                pair = (self._first_id + p, block_id)
+                if pair not in self._replayed:
+                    self._replayed[pair] = LagVectors(self.max_lag + 1)
+                self._replayed[pair].extend(index, vec)
                 computed += 1
             y_total, y_energy = y_block.total(), y_block.energy()
             moments[0] += x_block.total()
@@ -483,19 +709,16 @@ class CorrelatorBank:
         remap = np.arange(n)
         remap[gone] = -1
         remap[movers] = holes
-        for pair, chunks in list(self._pairs.items()):
-            kept_chunks = []
-            for index, mat in chunks:
-                rows = remap[index]
+        for stores in (self._pairs, self._replayed):
+            for pair, vectors in list(stores.items()):
+                rows = remap[vectors.rows]
                 live = rows >= 0
                 if live.all():
-                    kept_chunks.append((rows, mat))
+                    vectors.rows = rows
                 elif live.any():
-                    kept_chunks.append((rows[live], mat[live]))
-            if kept_chunks:
-                self._pairs[pair] = kept_chunks
-            else:
-                del self._pairs[pair]
+                    stores[pair] = vectors.take(live, rows[live])
+                else:
+                    del stores[pair]
         if self._moments.shape[0] > 2 * max(kept, 4):
             self._reserve(kept + max(4, kept // 2))
 
@@ -547,8 +770,10 @@ class CorrelatorBank:
         block for a slot without rows). ``y_moments`` / ``y_quiet`` give
         each row's new y block (total, energy) and quietness. ``products``
         holds one entry per :meth:`pair_blocks` slot, then the diagonal:
-        chunks ``(rows, mat)``, the pair products of rows ``rows`` (each
-        row in at most one chunk; rows left out are skipped as quiet).
+        an iterable of chunks ``(rows, mat)``, the pair products of rows
+        ``rows`` (each row in at most one chunk; rows left out are skipped
+        as quiet). Chunks are folded in and released one at a time, so a
+        lazy iterable bounds the kernel output held at once.
         Returns the pair products skipped.
         """
         n = len(self.keys)
@@ -569,13 +794,19 @@ class CorrelatorBank:
         preserved = self._preserved(x_quiet, y_quiet)
         computed = 0
         for p_id, chunks in zip(range(new_id - pending, new_id + 1), products):
+            store = None  # a pair with the new block: no vectors yet
             for rows, mat in chunks:
                 # A kernel may hand back a view of a wider scratch matrix.
                 mat = np.ascontiguousarray(mat)
                 self._lag.update(np.add, rows, mat)
                 self._pair_count[rows] += 1
-                self._pairs.setdefault((p_id, new_id), []).append((rows, mat))
+                store = _joined(store, LagVectors.chunk(rows, mat))
                 computed += len(rows)
+            if store is not None:
+                store.trim()
+                self._pairs[(p_id, new_id)] = store
+        for vectors in self._replayed.values():
+            vectors.trim()
         self._y[:n, ring] = y_moments
         self._y_quiet[:n, ring] = y_quiet
         for window, x in zip(self._x, x_new):
@@ -624,30 +855,47 @@ class CorrelatorBank:
         # Every live pair with the evicted block is (old, same-or-newer):
         # blocks leave in FIFO order. Subtract them in the order they were
         # added -- the diagonal first -- and sum each row's contribution
-        # in that same order for the hook, releasing each chunk once it
-        # is folded in (so the sums never sit beside every chunk at once).
-        chunks = [
-            chunk
+        # in that same order for the hook, a block of rows at a time, so
+        # neither the pair products nor the sums are ever dense at once.
+        pairs = [
+            stores.pop((old_id, y_id))
             for y_id in range(old_id, old_id + self.block_reach + 1)
-            for chunk in self._pairs.pop((old_id, y_id), ())
+            for stores in (self._pairs, self._replayed)
+            if (old_id, y_id) in stores
         ]
         hook = self._evict_hook
-        touched = np.unique(np.concatenate([rows for rows, _ in chunks] or [refs[:0]]))
-        at = np.zeros(n, dtype=np.int64)
-        at[touched] = np.arange(touched.size)
-        total = np.empty((touched.size if hook else 0, self.max_lag + 1))
-        seen = np.zeros(touched.size, dtype=bool)
-        for i, (rows, mat) in enumerate(chunks):
-            chunks[i] = None
-            self._lag.update(np.subtract, rows, mat)
-            self._pair_count[rows] -= 1
-            for lo in range(0, rows.size if hook else 0, _SLAB_ROWS):
-                slots = at[rows[lo : lo + _SLAB_ROWS]]
-                part, first = mat[lo : lo + _SLAB_ROWS], ~seen[slots]
-                total[slots[first]] = part[first]
-                total[slots[~first]] += part[~first]
-                seen[slots] = True
+        touched = np.unique(np.concatenate([p.rows for p in pairs] or [refs[:0]]))
+        where = []
+        for vectors in pairs:
+            at = np.full(n, -1, dtype=np.int64)
+            at[vectors.rows] = np.arange(len(vectors))
+            where.append(at)
+            self._pair_count[vectors.rows] -= 1
+        total = None  # the sums, when a hook wants them
+        step = block_rows(self.max_lag + 1)
+        for lo in range(0, touched.size, step):
+            block = touched[lo : lo + step]
+            sums = np.empty((block.size if hook else 0, self.max_lag + 1))
+            seen = np.zeros(block.size, dtype=bool)
+            for vectors, at in zip(pairs, where):
+                picks = at[block]
+                has = np.flatnonzero(picks >= 0)
+                if not has.size:
+                    continue
+                mat = vectors.dense(picks[has])
+                self._lag.update(np.subtract, block[has], mat)
+                if hook is not None:
+                    first = ~seen[has]
+                    sums[has[first]] = mat[first]
+                    sums[has[~first]] += mat[~first]
+                    seen[has] = True
+            if hook is not None:
+                total = _joined(total, LagVectors.chunk(block, sums))
+        del pairs
         if hook is not None:
+            if total is None:
+                total = LagVectors(self.max_lag + 1)
+            total.trim()
             hook(
                 self, old_x, y_old, self._y_quiet[:n, ring].copy(),
                 ~self._evicted[:n], touched, total,

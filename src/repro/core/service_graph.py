@@ -242,9 +242,10 @@ class ServiceGraph:
         return max(0.0, outgoing - incoming)
 
     def node_delays(self) -> Dict[NodeId, float]:
-        """Computation delay for every node where it is defined."""
+        """Computation delay for every node where it is defined, by node
+        name (so ties rank the same in every process)."""
         out: Dict[NodeId, float] = {}
-        for node in self._nodes:
+        for node in sorted(self._nodes):
             delay = self.node_delay(node)
             if delay is not None:
                 out[node] = delay

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import collections
 import time
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.core.incremental import (
     CorrelatorBank,
     _concat_blocks,
     block_is_quiet,
+    block_rows,
     boundary_masses,
 )
 from repro.core.pathmap import TraceWindow
@@ -257,11 +258,12 @@ class PipelineCore:
         y_blocks: List[RunLengthSeries],
         y_stats: Tuple[np.ndarray, np.ndarray, np.ndarray],
         max_lag: int,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        spent: Optional[List[float]] = None,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Pair-product rows of loud x blocks ``xs`` against loud y blocks
         (one each per row; ``y_stats`` is the ys' :func:`_run_stats`),
-        dispatched row by row by a density cost model: ``(rows, mat)``
-        per kernel called, ``rows`` indexing the inputs.
+        dispatched row by row by a density cost model: yields ``(rows,
+        mat)`` chunks, ``rows`` indexing the inputs.
 
         The sparse batch kernel touches every (x sample, y sample) pair
         within ``max_lag``, so its cost explodes on smeared (near-dense)
@@ -277,8 +279,13 @@ class PipelineCore:
         bitwise-identical lag products, so their choice never changes the
         output; FFT rows agree to the documented float tolerance.
 
-        Kernel timing is recorded per kernel call (one per kernel per
-        pair slot per refresh), never per row.
+        The sparse and RLE kernels return each row's bits whatever else
+        rides in the call, so they run one
+        :func:`~repro.core.incremental.block_rows` block at a time and
+        only one such chunk is alive while the caller folds it in;
+        the FFT kernel runs once over all its rows. Kernel timing is
+        recorded per kernel (one sample per kernel per pair slot per
+        refresh), never per row; ``spent[0]`` also accumulates it.
         """
         y_runs, y_nnz, y_span = y_stats
         x_runs = np.array([x.num_runs for x in xs], dtype=np.int64)
@@ -293,7 +300,6 @@ class PipelineCore:
         kernels = np.broadcast_to(
             choose_batch_kernel(sparse_units, rle_units, fft_units_row), y_runs.shape
         )
-        out = []
         for kernel in ("fft", "rle", "sparse"):
             rows = np.flatnonzero(kernels == kernel)
             if not rows.size:
@@ -301,11 +307,27 @@ class PipelineCore:
             picked_x = [xs[i] for i in rows]
             picked = [y_blocks[i] for i in rows]
             distinct_x = {id(x): x for x in picked_x}.values()
-            started = time.perf_counter()
+            step = rows.size if kernel == "fft" else block_rows(max_lag + 1)
+            seconds = 0.0
+            for lo in range(0, rows.size, step):
+                part = slice(lo, lo + step)
+                started = time.perf_counter()
+                if kernel == "fft":
+                    mat = fft_batch_lag_products(
+                        picked_x, picked, max_lag, size=fft_size, cache=self._spectra
+                    )
+                elif kernel == "rle":
+                    mat = rle_batch_lag_products(picked_x[part], picked[part], max_lag)
+                else:
+                    mat = batch_lag_products(
+                        [x.to_sparse() for x in picked_x[part]],
+                        [y.to_sparse() for y in picked[part]],
+                        max_lag,
+                    )
+                seconds += time.perf_counter() - started
+                yield rows[part], mat
+                del mat  # the caller has folded it in
             if kernel == "fft":
-                mat = fft_batch_lag_products(
-                    picked_x, picked, max_lag, size=fft_size, cache=self._spectra
-                )
                 # Dense samples transformed: 8 bytes per quantum of every
                 # distinct x block plus every routed y block (spectra
                 # cache hits skip the transform but still read the padded
@@ -313,31 +335,49 @@ class PipelineCore:
                 name, units = KERNEL_FFT_BATCH, fft_units_row * rows.size
                 touched = 8 * length * (len(distinct_x) + rows.size)
             elif kernel == "rle":
-                mat = rle_batch_lag_products(picked_x, picked, max_lag)
                 # RunLengthSeries data: starts + counts (int64) + values
                 # (float64) = 24 bytes per run.
                 name, units = KERNEL_RLE, float(np.cumsum(rle_units[rows])[-1])
                 touched = 24 * int(x_runs[rows].sum() + y_runs[rows].sum())
             else:
-                mat = batch_lag_products(
-                    [x.to_sparse() for x in picked_x], [y.to_sparse() for y in picked],
-                    max_lag,
-                )
                 # DensityTimeSeries data: indices (int64) + values (float64)
                 # = 16 bytes per nonzero of every distinct x and routed y.
                 name, units = KERNEL_SPARSE_BATCH, float(np.cumsum(sparse_units[rows])[-1])
                 touched = 16 * int(sum(x.nnz for x in distinct_x) + y_nnz[rows].sum())
             self.ledger.record_kernel(
-                name, rows=rows.size, seconds=time.perf_counter() - started,
+                name, rows=rows.size, seconds=seconds,
                 work_units=units, bytes_touched=touched,
             )
-            out.append((rows, mat))
-        return out
+            if spent is not None:
+                spent[0] += seconds
+
+    def _slot_products(
+        self,
+        xs: List[Optional[RunLengthSeries]],
+        loud: np.ndarray,
+        y_blocks: List[RunLengthSeries],
+        y_stats: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        spent: List[float],
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """One pair slot's chunks for :meth:`CorrelatorBank.append`: the
+        pair products of the rows ``loud`` (loud y, ``y_blocks``) whose
+        slot x block in ``xs`` is loud too, by bank row."""
+        refs = self._bank.row_refs()[loud]
+        x_loud = np.array([x is not None and not block_is_quiet(x) for x in xs])
+        pick = np.flatnonzero(x_loud[refs])
+        if not pick.size:
+            return
+        for rows, mat in self._pair_products(
+            [xs[slot] for slot in refs[pick]], [y_blocks[i] for i in pick],
+            tuple(stat[pick] for stat in y_stats), self.config.max_lag_quanta, spent,
+        ):
+            yield loud[pick[rows]], mat
 
     def _append_rows(self, bank: CorrelatorBank) -> int:
         """Append the newest blocks to every row: per pair slot, one call
-        per kernel over the rows loud on both sides, then one indexed add.
-        Returns the pair products skipped as quiet."""
+        per kernel over the rows loud on both sides (the sparse and RLE
+        ones a bounded row chunk at a time), each chunk folded into the
+        bank as it comes. Returns the pair products skipped as quiet."""
         n = len(bank)
         refs = bank.row_refs()
         with self.tracer.span(
@@ -353,26 +393,19 @@ class PipelineCore:
             y_quiet[loud] = False
             x_new = [self._blocks[ref][-1] for ref in bank.refs]
             y_stats = _run_stats(y_blocks) if y_blocks else None
-            max_lag = self.config.max_lag_quanta
-            products: List[List[Tuple[np.ndarray, np.ndarray]]] = []
-            for xs in [*bank.pair_blocks(), x_new]:
-                # The rows loud on both sides at this pair slot.
-                x_loud = np.array([x is not None and not block_is_quiet(x) for x in xs])
-                pick = np.flatnonzero(x_loud[refs[loud]])
-                chunks = self._pair_products(
-                    [xs[slot] for slot in refs[loud[pick]]], [y_blocks[i] for i in pick],
-                    tuple(stat[pick] for stat in y_stats), max_lag,
-                ) if pick.size else []
-                products.append([(loud[pick[rows]], mat) for rows, mat in chunks])
+            spent = [0.0]  # kernel seconds, run inside the append
+            products = [
+                self._slot_products(xs, loud, y_blocks, y_stats, spent) if y_blocks else ()
+                for xs in [*bank.pair_blocks(), x_new]
+            ]
             slide_started = time.perf_counter()
             skipped = bank.append(x_new, y_moments, y_quiet, products)
             if loud.size < n:
                 # Quiet rows call no kernel; ledger them, with their share
                 # of the slide, as one legacy_pair sample per refresh.
+                slide = time.perf_counter() - slide_started - spent[0]
                 self.ledger.record_kernel(
-                    KERNEL_LEGACY,
-                    rows=n - loud.size,
-                    seconds=(time.perf_counter() - slide_started) * (n - loud.size) / n,
+                    KERNEL_LEGACY, rows=n - loud.size, seconds=slide * (n - loud.size) / n,
                 )
         return skipped
 
@@ -464,11 +497,14 @@ class PipelineCore:
                 vectors.append([None] * len(paired))
                 continue
             y_stats = _run_stats([y_block])
-            vectors.append([
-                None if block_is_quiet(x_p)
-                else self._pair_products([x_p], [y_block], y_stats, max_lag)[0][1][0]
-                for x_p in paired
-            ])
+            replayed: List[Optional[np.ndarray]] = []
+            for x_p in paired:
+                if block_is_quiet(x_p):
+                    replayed.append(None)
+                    continue
+                [(_, mat)] = self._pair_products([x_p], [y_block], y_stats, max_lag)
+                replayed.append(mat[0])
+            vectors.append(replayed)
         key = (ref_key, edge_key)
         row = self._bank.add_row(key, ref_key, x_blocks, list(edge_blocks), vectors)
         self._parked.discard(key)

@@ -34,15 +34,17 @@ row.  A directory holding the v1 ``manifest.json`` is refused by name.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.incremental import LagVectors
 from repro.errors import TraceError
 from repro.lake.summaries import (
     COVERAGE,
@@ -112,6 +114,12 @@ class JournalRecord(NamedTuple):
     table: np.ndarray  # ROW_DTYPE, one element per summary row
 
 
+def _dense_lags(lags: LagVectors) -> Iterator[np.ndarray]:
+    """The lag vectors as little-endian f8 rows, a bounded block at a time."""
+    for block in lags.blocks():
+        yield np.ascontiguousarray(block, dtype="<f8")
+
+
 def encode_record(
     offset: int,
     batches: Sequence[SummaryBatch],
@@ -119,14 +127,15 @@ def encode_record(
     next_seq: int,
     frontier: Optional[int],
     replace: bool = False,
-) -> Tuple[JournalRecord, List[bytes]]:
+) -> Tuple[JournalRecord, Iterable[bytes]]:
     """Frame one record for a journal offset: ``(record, buffers to write)``.
 
     The summary rows come as columnar batches: each batch's table is
     re-keyed and its lag rows placed in the tail with array operations;
-    only the per-row lag checksums are a loop."""
+    only the per-row lag checksums are a loop. The tail's buffers are
+    made as they are written, so the lag rows are never dense at once."""
     key_ids: dict = {}
-    lags: List[np.ndarray] = []
+    lags: List[LagVectors] = []
     tables = [np.zeros(0, dtype=ROW_DTYPE)]
     cursor = 0
     for batch in batches:
@@ -136,13 +145,16 @@ def encode_record(
         where = table["lag_offset"]
         has = where >= 0
         if has.any():
-            lag = np.ascontiguousarray(batch.lags, dtype="<f8")
-            crcs = np.array([zlib.crc32(row) for row in lag], dtype=np.uint32)
-            table["lag_size"][has] = lag.shape[1]
+            lag = batch.lags
+            crcs = np.array(
+                [zlib.crc32(row) for block in _dense_lags(lag) for row in block],
+                dtype=np.uint32,
+            )
+            table["lag_size"][has] = lag.width
             table["lag_crc"][has] = crcs[where[has]]
-            where[has] = cursor + where[has] * lag.shape[1] * lag.itemsize
+            where[has] = cursor + where[has] * lag.width * 8
             lags.append(lag)
-            cursor += lag.nbytes
+            cursor += len(lag) * lag.width * 8
         tables.append(table)
     table = np.concatenate(tables)
     catalog = np.array(
@@ -173,7 +185,10 @@ def encode_record(
         offset, tail_start + cursor, replace, next_seq, frontier,
         list(segments), keys, table,
     )
-    return record, [frame, _CRC.pack(zlib.crc32(frame)), head, *lags]
+    return record, itertools.chain(
+        [frame, _CRC.pack(zlib.crc32(frame)), head],
+        *(_dense_lags(lag) for lag in lags),
+    )
 
 
 def _decode_head(offset: int, end: int, tag: bytes, head: bytes) -> JournalRecord:

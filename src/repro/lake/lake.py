@@ -21,6 +21,7 @@ journal record, so concurrent readers keep valid mappings throughout.
 from __future__ import annotations
 
 import collections
+import itertools
 import os
 import threading
 import time
@@ -279,7 +280,7 @@ class TraceLake:
             offset, batches, segments, self._next_seq, self._frontier, replace
         )
         if not self._journal_end:
-            buffers.insert(0, JOURNAL_MAGIC)
+            buffers = itertools.chain([JOURNAL_MAGIC], buffers)
         # Buffered, so a usual record is one write and a burst of lag rows
         # (every correlator's first eviction) streams without a second copy.
         with open(self.root / JOURNAL_NAME, "ab", buffering=1 << 20) as handle:

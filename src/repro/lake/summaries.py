@@ -40,6 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.correlation import CorrelationSeries, fold_correlation
+from repro.core.incremental import LagVectors
 from repro.errors import CorrelationError, TraceError
 
 #: Values of :attr:`BlockSummary.coverage`; the journal stores the index.
@@ -111,12 +112,13 @@ class SummaryBatch:
     order. Its ``key`` field indexes ``keys``; its ``lag_offset`` field is
     the row's index into ``lags`` (-1 for a row without lag products)
     until the journal rewrites it into a file offset, and ``lag_size`` /
-    ``lag_crc`` are filled then.
+    ``lag_crc`` are filled then. ``lags`` keeps the vectors as their
+    nonzeros until the journal writes them out dense.
     """
 
     keys: List[SummaryKey]
     table: np.ndarray
-    lags: np.ndarray  # (rows with lag products, lag length), float64
+    lags: LagVectors
 
     def __len__(self) -> int:
         return len(self.table)
@@ -130,7 +132,7 @@ class SummaryBatch:
             summary.x_total, summary.x_energy, summary.y_total, summary.y_energy,
             COVERAGE.index(summary.coverage), -1 if lag is None else 0, 0, 0,
         )], dtype=ROW_DTYPE)
-        lags = np.zeros((0, 0)) if lag is None else np.asarray(lag, np.float64)[None]
+        lags = LagVectors(0) if lag is None else LagVectors.chunk(np.zeros(1, dtype=np.int64), lag)
         return cls([(summary.client, summary.root, summary.src, summary.dst)], table, lags)
 
     def summaries(self) -> List[BlockSummary]:
@@ -139,7 +141,7 @@ class SummaryBatch:
             BlockSummary(
                 *self.keys[key], block_start, block_length, quantum, x_total,
                 x_energy, y_total, y_energy,
-                None if lag < 0 else self.lags[lag], COVERAGE[coverage],
+                None if lag < 0 else self.lags.dense(np.array([lag]))[0], COVERAGE[coverage],
             )
             for (key, block_start, block_length, quantum, x_total, x_energy,
                  y_total, y_energy, coverage, lag, _, _) in self.table.tolist()

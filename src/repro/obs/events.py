@@ -137,19 +137,20 @@ class EventBus:
         ``now``); attribute values should be JSON-able.
         """
         span = self.tracer.current_span()
-        event = DiagnosticEvent(
-            kind=kind,
-            time=float(time_),
-            monotonic=time.perf_counter(),
-            attributes=attributes,
-            span_id=span.span_id if span is not None else None,
-        )
-        if span is not None:
-            span.add_event(event)
         with self._lock:
+            # Stamped under the lock, so the history runs in stamp order.
+            event = DiagnosticEvent(
+                kind=kind,
+                time=float(time_),
+                monotonic=time.perf_counter(),
+                attributes=attributes,
+                span_id=span.span_id if span is not None else None,
+            )
             self._history.append(event)
             self._published += 1
             subscribers = list(self._subscribers)
+        if span is not None:
+            span.add_event(event)
         for callback in subscribers:
             try:
                 callback(event)
@@ -191,9 +192,17 @@ class EventBus:
 
     def events_since(self, monotonic: float) -> List[DiagnosticEvent]:
         """Retained events published strictly after a ``perf_counter``
-        stamp -- how the engine slices out one refresh's events."""
+        stamp -- how the engine slices out one refresh's events. The
+        history runs in stamp order, so the walk starts at the newest
+        event and stops at the first one at or before the stamp."""
+        out = []
         with self._lock:
-            return [e for e in self._history if e.monotonic > monotonic]
+            for event in reversed(self._history):
+                if event.monotonic <= monotonic:
+                    break
+                out.append(event)
+        out.reverse()
+        return out
 
     def __len__(self) -> int:
         with self._lock:

@@ -112,7 +112,9 @@ def analyze_static(
                     graph, run.truths[cls], cls, client, end - cfg.window, end
                 )
             )
-    detections = [(e.time, e.edge) for e in detector.events()]
+    detections = [
+        (e.time, e.edge, e.time - cfg.sampling_window) for e in detector.events()
+    ]
     return ScenarioScore(
         run.name,
         mode,
@@ -227,7 +229,8 @@ def analyze_adaptive(run: ScenarioRun, mode: str = "adaptive") -> ScenarioScore:
             if abs(event.magnitude) >= MIN_CLIP_SHIFT:
                 change_clip = end if change_clip is None else max(change_clip, end)
 
-    detections = [(e.time, e.edge) for e in detector.events()]
+    # Each refresh analyzes the window ending at its own time.
+    detections = [(e.time, e.edge, e.time) for e in detector.events()]
     return ScenarioScore(
         run.name,
         mode,

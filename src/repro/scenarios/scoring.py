@@ -200,22 +200,28 @@ def score_refresh(
 
 def detection_latencies(
     change_points: Sequence[ChangePoint],
-    detections: Iterable[Tuple[float, Optional[EdgeKey]]],
+    detections: Iterable[Tuple],
     horizon: float = float("inf"),
 ) -> List[Optional[float]]:
     """Latency (seconds) from each labeled change point to its first
     matching detection, or None if nothing matched before ``horizon``.
 
-    A detection ``(time, edge)`` matches a change point when it fires at
-    or after the shift and either side leaves the edge unspecified or the
-    edges agree.
+    A detection is ``(time, edge)`` or ``(time, edge, window_end)``, the
+    end of the window its analysis covered (``time`` when not given: a
+    refresh at ``now`` analyzes up to ``now - omega``). It matches a
+    change point when it fires at or after the shift, its window ends
+    after it -- a window ending before the shift cannot have seen it --
+    and either side leaves the edge unspecified or the edges agree.
     """
-    events = sorted(detections, key=lambda d: d[0])
+    events = sorted(
+        ((d[0], d[1], d[2] if len(d) > 2 else d[0]) for d in detections),
+        key=lambda d: d[0],
+    )
     out: List[Optional[float]] = []
     for point in change_points:
         latency: Optional[float] = None
-        for time, edge in events:
-            if time < point.time or time > horizon:
+        for time, edge, window_end in events:
+            if time < point.time or window_end <= point.time or time > horizon:
                 continue
             if point.edge is not None and edge is not None and edge != point.edge:
                 continue

@@ -1,5 +1,10 @@
 """Tests for bottleneck identification (the grey nodes of Figures 5/6)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.bottleneck import find_bottlenecks, rank_nodes
@@ -68,3 +73,31 @@ class TestRankNodes:
 
     def test_empty(self):
         assert rank_nodes(ServiceGraph("C", "WS")) == []
+
+
+class TestTies:
+    """Equal node delays rank by node name, whatever the string hash seed
+    (a set of node names iterates in a per-process order)."""
+
+    SCRIPT = (
+        "from repro.core.bottleneck import find_bottlenecks, rank_nodes\n"
+        "from repro.core.service_graph import ServiceGraph\n"
+        "g = ServiceGraph('C', 'WS')\n"
+        "for name in ['T', 'R', 'P', 'S', 'Q']:\n"
+        "    g.add_edge('WS', name, [0.001])\n"
+        "    g.add_edge(name, name + 'db', [0.011])\n"
+        "print(list(g.node_delays()), find_bottlenecks(g).dominant(), rank_nodes(g))\n"
+    )
+
+    def run(self, hash_seed):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+
+    def test_same_answer_under_two_hash_seeds(self):
+        first, second = self.run(1), self.run(2)
+        assert first == second
+        assert first.split("] ")[1].startswith("P ")

@@ -74,6 +74,20 @@ class TestQueries:
         assert sliced == [second]
         assert bus.events_since(second.monotonic) == []
 
+    def test_events_since_equals_full_scan(self):
+        bus = EventBus(capacity=64)
+        for i in range(100):  # the history has rotated
+            bus.publish("k", float(i))
+        history = bus.events()
+        assert [e.monotonic for e in history] == sorted(e.monotonic for e in history)
+        for mark in [history[0].monotonic - 1.0, *(e.monotonic for e in history)]:
+            want = [e for e in history if e.monotonic > mark]
+            assert bus.events_since(mark) == want
+        # An event stamped exactly at the mark is not after it.
+        mark = history[40].monotonic
+        assert bus.events_since(mark)[0] is history[41]
+        assert [e.time for e in bus.events_since(mark)] == [e.time for e in history[41:]]
+
 
 class TestSubscribers:
     def test_subscribers_receive_events(self):

@@ -13,6 +13,12 @@ group made on its own) returns:
 * over every kernel call of the golden mesh run (late blocks, rewindow,
   parking, waking) and of 30 refreshes of each end-to-end workload
   (slow).
+
+And what the stage does with a kernel's rows changes none of them: run a
+bounded block of rows at a time, the sparse and RLE kernels' chunks carry
+the bits (and ledger the rows, units and bytes) of one whole call, and a
+kernel output kept as its nonzeros -- or whole, where that is smaller --
+comes back bit for bit.
 """
 
 import pathlib
@@ -21,9 +27,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import correlation, stages
+from repro.core import correlation, incremental, stages
 from repro.core.correlation import (
     SpectrumCache,
     batch_lag_products,
@@ -32,7 +38,9 @@ from repro.core.correlation import (
     rle_batch_lag_products,
 )
 from repro.core.engine import E2EProfEngine
+from repro.core.incremental import LagVectors
 from repro.core.rle import RunLengthSeries
+from repro.obs.ledger import LedgerRecorder
 
 from tests.test_group_batching import bits, run_mesh
 
@@ -151,6 +159,58 @@ class TestMultiXGroups:
         b = RunLengthSeries.empty(SPAN, SPAN, QUANTUM)
         with pytest.raises(correlation.CorrelationError):
             fft_batch_lag_products([a, b], [a, a], 3)
+
+
+def stage_chunks(xs, ys, max_lag):
+    """``PipelineCore._pair_products`` of loud ``xs`` against loud ``ys``:
+    each row's vector by input row, and the ledger's kernel tallies."""
+    host = stages.PipelineCore()
+    host.ledger, host._spectra = LedgerRecorder(), SpectrumCache()
+    rows = [None] * len(ys)
+    chunks = 0
+    for picked, mat in host._pair_products(xs, ys, stages._run_stats(ys), max_lag):
+        chunks += 1
+        for row, values in zip(picked.tolist(), mat):
+            assert rows[row] is None
+            rows[row] = values.copy()
+    kernels = host.ledger.complete(0.0, 0, 0.0).kernels
+    tallies = {k: (v.rows, v.work_units, v.bytes_touched) for k, v in kernels.items()}
+    return rows, chunks, tallies
+
+
+class TestStageChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(data=groups(), max_lag=st.integers(0, 3 * SPAN))
+    def test_row_blocks_carry_one_calls_bits(self, data, max_lag):
+        xs, ys = data
+        assume(all(b.num_runs for b in xs + ys))
+        whole, _, tallies = stage_chunks(xs, ys, max_lag)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incremental, "BLOCK_BYTES", 8)  # one row a block
+            blocked, chunks, blocked_tallies = stage_chunks(xs, ys, max_lag)
+        for row, (want, got) in enumerate(zip(whole, blocked)):
+            assert np.array_equal(bits(got), bits(want)), f"row {row}"
+        assert blocked_tallies == tallies
+        fft_rows = tallies["fft_batch"][0]
+        assert chunks == len(ys) - fft_rows + (fft_rows > 0)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=groups(), max_lag=st.integers(0, 3 * SPAN))
+    def test_kernel_output_survives_the_pair_store(self, kernel, data, max_lag):
+        xs, ys = data
+        mat = KERNELS[kernel](list(xs), ys, max_lag)
+        store = LagVectors.chunk(np.arange(len(ys)), mat)
+        nonzero = np.count_nonzero(bits(mat))
+        # Kept as nonzeros exactly when that is smaller than the rows.
+        assert (store._index_at < 0).all() == (nonzero * 10 >= mat.size * 8)
+        assert store.nbytes <= 16 * len(ys) + mat.nbytes
+        assert np.array_equal(bits(store.dense(np.arange(len(ys)))), bits(mat))
+        grown = LagVectors(max_lag + 1)
+        for row in range(len(ys)):  # a row at a time, as replayed rows are
+            grown.extend(np.array([row]), mat[row])
+        grown.trim()
+        assert np.array_equal(bits(grown.dense(np.arange(len(ys))[::-1])), bits(mat[::-1]))
 
 
 class KernelAudit:

@@ -146,6 +146,15 @@ class TestScoringConventions:
         ]
         assert detection_latencies(points, detections) == [6.0, 4.0]
 
+    def test_detection_needs_a_window_past_the_change(self):
+        points = [ChangePoint(10.0, "shift")]
+        # A refresh at 10.5 analyzed up to 9.5: it cannot have seen the
+        # shift, so the credit goes to the next one, whose window ends
+        # after it. A window ending exactly at the shift saw none of it.
+        detections = [(10.5, None, 9.5), (11.0, None, 10.0), (12.5, None, 11.5)]
+        assert detection_latencies(points, detections) == [2.5]
+        assert detection_latencies(points, [(10.5, None)]) == [0.5]
+
     def test_detection_horizon_cuts_off_matches(self):
         points = [ChangePoint(10.0, "shift")]
         assert detection_latencies(points, [(30.0, None)], horizon=20.0) == [
