@@ -532,7 +532,7 @@ class E2EProfEngine(PipelineCore):
         if lake is None:
             return None
 
-        def hook(bank, old_x, y_moments, y_quiet, first, touched, sums):
+        def hook(bank, old_x, y_moments, y_quiet, first, touched, sums, crcs):
             head = next(x for x in old_x if x is not None)
             x_sums = block_sums(old_x)
             refs = bank.row_refs()
@@ -562,7 +562,7 @@ class E2EProfEngine(PipelineCore):
             table["lag_offset"] = np.where(block, lag_of[rows], -1)
             keys = [(*bank.keys[row][0], *bank.keys[row][1]) for row in written.tolist()]
             if rows.size:
-                lake.record_summary(SummaryBatch(keys, table, sums))
+                lake.record_summary(SummaryBatch(keys, table, sums, crcs))
 
         return hook
 

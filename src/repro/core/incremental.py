@@ -31,6 +31,7 @@ leaves its normalized correlation unchanged keeps its scanned result.
 from __future__ import annotations
 
 import collections
+import zlib
 from typing import (
     TYPE_CHECKING, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
 )
@@ -46,12 +47,13 @@ from repro.errors import CorrelationError, SeriesError
 
 Block = Union[DensityTimeSeries, RunLengthSeries]
 
-#: ``hook(bank, old_x, y_moments, y_quiet, first, touched, sums)``, called
-#: once per eviction: each reference slot's evicted x block (None without
-#: rows), each row's evicted y (total, energy) and quietness, the rows
-#: evicting for the first time, and the rows whose lag products changed
-#: with their summed pair products just subtracted (the rest are quiet),
-#: as :class:`LagVectors` in the order of those rows.
+#: ``hook(bank, old_x, y_moments, y_quiet, first, touched, sums, crcs)``,
+#: called once per eviction: each reference slot's evicted x block (None
+#: without rows), each row's evicted y (total, energy) and quietness, the
+#: rows evicting for the first time, and the rows whose lag products
+#: changed with their summed pair products just subtracted (the rest are
+#: quiet), as :class:`LagVectors` in the order of those rows, with each
+#: sum's :func:`row_crcs` taken while the eviction held it dense.
 EvictHook = Callable[..., None]
 
 
@@ -161,6 +163,15 @@ BLOCK_BYTES = 2 << 20
 def block_rows(width: int) -> int:
     """Rows of ``width`` float64 lags in one :data:`BLOCK_BYTES` block."""
     return max(1, BLOCK_BYTES // (8 * width))
+
+
+def row_crcs(mat: np.ndarray) -> np.ndarray:
+    """CRC-32 of each row of ``mat`` as little-endian f8 bytes: the
+    checksum the lake journal keeps beside a lag row."""
+    mat = np.ascontiguousarray(mat, dtype="<f8")
+    return np.fromiter(
+        (zlib.crc32(row) for row in mat), dtype=np.uint32, count=mat.shape[0]
+    )
 
 
 class _LagRows:
@@ -872,6 +883,7 @@ class CorrelatorBank:
             where.append(at)
             self._pair_count[vectors.rows] -= 1
         total = None  # the sums, when a hook wants them
+        crcs = [np.empty(0, dtype=np.uint32)]
         step = block_rows(self.max_lag + 1)
         for lo in range(0, touched.size, step):
             block = touched[lo : lo + step]
@@ -891,6 +903,7 @@ class CorrelatorBank:
                     seen[has] = True
             if hook is not None:
                 total = _joined(total, LagVectors.chunk(block, sums))
+                crcs.append(row_crcs(sums))
         del pairs
         if hook is not None:
             if total is None:
@@ -898,7 +911,7 @@ class CorrelatorBank:
             total.trim()
             hook(
                 self, old_x, y_old, self._y_quiet[:n, ring].copy(),
-                ~self._evicted[:n], touched, total,
+                ~self._evicted[:n], touched, total, np.concatenate(crcs),
             )
         self._evicted[:n] = True
         if self._m is not None:

@@ -131,9 +131,10 @@ def encode_record(
     """Frame one record for a journal offset: ``(record, buffers to write)``.
 
     The summary rows come as columnar batches: each batch's table is
-    re-keyed and its lag rows placed in the tail with array operations;
-    only the per-row lag checksums are a loop. The tail's buffers are
-    made as they are written, so the lag rows are never dense at once."""
+    re-keyed and its lag rows placed in the tail with array operations,
+    with the checksums the batch carries. The tail's buffers are made as
+    they are written, so the lag rows are densified once and never all
+    at once."""
     key_ids: dict = {}
     lags: List[LagVectors] = []
     tables = [np.zeros(0, dtype=ROW_DTYPE)]
@@ -146,12 +147,8 @@ def encode_record(
         has = where >= 0
         if has.any():
             lag = batch.lags
-            crcs = np.array(
-                [zlib.crc32(row) for block in _dense_lags(lag) for row in block],
-                dtype=np.uint32,
-            )
             table["lag_size"][has] = lag.width
-            table["lag_crc"][has] = crcs[where[has]]
+            table["lag_crc"][has] = batch.lag_crcs[where[has]]
             where[has] = cursor + where[has] * lag.width * 8
             lags.append(lag)
             cursor += len(lag) * lag.width * 8

@@ -40,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.correlation import CorrelationSeries, fold_correlation
-from repro.core.incremental import LagVectors
+from repro.core.incremental import LagVectors, row_crcs
 from repro.errors import CorrelationError, TraceError
 
 #: Values of :attr:`BlockSummary.coverage`; the journal stores the index.
@@ -113,12 +113,15 @@ class SummaryBatch:
     the row's index into ``lags`` (-1 for a row without lag products)
     until the journal rewrites it into a file offset, and ``lag_size`` /
     ``lag_crc`` are filled then. ``lags`` keeps the vectors as their
-    nonzeros until the journal writes them out dense.
+    nonzeros until the journal writes them out dense; ``lag_crcs`` holds
+    each vector's :func:`~repro.core.incremental.row_crcs`, taken where
+    the vectors were last dense, so the journal densifies them only once.
     """
 
     keys: List[SummaryKey]
     table: np.ndarray
     lags: LagVectors
+    lag_crcs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.table)
@@ -132,8 +135,13 @@ class SummaryBatch:
             summary.x_total, summary.x_energy, summary.y_total, summary.y_energy,
             COVERAGE.index(summary.coverage), -1 if lag is None else 0, 0, 0,
         )], dtype=ROW_DTYPE)
-        lags = LagVectors(0) if lag is None else LagVectors.chunk(np.zeros(1, dtype=np.int64), lag)
-        return cls([(summary.client, summary.root, summary.src, summary.dst)], table, lags)
+        if lag is None:
+            lags, crcs = LagVectors(0), np.empty(0, dtype=np.uint32)
+        else:
+            lags, crcs = LagVectors.chunk(np.zeros(1, dtype=np.int64), lag), row_crcs(lag[None])
+        return cls(
+            [(summary.client, summary.root, summary.src, summary.dst)], table, lags, crcs
+        )
 
     def summaries(self) -> List[BlockSummary]:
         """The rows as :class:`BlockSummary` objects, in write order."""

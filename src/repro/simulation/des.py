@@ -57,7 +57,8 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.schedule_at(self._now + delay, callback)
+        # now + a non-negative delay is never in the past.
+        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback))
 
     def run_until(self, end_time: float) -> int:
         """Run events up to and including ``end_time``; returns events run.

@@ -15,6 +15,7 @@ traffic is bursty.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -27,6 +28,10 @@ from repro.tracing.tracer import Tracer
 
 #: (timestamp, src, dst, observer, message) capture callback signature.
 CaptureHook = Callable[[float, NodeId, NodeId, NodeId, "object"], None]
+
+#: (local timestamp, src, dst, observed at destination) callback fed by
+#: every capture a tracer took -- what the tracer streams on.
+TraceSink = Callable[[float, NodeId, NodeId, bool], None]
 
 
 class Receiver(Protocol):
@@ -74,10 +79,13 @@ class Fabric:
         self.rng = rng
         self.default_latency = default_latency
         self.packets_per_message = packets_per_message
+        # Each packet's offset from its message's send/arrival time.
+        self._packet_offsets = tuple(k * PACKET_GAP for k in range(packets_per_message))
         self._nodes: Dict[NodeId, Receiver] = {}
         self._latencies: Dict[Tuple[NodeId, NodeId], Distribution] = {}
         self._tracers: Dict[NodeId, Tracer] = {}
         self._capture_hooks: List[CaptureHook] = []
+        self._trace_sink: Optional[TraceSink] = None
         self._messages_sent = 0
         self._request_ids = itertools.count(1)
 
@@ -111,9 +119,14 @@ class Fabric:
         return dict(self._tracers)
 
     def add_capture_hook(self, hook: CaptureHook) -> None:
-        """Register an extra observer of every packet capture (the
-        collector streams from here)."""
+        """Register an observer of every packet capture, traced or not,
+        by true time and with the message (ground truth, access logs)."""
         self._capture_hooks.append(hook)
+
+    def set_trace_sink(self, sink: TraceSink) -> None:
+        """Stream every capture a tracer takes, by that tracer's local
+        clock, to ``sink`` (the topology's collector)."""
+        self._trace_sink = sink
 
     def set_latency(self, src: NodeId, dst: NodeId, latency: Distribution) -> None:
         """Override the latency of the directed link ``src -> dst``."""
@@ -143,27 +156,33 @@ class Fabric:
         dst = message.dst  # type: ignore[attr-defined]
         if dst not in self._nodes:
             raise TopologyError(f"message to unknown node {dst!r}")
-        now = self.sim.now
-        self._capture(now, src, dst, observer=src, message=message)
+        self._capture(self.sim.now, src, dst, src, message)
         latency = self.link_latency(src, dst).sample(self.rng)
         self._messages_sent += 1
-        self.sim.schedule(latency, lambda: self._deliver(message))
+        self.sim.schedule(latency, partial(self._deliver, message))
 
     def _deliver(self, message: "object") -> None:
-        src = message.src  # type: ignore[attr-defined]
         dst = message.dst  # type: ignore[attr-defined]
-        self._capture(self.sim.now, src, dst, observer=dst, message=message)
+        self._capture(self.sim.now, message.src, dst, dst, message)  # type: ignore[attr-defined]
         self._nodes[dst].receive(message)
 
     def _capture(
         self, timestamp: float, src: NodeId, dst: NodeId, observer: NodeId, message: "object"
     ) -> None:
+        """One packet per ``packets_per_message`` at ``observer``: the
+        tracer there (if any) records it and its local stamp goes to the
+        trace sink; every capture hook sees it by true time."""
         tracer = self._tracers.get(observer)
-        if tracer is None and not self._capture_hooks:
+        hooks = self._capture_hooks
+        if tracer is None and not hooks:
             return
-        for k in range(self.packets_per_message):
-            stamp = timestamp + k * PACKET_GAP
+        sink = self._trace_sink
+        at_destination = observer == dst
+        for offset in self._packet_offsets:
+            stamp = timestamp + offset
             if tracer is not None:
-                tracer.observe(stamp, src, dst)
-            for hook in self._capture_hooks:
+                local = tracer.observe(stamp, src, dst)
+                if sink is not None:
+                    sink(local, src, dst, at_destination)
+            for hook in hooks:
                 hook(stamp, src, dst, observer, message)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import collections
 import dataclasses
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +42,14 @@ class Message:
     """One application message in flight.
 
     ``return_stack`` holds the upstream nodes a response must traverse,
-    bottom (client) to top (most recent forwarder).
+    bottom (client) to top (most recent forwarder). Every hop builds
+    one, so it carries no per-instance ``__dict__``.
     """
+
+    __slots__ = (
+        "request_id", "service_class", "kind", "src", "dst", "return_stack",
+        "created_at",
+    )
 
     request_id: int
     service_class: str
@@ -232,15 +239,14 @@ class ServiceNode:
         return self._busy
 
     def _dispatch(self) -> None:
+        now = self.sim.now
         while self._busy < self.workers and self._queue:
             message, enqueued_at = self._queue.popleft()
             self._busy += 1
-            self._queue_delay_log.append(self.sim.now - enqueued_at)
+            self._queue_delay_log.append(now - enqueued_at)
             duration = self._sample_service(message)
-            self._service_log.append(
-                (self.sim.now, message.service_class, message.kind, duration)
-            )
-            self.sim.schedule(duration, lambda m=message: self._complete(m))
+            self._service_log.append((now, message.service_class, message.kind, duration))
+            self.sim.schedule(duration, partial(self._complete, message))
 
     def _sample_service(self, message: Message) -> float:
         if message.kind == REQUEST:
@@ -281,14 +287,14 @@ class ServiceNode:
                 self._joins[message.request_id] = (
                     self._joins.get(message.request_id, 0) + len(targets) - 1
                 )
+            stack = message.return_stack + (self.node_id,)
             for target in targets:
-                child = dataclasses.replace(
-                    message,
-                    src=self.node_id,
-                    dst=target,
-                    return_stack=message.return_stack + (self.node_id,),
+                self.fabric.send(
+                    Message(
+                        message.request_id, message.service_class, message.kind,
+                        self.node_id, target, stack, message.created_at,
+                    )
                 )
-                self.fabric.send(child)
             return
         raise SimulationError(f"router returned unknown decision {decision!r}")
 
@@ -312,14 +318,7 @@ class ServiceNode:
                 f"request {request.request_id} reached leaf {self.node_id!r} "
                 "with an empty return stack"
             )
-        response = dataclasses.replace(
-            request,
-            kind=RESPONSE,
-            src=self.node_id,
-            dst=request.return_stack[-1],
-            return_stack=request.return_stack[:-1],
-        )
-        self.fabric.send(response)
+        self.fabric.send(self._response_hop(request))
 
     def _propagate_response(self, message: Message) -> None:
         """Walk a response one hop further up the return stack."""
@@ -328,13 +327,16 @@ class ServiceNode:
                 f"response {message.request_id} at {self.node_id!r} has no "
                 "upstream left"
             )
-        hop = dataclasses.replace(
-            message,
-            src=self.node_id,
-            dst=message.return_stack[-1],
-            return_stack=message.return_stack[:-1],
+        self.fabric.send(self._response_hop(message))
+
+    def _response_hop(self, message: Message) -> Message:
+        """The response to ``message`` one hop up its return stack, from
+        this node."""
+        stack = message.return_stack
+        return Message(
+            message.request_id, message.service_class, RESPONSE,
+            self.node_id, stack[-1], stack[:-1], message.created_at,
         )
-        self.fabric.send(hop)
 
     # -- observability ------------------------------------------------------------------
 

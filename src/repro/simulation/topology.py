@@ -56,7 +56,7 @@ class Topology:
             packets_per_message=packets_per_message,
         )
         self.collector = TraceCollector()
-        self.fabric.add_capture_hook(self._stream_to_collector)
+        self.fabric.set_trace_sink(self.collector.ingest_point)
         self.service_nodes: Dict[NodeId, ServiceNode] = {}
         self.clients: Dict[NodeId, ClientNode] = {}
         self.workloads: List[object] = []
@@ -176,19 +176,6 @@ class Topology:
         if front_end not in self._ground_truths:
             self._ground_truths[front_end] = GroundTruth(self.fabric, front_end)
         return self._ground_truths[front_end]
-
-    def _stream_to_collector(
-        self, timestamp: float, src: NodeId, dst: NodeId, observer: NodeId, message: object
-    ) -> None:
-        tracer = self.fabric.tracer(observer)
-        if tracer is None:
-            return  # untraced endpoint (client side): invisible to the enterprise
-        # Point ingest, no CaptureRecord object: this hook runs once per
-        # simulated packet, and the collector only consumes the black-box
-        # tuple anyway (request/class ground truth never reaches it).
-        self.collector.ingest_point(
-            timestamp + tracer.clock_skew, src, dst, observer == dst
-        )
 
     # -- execution -------------------------------------------------------------------------
 

@@ -292,12 +292,16 @@ class TraceCollector:
     ) -> None:
         """Add one capture without materializing a :class:`CaptureRecord`.
 
-        The record-object path (:meth:`ingest`) funnels here; hot callers
-        (the simulation fabric's capture hook) skip the object entirely.
+        The record-object path (:meth:`ingest`) funnels here; the
+        simulation fabric's trace sink calls it once per traced packet.
         """
-        if src == dst:
-            raise TraceError(f"self-loop packet at {src!r}")
-        self._store((src, dst), observed_at_destination).append(timestamp)
+        stores = self._at_dst if observed_at_destination else self._at_src
+        store = stores.get((src, dst))
+        if store is None:
+            if src == dst:
+                raise TraceError(f"self-loop packet at {src!r}")
+            store = self._store((src, dst), observed_at_destination)
+        store.append(timestamp)
         self._records_ingested += 1
         if timestamp > self._max_seen:
             self._max_seen = timestamp

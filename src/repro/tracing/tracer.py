@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.rle import RunLengthSeries, rle_encode_rows
 from repro.core.timeseries import build_density_rows
 from repro.errors import TraceError
-from repro.tracing.records import CaptureRecord, NodeId
+from repro.tracing.records import NodeId
 
 logger = logging.getLogger(__name__)
 
@@ -147,10 +147,12 @@ class Tracer:
             )
         return self._rows.setdefault((src, dst), len(self._rows))
 
-    def observe(self, timestamp: float, src: NodeId, dst: NodeId) -> CaptureRecord:
+    def observe(self, timestamp: float, src: NodeId, dst: NodeId) -> float:
         """Record one packet on edge ``src -> dst`` passing this node.
 
-        ``timestamp`` is true time; the stored value is by the local clock.
+        ``timestamp`` is true time; the stored value is by the local clock,
+        and is returned. Runs once per simulated packet, so it appends to
+        two lists and builds no record object.
         """
         row = self._rows.get((src, dst))
         if row is None:
@@ -168,7 +170,7 @@ class Tracer:
         self._count += 1
         if self._m_packets is not None:
             self._m_packets.inc()
-        return CaptureRecord(local, src, dst, self.node)
+        return local
 
     def observe_batch(
         self, timestamps: Sequence[float], src: NodeId, dst: NodeId
@@ -177,8 +179,7 @@ class Tracer:
 
         ``timestamps`` are true times; the stored values are shifted by
         the local clock skew in one vectorized pass. Returns how many
-        were recorded. No per-packet :class:`CaptureRecord` objects are
-        materialized.
+        were recorded.
         """
         row = self._row(src, dst)
         # Always a copy: the buffers keep it, the caller may reuse theirs.

@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import incremental
 from repro.core.correlation import CorrelationSeries
-from repro.core.incremental import CorrelatorBank, LagVectors
+from repro.core.incremental import CorrelatorBank, LagVectors, row_crcs
 from repro.core.rle import RunLengthSeries
 from repro.core.spikes import _local_maxima_rows, detect_spike_rows, detect_spikes
 from repro.obs.spans import SpanTracer
@@ -277,9 +277,10 @@ class StoreDrive:
         self.ref = DenseStore()
         self.x = [loud(0)]  # the window's x blocks (shared by every reference)
 
-    def hook(self, bank, old_x, y_moments, y_quiet, first, touched, sums):
+    def hook(self, bank, old_x, y_moments, y_quiet, first, touched, sums, crcs):
         assert isinstance(sums, LagVectors) and len(sums) == touched.size
         dense = sums.dense(np.arange(len(sums)))
+        np.testing.assert_array_equal(crcs, row_crcs(dense))
         self.sums.append({bank.keys[row]: vec for row, vec in zip(touched.tolist(), dense)})
 
     def add_row(self, key, dense):

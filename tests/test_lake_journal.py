@@ -21,6 +21,7 @@ interrupted or damaged everywhere it can be:
 import builtins
 import collections
 import gc
+import hashlib
 import os
 import shutil
 import warnings
@@ -29,10 +30,11 @@ import numpy as np
 import pytest
 
 from repro.core.engine import E2EProfEngine
+from repro.core.incremental import LagVectors, block_rows, row_crcs
 from repro.errors import TraceError
 from repro.lake import JOURNAL_NAME, BlockSummary, TraceLake, scan_journal
-from repro.lake.journal import JOURNAL_MAGIC
-from repro.lake.summaries import COVERAGE
+from repro.lake.journal import JOURNAL_MAGIC, encode_record
+from repro.lake.summaries import COVERAGE, ROW_DTYPE, SummaryBatch
 from repro.tracing.collector import TraceCollector
 
 from tests.test_trace_lake import CFG, chain_topology
@@ -465,13 +467,26 @@ class TestCheckpointCost:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_no_journal_fd_outlives_a_call(self, tmp_path):
         """The lake opens the journal per append and per read, so ``close``
-        (or dropping the lake unclosed) has no descriptor to leak."""
-        def open_fds():
-            return len(os.listdir("/proc/self/fd"))
+        (or dropping the lake unclosed) has no descriptor to leak.
+
+        Only descriptors on files under the lake's directory count: the
+        process's other fds move with whatever earlier tests left for
+        ``gc.collect`` to close."""
+        root = os.path.realpath(tmp_path) + os.sep
+
+        def lake_fds():
+            targets = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:  # the listing's own fd, closed by now
+                    continue
+                if target.startswith(root):
+                    targets.append(target)
+            return targets
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            before = open_fds()
             lake = TraceLake(tmp_path)
             lake.record_summary(row(0, [1.0]))
             lake.checkpoint()
@@ -479,11 +494,84 @@ class TestCheckpointCost:
             with pytest.raises(TraceError):  # a failing read releases it too
                 os.truncate(tmp_path / JOURNAL_NAME, 40)
                 lake.summaries()
-            assert open_fds() == before
+            assert lake_fds() == []
             lake.close()
             del lake
             gc.collect()
-            assert open_fds() == before
+            assert lake_fds() == []
+
+
+def _lag_batch(seed, n, width):
+    """A summary batch of ``n`` lag rows (half of them mostly zero, so
+    stored compact; one ``-0.0``) and ``n // 4`` marker rows, shuffled."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, width))
+    mat[: n // 2] *= rng.random((n // 2, width)) < 0.05
+    mat[1, 3] = -0.0
+    rows = np.arange(n) * 2
+    lags = LagVectors.chunk(rows[: n // 2], mat[: n // 2])
+    lags.append(LagVectors.chunk(rows[n // 2 :], mat[n // 2 :]))
+    lags.trim()
+    table = np.zeros(n + n // 4, dtype=ROW_DTYPE)
+    keys = [(f"C{k}", f"FE{k}", f"A{k}", f"B{k}") for k in range(len(table))]
+    table["key"] = np.arange(len(table))[::-1]
+    table["block_start"] = 40 * seed
+    table["block_length"] = 2000
+    table["quantum"] = 1e-3
+    table["x_total"] = rng.random(len(table))
+    lag_at = np.full(len(table), -1)
+    has = rng.permutation(np.arange(len(table)) < n)
+    lag_at[has] = rng.permutation(n)
+    table["lag_offset"] = lag_at
+    return SummaryBatch(keys, table, lags, row_crcs(mat))
+
+
+class TestLagRowsDensifiedOnce:
+    """The journal writes each batch's lag rows dense once, with the
+    checksums the eviction took while it held them dense."""
+
+    #: sha256 of the record below, as written when the journal densified
+    #: every batch twice (once for the checksums, once for the tail).
+    RECORD_SHA256 = "28d40fe7b5aee6c3aed7c4e9d57b47ad855467a8e9f7db9ce60e4423d742c2b7"
+
+    def test_one_densify_pass_per_batch_same_bytes(self, monkeypatch):
+        batches = [_lag_batch(1, 150, 4096), _lag_batch(2, 9, 33)]
+        assert block_rows(4096) == 64  # the first batch spans three blocks
+        passes, denses = [], []
+        blocks, dense = LagVectors.blocks, LagVectors.dense
+
+        def counted_blocks(self):
+            passes.append(len(self))
+            return blocks(self)
+
+        def counted_dense(self, picks):
+            denses.append(len(self))
+            return dense(self, picks)
+
+        monkeypatch.setattr(LagVectors, "blocks", counted_blocks)
+        monkeypatch.setattr(LagVectors, "dense", counted_dense)
+        _, buffers = encode_record(8, batches, [], 3, 17)
+        record = b"".join(bytes(b) for b in buffers)
+        assert passes == [150, 9]
+        assert denses == [150] * 3 + [9]
+        assert hashlib.sha256(record).hexdigest() == self.RECORD_SHA256
+
+    def test_eviction_checksums_match_the_rows(self, tmp_path):
+        topo, _ = chain_topology()
+        lake = TraceLake(tmp_path / "lake")
+        batches = []
+        record = lake.record_summary
+        lake.record_summary = lambda batch: (batches.append(batch), record(batch))
+        sink = TraceCollector(client_nodes=["C"], retention=CFG.retention)
+        engine = E2EProfEngine(CFG, capture_sink=sink, lake=lake)
+        engine.attach(topo)
+        topo.run_until(60.0)
+        engine.close()
+        vectors = [b for b in batches if isinstance(b, SummaryBatch) and len(b.lags)]
+        assert vectors
+        for batch in vectors:
+            dense = batch.lags.dense(np.arange(len(batch.lags)))
+            np.testing.assert_array_equal(batch.lag_crcs, row_crcs(dense))
 
 
 def _forbid_io(patch):

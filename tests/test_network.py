@@ -116,6 +116,25 @@ class TestCapture:
         assert request[0] == (0.0, "C")
         assert request[1] == (pytest.approx(0.001), "S")
 
+    def test_trace_sink_sees_traced_captures_by_local_clock(self):
+        sim, fabric = make_fabric(packets_per_message=2)
+        ServiceNode(sim, fabric, "S", Constant(0.01))
+        tracer = Tracer("S", clock_skew=0.5)
+        fabric.attach_tracer(tracer)
+        seen = []
+        fabric.set_trace_sink(lambda *capture: seen.append(capture))
+        ClientNode(sim, fabric, "C", "cls", "S").issue_request()
+        sim.run_until(1.0)
+        # The client is untraced: only S's two captures of each message.
+        assert [capture[1:] for capture in seen] == [
+            ("C", "S", True), ("C", "S", True), ("S", "C", False), ("S", "C", False),
+        ]
+        stamps = [capture[0] for capture in seen]
+        assert stamps == pytest.approx(
+            [0.501, 0.501 + PACKET_GAP, 0.511, 0.511 + PACKET_GAP]
+        )
+        assert sorted(stamps) == tracer.timestamps("C", "S") + tracer.timestamps("S", "C")
+
     def test_multi_packet_messages(self):
         sim, fabric = make_fabric(packets_per_message=3)
         ServiceNode(sim, fabric, "S", Constant(0.01))

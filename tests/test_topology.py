@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import PathmapConfig
@@ -59,6 +60,45 @@ class TestTraceStreaming:
         topo.run_until(1.0)
         stamps = topo.collector.edge_timestamps("C", "WS")
         assert stamps[0] > 0.9  # skew applied
+
+    def test_collector_stream_equals_the_tracers_own_stamps(self):
+        """Each traced packet reaches the collector once, by the stamp its
+        tracer stored, on the side that tracer sits."""
+        topo = Topology(seed=1, packets_per_message=2)
+        topo.add_service_node("DB", Constant(0.004), clock_skew=-0.25)
+        topo.add_service_node(
+            "WS", Constant(0.002), clock_skew=0.5, router=StaticRouter({}, default="DB")
+        )
+        client = topo.add_client("C", "cls", front_end="WS")
+        topo.open_workload(client, rate=80.0)
+        topo.run_until(2.0)
+        collector = topo.collector
+        for node, tracer in topo.fabric.tracers.items():
+            for src, dst in tracer.edges():
+                stores = collector._at_dst if node == dst else collector._at_src
+                assert stores[(src, dst)].array().tolist() == tracer.timestamps(src, dst)
+        assert collector.record_count() == sum(
+            t.packet_count for t in topo.fabric.tracers.values()
+        )
+
+    def test_tracer_restart_mid_run_keeps_streaming(self):
+        """A restart empties the tracer's edge map; the next packets map
+        their edges afresh and still reach the collector."""
+        topo, client = tiny_topology()
+        topo.open_workload(client, rate=50.0)
+        topo.run_until(1.0)
+        db = topo.fabric.tracer("DB")
+        db.restart()
+        assert db.edges() == [] and db.packet_count == 0
+        topo.run_until(2.0)
+        received = topo.collector._at_dst[("WS", "DB")].array()
+        sent = topo.collector._at_src[("DB", "WS")].array()
+        assert received[0] < 1.0 < received[-1]
+        assert db.timestamps("WS", "DB") == received[received > 1.0].tolist()
+        assert db.timestamps("DB", "WS") == sent[sent > 1.0].tolist()
+        assert db.packet_count == np.count_nonzero(received > 1.0) + np.count_nonzero(
+            sent > 1.0
+        )
 
     def test_run_advances_clock(self):
         topo, _ = tiny_topology()
