@@ -24,17 +24,13 @@ Results land in ``benchmarks/results/scenario_matrix.txt``.
 
 import json
 import pathlib
-import sys
 
 import pytest
 
+from repro.scenarios import list_scenarios
+from repro.scenarios.runner import MODES, score_matrix
+
 from conftest import write_result
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
-
-from bench_scenarios import ALL_MODES, score_matrix  # noqa: E402
-
-from repro.scenarios import list_scenarios  # noqa: E402
 
 SEED = 0
 #: Adaptive may trail the best static config by at most this much F1 on
@@ -48,7 +44,7 @@ BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scenarios.j
 def matrix():
     names = [scenario.name for scenario in list_scenarios()]
     assert len(names) >= 6, "the suite must span at least six scenarios"
-    return score_matrix(names, ALL_MODES, seed=SEED)
+    return score_matrix(names, MODES, seed=SEED)
 
 
 def test_adaptive_beats_every_static_aggregate(matrix):
@@ -105,7 +101,7 @@ def test_retry_storm_change_detected(matrix):
 def test_committed_scorecard_matches_fresh_run(matrix):
     assert BENCH_PATH.exists(), (
         "BENCH_scenarios.json is missing: regenerate with "
-        "PYTHONPATH=src python tools/bench_scenarios.py"
+        "PYTHONPATH=src python -m repro scenarios score -o BENCH_scenarios.json"
     )
     committed = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
 
@@ -124,5 +120,5 @@ def test_committed_scorecard_matches_fresh_run(matrix):
 
     assert accuracy_only(committed) == accuracy_only(matrix), (
         "committed BENCH_scenarios.json is stale: regenerate with "
-        "PYTHONPATH=src python tools/bench_scenarios.py"
+        "PYTHONPATH=src python -m repro scenarios score -o BENCH_scenarios.json"
     )

@@ -9,8 +9,9 @@ one database, where a configurable fraction of the classes stops issuing
 requests after a warmup period. Their correlators stay live in the engine
 -- real deployments cannot know a class is gone for good -- so every
 refresh must still walk them, which is exactly the work the
-refresh's quiet-edge skipping eliminates (see ``docs/PERFORMANCE.md`` and
-``tools/bench_refresh.py``).
+refresh's quiet-edge skipping eliminates (see ``docs/PERFORMANCE.md``;
+``benchmarks/e2e``'s ``sparse_manyclass`` workload drives this shape, and
+``benchmarks/test_ingest_throughput.py`` replays its captures).
 """
 
 from __future__ import annotations

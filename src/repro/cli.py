@@ -531,42 +531,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_modes(spec: str) -> Sequence[str]:
-    from repro.scenarios.runner import STATIC_GRID
-
-    valid = ("adaptive",) + tuple(sorted(STATIC_GRID))
-    modes = [m for m in spec.split(",") if m]
-    for mode in modes:
-        if mode not in valid:
-            raise E2EProfError(
-                f"unknown mode {mode!r}: pick from {', '.join(valid)}"
-            )
-    if not modes:
-        raise E2EProfError("no analysis modes given")
-    return modes
-
-
-def _score_scenario(name: str, mode: str, seed: int):
-    """Build, simulate and grade one scenario under one analysis mode."""
-    from repro.scenarios import get_scenario
-    from repro.scenarios.runner import (
-        STATIC_GRID,
-        analyze_adaptive,
-        analyze_static,
-        grid_config,
-    )
-
-    if mode != "adaptive" and mode not in STATIC_GRID:
-        raise E2EProfError(
-            f"unknown mode {mode!r}: pick adaptive or one of "
-            f"{', '.join(sorted(STATIC_GRID))}"
-        )
-    run = get_scenario(name).build(seed=seed)
-    if mode == "adaptive":
-        return analyze_adaptive(run)
-    return analyze_static(run, grid_config(run, mode), mode=mode)
-
-
 def cmd_scenarios_list(args: argparse.Namespace) -> int:
     from repro.scenarios import list_scenarios
 
@@ -577,7 +541,9 @@ def cmd_scenarios_list(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios_run(args: argparse.Namespace) -> int:
-    score = _score_scenario(args.scenario, args.mode, args.seed)
+    from repro.scenarios.runner import score_scenario
+
+    score = score_scenario(args.scenario, args.mode, args.seed)
     if args.format == "json":
         payload = json.dumps(
             score.to_dict(include_cells=args.cells), indent=2, sort_keys=True
@@ -606,34 +572,20 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 def cmd_scenarios_score(args: argparse.Namespace) -> int:
     from repro.scenarios import list_scenarios
+    from repro.scenarios.runner import score_matrix
 
-    names = [n for n in (args.scenarios or "").split(",") if n]
+    names = [n for n in args.scenarios.split(",") if n]
     if not names:
         names = [scenario.name for scenario in list_scenarios()]
-    modes = _scenario_modes(args.modes)
-    rows = []
-    for name in names:
-        for mode in modes:
-            score = _score_scenario(name, mode, args.seed)
-            rows.append(score.to_dict(include_cells=False))
-            print(
-                f"{name:16s} {mode:8s} f1={score.aggregate_f1:.3f} "
-                f"p={score.aggregate_precision:.3f} "
-                f"r={score.aggregate_recall:.3f}",
-                file=sys.stderr,
-            )
-    aggregates = {
-        mode: sum(r["aggregate_f1"] for r in rows if r["mode"] == mode)
-        / sum(1 for r in rows if r["mode"] == mode)
-        for mode in modes
-    }
-    doc = {
-        "seed": args.seed,
-        "scenarios": names,
-        "modes": list(modes),
-        "scores": rows,
-        "aggregate_f1_by_mode": aggregates,
-    }
+    modes = [m for m in args.modes.split(",") if m]
+    doc = score_matrix(names, modes, seed=args.seed)
+    for row in doc["scores"]:
+        print(
+            f"{row['scenario']:16s} {row['mode']:8s} f1={row['aggregate_f1']:.3f} "
+            f"p={row['aggregate_precision']:.3f} "
+            f"r={row['aggregate_recall']:.3f} ({row['elapsed_seconds']:.1f}s)",
+            file=sys.stderr,
+        )
     payload = json.dumps(doc, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -45,7 +45,6 @@ from repro.obs.events import (
     EVENT_LOW_CONFIDENCE,
     EVENT_REWINDOW,
     EVENT_SLO_BURN,
-    EVENT_PERF_REGRESSION,
     DiagnosticEvent,
     EventBus,
 )
@@ -81,13 +80,9 @@ from repro.obs.ledger import (
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sample import MetricsSample
 from repro.obs.slo import (
-    RegressionWatch,
     SLOMonitor,
     StageObjective,
     default_objectives,
-    ingest_baseline,
-    load_baselines,
-    refresh_baseline,
 )
 from repro.obs.spans import NULL_TRACER, Span, SpanTracer
 
@@ -103,7 +98,6 @@ __all__ = [
     "EVENT_CHANGE",
     "EVENT_LATENCY",
     "EVENT_PATH_SELECTION",
-    "EVENT_PERF_REGRESSION",
     "EVENT_SLA_VIOLATION",
     "EVENT_SLO_BURN",
     "EVENT_SUBSCRIBER_ERROR",
@@ -129,7 +123,6 @@ __all__ = [
     "PIPELINE_STAGES",
     "RefreshFrame",
     "RefreshLedger",
-    "RegressionWatch",
     "SLOMonitor",
     "STAGE_CORRELATE",
     "STAGE_DFS",
@@ -143,9 +136,6 @@ __all__ = [
     "chrome_trace",
     "default_objectives",
     "exponential_buckets",
-    "ingest_baseline",
-    "load_baselines",
-    "refresh_baseline",
     "snapshot",
     "to_prometheus",
     "write_chrome_trace",

@@ -63,9 +63,6 @@ EVENT_REWINDOW = "rewindow"
 #: the fast and slow burn-rate windows over threshold; SRE-style
 #: multi-window alerting on the refresh ledger).
 EVENT_SLO_BURN = "slo_burn"
-#: A ledger quantity drifted beyond tolerance from its committed
-#: benchmark baseline (BENCH_refresh.json / BENCH_ingest.json).
-EVENT_PERF_REGRESSION = "perf_regression"
 
 EventCallback = Callable[["DiagnosticEvent"], None]
 

@@ -1,41 +1,33 @@
-"""Latency SLOs over the refresh ledger: burn-rate and regression events.
+"""Latency SLOs over the refresh ledger: burn-rate alert events.
 
 The engine's self-profiling (``repro.obs.ledger``) measures each pipeline
-stage every refresh; this module turns those measurements into *alerts*:
+stage every refresh; :class:`SLOMonitor` turns those measurements into
+*alerts*. It evaluates per-stage latency objectives with SRE-style
+**multi-window burn rates**: each refresh either meets or breaches its
+stage objective, and when both a fast window (is it burning *now*?) and
+a slow window (has it burned for a while?) exceed the burn threshold, an
+:data:`~repro.obs.events.EVENT_SLO_BURN` event is published. The two
+windows together suppress one-refresh blips without missing sustained
+burns.
 
-* :class:`SLOMonitor` evaluates per-stage latency objectives with
-  SRE-style **multi-window burn rates**: each refresh either meets or
-  breaches its stage objective, and when both a fast window (is it
-  burning *now*?) and a slow window (has it burned for a while?) exceed
-  the burn threshold, an :data:`~repro.obs.events.EVENT_SLO_BURN` event
-  is published. The two windows together suppress one-refresh blips
-  without missing sustained burns.
-* :class:`RegressionWatch` smooths ledger quantities with an EWMA and
-  publishes :data:`~repro.obs.events.EVENT_PERF_REGRESSION` when the
-  smoothed value drifts beyond a tolerance factor of a **committed
-  benchmark baseline** (``BENCH_refresh.json`` / ``BENCH_ingest.json``),
-  catching the slow rot that point-in-time CI gates miss.
-
-Both subscribe to a live engine via ``subscribe_to(engine)`` and read
-``result.ledger`` from the metrics fan-out, so they cost one dict lookup
-per refresh when everything is healthy.
+The monitor subscribes to a live engine via ``subscribe_to(engine)`` and
+reads ``result.ledger`` from the metrics fan-out, so it costs one dict
+lookup per refresh when everything is healthy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EVENT_PERF_REGRESSION, EVENT_SLO_BURN, EventBus
+from repro.obs.events import EVENT_SLO_BURN, EventBus
 from repro.obs.ledger import (
     STAGE_CORRELATE,
     STAGE_DFS,
     STAGE_INGEST,
     STAGE_PUBLISH,
-    Ewma,
     RefreshLedger,
 )
 
@@ -253,154 +245,3 @@ class SLOMonitor:
             fraction = sum(breaches) / len(breaches)
             return fraction / state.objective.error_budget
         return None
-
-
-class RegressionWatch:
-    """EWMA drift detection against committed benchmark baselines.
-
-    Parameters
-    ----------
-    baselines:
-        Ledger quantity name -> baseline seconds. Recognized names:
-        ``refresh_seconds`` and ``stage_<name>_seconds`` for each
-        pipeline stage.
-    tolerance:
-        Factor over baseline the smoothed value must exceed to count as
-        a regression. Baselines come from benchmark machines, so the
-        default is deliberately loose (3x) -- this watches for *drift*,
-        not micro-slowdowns.
-    alpha:
-        EWMA smoothing factor.
-    min_samples:
-        Refreshes observed before a regression may fire (lets the EWMA
-        settle past cold-start effects).
-    events:
-        EventBus to publish :data:`EVENT_PERF_REGRESSION` on.
-    cooldown:
-        Minimum refreshes between events per watched quantity.
-    """
-
-    def __init__(
-        self,
-        baselines: Dict[str, float],
-        tolerance: float = 3.0,
-        alpha: float = 0.2,
-        min_samples: int = 5,
-        events: Optional[EventBus] = None,
-        cooldown: int = 8,
-    ) -> None:
-        if tolerance <= 1.0:
-            raise ObservabilityError(
-                f"regression tolerance must exceed 1.0, got {tolerance}"
-            )
-        for name, baseline in baselines.items():
-            if baseline <= 0:
-                raise ObservabilityError(
-                    f"baseline {name!r} must be positive, got {baseline}"
-                )
-        self.baselines = dict(baselines)
-        self.tolerance = float(tolerance)
-        self.min_samples = max(1, int(min_samples))
-        self.cooldown = max(0, int(cooldown))
-        self.events = events
-        self.regressions = 0
-        self._ewmas: Dict[str, Ewma] = {n: Ewma(alpha) for n in self.baselines}
-        self._cooldown_left: Dict[str, int] = {n: 0 for n in self.baselines}
-
-    def subscribe_to(self, engine) -> "RegressionWatch":
-        """Attach to a live engine's metrics fan-out and event bus."""
-        if self.events is None:
-            self.events = engine.events
-
-        def _on_metrics(now, result, sample):
-            if result.ledger is not None:
-                self.observe(now, result.ledger)
-
-        engine.subscribe_metrics(_on_metrics)
-        return self
-
-    @staticmethod
-    def _value(ledger: RefreshLedger, name: str) -> Optional[float]:
-        if name == "refresh_seconds":
-            return ledger.refresh_seconds
-        if name.startswith("stage_") and name.endswith("_seconds"):
-            return ledger.stage_seconds(name[len("stage_"):-len("_seconds")])
-        return None
-
-    def observe(self, now: float, ledger: RefreshLedger) -> List[dict]:
-        """Fold one ledger in; publish and return any regression events."""
-        fired: List[dict] = []
-        for name, baseline in self.baselines.items():
-            value = self._value(ledger, name)
-            if value is None:
-                continue
-            ewma = self._ewmas[name]
-            smoothed = ewma.update(value)
-            if self._cooldown_left[name] > 0:
-                self._cooldown_left[name] -= 1
-            if ewma.samples < self.min_samples:
-                continue
-            if smoothed > self.tolerance * baseline and self._cooldown_left[name] == 0:
-                self._cooldown_left[name] = self.cooldown
-                self.regressions += 1
-                payload = {
-                    "metric": name,
-                    "baseline_seconds": baseline,
-                    "observed_seconds": smoothed,
-                    "ratio": smoothed / baseline,
-                    "tolerance": self.tolerance,
-                    "sequence": ledger.sequence,
-                }
-                fired.append(payload)
-                if self.events is not None:
-                    self.events.publish(EVENT_PERF_REGRESSION, time_=now, **payload)
-        return fired
-
-    def smoothed(self, name: str) -> Optional[float]:
-        ewma = self._ewmas.get(name)
-        return ewma.value if ewma is not None else None
-
-
-# -- committed-baseline loaders ------------------------------------------------
-
-
-def refresh_baseline(doc: dict, mode: str = "batched") -> Dict[str, float]:
-    """Regression baselines from a loaded ``BENCH_refresh.json`` document.
-
-    Uses the refresh p50 of ``mode`` -- by default the batched mode the
-    CI refresh gate pins -- as the whole-refresh baseline.
-    """
-    modes = doc["modes"]
-    if mode not in modes:
-        raise KeyError(
-            f"mode {mode!r} not in benchmark document "
-            f"(have: {', '.join(sorted(modes))})"
-        )
-    p50 = modes[mode]["p50_seconds"]
-    return {"refresh_seconds": float(p50)}
-
-
-def ingest_baseline(doc: dict) -> Dict[str, float]:
-    """Regression baselines from a loaded ``BENCH_ingest.json`` document.
-
-    Derives a per-refresh ingest budget from the batched end-to-end
-    ingest benchmark: best total seconds spread over its flush rounds
-    (one flush round ~ one refresh's worth of block pull).
-    """
-    best = float(doc["modes"]["batched"]["best_seconds"])
-    rounds = max(1, int(doc["workload"]["flush_rounds"]))
-    return {"stage_ingest_seconds": best / rounds}
-
-
-def load_baselines(
-    refresh_path: Optional[str] = None, ingest_path: Optional[str] = None
-) -> Dict[str, float]:
-    """Load regression baselines from committed benchmark JSON files."""
-    baselines: Dict[str, float] = {}
-    if refresh_path is not None:
-        with open(refresh_path, "r", encoding="utf-8") as handle:
-            baselines.update(refresh_baseline(json.load(handle)))
-    if ingest_path is not None:
-        with open(ingest_path, "r", encoding="utf-8") as handle:
-            baselines.update(ingest_baseline(json.load(handle)))
-    return baselines

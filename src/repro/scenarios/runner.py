@@ -23,12 +23,16 @@ refresh and grade each class against ground truth. Two analysis modes:
   from stale data.
 
 Both modes return a :class:`~repro.scenarios.scoring.ScenarioScore`.
+:func:`score_matrix` grades named scenarios under every mode in
+:data:`MODES` into the scorecard document that ``repro scenarios score``
+writes and ``BENCH_scenarios.json`` commits.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +46,9 @@ from repro.core.change_detection import ChangeDetector
 from repro.core.engine import E2EProfEngine
 from repro.core.offline import replay
 from repro.core.pathmap import PathmapResult, compute_service_graphs
+from repro.errors import AnalysisError
 from repro.scenarios.base import ScenarioRun
+from repro.scenarios.library import get_scenario
 from repro.scenarios.scoring import (
     ScenarioScore,
     detection_latencies,
@@ -59,6 +65,9 @@ STATIC_GRID: Dict[str, Tuple[float, int, float]] = {
     "medium": (5e-3, 50, 2.0),
     "slow": (20e-3, 50, 10.0),
 }
+
+#: Every analysis mode the scorecard grades, adaptive first.
+MODES: Tuple[str, ...] = ("adaptive",) + tuple(sorted(STATIC_GRID))
 
 
 def grid_config(run: ScenarioRun, name: str) -> PathmapConfig:
@@ -254,3 +263,56 @@ def run_scenario(
     if adaptive:
         return analyze_adaptive(run, mode=mode or "adaptive")
     return analyze_static(run, config=config, mode=mode or "static")
+
+
+def score_scenario(name: str, mode: str, seed: int) -> ScenarioScore:
+    """Build, simulate and grade scenario ``name`` under ``mode``."""
+    if mode not in MODES:
+        raise AnalysisError(f"unknown mode {mode!r}: pick from {', '.join(MODES)}")
+    run = get_scenario(name).build(seed=seed)
+    if mode == "adaptive":
+        return analyze_adaptive(run)
+    return analyze_static(run, grid_config(run, mode), mode=mode)
+
+
+def _mean_f1(rows: List[dict]) -> Optional[float]:
+    if not rows:
+        return None
+    return round(sum(row["aggregate_f1"] for row in rows) / len(rows), 4)
+
+
+def score_matrix(names: Sequence[str], modes: Sequence[str], seed: int) -> dict:
+    """The scenarios x modes scorecard document.
+
+    One row per (scenario, mode): the score without cells, the
+    scenario's ``steady`` flag and the wall-clock ``elapsed_seconds``,
+    plus each mode's mean F1 over every scenario and over the steady
+    ones. Every field but ``elapsed_seconds`` is deterministic for a
+    seed (simulation, analysis and scoring are seeded and unthreaded).
+    """
+    if not modes or not set(modes) <= set(MODES):
+        raise AnalysisError(
+            f"modes {list(modes)} must be a non-empty subset of {', '.join(MODES)}"
+        )
+    scores: List[dict] = []
+    for name in names:
+        steady = get_scenario(name).steady
+        for mode in modes:
+            started = time.perf_counter()
+            row = score_scenario(name, mode, seed).to_dict()
+            row["steady"] = steady
+            row["elapsed_seconds"] = round(time.perf_counter() - started, 3)
+            scores.append(row)
+    by_mode = {mode: [r for r in scores if r["mode"] == mode] for mode in modes}
+    return {
+        "generator": "python -m repro scenarios score",
+        "seed": seed,
+        "scenarios": list(names),
+        "modes": list(modes),
+        "scores": scores,
+        "aggregate_f1_by_mode": {m: _mean_f1(rows) for m, rows in by_mode.items()},
+        "steady_aggregate_f1_by_mode": {
+            m: _mean_f1([r for r in rows if r["steady"]])
+            for m, rows in by_mode.items()
+        },
+    }

@@ -188,8 +188,10 @@ class ServiceNode:
         # Observability / ground truth.
         self.serviced_requests = 0
         self.serviced_responses = 0
-        self._service_log: List[Tuple[float, str, str, float]] = []
-        self._queue_delay_log: List[float] = []
+        # (class, kind) -> [serviced count, total service seconds]; every
+        # serviced message also adds its queueing delay to one sum.
+        self._service_totals: Dict[Tuple[str, str], List[float]] = {}
+        self._queue_delay_sum = 0.0
         fabric.register(self)
 
     # -- fault injection ------------------------------------------------------------
@@ -243,9 +245,14 @@ class ServiceNode:
         while self._busy < self.workers and self._queue:
             message, enqueued_at = self._queue.popleft()
             self._busy += 1
-            self._queue_delay_log.append(now - enqueued_at)
+            self._queue_delay_sum += now - enqueued_at
             duration = self._sample_service(message)
-            self._service_log.append((now, message.service_class, message.kind, duration))
+            key = (message.service_class, message.kind)
+            totals = self._service_totals.get(key)
+            if totals is None:
+                totals = self._service_totals[key] = [0, 0.0]
+            totals[0] += 1
+            totals[1] += duration
             self.sim.schedule(duration, partial(self._complete, message))
 
     def _sample_service(self, message: Message) -> float:
@@ -340,26 +347,19 @@ class ServiceNode:
 
     # -- observability ------------------------------------------------------------------
 
-    def service_log(self) -> List[Tuple[float, str, str, float]]:
-        """(start_time, class, kind, duration) per serviced message."""
-        return list(self._service_log)
-
     def mean_service_time(
         self, service_class: Optional[str] = None, kind: str = REQUEST
     ) -> float:
-        durations = [
-            d
-            for (_, cls, k, d) in self._service_log
-            if k == kind and (service_class is None or cls == service_class)
-        ]
-        if not durations:
-            return 0.0
-        return float(np.mean(durations))
+        count, total = 0, 0.0
+        for (cls, k), (n, seconds) in self._service_totals.items():
+            if k == kind and (service_class is None or cls == service_class):
+                count += n
+                total += seconds
+        return total / count if count else 0.0
 
     def mean_queue_delay(self) -> float:
-        if not self._queue_delay_log:
-            return 0.0
-        return float(np.mean(self._queue_delay_log))
+        count = sum(n for n, _ in self._service_totals.values())
+        return self._queue_delay_sum / count if count else 0.0
 
 
 class ClientNode:

@@ -327,6 +327,23 @@ class TestScenariosCli:
         assert len(doc["scores"]) == 4
         assert set(doc["aggregate_f1_by_mode"]) == {"adaptive", "fast"}
 
+    def test_score_is_the_runner_scorecard(self, capsys):
+        from repro.scenarios.runner import score_matrix
+
+        assert main(["scenarios", "score", "--scenarios", "steady_state",
+                     "--modes", "fast"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "steady" in doc["scores"][0]
+        assert set(doc["steady_aggregate_f1_by_mode"]) == {"fast"}
+
+        def without_timing(card):
+            for row in card["scores"]:
+                del row["elapsed_seconds"]
+            return card
+
+        expected = score_matrix(["steady_state"], ("fast",), seed=0)
+        assert without_timing(doc) == without_timing(expected)
+
     def test_unknown_scenario_is_an_error(self, capsys):
         assert main(["scenarios", "run", "nope"]) == 2
         assert "nope" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Documentation consistency: DESIGN.md, README.md, EXPERIMENTS.md and
-docs/API.md must stay in sync with the code they describe, and the code
-must keep the one analyzer those documents promise (``TestOneAnalyzer``)."""
+docs/API.md must stay in sync with the code they describe, every run
+command they give must name a file that exists (``TestRunCommands``),
+and the code must keep the one analyzer those documents promise
+(``TestOneAnalyzer``)."""
 
 import ast
 import importlib.util
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DESIGN = (ROOT / "DESIGN.md").read_text()
@@ -89,6 +92,49 @@ class TestExperiments:
 
     def test_honest_deviations_section_exists(self):
         assert "Honest-deviation summary" in EXPERIMENTS
+
+
+def _command_lines():
+    """``(file, line)`` of every place a run command can appear: fenced
+    and inline code in the docs, ``run:`` steps in CI (folded blocks
+    joined), and ``src/repro`` docstrings."""
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            ROOT / "benchmarks" / "e2e" / "README.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    for path in docs:
+        text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+        for block in re.findall(r"```[^\n]*\n(.*?)```", text, flags=re.S):
+            for line in block.splitlines():
+                yield path.name, line
+        for span in re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+            yield path.name, span
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    for step in re.findall(r"run: (?:[>|]\n((?:\s{10,}.*\n)+)|(.*))", ci):
+        yield "ci.yml", " ".join(part.strip() for part in "".join(step).splitlines())
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                for line in doc.replace("\\\n", " ").splitlines():
+                    yield path.name, line
+
+
+class TestRunCommands:
+    """Docs may tell of a removed script; they may not tell anyone to run one."""
+
+    def test_every_run_command_names_an_existing_path(self):
+        missing = []
+        for where, line in _command_lines():
+            for command in re.findall(r"\b(?:python3?|pytest)\b(.*)", line):
+                pytest_args = "pytest" in line
+                for token in command.split():
+                    path = token.strip("'\",;").split("::")[0]
+                    runnable = path.endswith(".py") or (
+                        pytest_args and path.startswith(("tests/", "benchmarks/"))
+                    )
+                    if runnable and "*" not in path and not (ROOT / path).exists():
+                        missing.append(f"{where}: {line.strip()}")
+        assert not missing, f"run commands name missing paths: {missing}"
 
 
 def _from_scratch_uses(tree):

@@ -157,17 +157,16 @@ class TestQueueing:
 
 
 class TestObservability:
-    def test_service_log(self):
+    def test_service_totals(self):
         sim, fabric = make_system()
         server = ServiceNode(sim, fabric, "S", Constant(0.010))
         client = ClientNode(sim, fabric, "C", "cls", "S")
         client.issue_request()
         sim.run_until(1.0)
-        log = server.service_log()
-        assert len(log) == 1
-        start, cls, kind, duration = log[0]
-        assert cls == "cls" and kind == "request"
-        assert duration == pytest.approx(0.010)
+        assert server.serviced_requests == 1
+        assert server.mean_service_time("cls") == pytest.approx(0.010)
+        assert server.mean_service_time("cls", kind="response") == 0.0
+        assert server.mean_service_time() == pytest.approx(0.010)
 
     def test_mean_service_time_by_class(self):
         sim, fabric = make_system()

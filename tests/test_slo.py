@@ -1,39 +1,29 @@
-"""Tests for SLO burn-rate and regression alerting (repro.obs.slo).
+"""Tests for SLO burn-rate alerting (repro.obs.slo).
 
 Synthetic-ledger tests pin the multi-window burn-rate logic (fire /
-no-fire / cooldown) and the EWMA regression watch exactly; integration
-tests seed a live engine with deliberately unreachable objectives and
-baselines and require :data:`EVENT_SLO_BURN` / :data:`EVENT_PERF_REGRESSION`
-on its event bus; loader tests parse the committed benchmark baselines.
+no-fire / cooldown) exactly; integration tests seed a live engine with
+deliberately unreachable objectives and require :data:`EVENT_SLO_BURN`
+on its event bus.
 """
-
-import pathlib
 
 import pytest
 
 from repro import E2EProfEngine, PathmapConfig, build_rubis
 from repro.errors import ObservabilityError
 from repro.obs import EventBus
-from repro.obs.events import EVENT_PERF_REGRESSION, EVENT_SLO_BURN
+from repro.obs.events import EVENT_SLO_BURN
 from repro.obs.ledger import (
     STAGE_DFS,
-    STAGE_INGEST,
     RefreshLedger,
     StageSample,
 )
 from repro.obs.slo import (
     DEFAULT_OBJECTIVE_SHARES,
     STAGE_REFRESH,
-    RegressionWatch,
     SLOMonitor,
     StageObjective,
     default_objectives,
-    ingest_baseline,
-    load_baselines,
-    refresh_baseline,
 )
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 CFG = PathmapConfig(
     window=60.0,
@@ -143,60 +133,10 @@ class TestSLOMonitor:
             SLOMonitor(burn_threshold=0.0)
 
 
-class TestRegressionWatch:
-    def test_sustained_slowdown_fires(self):
-        watch = RegressionWatch({"refresh_seconds": 0.01}, tolerance=2.0,
-                                min_samples=3)
-        fired = []
-        for i in range(6):
-            fired += watch.observe(float(i), _ledger(i, refresh_seconds=0.1))
-        assert watch.regressions >= 1
-        first = fired[0]
-        assert first["metric"] == "refresh_seconds"
-        assert first["ratio"] > 2.0
-
-    def test_within_tolerance_never_fires(self):
-        watch = RegressionWatch({"refresh_seconds": 0.01}, tolerance=2.0,
-                                min_samples=3)
-        for i in range(16):
-            assert watch.observe(float(i), _ledger(i, refresh_seconds=0.015)) == []
-        assert watch.regressions == 0
-
-    def test_stage_metric_name_resolution(self):
-        watch = RegressionWatch({"stage_ingest_seconds": 0.001},
-                                tolerance=2.0, min_samples=2)
-        fired = []
-        for i in range(4):
-            fired += watch.observe(
-                float(i), _ledger(i, **{STAGE_INGEST: 0.01})
-            )
-        assert fired and fired[0]["metric"] == "stage_ingest_seconds"
-
-    def test_min_samples_gates_cold_start(self):
-        watch = RegressionWatch({"refresh_seconds": 0.01}, tolerance=2.0,
-                                min_samples=5)
-        for i in range(4):
-            assert watch.observe(float(i), _ledger(i, refresh_seconds=1.0)) == []
-
-    def test_cooldown_spaces_events(self):
-        watch = RegressionWatch({"refresh_seconds": 0.01}, tolerance=2.0,
-                                min_samples=1, cooldown=8)
-        fired = 0
-        for i in range(10):
-            fired += len(watch.observe(float(i), _ledger(i, refresh_seconds=1.0)))
-        assert fired == 2  # i=0 and i=9 (cooldown 8 in between)
-
-    def test_validation(self):
-        with pytest.raises(ObservabilityError):
-            RegressionWatch({"refresh_seconds": 0.01}, tolerance=1.0)
-        with pytest.raises(ObservabilityError):
-            RegressionWatch({"refresh_seconds": 0.0})
-
-
 class TestEngineIntegration:
-    def test_slow_stage_fires_burn_and_regression(self):
-        """Seeded end-to-end alert path: objectives and baselines far
-        below any real refresh cost, so every refresh breaches."""
+    def test_slow_stage_fires_burn(self):
+        """Seeded end-to-end alert path: an objective far below any real
+        refresh cost, so every refresh breaches."""
         rubis = build_rubis(dispatch="affinity", seed=9, request_rate=10.0,
                             config=CFG)
         engine = E2EProfEngine(CFG)
@@ -204,14 +144,11 @@ class TestEngineIntegration:
             objectives=[StageObjective(STAGE_REFRESH, 1e-9, target=0.9)],
             fast_window=2, slow_window=2,
         ).subscribe_to(engine)
-        watch = RegressionWatch({"refresh_seconds": 1e-9}, tolerance=1.5,
-                                min_samples=2).subscribe_to(engine)
         engine.attach(rubis.topology)
         rubis.run_until(85.0)
         kinds = {event.kind for event in engine.events.events()}
         assert EVENT_SLO_BURN in kinds
-        assert EVENT_PERF_REGRESSION in kinds
-        assert monitor.alerts >= 1 and watch.regressions >= 1
+        assert monitor.alerts >= 1
 
     def test_healthy_engine_stays_quiet(self):
         rubis = build_rubis(dispatch="affinity", seed=9, request_rate=10.0,
@@ -223,27 +160,3 @@ class TestEngineIntegration:
         assert monitor.objectives  # defaulted from engine config
         kinds = {event.kind for event in engine.events.events()}
         assert EVENT_SLO_BURN not in kinds
-
-
-class TestBaselineLoaders:
-    def test_refresh_baseline_shape(self):
-        doc = {"modes": {"batched": {"p50_seconds": 0.25}}}
-        assert refresh_baseline(doc) == {"refresh_seconds": 0.25}
-
-    def test_ingest_baseline_shape(self):
-        doc = {"modes": {"batched": {"best_seconds": 2.0}},
-               "workload": {"flush_rounds": 8}}
-        assert ingest_baseline(doc) == {"stage_ingest_seconds": 0.25}
-
-    def test_load_committed_baselines(self):
-        baselines = load_baselines(
-            refresh_path=str(REPO_ROOT / "BENCH_refresh.json"),
-            ingest_path=str(REPO_ROOT / "BENCH_ingest.json"),
-        )
-        assert set(baselines) == {"refresh_seconds", "stage_ingest_seconds"}
-        assert all(v > 0 for v in baselines.values())
-        # the committed numbers must be loadable straight into a watch
-        RegressionWatch(baselines)
-
-    def test_load_nothing_is_empty(self):
-        assert load_baselines() == {}

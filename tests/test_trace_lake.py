@@ -640,3 +640,49 @@ class TestSummaries:
         collector = TraceCollector(retention=31.0)
         collector.ingest_batch("A", "B", np.arange(4.0))
         assert collector.ingest_stats()["lake"] == {"enabled": False}
+
+
+@pytest.mark.slow
+class TestWeekSoak:
+    """A week of hour-sized ingest batches through a retention-bounded
+    collector spilling to a lake: flat residency, zero loss."""
+
+    STREAMS = 2
+    RATE = 5.0  # records/s per stream
+    RETENTION = 61.0
+    HOUR = 3600.0
+    WEEK = 7 * 24 * HOUR
+
+    def test_week_of_spill_is_flat_and_lossless(self, tmp_path):
+        rng = np.random.default_rng(7)
+        edges = [(f"N{i}", f"N{i + 1}") for i in range(self.STREAMS)]
+        day_lo = self.WEEK / 2.0
+        day_hi = day_lo + 24 * self.HOUR
+        source = {edge: [] for edge in edges}
+        lake = TraceLake(str(tmp_path), segment_bytes=1 << 20)
+        collector = TraceCollector(retention=self.RETENTION, lake=lake)
+        peak = total = 0
+        for hour in range(int(self.WEEK / self.HOUR)):
+            base = hour * self.HOUR
+            for src, dst in edges:
+                count = rng.poisson(self.RATE * self.HOUR)
+                stamps = np.sort(rng.uniform(base, base + self.HOUR, count))
+                collector.ingest_batch(src, dst, stamps)
+                if base + self.HOUR > day_lo and base < day_hi:
+                    source[(src, dst)].append(stamps)
+                total += count
+            collector.evict_expired()
+            peak = max(peak, collector.record_count())
+        # Up to retention * rate resident per stream plus one in-flight
+        # hour batch; 4x slack absorbs chunk granularity.
+        assert peak <= 4 * self.STREAMS * self.RATE * (self.RETENTION + self.HOUR)
+        # A stitched mid-week day read is the source, bit for bit.
+        for src, dst in edges:
+            reference = np.concatenate(source[(src, dst)])
+            reference = reference[(reference >= day_lo) & (reference < day_hi)]
+            got = collector.edge_timestamps_range(src, dst, day_lo, day_hi)
+            assert np.array_equal(got, np.sort(reference))
+        stats = lake.stats()
+        assert stats["spilled_records"] + collector.record_count() == total
+        assert stats["segments"] >= 1
+        lake.close()
