@@ -119,22 +119,46 @@ def _command_lines():
                     yield path.name, line
 
 
+def _missing_paths(lines):
+    """``"file: line"`` for every ``(file, line)`` whose ``python`` or
+    ``pytest`` command names a script or test path that does not exist."""
+    missing = []
+    for where, line in lines:
+        for command in re.findall(r"\b(?:python3?|pytest)\b(.*)", line):
+            pytest_args = "pytest" in line
+            for token in command.split():
+                path = token.strip("'\",;").split("::")[0]
+                runnable = path.endswith(".py") or (
+                    pytest_args and path.startswith(("tests/", "benchmarks/"))
+                )
+                if runnable and "*" not in path and not (ROOT / path).exists():
+                    missing.append(f"{where}: {line.strip()}")
+    return missing
+
+
 class TestRunCommands:
     """Docs may tell of a removed script; they may not tell anyone to run one."""
 
     def test_every_run_command_names_an_existing_path(self):
-        missing = []
-        for where, line in _command_lines():
-            for command in re.findall(r"\b(?:python3?|pytest)\b(.*)", line):
-                pytest_args = "pytest" in line
-                for token in command.split():
-                    path = token.strip("'\",;").split("::")[0]
-                    runnable = path.endswith(".py") or (
-                        pytest_args and path.startswith(("tests/", "benchmarks/"))
-                    )
-                    if runnable and "*" not in path and not (ROOT / path).exists():
-                        missing.append(f"{where}: {line.strip()}")
+        missing = _missing_paths(_command_lines())
         assert not missing, f"run commands name missing paths: {missing}"
+
+    def test_a_removed_script_is_flagged(self):
+        lines = [
+            ("README.md", "PYTHONPATH=src python tools/bench_refresh.py --quick"),
+            ("ci.yml", "python -m pytest -q tests/test_gone.py::TestX"),
+            ("README.md", "python -m repro scenarios score -o BENCH_scenarios.json"),
+            ("README.md", "pytest -q benchmarks/test_lake_speedup.py"),
+            ("README.md", "The retired tools/bench_lake.py measured the fold."),
+        ]
+        assert _missing_paths(lines) == [
+            "README.md: PYTHONPATH=src python tools/bench_refresh.py --quick",
+            "ci.yml: python -m pytest -q tests/test_gone.py::TestX",
+        ]
+
+    def test_scan_reaches_docs_ci_and_docstrings(self):
+        sources = {where for where, _ in _command_lines()}
+        assert {"README.md", "PERFORMANCE.md", "ci.yml", "cli.py"} <= sources
 
 
 def _from_scratch_uses(tree):

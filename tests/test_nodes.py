@@ -168,6 +168,45 @@ class TestObservability:
         assert server.mean_service_time("cls", kind="response") == 0.0
         assert server.mean_service_time() == pytest.approx(0.010)
 
+    def test_service_totals_split_by_kind(self):
+        sim, fabric = make_system()
+        ServiceNode(sim, fabric, "DB", Constant(0.010))
+        ap = ServiceNode(sim, fabric, "AP", Constant(0.005),
+                         router=StaticRouter({}, default="DB"),
+                         response_service_time=Constant(0.001))
+        client = ClientNode(sim, fabric, "C", "cls", "AP")
+        client.issue_request()
+        client.issue_request()
+        sim.run_until(1.0)
+        assert ap.mean_service_time("cls") == pytest.approx(0.005)
+        assert ap.mean_service_time("cls", kind="response") == pytest.approx(0.001)
+
+    def test_mean_queue_delay_averages_every_serviced_message(self):
+        sim, fabric = make_system()
+        server = ServiceNode(sim, fabric, "S", Constant(0.010), workers=1)
+        client = ClientNode(sim, fabric, "C", "cls", "S")
+        for _ in range(3):
+            client.issue_request()
+        sim.run_until(1.0)
+        # The three requests wait 0, 10 and 20 ms behind each other.
+        assert server.mean_queue_delay() == pytest.approx(0.010, abs=1e-9)
+
+    def test_idle_node_reports_zero(self):
+        sim, fabric = make_system()
+        server = ServiceNode(sim, fabric, "S", Constant(0.010))
+        sim.run_until(1.0)
+        assert server.mean_service_time() == 0.0
+        assert server.mean_queue_delay() == 0.0
+
+    def test_extra_delay_counts_in_service_time(self):
+        sim, fabric = make_system()
+        server = ServiceNode(sim, fabric, "S", Constant(0.010))
+        server.set_extra_delay(lambda now: 0.050)
+        client = ClientNode(sim, fabric, "C", "cls", "S")
+        client.issue_request()
+        sim.run_until(1.0)
+        assert server.mean_service_time("cls") == pytest.approx(0.060)
+
     def test_mean_service_time_by_class(self):
         sim, fabric = make_system()
         server = ServiceNode(sim, fabric, "S", Constant(0.010))

@@ -28,7 +28,14 @@ from repro.scenarios import (
     run_scenario,
     score_refresh,
 )
-from repro.scenarios.runner import analyze_adaptive, grid_config
+from repro.scenarios.runner import (
+    MODES,
+    STATIC_GRID,
+    analyze_adaptive,
+    grid_config,
+    score_matrix,
+    score_scenario,
+)
 from repro.scenarios.scoring import detection_latencies
 
 
@@ -180,6 +187,41 @@ class TestHarnessSmoke:
         score = run_scenario(run, adaptive=adaptive, config=config)
         assert score.cells, "harness produced no graded cells"
         assert score.aggregate_f1 >= floor, score.to_dict()
+
+
+class TestScorecard:
+    """The one scenarios x modes scorecard that ``repro scenarios score``
+    prints and ``benchmarks/test_scenario_matrix.py`` gates."""
+
+    def test_modes_are_adaptive_then_the_static_grid(self):
+        assert MODES == ("adaptive",) + tuple(sorted(STATIC_GRID))
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(AnalysisError, match="unknown mode"):
+            score_scenario("steady_state", "turbo", seed=0)
+        for modes in ((), ("fast", "turbo")):
+            with pytest.raises(AnalysisError):
+                score_matrix(["steady_state"], modes, seed=0)
+
+    def test_rows_are_the_per_scenario_scores(self):
+        card = score_matrix(["steady_state", "flash_crowd"], ("fast",), seed=0)
+        assert card["scenarios"] == ["steady_state", "flash_crowd"]
+        assert card["modes"] == ["fast"] and card["seed"] == 0
+        assert [(r["scenario"], r["steady"]) for r in card["scores"]] == [
+            ("steady_state", True), ("flash_crowd", False)]
+        for row in card["scores"]:
+            assert row.pop("elapsed_seconds") >= 0.0
+            row.pop("steady")
+            assert row == score_scenario(row["scenario"], "fast", seed=0).to_dict()
+        f1 = {r["scenario"]: r["aggregate_f1"] for r in card["scores"]}
+        assert card["aggregate_f1_by_mode"]["fast"] == pytest.approx(
+            (f1["steady_state"] + f1["flash_crowd"]) / 2, abs=1e-4)
+        assert card["steady_aggregate_f1_by_mode"]["fast"] == pytest.approx(
+            f1["steady_state"], abs=1e-4)
+
+    def test_no_steady_scenario_leaves_the_steady_mean_empty(self):
+        card = score_matrix(["flash_crowd"], ("fast",), seed=0)
+        assert card["steady_aggregate_f1_by_mode"] == {"fast": None}
 
 
 class TestSuiteDeterminism:
